@@ -53,7 +53,7 @@ from .coxeter import (
     build_group,
     presentation,
 )
-from .grank import grrk, jw_coefficient
+from .grank import grrk, grrk_w0, jw_coefficient
 from .gtl import (
     GTLElt,
     IdealClosureError,
@@ -326,7 +326,7 @@ def _cmd_grrk(cfg: JobConfig) -> str:
 def _cmd_esign(cfg: JobConfig) -> str:
     g, table, cache_path = _build(cfg, needs_kl=True)
     e = antisymmetriser(g, table)
-    den = grrk(g, table, g.w0).value
+    den = grrk_w0(g, table).value
     records = [(x, e.coeffs[x]) for x in sorted(e.coeffs)]
     _save_cache(table, cache_path)
     if cfg.output == "json":

@@ -17,10 +17,14 @@ honest and the braid relations checkable:
     i >= 1 swaps entries i and i+1, so m(s0, s1) = 4;
   * type I2(m): pairs (rotation, reflection) in the dihedral group of
     order 2m, with s = (0, 1) and t = (m-1, 1) so that st = (1, 0);
-  * types H3, H4, F4: matrices of the reflection representation over the
-    quadratic field Q(sqrt 5) (H types) or Q(sqrt 2) (F4), acting on the
-    basis of simple roots via s_t(a_u) = a_u - c(u, t) a_t with
-    c(u, t) = -2 cos(pi / m(u, t)).
+  * types H3, H4, F4: permutations of the finite root system (30, 120
+    and 48 roots).  The roots are computed once per build, exactly, as
+    the orbit of the simple roots under the reflections
+    s_t(a_u) = a_u - c(u, t) a_t with c(u, t) = -2 cos(pi / m(u, t)),
+    over Z[(1 + sqrt 5)/2] (H types) or Z[sqrt 2] (F4).  An element w
+    is the tuple of root indices (w^-1(a_1), ..., w^-1(a_r)), so a
+    generator step is one table lookup per entry (Casselman, "Machine
+    calculations in Weyl groups", 1994).
 
 Type C is accepted as an alias of B.  Types D and E are rejected: the
 Temperley-Lieb truncation downstream is not compatible with the
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 ElementId = int  # index into a GroupTable enumeration
 
@@ -45,6 +48,11 @@ class UnsupportedFamilyError(ValueError):
 
 class LargeComputationError(RuntimeError):
     """Refused a large build that was not explicitly opted into."""
+
+
+class EnumerationError(RuntimeError):
+    """The enumerated group contradicts its classical order or has no
+    unique longest element: the element model is wrong."""
 
 
 @dataclass(frozen=True)
@@ -188,59 +196,63 @@ class _DihedralModel:
         return ((a + (b if e == 0 else -b)) % self.m, (e + f) % 2)
 
 
-def _quad_mul(x, y, d):
-    # (a + b sqrt(d)) (c + e sqrt(d))
-    a, b = x
-    c, e = y
-    return (a * c + d * b * e, a * e + b * c)
+class _RootModel:
+    """H3, H4, F4: permutations of the finite root system.
 
+    Roots are vectors in the basis of simple roots with coefficients in
+    Z[theta], stored as integer pairs (a, b) for a + b theta, where
+    theta^2 = p theta + q: theta = (1 + sqrt 5)/2 for the H types
+    (p, q = 1, 1) and theta = sqrt 2 for F4 (p, q = 0, 2).  The root
+    system is the orbit of the simple roots under the reflections
+    s_t(a_u) = a_u - c(u, t) a_t, and perm[t][i] is the index of
+    s_t(root i).
 
-class _MatrixModel:
-    """Reflection representation over Q(sqrt d) for H3, H4, F4."""
+    An element w is the tuple (w^-1(a_1), ..., w^-1(a_r)) of root
+    indices; it determines w because the simple roots are a basis, and
+    right multiplication by s maps each entry i to perm[s][i].
+    """
 
-    _COS2 = {
-        # -2 cos(pi/m) as (rational, sqrt-part) in Q(sqrt d)
-        2: (Fraction(0), Fraction(0)),
-        3: (Fraction(-1), Fraction(0)),
-        4: (Fraction(0), Fraction(-1)),  # -sqrt(2), d = 2
-        5: (Fraction(-1, 2), Fraction(-1, 2)),  # -(1 + sqrt 5)/2, d = 5
+    _C = {
+        # c(u, t) = -2 cos(pi / m(u, t)) in Z[theta]
+        2: (0, 0),
+        3: (-1, 0),
+        4: (0, -1),  # -theta, theta = sqrt 2 (F4 only)
+        5: (0, -1),  # -theta, theta = (1 + sqrt 5)/2 (H types only)
     }
 
-    def __init__(self, matrix: tuple[tuple[int, ...], ...], d: int):
-        self.d = d
-        self.rank = len(matrix)
-        zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
-        self._id = tuple(
-            tuple(one if i == j else zero for j in range(self.rank)) for i in range(self.rank)
-        )
-        self._gen_mats = []
-        for t in range(self.rank):
-            rows = [list(row) for row in self._id]
-            for u in range(self.rank):
-                c = (Fraction(2), Fraction(0)) if u == t else self._COS2[matrix[u][t]]
-                rows[t][u] = (rows[t][u][0] - c[0], rows[t][u][1] - c[1])
-            self._gen_mats.append(tuple(tuple(r) for r in rows))
+    def __init__(self, matrix: tuple[tuple[int, ...], ...], p: int, q: int):
+        rank = len(matrix)
+        c = [[(2, 0) if u == t else self._C[matrix[u][t]] for u in range(rank)] for t in range(rank)]
+        roots = [tuple((1, 0) if u == i else (0, 0) for u in range(rank)) for i in range(rank)]
+        index = {root: i for i, root in enumerate(roots)}
+        perm: list[list[int]] = [[] for _ in range(rank)]
+        i = 0
+        while i < len(roots):  # roots grows until the orbit closes
+            beta = roots[i]
+            for t in range(rank):
+                # k = sum_u b_u c(u, t), then s_t(beta) = beta - k a_t
+                ka = kb = 0
+                for (a, b), (e, f) in zip(beta, c[t]):
+                    ka += a * e + q * b * f
+                    kb += a * f + b * e + p * b * f
+                img = list(beta)
+                img[t] = (beta[t][0] - ka, beta[t][1] - kb)
+                img = tuple(img)
+                j = index.get(img)
+                if j is None:
+                    j = index[img] = len(roots)
+                    roots.append(img)
+                perm[t].append(j)
+            i += 1
+        self.roots = roots
+        self.perm = [tuple(row) for row in perm]
 
     def identity(self):
-        return self._id
+        return tuple(range(len(self.perm)))
 
     def apply_gen(self, x, s: int):
-        g = self._gen_mats[s]
-        n, d = self.rank, self.d
-        out = []
-        for i in range(n):
-            row = x[i]
-            new_row = []
-            for j in range(n):
-                acc_a = Fraction(0)
-                acc_b = Fraction(0)
-                for k in range(n):
-                    pa, pb = _quad_mul(row[k], g[k][j], d)
-                    acc_a += pa
-                    acc_b += pb
-                new_row.append((acc_a, acc_b))
-            out.append(tuple(new_row))
-        return tuple(out)
+        p = self.perm[s]
+        return tuple([p[i] for i in x])
 
 
 def _model_for(pres: CoxeterPresentation):
@@ -251,9 +263,9 @@ def _model_for(pres: CoxeterPresentation):
     if pres.family == "I2":
         return _DihedralModel(pres.m_parameter)
     if pres.family == "F4":
-        return _MatrixModel(pres.matrix, 2)
+        return _RootModel(pres.matrix, 0, 2)
     if pres.family in ("H3", "H4"):
-        return _MatrixModel(pres.matrix, 5)
+        return _RootModel(pres.matrix, 1, 1)
     raise UnsupportedFamilyError(pres.family)
 
 
@@ -385,8 +397,10 @@ def build_group(pres: CoxeterPresentation, allow_large: bool = False) -> GroupTa
             frontier.append(idx)
 
     size = len(elements)
-    assert size == order, f"enumerated {size} elements, classical order is {order}"
-    assert length.count(length[-1]) == 1, "longest element is not unique"
+    if size != order:
+        raise EnumerationError(f"enumerated {size} elements, classical order is {order}")
+    if length.count(length[-1]) != 1:
+        raise EnumerationError("longest element is not unique")
 
     right = [[0] * rank for _ in range(size)]
     for x in range(size):

@@ -82,6 +82,14 @@ def grrk(g: GroupTable, cache: KLTable, x: ElementId) -> GradedRank:
     return GradedRank(total)
 
 
+def grrk_w0(g: GroupTable, cache: KLTable) -> GradedRank:
+    """grrk(w0), the Jones-Wenzl normaliser, computed through :func:`grrk`
+    once per KL table and memoised on it."""
+    if cache.w0_rank is None:
+        cache.w0_rank = grrk(g, cache, g.w0)
+    return cache.w0_rank
+
+
 def poincare_interval(g: GroupTable, x: ElementId) -> LaurentPoly:
     """Symmetrized Poincare polynomial of the Bruhat interval [id, x].
 
@@ -106,7 +114,7 @@ def jw_coefficient(g: GroupTable, cache: KLTable, x: ElementId) -> RatFunc:
     """
     xw0 = g.multiply(x, g.w0)
     num = grrk(g, cache, xw0).value
-    den = grrk(g, cache, g.w0).value
+    den = grrk_w0(g, cache).value
     if g.length[x] % 2:
         num = -num
     return RatFunc(num, den)

@@ -117,6 +117,7 @@ class KLTable:
     def __init__(self, group: GroupTable):
         self.group = group
         self._cols: dict[int, dict[int, int]] = {0: {0: 1}}
+        self.w0_rank = None  # grrk(w0), memoised by jwkit.grank.grrk_w0
         self._lock = threading.Lock()
 
     # -- public views --------------------------------------------------------

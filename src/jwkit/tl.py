@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import ElementId, GroupTable
-from .grank import grrk, jw_coefficient
+from .grank import grrk, grrk_w0, jw_coefficient
 from .hecke import HeckeElt, KLTable, to_kl_basis
 from .qpoly import LaurentPoly, RatFunc, poly_exact_div, poly_lcm, quantum_int
 
@@ -380,7 +380,7 @@ def jw_minus(n: int, g: GroupTable, cache: KLTable) -> TLElt:
     all-positive coefficients grrk(x w0) / grrk(w0) on u_x^-."""
     if _require_type_a(g) != n:
         raise ValueError(f"group has rank {g.rank}, expected {n - 1}")
-    den = grrk(g, cache, g.w0).value
+    den = grrk_w0(g, cache).value
     out = {}
     for x in g.fc_elements():
         num = grrk(g, cache, g.multiply(x, g.w0)).value

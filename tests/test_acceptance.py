@@ -4,7 +4,9 @@ Every assertion is at tolerance zero; all arithmetic is in Q(v).  Two
 optional legs are gated by environment variables because of their cost:
 
 * JWKIT_LARGE=1 enables the F4 legs of criteria 8 and 9 (about two
-  minutes) plus the H4 group-order check of criterion 10;
+  minutes, nearly all KL and generalised-TL work) plus the H4
+  group-order check of criterion 10 (about a second; the default run of
+  test_coxeter.py enumerates H4 too);
 * JWKIT_STRETCH=1 enables the n = 7 stretch leg of criterion 2.
 
 Full KL data for H4 (|W| = 14400) is a documented long-running option of

@@ -1,5 +1,7 @@
 """Group enumeration: orders, words, descents, Bruhat order, FC elements."""
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -172,6 +174,103 @@ def test_f4_builds_with_correct_order():
     g = grp("F4")
     assert g.size == 1152
     assert g.length[g.w0] == 24
+
+
+def _table_digest(g):
+    doc = [g.length, [list(w) for w in g.word], g.right, g.left, g.inv, g.fc]
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+
+
+# sha256 of (length, word, right, left, inv, fc), recorded from the earlier
+# model that multiplied reflection matrices over Q(sqrt d); the root
+# permutation model must reproduce every table exactly
+MATRIX_MODEL_DIGESTS = {
+    "H3": "87cba2d6b2760c090117814be94b3bbdd9456c0b16173ebc8861f6a5db9645d1",
+    "F4": "fcc51df709b4ef038b9ed634c3d64ec55ba646d3432dbf7b9d1163b80d77ef23",
+}
+
+
+@pytest.mark.parametrize("family", sorted(MATRIX_MODEL_DIGESTS))
+def test_tables_match_matrix_model(family):
+    assert _table_digest(grp(family)) == MATRIX_MODEL_DIGESTS[family]
+
+
+@pytest.mark.parametrize("family,n_roots", [("H3", 30), ("F4", 48), ("H4", 120)])
+def test_root_system(family, n_roots):
+    # rank * Coxeter number roots; each generator permutes them as an
+    # involution and sends its own simple root to its negative
+    model = coxeter._model_for(presentation(family))
+    roots = model.roots
+    assert len(roots) == len(set(roots)) == n_roots
+    for s, perm in enumerate(model.perm):
+        assert sorted(perm) == list(range(n_roots))
+        assert all(perm[perm[i]] == i for i in range(n_roots))
+        assert roots[perm[s]] == tuple((-a, -b) for a, b in roots[s])
+
+
+def test_h4_enumerates_by_default():
+    g = grp("H4", allow_large=True)
+    assert g.size == 14400
+    assert g.length[g.w0] == 60
+
+
+def test_fc_counts_match_stembridge():
+    # Stembridge, "The enumeration of fully commutative elements of Coxeter
+    # groups" (J. Algebraic Combin., 1998): H3 44, H4 195, F4 106 and
+    # (n + 2) C_n - 1 in B_n, which is 83 in B4
+    assert sum(grp("H3").fc) == 44
+    assert sum(grp("F4").fc) == 106
+    assert sum(grp("H4", allow_large=True).fc) == 195
+    for n in (2, 3, 4):
+        assert sum(grp("B", n).fc) == (n + 2) * catalan(n) - 1
+
+
+def _reduced_word_counts(g):
+    count = [1] + [0] * (g.size - 1)
+    for x in range(1, g.size):  # ids are sorted by length
+        count[x] = sum(count[g.right[x][s]] for s in g.right_descents(x))
+    return count
+
+
+def _commutation_class_size(word, matrix):
+    """Linear extensions of the heap of word, by a DP over its order ideals
+    (bit masks of the positions placed so far)."""
+    k = len(word)
+    preds = [0] * k  # earlier positions that do not commute with position j
+    for j in range(k):
+        for i in range(j):
+            if matrix[word[i]][word[j]] != 2:
+                preds[j] |= 1 << i
+    memo = {(1 << k) - 1: 1}
+
+    def ext(done):
+        hit = memo.get(done)
+        if hit is None:
+            rest = ~done
+            hit = sum(
+                ext(done | 1 << j) for j in range(k) if rest >> j & 1 and not preds[j] & rest
+            )
+            memo[done] = hit
+        return hit
+
+    return ext(0)
+
+
+@pytest.mark.parametrize("family", ["H3", "F4", "H4"])
+def test_fc_flags_by_counting_reduced_words(family):
+    # x is fully commutative iff all its reduced words form one commutation
+    # class, i.e. iff it has as many reduced words as one word's class
+    g = grp(family, allow_large=True)
+    counts = _reduced_word_counts(g)
+    mat = g.presentation.matrix
+    for x in range(g.size):
+        assert g.fc[x] == (counts[x] == _commutation_class_size(g.word[x], mat))
+
+
+def test_enumeration_checked_against_classical_order(monkeypatch):
+    monkeypatch.setattr(coxeter, "classical_order", lambda pres: 121)
+    with pytest.raises(coxeter.EnumerationError, match="classical order is 121"):
+        coxeter.build_group(presentation("H3"))
 
 
 def test_b_convention_m4_between_first_two_generators():

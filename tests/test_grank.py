@@ -3,7 +3,8 @@
 import pytest
 
 from jwkit.coxeter import bruhat_leq_subword
-from jwkit.grank import GradedRank, grrk, jw_coefficient, poincare_interval
+from jwkit import grank
+from jwkit.grank import GradedRank, grrk, grrk_w0, jw_coefficient, poincare_interval
 from jwkit.hecke import KLTable
 from jwkit.qpoly import LaurentPoly, RatFunc, parity_class, quantum_factorial, quantum_int
 
@@ -186,3 +187,23 @@ def test_jw_coefficient_sign_alternates_with_length():
         if g.length[x] % 2:
             num = -num
         assert got == RatFunc(num, den)
+
+
+def test_grrk_w0_computed_once_per_table(monkeypatch):
+    g = grp("B", 3)
+    t = _table(g)
+    expected = grrk(g, t, g.w0)
+    calls = []
+
+    def counting(g, cache, x):
+        calls.append(x)
+        return expected
+
+    monkeypatch.setattr(grank, "grrk", counting)
+    fc = g.fc_elements()
+    for x in fc:
+        jw_coefficient(g, t, x)
+    assert len(calls) == len(fc) + 1  # one numerator each, one normaliser
+    assert grrk_w0(g, t) == expected
+    assert grrk_w0(g, _table(g)) == expected
+    assert len(calls) == len(fc) + 2
