@@ -27,11 +27,6 @@ Families F4 and H4 are gated behind ``--allow-large``; subcommands that
 need Kazhdan-Lusztig data additionally require a cache directory
 (``--cache-dir`` or the JWKIT_CACHE_DIR environment variable) so the
 expensive columns persist across runs.
-
-``--threads`` is accepted and validated, and caps internal parallelism.
-The current implementation computes sequentially, which respects any
-positive cap; the flag exists so scripts written against it keep
-working if parallel column computation is added later.
 """
 
 from __future__ import annotations
@@ -112,7 +107,6 @@ class JobConfig:
     output: str
     cache_dir: Optional[str]
     allow_large: bool
-    threads: int
     suites: tuple[str, ...]
 
 
@@ -121,10 +115,6 @@ class UsageError(Exception):
 
 
 # -- document rendering ------------------------------------------------------------
-
-
-def _word_str(g: GroupTable, x: int) -> str:
-    return "".join(str(s + 1) for s in g.word[x]) or "e"
 
 
 def _poly_latex(p: LaurentPoly) -> str:
@@ -277,8 +267,8 @@ def _cmd_kl(cfg: JobConfig) -> str:
             {
                 "x": x,
                 "y": y,
-                "word_x": _word_str(g, x),
-                "word_y": _word_str(g, y),
+                "word_x": g.word_str(x),
+                "word_y": g.word_str(y),
                 "h": h.to_triples(),
                 "display": repr(h),
             }
@@ -288,12 +278,12 @@ def _cmd_kl(cfg: JobConfig) -> str:
     cols = ["x", "y", "word_x", "word_y", "h"]
     if cfg.output == "csv":
         rows = [
-            [str(x), str(y), _word_str(g, x), _word_str(g, y), repr(h)]
+            [str(x), str(y), g.word_str(x), g.word_str(y), repr(h)]
             for x, y, h in records
         ]
         return _emit_csv(cols, rows)
     rows = [
-        [str(x), str(y), _word_str(g, x), _word_str(g, y), "$" + _poly_latex(h) + "$"]
+        [str(x), str(y), g.word_str(x), g.word_str(y), "$" + _poly_latex(h) + "$"]
         for x, y, h in records
     ]
     return _emit_latex(cols, rows, "Kazhdan-Lusztig polynomials h_{y,x}")
@@ -309,7 +299,7 @@ def _cmd_grrk(cfg: JobConfig) -> str:
             {
                 "index": x,
                 "length": l,
-                "word": _word_str(g, x),
+                "word": g.word_str(x),
                 "grrk": p.to_triples(),
                 "display": repr(p),
             }
@@ -333,14 +323,14 @@ def _cmd_esign(cfg: JobConfig) -> str:
         doc = _group_doc_header(g)
         doc["normalizer"] = {"grrk_w0": den.to_triples(), "display": repr(den)}
         doc["records"] = [
-            {"index": x, "word": _word_str(g, x), "coefficient": _rat_doc(c)}
+            {"index": x, "word": g.word_str(x), "coefficient": _rat_doc(c)}
             for x, c in records
         ]
         return _emit_json(doc)
     cols = ["index", "word", "coefficient"]
     if cfg.output == "csv":
-        return _emit_csv(cols, [[str(x), _word_str(g, x), repr(c)] for x, c in records])
-    rows = [[str(x), _word_str(g, x), "$" + _rat_latex(c) + "$"] for x, c in records]
+        return _emit_csv(cols, [[str(x), g.word_str(x), repr(c)] for x, c in records])
+    rows = [[str(x), g.word_str(x), "$" + _rat_latex(c) + "$"] for x, c in records]
     return _emit_latex(cols, rows, "sign idempotent, standard basis coefficients")
 
 
@@ -371,7 +361,7 @@ def _jw_type_a(cfg: JobConfig):
     records = []
     for d in sorted(j.coeffs, key=lambda d: by_diagram[d]):
         x = by_diagram[d]
-        records.append((_word_str(g, x), [q + 1 for q in d.partner], j.coeffs[d]))
+        records.append((g.word_str(x), [q + 1 for q in d.partner], j.coeffs[d]))
     _save_cache(table, cache_path)
     return g, records
 
@@ -394,7 +384,7 @@ def _cmd_jw(cfg: JobConfig) -> str:
         g, table, cache_path = _build(cfg, needs_kl=True)
         j = gen_jw_closed(g, table) if cfg.method == "closed" else gen_jw_projection(g, table)
         records = [
-            {"word": _word_str(g, x), "diagram": None, "coefficient": j.coeffs[x]}
+            {"word": g.word_str(x), "diagram": None, "coefficient": j.coeffs[x]}
             for x in sorted(j.coeffs)
         ]
         _save_cache(table, cache_path)
@@ -636,7 +626,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--output", choices=["json", "csv", "latex"], default="json")
         p.add_argument("--cache-dir", default=None, help="KL cache directory (or JWKIT_CACHE_DIR)")
         p.add_argument("--allow-large", action="store_true", help="opt in to large computations")
-        p.add_argument("--threads", type=int, default=1, help="cap on internal parallelism")
         if name == "jw":
             p.add_argument("--method", choices=["closed", "wenzl", "projection"], default="closed")
             p.add_argument("--sign", choices=["plus", "minus"], default="plus")
@@ -651,8 +640,6 @@ def _build_parser() -> _Parser:
 
 
 def _to_config(args: argparse.Namespace) -> JobConfig:
-    if args.threads < 1:
-        raise UsageError("--threads must be at least 1")
     if args.m is not None and args.family not in ("I2",):
         raise UsageError("--m only applies to family I2")
     return JobConfig(
@@ -665,7 +652,6 @@ def _to_config(args: argparse.Namespace) -> JobConfig:
         output=args.output,
         cache_dir=args.cache_dir,
         allow_large=args.allow_large,
-        threads=args.threads,
         suites=tuple(getattr(args, "suite", None) or ()),
     )
 

@@ -299,6 +299,10 @@ class GroupTable:
             x = self.right[x][s]
         return x
 
+    def word_str(self, x: ElementId) -> str:
+        """The minimal word of x with 1-based generators; "e" for the identity."""
+        return "".join(str(s + 1) for s in self.word[x]) or "e"
+
     def inverse(self, x: ElementId) -> ElementId:
         return self.inv[x]
 

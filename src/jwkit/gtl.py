@@ -40,7 +40,7 @@ from .hecke import (
     kl_product_coeffs,
     to_kl_basis,
 )
-from .qpoly import RatFunc
+from .qpoly import LinComb, RatFunc
 
 _SUPPORTED = {"A", "B", "F4", "H3", "H4", "I2"}
 
@@ -58,15 +58,18 @@ def _require_supported(g: GroupTable) -> None:
         )
 
 
-class GTLElt:
+class GTLElt(LinComb):
     """An element of TL_W in the basis {beta_x : x fully commutative},
     stored as a sparse map from element ids to RatFunc coefficients.
 
-    The structure constants come from Kazhdan-Lusztig data that the
-    element does not carry, so products go through
-    ``gtl_multiply(a, b, cache)`` rather than the ``*`` operator."""
+    ``+``, ``-``, ``scale``, ``coefficient``, ``cleared``, ``==``,
+    ``hash`` and ``repr`` are inherited from LinComb; elements over
+    different group tables do not mix (ValueError).  The structure
+    constants come from Kazhdan-Lusztig data that the element does not
+    carry, so products go through ``gtl_multiply(a, b, cache)`` rather
+    than the ``*`` operator."""
 
-    __slots__ = ("group", "coeffs")
+    __slots__ = ("group",)
 
     def __init__(self, group: GroupTable, coeffs: dict[ElementId, RatFunc]):
         _require_supported(group)
@@ -77,6 +80,15 @@ class GTLElt:
                 raise ValueError(
                     f"element {x} is not fully commutative; beta_x is not defined"
                 )
+
+    def _rebuild(self, coeffs: dict[ElementId, RatFunc]) -> "GTLElt":
+        return GTLElt(self.group, coeffs)
+
+    def _algebra(self) -> int:
+        return id(self.group)
+
+    def _label(self, x: ElementId) -> str:
+        return f"beta[{self.group.word_str(x)}]"
 
     @classmethod
     def zero(cls, group: GroupTable) -> "GTLElt":
@@ -89,45 +101,6 @@ class GTLElt:
     @classmethod
     def beta(cls, group: GroupTable, x: ElementId) -> "GTLElt":
         return cls(group, {x: RatFunc.one()})
-
-    # -- linear structure --------------------------------------------------------
-
-    def __add__(self, other: "GTLElt") -> "GTLElt":
-        assert self.group is other.group
-        out = dict(self.coeffs)
-        for x, c in other.coeffs.items():
-            out[x] = out.get(x, RatFunc.zero()) + c
-        return GTLElt(self.group, out)
-
-    def __neg__(self) -> "GTLElt":
-        return GTLElt(self.group, {x: -c for x, c in self.coeffs.items()})
-
-    def __sub__(self, other: "GTLElt") -> "GTLElt":
-        return self + (-other)
-
-    def scale(self, c) -> "GTLElt":
-        c = c if isinstance(c, RatFunc) else RatFunc(c)
-        return GTLElt(self.group, {x: cx * c for x, cx in self.coeffs.items()})
-
-    def coefficient(self, x: ElementId) -> RatFunc:
-        return self.coeffs.get(x, RatFunc.zero())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GTLElt):
-            return NotImplemented
-        return self.group is other.group and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((id(self.group), tuple(sorted(self.coeffs.items()))))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for x in sorted(self.coeffs):
-            w = "".join(str(s + 1) for s in self.group.word[x]) or "e"
-            bits.append(f"({self.coeffs[x]!r})*beta[{w}]")
-        return " + ".join(bits)
 
 
 def _lift(a: GTLElt, cache: KLTable) -> HeckeElt:

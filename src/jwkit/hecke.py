@@ -42,11 +42,10 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-import threading
 from fractions import Fraction
 
 from jwkit.coxeter import ElementId, GroupTable
-from jwkit.qpoly import LaurentPoly, RatFunc, poly_exact_div, poly_lcm
+from jwkit.qpoly import LaurentPoly, LinComb, RatFunc
 
 _B = 32
 _MASK = (1 << _B) - 1
@@ -107,18 +106,12 @@ class CacheFormatError(ValueError):
 
 class KLTable:
     """Kazhdan-Lusztig polynomials h_{y,x} for one group, computed lazily
-    column by column and shared by everything downstream.
-
-    Columns are inserted under a lock, so concurrent readers are safe and
-    parallel writers compute disjoint columns at most redundantly, never
-    inconsistently: the recursion is deterministic.
-    """
+    column by column and shared by everything downstream."""
 
     def __init__(self, group: GroupTable):
         self.group = group
         self._cols: dict[int, dict[int, int]] = {0: {0: 1}}
         self.w0_rank = None  # grrk(w0), memoised by jwkit.grank.grrk_w0
-        self._lock = threading.Lock()
 
     # -- public views --------------------------------------------------------
 
@@ -141,11 +134,8 @@ class KLTable:
     def column_packed(self, x: ElementId) -> dict[ElementId, int]:
         col = self._cols.get(x)
         if col is None:
-            with self._lock:
-                col = self._cols.get(x)
-                if col is None:
-                    self._fill_column(x)
-                    col = self._cols[x]
+            self._fill_column(x)
+            col = self._cols[x]
         return col
 
     def computed_columns(self) -> list[ElementId]:
@@ -213,15 +203,28 @@ class KLTable:
 # -- elements -----------------------------------------------------------------
 
 
-class HeckeElt:
+class HeckeElt(LinComb):
     """A Hecke algebra element, a finite sum of delta_x with RatFunc
-    coefficients.  Immutable by convention."""
+    coefficients.  Immutable by convention.
 
-    __slots__ = ("group", "coeffs")
+    ``+``, ``-``, ``scale``, ``coefficient``, ``cleared``, ``==``,
+    ``hash`` and ``repr`` are inherited from LinComb; elements over
+    different group tables do not mix (ValueError)."""
+
+    __slots__ = ("group",)
 
     def __init__(self, group: GroupTable, coeffs: dict[ElementId, RatFunc]):
         self.group = group
         self.coeffs = {x: c for x, c in coeffs.items() if not c.is_zero}
+
+    def _rebuild(self, coeffs: dict[ElementId, RatFunc]) -> "HeckeElt":
+        return HeckeElt(self.group, coeffs)
+
+    def _algebra(self) -> int:
+        return id(self.group)
+
+    def _label(self, x: ElementId) -> str:
+        return f"d[{self.group.word_str(x)}]"
 
     # -- constructors ----------------------------------------------------------
 
@@ -237,42 +240,6 @@ class HeckeElt:
     def std(cls, group: GroupTable, x: ElementId) -> "HeckeElt":
         """The standard basis element delta_x."""
         return cls(group, {x: RatFunc.one()})
-
-    # -- linear structure --------------------------------------------------------
-
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        assert self.group is other.group
-        out = dict(self.coeffs)
-        for x, c in other.coeffs.items():
-            out[x] = out.get(x, RatFunc.zero()) + c
-        return HeckeElt(self.group, out)
-
-    def __neg__(self) -> "HeckeElt":
-        return HeckeElt(self.group, {x: -c for x, c in self.coeffs.items()})
-
-    def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        return self + (-other)
-
-    def scale(self, c) -> "HeckeElt":
-        c = c if isinstance(c, RatFunc) else RatFunc(c)
-        return HeckeElt(self.group, {x: cx * c for x, cx in self.coeffs.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HeckeElt):
-            return NotImplemented
-        return self.group is other.group and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((id(self.group), tuple(sorted(self.coeffs.items()))))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for x in sorted(self.coeffs):
-            w = "".join(str(s + 1) for s in self.group.word[x]) or "e"
-            bits.append(f"({self.coeffs[x]!r})*d[{w}]")
-        return " + ".join(bits)
 
     # -- multiplication -----------------------------------------------------------
 
@@ -294,9 +261,8 @@ class HeckeElt:
         return HeckeElt(g, out)
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
-        if not isinstance(other, HeckeElt):
+        if not self._peer(other):
             return NotImplemented
-        assert self.group is other.group
         if not self.coeffs or not other.coeffs:
             return HeckeElt.zero(self.group)
         avec, ascale = _clear(self)
@@ -347,25 +313,20 @@ def _prefix_chain(g: GroupTable, x: ElementId):
 def _clear(elt: HeckeElt):
     """Write elt as scale * sum_y vec[y] delta_y with integer Laurent
     vectors; returns (vec, scale)."""
-    den = LaurentPoly.one()
-    for c in elt.coeffs.values():
-        if not c.den.is_one:
-            den = poly_lcm(den, c.den)
+    polys, den = elt.cleared()
     f = 1
-    polys: dict[int, LaurentPoly] = {}
-    for y, c in elt.coeffs.items():
-        p = c.num if den.is_one else c.num * poly_exact_div(den, c.den)
-        polys[y] = p
+    for p in polys.values():
         for _, coeff in p.items():
             if isinstance(coeff, Fraction):
-                f = f * coeff.denominator // math.gcd(f, coeff.denominator)
+                f = math.lcm(f, coeff.denominator)
     vec = {}
     for y, p in polys.items():
         d = {}
         for e, coeff in p.items():
-            ci = coeff * f
-            assert ci == int(ci)
-            d[e] = int(ci)
+            ci, rem = divmod(coeff.numerator * f, coeff.denominator)
+            if rem:
+                raise ArithmeticError("clearing denominators left a fraction")
+            d[e] = ci
         vec[y] = d
     scale = RatFunc(LaurentPoly.const(Fraction(1, f)), den)
     return vec, scale
@@ -508,33 +469,34 @@ def kl_basis(group: GroupTable, x: ElementId, table: KLTable) -> HeckeElt:
     )
 
 
+def _back_substitute(vec: dict[int, dict[int, int]], table: KLTable):
+    """Yield the integer KL-basis coefficients (x, c_x) with sum_x c_x b_x
+    = sum_y vec[y] delta_y, in descending id order; consumes vec.
+
+    Descending ids: subtracting c_x b_x only touches y < x in Bruhat order,
+    and those have strictly smaller ids in the enumeration."""
+    for x in range(max(vec), -1, -1):
+        c = vec.pop(x, None)
+        if not c:
+            continue
+        yield x, c
+        for y, packed in table.column_packed(x).items():
+            if y != x:
+                tgt = vec.setdefault(y, {})
+                _dp_add_into(tgt, _dp_mul(c, _pk_decode(packed)), scale=-1)
+                if not tgt:
+                    del vec[y]
+    if vec:
+        raise ArithmeticError("back-substitution left a nonzero residue")
+
+
 def to_kl_basis(h: HeckeElt, table: KLTable) -> dict[ElementId, RatFunc]:
     """Coefficients of h in the KL basis, by back-substitution from the
     longest supported element down."""
     if not h.coeffs:
         return {}
     vec, scale = _clear(h)
-    g = h.group
-    out: dict[ElementId, RatFunc] = {}
-    # descending ids: subtracting c b_x only touches y < x in Bruhat order,
-    # and those have strictly smaller ids in the enumeration
-    for x in range(max(vec), -1, -1):
-        c = vec.get(x)
-        if not c:
-            continue
-        out[x] = RatFunc(LaurentPoly(c)) * scale
-        col = table.column_packed(x)
-        for y, packed in col.items():
-            if y == x:
-                vec.pop(x, None)
-                continue
-            hy = _pk_decode(packed)
-            tgt = vec.setdefault(y, {})
-            _dp_add_into(tgt, _dp_mul(c, hy), scale=-1)
-            if not tgt:
-                vec.pop(y, None)
-    assert not vec, "back-substitution left a nonzero residue"
-    return {x: c for x, c in out.items() if not c.is_zero}
+    return {x: RatFunc(LaurentPoly(c)) * scale for x, c in _back_substitute(vec, table)}
 
 
 def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, LaurentPoly]:
@@ -548,22 +510,7 @@ def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, L
         ys = right[y][s]
         _dp_add_into(acc.setdefault(ys, {}), p)
         _dp_add_into(acc.setdefault(y, {}), p, shift=1 if length[ys] > length[y] else -1)
-    out: dict[ElementId, LaurentPoly] = {}
-    for z in range(max(acc), -1, -1):
-        c = acc.get(z)
-        if not c:
-            continue
-        out[z] = LaurentPoly(c)
-        for y, packed in table.column_packed(z).items():
-            if y == z:
-                acc.pop(z, None)
-                continue
-            tgt = acc.setdefault(y, {})
-            _dp_add_into(tgt, _dp_mul(c, _pk_decode(packed)), scale=-1)
-            if not tgt:
-                acc.pop(y, None)
-    assert not acc
-    return {z: p for z, p in out.items() if not p.is_zero}
+    return {z: LaurentPoly(c) for z, c in _back_substitute(acc, table)}
 
 
 # -- the antisymmetriser ------------------------------------------------------------
@@ -590,13 +537,12 @@ def antisymmetriser(group: GroupTable, table: KLTable) -> HeckeElt:
 
     Its delta_x coefficient is (-1)^length(x) v^(-length(x w0)) / grrk(w0).
     """
-    g = group
-    lw0 = g.length[g.w0]
-    grrk_w0 = LaurentPoly.zero()
-    for y, p in table.column(g.w0).items():
-        grrk_w0 = grrk_w0 + p.shift(-g.length[y])
-    sign = -1 if lw0 % 2 else 1
-    return t_w0_class(g).scale(RatFunc(LaurentPoly.const(sign), grrk_w0))
+    # function-level import: jwkit.grank imports this module
+    from jwkit.grank import grrk_w0
+
+    sign = -1 if group.length[group.w0] % 2 else 1
+    den = grrk_w0(group, table).value
+    return t_w0_class(group).scale(RatFunc(LaurentPoly.const(sign), den))
 
 
 # -- whole-basis verification (integer kernel) -----------------------------------
@@ -726,11 +672,10 @@ def load_kl_cache(path: str, table: KLTable) -> int:
     except (IndexError, ValueError) as exc:
         raise CacheFormatError(f"unparseable line: {exc}") from exc
     added = 0
-    with table._lock:
-        for x, col in cols.items():
-            if col.get(x) != 1:
-                raise CacheFormatError(f"column {x} is not unitriangular")
-            if x not in table._cols:
-                table._cols[x] = col
-                added += 1
+    for x, col in cols.items():
+        if col.get(x) != 1:
+            raise CacheFormatError(f"column {x} is not unitriangular")
+        if x not in table._cols:
+            table._cols[x] = col
+            added += 1
     return added

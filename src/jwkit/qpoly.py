@@ -9,6 +9,9 @@ form so that equality is literal comparison of numerator and denominator:
     nonzero constant term, monic in its top degree;
   * numerator and denominator share no polynomial factor.
 
+Elements of the algebras built on top (Hecke, TL_n, TL_W) are LinComb
+subclasses: sparse maps from basis keys to RatFunc coefficients.
+
 The two ring involutions used throughout are bar (v -> v^-1) and the
 Koszul sign twist kappa (v -> -v^-1).  Quantum integers are balanced:
 [n] = v^(n-1) + v^(n-3) + ... + v^(1-n), so [2] = v + v^-1 and
@@ -75,10 +78,6 @@ class LaurentPoly:
 
     def items(self) -> Iterator[tuple[int, Coeff]]:
         return iter(self._terms.items())
-
-    def terms_dict(self) -> dict[int, Coeff]:
-        """A copy of the internal {exponent: coefficient} map."""
-        return dict(self._terms)
 
     def coefficient(self, exponent: int) -> Coeff:
         return self._terms.get(exponent, 0)
@@ -404,10 +403,6 @@ class RatFunc:
     def one(cls) -> "RatFunc":
         return cls(1)
 
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RatFunc":
-        return cls(p)
-
     # -- inspection ----------------------------------------------------------
 
     @property
@@ -560,6 +555,88 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly):
         num = num.scale(inv)
         den = den.scale(inv)
     return num, den
+
+
+# -- linear combinations -----------------------------------------------------
+
+
+class LinComb:
+    """A finite Q(v)-linear combination of basis elements: ``coeffs`` maps
+    a key to a nonzero RatFunc.  Immutable by convention.
+
+    The element classes of the three algebras (``HeckeElt``, ``TLElt``,
+    ``GTLElt``) inherit the linear structure from here.  A subclass
+    defines three methods: ``_rebuild(coeffs)``, a new element of the
+    same algebra; ``_algebra()``, a value identifying the algebra (keys
+    of different algebras never mix); and ``_label(key)``, how a key
+    prints.  Keys must be orderable, for a deterministic ``repr``.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def _peer(self, other: object) -> bool:
+        """True when other is an element of the same algebra, False when it
+        is not an element of this class; ValueError when it is one of a
+        different algebra."""
+        if type(other) is not type(self):
+            return False
+        if other._algebra() != self._algebra():
+            raise ValueError(
+                f"cannot combine {type(self).__name__} elements of different algebras"
+            )
+        return True
+
+    # -- linear structure ----------------------------------------------------
+
+    def __add__(self, other: object) -> "LinComb":
+        if not self._peer(other):
+            return NotImplemented
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, RatFunc.zero()) + c
+        return self._rebuild(out)
+
+    def __neg__(self) -> "LinComb":
+        return self._rebuild({k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other: object) -> "LinComb":
+        if not self._peer(other):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c) -> "LinComb":
+        c = c if isinstance(c, RatFunc) else RatFunc(c)
+        return self._rebuild({k: ck * c for k, ck in self.coeffs.items()})
+
+    def coefficient(self, key) -> RatFunc:
+        return self.coeffs.get(key, RatFunc.zero())
+
+    def cleared(self) -> tuple[dict, LaurentPoly]:
+        """(polys, den) with self = sum_k (polys[k] / den) key, where den
+        is the monic lcm of the coefficient denominators."""
+        den = LaurentPoly.one()
+        for c in self.coeffs.values():
+            if not c.den.is_one:
+                den = poly_lcm(den, c.den)
+        polys = {}
+        for k, c in self.coeffs.items():
+            polys[k] = c.num if den.is_one else c.num * poly_exact_div(den, c.den)
+        return polys, den
+
+    # -- comparisons, hashing, display ------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._algebra() == other._algebra() and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self._algebra(), frozenset(self.coeffs.items())))
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        return " + ".join(f"({self.coeffs[k]!r})*{self._label(k)}" for k in sorted(self.coeffs))
 
 
 # -- quantum integers --------------------------------------------------------

@@ -55,15 +55,16 @@ from dataclasses import dataclass
 from .coxeter import ElementId, GroupTable
 from .grank import grrk, grrk_w0, jw_coefficient
 from .hecke import HeckeElt, KLTable, to_kl_basis
-from .qpoly import LaurentPoly, RatFunc, poly_exact_div, poly_lcm, quantum_int
+from .qpoly import LaurentPoly, LinComb, RatFunc, quantum_int
 
 _DELTA = LaurentPoly({1: 1, -1: 1})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Diagram:
     """A planar perfect matching of 2n points; see the module docstring
-    for the boundary numbering and the planarity criterion."""
+    for the boundary numbering and the planarity criterion.  Diagrams
+    order by (n, partner)."""
 
     n: int
     partner: tuple[int, ...]
@@ -170,11 +171,15 @@ def compose(a: Diagram, b: Diagram, sign: int = 1):
     return Diagram(n, tuple(partner)), loops, scalar
 
 
-class TLElt:
+class TLElt(LinComb):
     """An element of TL_n (sign +1) or TL_n^- (sign -1): a finite sum of
-    diagrams with RatFunc coefficients."""
+    diagrams with RatFunc coefficients.
 
-    __slots__ = ("n", "sign", "coeffs")
+    ``+``, ``-``, ``scale``, ``coefficient``, ``cleared``, ``==``,
+    ``hash`` and ``repr`` are inherited from LinComb; elements with
+    different n or sign do not mix (ValueError)."""
+
+    __slots__ = ("n", "sign")
 
     def __init__(self, n: int, coeffs: dict[Diagram, RatFunc], sign: int = 1):
         if sign not in (1, -1):
@@ -185,6 +190,15 @@ class TLElt:
         for d in self.coeffs:
             if d.n != n:
                 raise ValueError("mixed strand counts in one element")
+
+    def _rebuild(self, coeffs: dict[Diagram, RatFunc]) -> "TLElt":
+        return TLElt(self.n, coeffs, self.sign)
+
+    def _algebra(self) -> tuple[int, int]:
+        return (self.n, self.sign)
+
+    def _label(self, d: Diagram) -> str:
+        return str(d.partner)
 
     @classmethod
     def zero(cls, n: int, sign: int = 1) -> "TLElt":
@@ -198,89 +212,32 @@ class TLElt:
     def gen(cls, n: int, i: int, sign: int = 1) -> "TLElt":
         return cls(n, {Diagram.cupcap(n, i): RatFunc.one()}, sign)
 
-    # -- linear structure --------------------------------------------------------
-
-    def __add__(self, other: "TLElt") -> "TLElt":
-        assert self.n == other.n and self.sign == other.sign
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, RatFunc.zero()) + c
-        return TLElt(self.n, out, self.sign)
-
-    def __neg__(self) -> "TLElt":
-        return TLElt(self.n, {d: -c for d, c in self.coeffs.items()}, self.sign)
-
-    def __sub__(self, other: "TLElt") -> "TLElt":
-        return self + (-other)
-
-    def scale(self, c) -> "TLElt":
-        c = c if isinstance(c, RatFunc) else RatFunc(c)
-        return TLElt(self.n, {d: cd * c for d, cd in self.coeffs.items()}, self.sign)
-
-    def coefficient(self, d: Diagram) -> RatFunc:
-        return self.coeffs.get(d, RatFunc.zero())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TLElt):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.sign == other.sign
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.sign, frozenset(self.coeffs.items())))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for d in sorted(self.coeffs, key=lambda d: d.partner):
-            bits.append(f"({self.coeffs[d]!r})*{d.partner}")
-        return " + ".join(bits)
-
-    # -- multiplication -----------------------------------------------------------
-
     def __mul__(self, other: "TLElt") -> "TLElt":
         if not isinstance(other, TLElt):
             return NotImplemented
         return multiply_tl(self, other)
 
 
-def _clear_tl(elt: TLElt):
-    """Write elt as scale * (polynomial combination of diagrams); returns
-    (dict Diagram -> LaurentPoly, scale RatFunc).  Doing the bilinear
-    expansion on cleared polynomials avoids canonicalizing a rational
-    function per diagram pair."""
-    den = LaurentPoly.one()
-    for c in elt.coeffs.values():
-        if not c.den.is_one:
-            den = poly_lcm(den, c.den)
-    polys = {}
-    for d, c in elt.coeffs.items():
-        polys[d] = c.num if den.is_one else c.num * poly_exact_div(den, c.den)
-    return polys, RatFunc(LaurentPoly.one(), den)
-
-
 def multiply_tl(a: TLElt, b: TLElt) -> TLElt:
     """Bilinear extension of diagram composition, with each erased loop
-    contributing the loop parameter of the common sign."""
+    contributing the loop parameter of the common sign.  The expansion
+    runs on cleared polynomials, which avoids canonicalizing a rational
+    function per diagram pair."""
     if a.n != b.n:
         raise ValueError(f"strand counts differ: {a.n} vs {b.n}")
     if a.sign != b.sign:
         raise ValueError("loop-parameter signs differ")
-    na, sa = _clear_tl(a)
-    nb, sb = _clear_tl(b)
+    na, da = a.cleared()
+    nb, db = b.cleared()
     acc: dict[Diagram, LaurentPoly] = {}
-    for da, pa in na.items():
-        for db, pb in nb.items():
-            d, _, scalar = compose(da, db, a.sign)
+    for d1, pa in na.items():
+        for d2, pb in nb.items():
+            d, _, scalar = compose(d1, d2, a.sign)
             term = pa * pb
             if not scalar.is_one:
                 term = term * scalar
             acc[d] = acc.get(d, LaurentPoly.zero()) + term
-    rescale = sa * sb
+    rescale = RatFunc(LaurentPoly.one(), da * db)
     return TLElt(a.n, {d: RatFunc(p) * rescale for d, p in acc.items()}, a.sign)
 
 

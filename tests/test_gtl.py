@@ -1,5 +1,6 @@
 """Tests for generalised Temperley-Lieb algebras and their JW elements."""
 
+import operator
 import random
 
 import pytest
@@ -11,9 +12,9 @@ from jwkit.gtl import (
     gen_jw_projection,
     gtl_multiply,
 )
-from jwkit.hecke import KLTable
+from jwkit.hecke import HeckeElt, KLTable
 from jwkit.qpoly import LaurentPoly, RatFunc, quantum_int
-from jwkit.tl import closed_jw, monomial
+from jwkit.tl import TLElt, closed_jw, monomial
 
 from oracles import grp
 
@@ -106,6 +107,26 @@ def test_mixed_groups_rejected():
     g1, g2 = grp("B", 2), grp("I2", 2, 4)
     with pytest.raises(ValueError):
         gtl_multiply(GTLElt.one(g1), GTLElt.one(g2), _table(g1))
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+@pytest.mark.parametrize("kind", ["hecke", "tl", "gtl"])
+def test_cross_algebra_mixing_raises(kind, op):
+    """Elements of one class over different algebras (B3 vs A3, TL_4 vs
+    TL_4^-) never combine; the check is an exception, so it holds under
+    python -O too."""
+    mul = operator.mul
+    if kind == "tl":
+        a, b = TLElt.one(4), TLElt.one(4, sign=-1)
+    else:
+        g1, g2 = grp("B", 3), grp("A", 3)
+        cls = HeckeElt if kind == "hecke" else GTLElt
+        a, b = cls.one(g1), cls.one(g2)
+        if kind == "gtl":
+            mul = lambda x, y: gtl_multiply(x, y, _table(g1))  # noqa: E731
+    fn = {"+": operator.add, "-": operator.sub, "*": mul}[op]
+    with pytest.raises(ValueError):
+        fn(a, b)
 
 
 # -- ideal closure -----------------------------------------------------------------------

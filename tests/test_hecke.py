@@ -287,6 +287,16 @@ def test_antisymmetriser_normalization_positive():
         assert to_kl_basis(e, t)[0] == RatFunc.one()
 
 
+def test_antisymmetriser_checks_parity_of_grrk_w0():
+    """The normaliser grrk(w0) goes through jwkit.grank, whose parity check
+    catches a corrupted w0 column."""
+    g = grp("A", 2)
+    t = KLTable(g)
+    t.column_packed(g.w0)[0] += 1 << (2 * hecke._B)  # h_{e,w0}: v^3 -> v^3 + v^2
+    with pytest.raises(AssertionError, match="parity"):
+        antisymmetriser(g, t)
+
+
 def test_t_w0_class_laws():
     # [T_w0]^2 = (-1)^length(w0) grrk(w0) [T_w0]: the sign comes from
     # [T_w0] delta_x = (-v)^length(x) [T_w0] applied across the expansion,
