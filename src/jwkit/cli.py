@@ -21,7 +21,10 @@ Conventions shared by every subcommand:
 * documents are deterministic: the same arguments produce byte-identical
   output across runs, warm or cold cache;
 * exit codes: 0 success, 1 verification failure, 2 invalid input or
-  unsupported family.
+  unsupported family, 3 KL data that breaks a Kazhdan-Lusztig law (for
+  instance a cache file edited into a well-formed but wrong table),
+  found outside the ``parity`` and ``bar-invariance`` suites, which
+  report it as a failure.
 
 Families F4 and H4 are gated behind ``--allow-large``; subcommands that
 need Kazhdan-Lusztig data additionally require a cache directory
@@ -59,6 +62,7 @@ from .gtl import (
 )
 from .hecke import (
     CacheFormatError,
+    KLLawError,
     KLTable,
     antisymmetriser,
     kl_product_coeffs,
@@ -67,7 +71,7 @@ from .hecke import (
     verify_bar_invariance,
     write_kl_cache,
 )
-from .qpoly import LaurentPoly, RatFunc, parity_class
+from .qpoly import LaurentPoly, RatFunc
 from .tl import (
     Diagram,
     TLElt,
@@ -428,15 +432,22 @@ def _cmd_jw(cfg: JobConfig) -> str:
 
 
 def _suite_parity(g, table):
+    """grrk(x) lies in v^length(x) Z[v^-2] and is bar symmetric; grrk
+    checks both and raises KLLawError otherwise."""
     failures = []
     for x in range(g.size):
-        if not parity_class(grrk(g, table, x).value, g.length[x]):
+        try:
+            grrk(g, table, x)
+        except KLLawError:
             failures.append({"check": "parity", "element": x})
     return g.size, failures
 
 
 def _suite_bar_invariance(g, table):
-    n = verify_bar_invariance(g, table)
+    try:
+        n = verify_bar_invariance(g, table)
+    except KLLawError as exc:
+        return g.size, [{"check": "bar-invariance", "detail": str(exc)}]
     failures = [] if n == g.size else [{"check": "bar-invariance", "verified": n}]
     return g.size, failures
 
@@ -658,7 +669,8 @@ def _to_config(args: argparse.Namespace) -> JobConfig:
 
 def run(argv) -> int:
     """Parse argv, run one subcommand, print its document; returns the
-    exit code (0 ok, 1 verification failure, 2 bad input)."""
+    exit code (0 ok, 1 verification failure, 2 bad input, 3 KL data that
+    breaks a Kazhdan-Lusztig law)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -679,6 +691,9 @@ def run(argv) -> int:
     except (UsageError, UnsupportedFamilyError, LargeComputationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KLLawError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

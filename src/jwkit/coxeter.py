@@ -8,23 +8,23 @@ Index 0 is always the identity and the last index is the longest element
 w0.
 
 Elements are concretely modelled per family, which keeps the enumeration
-honest and the braid relations checkable:
+honest and the braid relations checkable.  Ids, words and every table
+depend only on the group, not on the model:
 
-  * type A, rank n: permutations of {0, ..., n}, generator i swaps the
-    entries in positions i and i+1;
-  * type B, rank n: signed permutations written in window notation
-    (w(1), ..., w(n)); generator 0 negates the first entry and generator
-    i >= 1 swaps entries i and i+1, so m(s0, s1) = 4;
+  * types A, B, F4, H3, H4: permutations of the finite root system
+    (n(n+1) roots in A_n, 2n^2 in B_n, 48 in F4, 30 in H3, 120 in H4).
+    The roots are computed once per build, exactly, as the orbit of the
+    simple roots under the reflections s_t(a_u) = a_u - c(u, t) a_t with
+    c(u, t) = -2 cos(pi / m(u, t)), over Z[sqrt 2] (A, B, F4) or
+    Z[(1 + sqrt 5)/2] (H3, H4).  The entry m = 4 gives -sqrt 2; it is
+    used by the bond between generators 0 and 1 of B_n and between
+    generators 1 and 2 of F4.  An element w is the tuple of root indices
+    (w^-1(a_1), ..., w^-1(a_r)), so a generator step is one table lookup
+    per entry (Casselman, "Machine calculations in Weyl groups", 1994);
   * type I2(m): pairs (rotation, reflection) in the dihedral group of
-    order 2m, with s = (0, 1) and t = (m-1, 1) so that st = (1, 0);
-  * types H3, H4, F4: permutations of the finite root system (30, 120
-    and 48 roots).  The roots are computed once per build, exactly, as
-    the orbit of the simple roots under the reflections
-    s_t(a_u) = a_u - c(u, t) a_t with c(u, t) = -2 cos(pi / m(u, t)),
-    over Z[(1 + sqrt 5)/2] (H types) or Z[sqrt 2] (F4).  An element w
-    is the tuple of root indices (w^-1(a_1), ..., w^-1(a_r)), so a
-    generator step is one table lookup per entry (Casselman, "Machine
-    calculations in Weyl groups", 1994).
+    order 2m, with s = (0, 1) and t = (m-1, 1) so that st = (1, 0).
+    2 cos(pi / m) lies in neither ring above for general m, so I2 keeps
+    this model of its own.
 
 Type C is accepted as an alias of B.  Types D and E are rejected: the
 Temperley-Lieb truncation downstream is not compatible with the
@@ -147,39 +147,6 @@ def classical_order(pres: CoxeterPresentation) -> int:
 # -- concrete element models -------------------------------------------------
 
 
-class _PermModel:
-    """Type A: permutations of {0, ..., rank} as tuples."""
-
-    def __init__(self, rank: int):
-        self.rank = rank
-
-    def identity(self):
-        return tuple(range(self.rank + 1))
-
-    def apply_gen(self, p, s: int):
-        q = list(p)
-        q[s], q[s + 1] = q[s + 1], q[s]
-        return tuple(q)
-
-
-class _SignedPermModel:
-    """Type B: window notation (w(1), ..., w(n)) with signed entries."""
-
-    def __init__(self, rank: int):
-        self.rank = rank
-
-    def identity(self):
-        return tuple(range(1, self.rank + 1))
-
-    def apply_gen(self, p, s: int):
-        q = list(p)
-        if s == 0:
-            q[0] = -q[0]
-        else:
-            q[s - 1], q[s] = q[s], q[s - 1]
-        return tuple(q)
-
-
 class _DihedralModel:
     """I2(m): pairs (rotation mod m, reflection bit)."""
 
@@ -197,15 +164,16 @@ class _DihedralModel:
 
 
 class _RootModel:
-    """H3, H4, F4: permutations of the finite root system.
+    """A, B, F4, H3, H4: permutations of the finite root system.
 
     Roots are vectors in the basis of simple roots with coefficients in
     Z[theta], stored as integer pairs (a, b) for a + b theta, where
-    theta^2 = p theta + q: theta = (1 + sqrt 5)/2 for the H types
-    (p, q = 1, 1) and theta = sqrt 2 for F4 (p, q = 0, 2).  The root
-    system is the orbit of the simple roots under the reflections
-    s_t(a_u) = a_u - c(u, t) a_t, and perm[t][i] is the index of
-    s_t(root i).
+    theta^2 = p theta + q: theta = sqrt 2 for A, B and F4 (p, q = 0, 2)
+    and theta = (1 + sqrt 5)/2 for the H types (p, q = 1, 1).  Type A
+    only needs the integer part; m = 4 (B and F4) needs -sqrt 2 and m = 5
+    (H3, H4) needs -theta.  The root system is the orbit of the simple
+    roots under the reflections s_t(a_u) = a_u - c(u, t) a_t, and
+    perm[t][i] is the index of s_t(root i).
 
     An element w is the tuple (w^-1(a_1), ..., w^-1(a_r)) of root
     indices; it determines w because the simple roots are a basis, and
@@ -216,8 +184,8 @@ class _RootModel:
         # c(u, t) = -2 cos(pi / m(u, t)) in Z[theta]
         2: (0, 0),
         3: (-1, 0),
-        4: (0, -1),  # -theta, theta = sqrt 2 (F4 only)
-        5: (0, -1),  # -theta, theta = (1 + sqrt 5)/2 (H types only)
+        4: (0, -1),  # -theta, theta = sqrt 2 (B and F4)
+        5: (0, -1),  # -theta, theta = (1 + sqrt 5)/2 (H3 and H4)
     }
 
     def __init__(self, matrix: tuple[tuple[int, ...], ...], p: int, q: int):
@@ -256,16 +224,12 @@ class _RootModel:
 
 
 def _model_for(pres: CoxeterPresentation):
-    if pres.family == "A":
-        return _PermModel(pres.rank)
-    if pres.family == "B":
-        return _SignedPermModel(pres.rank)
-    if pres.family == "I2":
-        return _DihedralModel(pres.m_parameter)
-    if pres.family == "F4":
+    if pres.family in ("A", "B", "F4"):
         return _RootModel(pres.matrix, 0, 2)
     if pres.family in ("H3", "H4"):
         return _RootModel(pres.matrix, 1, 1)
+    if pres.family == "I2":
+        return _DihedralModel(pres.m_parameter)
     raise UnsupportedFamilyError(pres.family)
 
 
@@ -371,45 +335,48 @@ def build_group(pres: CoxeterPresentation, allow_large: bool = False) -> GroupTa
     rank = pres.rank
     ident = model.identity()
     ids: dict[object, int] = {ident: 0}
-    elements = [ident]
     word: list[tuple[int, ...]] = [()]
     length = [0]
+    right: list[list[int]] = []  # right[x][s] = x * s
 
     # layered BFS; each new layer is sorted by its ShortLex-minimal word,
-    # computed from minimal words of the previous layer
-    frontier = [0]
+    # computed from minimal words of the previous layer.  The frontier is
+    # the last numbered layer in id order, so its rows of right are
+    # appended in id order; x * s is computed once per (x, s), and an id
+    # in the next layer is filled in once that layer is numbered
+    frontier = [ident]
     while frontier:
         discovered: dict[object, tuple[int, ...]] = {}
-        for x in frontier:
+        up = []  # (row, s, x * s) with x * s in the next layer
+        for x, elt in enumerate(frontier, len(right)):
             wx = word[x]
+            row = [0] * rank
             for s in range(rank):
-                y = model.apply_gen(elements[x], s)
-                if y in ids:
+                y = model.apply_gen(elt, s)
+                j = ids.get(y)
+                if j is not None:
+                    row[s] = j
                     continue
+                up.append((row, s, y))
                 cand = wx + (s,)
                 best = discovered.get(y)
                 if best is None or cand < best:
                     discovered[y] = cand
-        layer = sorted(discovered.items(), key=lambda kv: kv[1])
+            right.append(row)
         frontier = []
-        for elt, w in layer:
-            idx = len(elements)
-            ids[elt] = idx
-            elements.append(elt)
+        for elt, w in sorted(discovered.items(), key=lambda kv: kv[1]):
+            ids[elt] = len(word)
             word.append(w)
             length.append(len(w))
-            frontier.append(idx)
+            frontier.append(elt)
+        for row, s, y in up:
+            row[s] = ids[y]
 
-    size = len(elements)
+    size = len(word)
     if size != order:
         raise EnumerationError(f"enumerated {size} elements, classical order is {order}")
     if length.count(length[-1]) != 1:
         raise EnumerationError("longest element is not unique")
-
-    right = [[0] * rank for _ in range(size)]
-    for x in range(size):
-        for s in range(rank):
-            right[x][s] = ids[model.apply_gen(elements[x], s)]
 
     inv = [0] * size
     for x in range(size):
@@ -419,75 +386,38 @@ def build_group(pres: CoxeterPresentation, allow_large: bool = False) -> GroupTa
         inv[x] = z
     left = [[inv[right[inv[x]][s]] for s in range(rank)] for x in range(size)]
 
-    fc = _fc_flags(pres, elements, word)
+    fc = _fc_flags(pres.matrix, length, right)
     return GroupTable(pres, size, length, word, right, left, inv, fc)
 
 
 # -- fully commutative elements ------------------------------------------------
 
 
-def _has_321(p) -> bool:
-    # a descending subsequence of length 3, scanned right to left
-    n = len(p)
-    best_after = [0] * n  # best_after[i]: max chain length starting at i going right, descending
-    ans = False
-    for i in range(n - 1, -1, -1):
-        chain = 1
-        for j in range(i + 1, n):
-            if p[j] < p[i] and best_after[j] + 1 > chain:
-                chain = best_after[j] + 1
-        best_after[i] = chain
-        if chain >= 3:
-            ans = True
-            break
-    return ans
+def _fc_flags(matrix, length, right) -> list[bool]:
+    """Fully commutative flags by one pass over the ids in length order.
 
-
-def _word_has_braid(w, matrix) -> bool:
-    k = len(w)
-    for i in range(k - 2):
-        s, t = w[i], w[i + 1]
-        if s == t:
-            continue
-        m = matrix[s][t]
-        if m < 3 or i + m > k:
-            continue
-        ok = True
-        for j in range(m):
-            if w[i + j] != (s if j % 2 == 0 else t):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-def _is_fc_generic(w: tuple[int, ...], matrix) -> bool:
-    """Walk the commutation class of w; fully commutative means no word in
-    the class contains an alternating braid substring s t s ... of length
-    m(s, t) >= 3.  If the class is braid-free it is closed under all braid
-    moves, hence exhausts every reduced word of the element."""
-    seen = {w}
-    stack = [w]
-    while stack:
-        u = stack.pop()
-        if _word_has_braid(u, matrix):
-            return False
-        for i in range(len(u) - 1):
-            s, t = u[i], u[i + 1]
-            if s != t and matrix[s][t] == 2:
-                u2 = u[:i] + (t, s) + u[i + 2 :]
-                if u2 not in seen:
-                    seen.add(u2)
-                    stack.append(u2)
-    return True
-
-
-def _fc_flags(pres, elements, word) -> list[bool]:
-    if pres.family == "A":
-        return [not _has_321(p) for p in elements]
-    matrix = pres.matrix
-    return [_is_fc_generic(w, matrix) for w in word]
+    x is fully commutative iff no reduced word of x contains an
+    alternating braid s t s ... of length m(s, t) >= 3 (Stembridge, "On
+    the fully commutative elements of Coxeter groups", 1996).  A reduced
+    word of x that contains one either ends in the braid, and then s and t
+    are both right descents of x, or its last letter r is a right descent
+    and the word of x r left after dropping r still contains the braid.
+    Conversely a braid in a reduced word of x r stays in that word
+    followed by r, and two right descents s, t with m(s, t) >= 3 give x a
+    reduced word ending in the longest element of <s, t>, which is a
+    braid.  So fc[x] holds iff fc[x s] holds for every right descent s and
+    no two right descents s, t have m(s, t) >= 3; this needs O(|W| r^2)
+    steps and no words.
+    """
+    rank = len(matrix)
+    fc = [True] * len(length)
+    for x in range(1, len(length)):
+        row = right[x]
+        desc = [s for s in range(rank) if length[row[s]] < length[x]]
+        fc[x] = all(fc[row[s]] for s in desc) and all(
+            matrix[s][t] == 2 for i, s in enumerate(desc) for t in desc[i + 1 :]
+        )
+    return fc
 
 
 # -- brute-force Bruhat oracle (exported for verification suites) -------------

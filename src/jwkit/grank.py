@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import ElementId, GroupTable
-from .hecke import KLTable
+from .hecke import KLLawError, KLTable
 from .qpoly import LaurentPoly, RatFunc, parity_class
 
 
@@ -69,17 +69,19 @@ def grrk(g: GroupTable, cache: KLTable, x: ElementId) -> GradedRank:
     """Graded rank of the indecomposable object attached to x.
 
     Computed as sum_y v^(-length(y)) h_{y,x} over the KL column of x.
-    The result is checked against the parity constraint: it must lie in
-    v^(length(x)) Z[v^(-2)].
+    The result is checked against the parity constraint, it must lie in
+    v^(length(x)) Z[v^(-2)], and against bar symmetry; a violation of
+    either raises KLLawError.
     """
     total = LaurentPoly.zero()
     for y, h in cache.column(x).items():
         total = total + h.shift(-g.length[y])
     if not parity_class(total, g.length[x]):
-        raise AssertionError(
-            "graded rank of element %d violates the parity constraint" % x
-        )
-    return GradedRank(total)
+        raise KLLawError(f"graded rank of element {x} violates the parity constraint")
+    try:
+        return GradedRank(total)
+    except ValueError as exc:
+        raise KLLawError(f"graded rank of element {x}: {exc}") from exc
 
 
 def grrk_w0(g: GroupTable, cache: KLTable) -> GradedRank:

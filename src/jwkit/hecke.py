@@ -58,7 +58,8 @@ def _pk_decode(p: int) -> dict[int, int]:
     while p:
         c = p & _MASK
         if c:
-            assert c < _TRIP, "packed-polynomial digit overflow"
+            if c >= _TRIP:
+                raise OverflowError("packed-polynomial digit overflow")
             d[e] = c
         p >>= _B
         e += 1
@@ -102,6 +103,12 @@ def _dp_mul(a: dict, b: dict) -> dict:
 
 class CacheFormatError(ValueError):
     """An on-disk KL table failed validation."""
+
+
+class KLLawError(ArithmeticError):
+    """KL data breaks a law every Kazhdan-Lusztig polynomial satisfies
+    (unitriangularity, bar invariance of b_x, parity or bar symmetry of a
+    graded rank): the table holds wrong polynomials."""
 
 
 class KLTable:
@@ -196,7 +203,8 @@ class KLTable:
                 else:
                     acc.pop(yy, None)
         x = left[z][s]
-        assert acc.get(x) == 1, "KL recursion lost unitriangularity"
+        if acc.get(x) != 1:
+            raise KLLawError("KL recursion lost unitriangularity")
         return {y: p for y, p in acc.items() if p}
 
 
@@ -591,7 +599,7 @@ def verify_bar_invariance(group: GroupTable, table: KLTable, elements=None) -> i
                 if not tgt:
                     got.pop(z, None)
         if got != expect:
-            raise AssertionError(f"b_{x} is not bar-invariant")
+            raise KLLawError(f"b_{x} is not bar-invariant")
         checked += 1
     return checked
 
@@ -635,7 +643,6 @@ def load_kl_cache(path: str, table: KLTable) -> int:
     CacheFormatError on any mismatch; returns the number of columns added."""
     g = table.group
     pres = g.presentation
-    lw0 = g.length[g.w0]
     with open(path) as f:
         raw = f.read().splitlines()
     if not raw:
@@ -659,16 +666,24 @@ def load_kl_cache(path: str, table: KLTable) -> int:
             x, y = int(parts[0]), int(parts[1])
             if not (0 <= y < g.size and 0 <= x < g.size):
                 raise CacheFormatError(f"element id out of range: {line!r}")
+            # h_{x,x} = 1; for y != x, h_{y,x} lies in v^d Z[v^-2] and in v Z[v]
+            d = g.length[x] - g.length[y]
             terms = {}
             for item in parts[2:]:
                 e, c = item.split(":")
                 e, c = int(e), int(c)
-                if not (0 <= e <= lw0) or c <= 0:
-                    raise CacheFormatError(f"invalid term {item!r}")
+                if y == x:
+                    lawful = e == 0 and c == 1
+                else:
+                    lawful = c > 0 and 1 <= e <= d and (d - e) % 2 == 0
+                if not lawful:
+                    raise CacheFormatError(f"invalid term {item!r} in h_{{{y},{x}}}")
                 terms[e] = c
             if not terms or y in cols.get(x, {}):
                 raise CacheFormatError(f"empty or duplicate entry: {line!r}")
             cols.setdefault(x, {})[y] = _pk_encode(terms)
+    except CacheFormatError:
+        raise
     except (IndexError, ValueError) as exc:
         raise CacheFormatError(f"unparseable line: {exc}") from exc
     added = 0

@@ -314,6 +314,14 @@ def _poly_divmod(a: dict[int, Coeff], b: dict[int, Coeff]):
     return q, r
 
 
+def _exact_quotient(a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
+    """a / b for a divisor b of a, such as their gcd."""
+    q, r = _poly_divmod(a, b)
+    if r:
+        raise ArithmeticError("polynomial division by a divisor left a remainder")
+    return q
+
+
 def _poly_gcd(a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
     """Monic gcd of two honest polynomials over Q."""
     a, b = dict(a), dict(b)
@@ -347,8 +355,7 @@ def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if a == b:
         return a
     g = poly_gcd(a, b)
-    q, r = _poly_divmod(a.shift(-a.min_exponent())._terms, g._terms)
-    assert not r
+    q = _exact_quotient(a.shift(-a.min_exponent())._terms, g._terms)
     out = _wrap(q) * b.shift(-b.min_exponent())
     lead = out.coefficient(out.max_exponent())
     if lead != 1:
@@ -542,12 +549,8 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly):
     k = num.min_exponent()
     g = _poly_gcd(num.shift(-k)._terms, den._terms)
     if g != {0: 1}:
-        q, r = _poly_divmod(num.shift(-k)._terms, g)
-        assert not r
-        num = _wrap(q).shift(k)
-        q, r = _poly_divmod(den._terms, g)
-        assert not r
-        den = _wrap(q)
+        num = _wrap(_exact_quotient(num.shift(-k)._terms, g)).shift(k)
+        den = _wrap(_exact_quotient(den._terms, g))
     # make the denominator monic
     lead = den._terms[den.max_exponent()]
     if lead != 1:

@@ -154,15 +154,16 @@ def compose(a: Diagram, b: Diagram, sign: int = 1):
         while True:
             if layer == "a":
                 q = a.partner[idx]
-                # a middle cycle never reaches the outer boundary
-                assert q >= n
+                if q < n:
+                    raise RuntimeError("a middle cycle reached the outer boundary")
                 if seen_mid[q - n]:
                     break
                 seen_mid[q - n] = True
                 layer, idx = "b", q - n
             else:
                 q = b.partner[idx]
-                assert q < n
+                if q >= n:
+                    raise RuntimeError("a middle cycle reached the outer boundary")
                 if seen_mid[q]:
                     break
                 seen_mid[q] = True
@@ -266,7 +267,8 @@ def monomial(g: GroupTable, x: ElementId) -> Diagram:
     d = Diagram.identity(n)
     for s in g.word[x]:
         d, loops, _ = compose(d, Diagram.cupcap(n, s))
-        assert loops == 0
+        if loops:
+            raise RuntimeError(f"a reduced word of fully commutative {x} closed a loop")
     return d
 
 

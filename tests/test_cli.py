@@ -5,8 +5,11 @@ import os
 
 import pytest
 
-from jwkit import cli
+from jwkit import cli, hecke
+from jwkit.hecke import KLTable
 from jwkit.qpoly import LaurentPoly, RatFunc, quantum_factorial, quantum_int
+
+from oracles import grp
 
 
 def _run(capsys, *argv):
@@ -245,6 +248,61 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "family A" in err
 
 
+# -- KL data that breaks a Kazhdan-Lusztig law -------------------------------------------------
+
+
+def _add_to_h_e_w0(g, table, exponent):
+    table.column_packed(g.w0)[0] += 1 << (exponent * hecke._B)
+
+
+def _corrupt_tables(monkeypatch, exponent):
+    """Every KL table the CLI builds gets v^exponent added to h_{e,w0}."""
+    build = cli._build
+
+    def corrupt(cfg, needs_kl):
+        g, table, cache_path = build(cfg, needs_kl)
+        if table is not None:
+            _add_to_h_e_w0(g, table, exponent)
+        return g, table, cache_path
+
+    monkeypatch.setattr(cli, "_build", corrupt)
+
+
+def test_parity_suite_reports_corrupt_column():
+    g = grp("A", 2)
+    t = KLTable(g)
+    _add_to_h_e_w0(g, t, 2)  # h_{e,w0}: v^3 -> v^3 + v^2
+    assert cli._suite_parity(g, t) == (6, [{"check": "parity", "element": 5}])
+
+
+def test_bar_invariance_suite_reports_corrupt_column():
+    g = grp("A", 2)
+    t = KLTable(g)
+    _add_to_h_e_w0(g, t, 1)  # h_{e,w0}: v^3 -> v^3 + v, parity intact
+    checks, failures = cli._suite_bar_invariance(g, t)
+    assert checks == 6
+    assert failures == [{"check": "bar-invariance", "detail": "b_5 is not bar-invariant"}]
+
+
+@pytest.mark.parametrize("suite", ["parity", "bar-invariance"])
+def test_verify_on_corrupt_table_reports_failure(capsys, monkeypatch, suite):
+    _corrupt_tables(monkeypatch, 1 if suite == "bar-invariance" else 2)
+    code, out, _ = _run(capsys, "verify", "--suite", suite, "--family", "A", "--rank", "2")
+    assert code == 1
+    assert json.loads(out)["failures"][0]["check"] == suite
+
+
+@pytest.mark.parametrize("command", ["esign", "grrk", "jw"])
+@pytest.mark.parametrize("exponent", [1, 2])  # breaks bar symmetry / parity of grrk(w0)
+def test_corrupt_table_exits_3(capsys, monkeypatch, command, exponent):
+    _corrupt_tables(monkeypatch, exponent)
+    rank = "3" if command == "jw" else "2"  # jw counts strands
+    code, out, err = _run(capsys, command, "--family", "A", "--rank", rank)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- errors and gating ------------------------------------------------------------------------
 
 
@@ -300,6 +358,29 @@ def test_cache_corruption_recovers(capsys, tmp_path):
     # the rewritten cache is valid again
     code, out, err = _run(capsys, *argv)
     assert code == 0 and out == cold and "warning" not in err
+
+
+@pytest.mark.parametrize(
+    "command,rank,old,new",
+    [
+        ("kl", "2", "5 0 3:1", "5 0 2:1 3:1"),
+        ("esign", "2", "5 0 3:1", "5 0 2:1 3:1"),
+        ("kl", "3", "23 0 6:1", "23 0 0:1 2:1 4:5 6:1"),
+        ("grrk", "3", "23 0 6:1", "23 0 0:1 2:1 4:5 6:1"),
+    ],
+)
+def test_cache_entry_breaking_kl_laws_recovers(capsys, tmp_path, command, rank, old, new):
+    argv = (command, "--family", "A", "--rank", rank, "--cache-dir", str(tmp_path))
+    code, cold, _ = _run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / f"kl-A-{rank}.kltab"
+    lines = path.read_text().splitlines()
+    lines[lines.index(old)] = new  # still well formed
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = _run(capsys, *argv)
+    assert code == 0
+    assert out == cold
+    assert "warning" in err and "invalid term" in err
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Group enumeration: orders, words, descents, Bruhat order, FC elements."""
 
 import hashlib
+import itertools
 import json
 import os
 
@@ -148,12 +149,18 @@ def test_fc_type_a_catalan():
         assert sum(g.fc) == catalan(rank + 1)
 
 
-def test_fc_generic_agrees_with_321_path():
-    for rank in (2, 3, 4):
+def test_fc_flags_are_321_avoiding():
+    # in type A, x is fully commutative iff its permutation has no
+    # decreasing subsequence of length 3 (Billey-Jockusch-Stanley 1993);
+    # the permutation is built here from the word, not by the package
+    for rank in (2, 3, 4, 5):
         g = grp("A", rank)
-        mat = g.presentation.matrix
         for x in range(g.size):
-            assert g.fc[x] == coxeter._is_fc_generic(g.word[x], mat)
+            p = list(range(rank + 1))
+            for s in g.word[x]:
+                p[s], p[s + 1] = p[s + 1], p[s]
+            has_321 = any(a > b > c for a, b, c in itertools.combinations(p, 3))
+            assert g.fc[x] == (not has_321)
 
 
 def test_fc_dihedral():
@@ -195,11 +202,59 @@ def test_tables_match_matrix_model(family):
     assert _table_digest(grp(family)) == MATRIX_MODEL_DIGESTS[family]
 
 
-@pytest.mark.parametrize("family,n_roots", [("H3", 30), ("F4", 48), ("H4", 120)])
+def _family_rank(name):
+    """"A4" -> ("A", 4), "I2(5)" -> ("I2", 5); F4, H3 and H4 have a fixed rank."""
+    if name.startswith("I2"):
+        return "I2", int(name[3:-1])
+    return (name[0], int(name[1:])) if name[0] in "AB" else (name, None)
+
+
+def _named_group(name):
+    family, n = _family_rank(name)
+    if family == "I2":
+        return grp("I2", m=n)
+    return grp(family, n, allow_large=True)
+
+
+# sha256 of (length, word, right, left, inv, fc), recorded from the earlier
+# models of A (permutations of {0, ..., n}), B (signed permutations) and
+# I2(m) (dihedral pairs); the root permutation model must reproduce the A
+# and B tables exactly, and the I2 tables must not move
+PERMUTATION_MODEL_DIGESTS = {
+    "A1": "cd7c67151c65edf8300038844b9cd2ac7fa7406bcb84d3de6ddca6030cf72eb7",
+    "A2": "99ee0705d7d96eccbd07c3801b59cb431e8281309ba9a4ef452796561d5d307a",
+    "A3": "1825f8d6e7a6bcbca61211eb048c3f7ca45431bf2e948be2e8c64ff364485187",
+    "A4": "f4fa6a329dfb6ed7eed96ad0e94f4da9eddbbdde462f66e3454934714327565f",
+    "A5": "d8108891d7e16256cd82b65c28274f1c2fa060e5cd563e02673eac4b06a95731",
+    "B2": "efe5688035a5eaeb71e64eecb5b0c2f95576e5d7c52086536a54921c1d80649a",
+    "B3": "2747d1c77e2680a53df140b830fcea46fa67ac9541d62f9a4e0f407b85b60633",
+    "B4": "b14a7c60b8e096e0aa58249c4e3380bb7fee59739d8a37dcc96b5c7bb79374f7",
+    "B5": "9965c6eb5b5eabe3e746bb6a6d839a8a0379a982848bf0e625deec5b922edfe1",
+    "I2(3)": "99ee0705d7d96eccbd07c3801b59cb431e8281309ba9a4ef452796561d5d307a",
+    "I2(4)": "efe5688035a5eaeb71e64eecb5b0c2f95576e5d7c52086536a54921c1d80649a",
+    "I2(5)": "9b0376d73cd4955de1443c0cc280e2ca9b23fb14b602efe8c1c5415e0f2b0532",
+    "I2(6)": "754b71bff272ee813a6e2cc86062bad04261240580b313c190f8838f41794997",
+    "I2(8)": "834719511c80e1f1b65d8d956f7a76b747ed51ecd9e0366023ae424db63a9d4e",
+}
+
+
+@pytest.mark.parametrize("name", list(PERMUTATION_MODEL_DIGESTS))
+def test_tables_match_permutation_models(name):
+    assert _table_digest(_named_group(name)) == PERMUTATION_MODEL_DIGESTS[name]
+
+
+ROOT_COUNTS = (
+    [("H3", 30), ("F4", 48), ("H4", 120)]
+    + [(f"A{n}", n * (n + 1)) for n in range(1, 6)]
+    + [(f"B{n}", 2 * n * n) for n in range(2, 6)]
+)
+
+
+@pytest.mark.parametrize("family,n_roots", ROOT_COUNTS)
 def test_root_system(family, n_roots):
     # rank * Coxeter number roots; each generator permutes them as an
     # involution and sends its own simple root to its negative
-    model = coxeter._model_for(presentation(family))
+    model = coxeter._model_for(presentation(*_family_rank(family)))
     roots = model.roots
     assert len(roots) == len(set(roots)) == n_roots
     for s, perm in enumerate(model.perm):
@@ -256,11 +311,11 @@ def _commutation_class_size(word, matrix):
     return ext(0)
 
 
-@pytest.mark.parametrize("family", ["H3", "F4", "H4"])
+@pytest.mark.parametrize("family", ["H3", "F4", "H4", "A4", "B4"])
 def test_fc_flags_by_counting_reduced_words(family):
     # x is fully commutative iff all its reduced words form one commutation
     # class, i.e. iff it has as many reduced words as one word's class
-    g = grp(family, allow_large=True)
+    g = _named_group(family)
     counts = _reduced_word_counts(g)
     mat = g.presentation.matrix
     for x in range(g.size):

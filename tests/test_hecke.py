@@ -293,7 +293,7 @@ def test_antisymmetriser_checks_parity_of_grrk_w0():
     g = grp("A", 2)
     t = KLTable(g)
     t.column_packed(g.w0)[0] += 1 << (2 * hecke._B)  # h_{e,w0}: v^3 -> v^3 + v^2
-    with pytest.raises(AssertionError, match="parity"):
+    with pytest.raises(hecke.KLLawError, match="parity"):
         antisymmetriser(g, t)
 
 
@@ -359,6 +359,30 @@ def test_cache_rejects_corruption(tmp_path):
     bad = good.copy()
     bad[3] = bad[3].rsplit(" ", 1)[0] + " 2:x"
     expect_reject(bad)
+
+
+@pytest.mark.parametrize(
+    "rank,old,new",
+    [
+        (2, "5 0 3:1", "5 0 2:1 3:1"),  # v^2 has the wrong parity for l(w0) - l(e) = 3
+        (3, "23 0 6:1", "23 0 0:1 2:1 4:5 6:1"),  # h_{y,x} lies in v Z[v] for y != x
+        (2, "5 1 2:1", "5 1 4:1"),  # degree above l(x) - l(y)
+        (2, "5 5 0:1", "5 5 0:2"),  # h_{x,x} = 1
+        (2, "3 1 1:1", "3 1 1:0"),  # coefficients are positive
+    ],
+)
+def test_cache_rejects_entries_that_break_kl_laws(tmp_path, rank, old, new):
+    g = grp("A", rank)
+    t = KLTable(g)
+    for x in range(g.size):
+        t.column_packed(x)
+    path = tmp_path / "kl.txt"
+    write_kl_cache(str(path), t)
+    lines = path.read_text().splitlines()
+    lines[lines.index(old)] = new
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheFormatError, match="invalid term"):
+        load_kl_cache(str(path), KLTable(g))
 
 
 def test_cache_header_for_i2(tmp_path):
