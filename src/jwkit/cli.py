@@ -541,11 +541,12 @@ def _suite_mu_identity(g, table):
     grw = [grrk(g, table, g.multiply(x, g.w0)).value for x in range(g.size)]
     failures = []
     checks = 0
+    cols: dict = {}
     for s in range(g.rank):
         acc: dict[int, LaurentPoly] = {}
         for x in range(g.size):
             w = grw[x] if g.length[x] % 2 == 0 else -grw[x]
-            for y, coeff in kl_product_coeffs(table, x, s).items():
+            for y, coeff in kl_product_coeffs(table, x, s, cols).items():
                 prev = acc.get(y, LaurentPoly.zero())
                 acc[y] = prev + w * coeff
         for y in range(g.size):

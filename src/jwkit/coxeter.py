@@ -267,16 +267,9 @@ class GroupTable:
         """The minimal word of x with 1-based generators; "e" for the identity."""
         return "".join(str(s + 1) for s in self.word[x]) or "e"
 
-    def inverse(self, x: ElementId) -> ElementId:
-        return self.inv[x]
-
     def right_descents(self, x: ElementId):
         lx = self.length[x]
         return [s for s in range(self.rank) if self.length[self.right[x][s]] < lx]
-
-    def left_descents(self, x: ElementId):
-        lx = self.length[x]
-        return [s for s in range(self.rank) if self.length[self.left[x][s]] < lx]
 
     def first_left_descent(self, x: ElementId) -> int:
         lx = self.length[x]

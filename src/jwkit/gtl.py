@@ -6,10 +6,16 @@ algebra by the two-sided ideal J spanned by the KL basis elements b_x
 with x not fully commutative.  That span really is an ideal for these
 types (and fails for type D, which :mod:`jwkit.coxeter` refuses to
 build), so the images beta_x of b_x for fully commutative x form a
-basis and multiplication is literally:
-
-    lift to the Hecke algebra, multiply, expand in the KL basis,
-    discard every non-fully-commutative component.
+basis and multiplication is: lift to the Hecke algebra, multiply,
+expand in the KL basis, discard every non-fully-commutative component.
+It runs on integers, with RatFunc only at the boundary
+(:func:`jwkit.hecke.kl_multiply`): each factor is cleared to integer
+Laurent numerators over one scale, the numerators are lifted to the
+standard basis through the packed KL columns (beta_x -> b_x), the two
+lifts are multiplied by the integer Hecke kernel and the product is
+expanded in the KL basis by back-substitution.  The non-FC components
+are computed, since the back-substitution needs them, but only the
+fully commutative ones become RatFunc, times the product of the scales.
 
 :func:`check_ideal_closure` verifies the ideal property exhaustively
 for a built group: for every non-FC x and every generator s, the KL
@@ -33,13 +39,7 @@ from __future__ import annotations
 
 from .coxeter import ElementId, GroupTable, UnsupportedFamilyError
 from .grank import jw_coefficient
-from .hecke import (
-    HeckeElt,
-    KLTable,
-    antisymmetriser,
-    kl_product_coeffs,
-    to_kl_basis,
-)
+from .hecke import KLTable, antisymmetriser, kl_multiply, kl_product_coeffs, to_kl_basis
 from .qpoly import LinComb, RatFunc
 
 _SUPPORTED = {"A", "B", "F4", "H3", "H4", "I2"}
@@ -103,29 +103,13 @@ class GTLElt(LinComb):
         return cls(group, {x: RatFunc.one()})
 
 
-def _lift(a: GTLElt, cache: KLTable) -> HeckeElt:
-    """The section TL_W -> H sending beta_x to b_x, in the standard basis."""
-    out: dict[ElementId, RatFunc] = {}
-    for x, c in a.coeffs.items():
-        for y, h in cache.column(x).items():
-            out[y] = out.get(y, RatFunc.zero()) + c * RatFunc(h)
-    return HeckeElt(a.group, out)
-
-
-def _truncate_fc(g: GroupTable, kl_coeffs: dict[ElementId, RatFunc]) -> GTLElt:
-    return GTLElt(g, {x: c for x, c in kl_coeffs.items() if g.is_fully_commutative(x)})
-
-
 def gtl_multiply(a: GTLElt, b: GTLElt, cache: KLTable) -> GTLElt:
     """The product in TL_W: multiply the lifts in the Hecke algebra,
     re-expand in the KL basis, and drop the non-FC components (they lie
     in the defining ideal J)."""
     if a.group is not b.group:
         raise ValueError("elements live over different groups")
-    if not a.coeffs or not b.coeffs:
-        return GTLElt.zero(a.group)
-    h = _lift(a, cache) * _lift(b, cache)
-    return _truncate_fc(a.group, to_kl_basis(h, cache))
+    return GTLElt(a.group, kl_multiply(a, b, cache, fc_only=True))
 
 
 def check_ideal_closure(g: GroupTable, cache: KLTable) -> int:
@@ -137,11 +121,12 @@ def check_ideal_closure(g: GroupTable, cache: KLTable) -> int:
     """
     _require_supported(g)
     checked = 0
+    cols: dict = {}
     for x in range(g.size):
         if g.is_fully_commutative(x):
             continue
         for s in range(g.rank):
-            for z, coeff in kl_product_coeffs(cache, x, s).items():
+            for z, coeff in kl_product_coeffs(cache, x, s, cols).items():
                 if not coeff.is_zero and g.is_fully_commutative(z):
                     raise IdealClosureError(
                         f"b_{x} b_s{s} has FC component at {z}: {coeff!r}"
@@ -164,5 +149,4 @@ def gen_jw_projection(g: GroupTable, cache: KLTable) -> GTLElt:
     """j_W as the image of the sign idempotent e_sign under the quotient
     map: expand e_sign in the KL basis and truncate to FC support."""
     _require_supported(g)
-    e = antisymmetriser(g, cache)
-    return _truncate_fc(g, to_kl_basis(e, cache))
+    return GTLElt(g, to_kl_basis(antisymmetriser(g, cache), cache, fc_only=True))

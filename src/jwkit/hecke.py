@@ -33,12 +33,15 @@ tripwire in the decoder still checks every value read out.
 
 Products of general elements run over integer standard-basis vectors with
 a positive/negative split of the packed polynomials (see _dense_product),
-so only exact integer arithmetic is ever performed; denominators are
-divided back out at the end.
+so only exact integer arithmetic is ever performed.  Products in the KL
+basis (kl_multiply) lift integer KL coordinates through the columns,
+multiply and back-substitute; in every route the cleared denominators
+come back, as RatFunc, only on the coefficients returned.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import tempfile
@@ -75,30 +78,18 @@ def _pk_encode(d: dict[int, int]) -> int:
     return p
 
 
-# plain {exponent: int | Fraction} polynomial helpers for back-substitution
-
-
-def _dp_add_into(acc: dict, p: dict, scale=1, shift: int = 0) -> None:
-    for e, c in p.items():
-        e2 = e + shift
-        s = acc.get(e2, 0) + c * scale
-        if s:
-            acc[e2] = s
-        else:
-            acc.pop(e2, None)
-
-
-def _dp_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
+def _dp_addmul(acc: dict, a: dict, b: dict, sign: int = 1) -> None:
+    """acc += sign * a * b on plain {exponent: int} polynomials, in place;
+    b, the outer loop, is the short factor (a KL polynomial or monomial)."""
+    for e2, c2 in b.items():
+        c2 *= sign
+        for e1, c1 in a.items():
             e = e1 + e2
-            s = out.get(e, 0) + c1 * c2
+            s = acc.get(e, 0) + c1 * c2
             if s:
-                out[e] = s
+                acc[e] = s
             else:
-                out.pop(e, None)
-    return out
+                del acc[e]
 
 
 class CacheFormatError(ValueError):
@@ -118,15 +109,15 @@ class KLTable:
     def __init__(self, group: GroupTable):
         self.group = group
         self._cols: dict[int, dict[int, int]] = {0: {0: 1}}
+        self._decoded: dict[int, dict[int, int]] = {}
         self.w0_rank = None  # grrk(w0), memoised by jwkit.grank.grrk_w0
 
     # -- public views --------------------------------------------------------
 
     def h(self, y: ElementId, x: ElementId) -> LaurentPoly:
         """The KL polynomial h_{y,x} (zero unless y <= x)."""
-        col = self.column_packed(x)
-        p = col.get(y)
-        return LaurentPoly(_pk_decode(p)) if p else LaurentPoly.zero()
+        p = self.column_packed(x).get(y)
+        return LaurentPoly(self.decoded(p)) if p else LaurentPoly.zero()
 
     def mu(self, y: ElementId, x: ElementId) -> int:
         """The coefficient of v in h_{y,x}."""
@@ -136,7 +127,7 @@ class KLTable:
 
     def column(self, x: ElementId) -> dict[ElementId, LaurentPoly]:
         """All nonzero h_{y,x} as Laurent polynomials."""
-        return {y: LaurentPoly(_pk_decode(p)) for y, p in self.column_packed(x).items()}
+        return {y: LaurentPoly(self.decoded(p)) for y, p in self.column_packed(x).items()}
 
     def column_packed(self, x: ElementId) -> dict[ElementId, int]:
         col = self._cols.get(x)
@@ -144,6 +135,14 @@ class KLTable:
             self._fill_column(x)
             col = self._cols[x]
         return col
+
+    def decoded(self, p: int) -> dict[int, int]:
+        """_pk_decode(p), memoised by packed value: a table holds few
+        distinct polynomials (235 in B4, 1691 in F4).  Read-only."""
+        d = self._decoded.get(p)
+        if d is None:
+            d = self._decoded[p] = _pk_decode(p)
+        return d
 
     def computed_columns(self) -> list[ElementId]:
         return sorted(self._cols)
@@ -276,10 +275,7 @@ class HeckeElt(LinComb):
         avec, ascale = _clear(self)
         bvec, bscale = _clear(other)
         prod = _dense_product(self.group, avec, bvec)
-        scale = ascale * bscale
-        return HeckeElt(
-            self.group, {y: RatFunc(LaurentPoly(p)) * scale for y, p in prod.items()}
-        )
+        return HeckeElt(self.group, _rat_coeffs(prod.items(), ascale * bscale))
 
     # -- involutions ---------------------------------------------------------------
 
@@ -290,54 +286,44 @@ class HeckeElt(LinComb):
         (delta_s + v - v^-1), times bar of each coefficient.
         """
         g = self.group
-        if not self.coeffs:
-            return self
         vdiff = RatFunc(LaurentPoly({1: 1, -1: -1}))  # v - v^-1
         bars: dict[int, HeckeElt] = {0: HeckeElt.one(g)}
+
+        def bar_std(y: ElementId) -> HeckeElt:  # s is the last letter of y
+            if y not in bars:
+                s = g.word[y][-1]
+                prev = bar_std(g.right[y][s])
+                bars[y] = prev.times_gen(s, "right") + prev.scale(vdiff)
+            return bars[y]
+
         out = HeckeElt.zero(g)
-        for x in sorted(self.coeffs, key=lambda t: (g.length[t], t)):
-            for y in _prefix_chain(g, x):
-                if y not in bars:
-                    s = g.word[y][-1]
-                    prev = bars[g.right[y][s]]
-                    bars[y] = prev.times_gen(s, "right") + prev.scale(vdiff)
-            out = out + bars[x].scale(self.coeffs[x].bar())
+        for x, c in self.coeffs.items():
+            out = out + bar_std(x).scale(c.bar())
         return out
-
-
-def _prefix_chain(g: GroupTable, x: ElementId):
-    """Ids of all prefixes of the minimal word of x, shortest first."""
-    out = []
-    z = 0
-    for s in g.word[x]:
-        z = g.right[z][s]
-        out.append(z)
-    return out
 
 
 # -- integer standard-basis kernel ---------------------------------------------
 
 
-def _clear(elt: HeckeElt):
-    """Write elt as scale * sum_y vec[y] delta_y with integer Laurent
-    vectors; returns (vec, scale)."""
+def _clear(elt: LinComb):
+    """Write elt as scale * sum_k vec[k] k with integer Laurent vectors
+    and one RatFunc scale; returns (vec, scale)."""
     polys, den = elt.cleared()
-    f = 1
-    for p in polys.values():
-        for _, coeff in p.items():
-            if isinstance(coeff, Fraction):
-                f = math.lcm(f, coeff.denominator)
+    f = math.lcm(1, *(c.denominator for p in polys.values() for _, c in p.items()))
     vec = {}
     for y, p in polys.items():
-        d = {}
-        for e, coeff in p.items():
-            ci, rem = divmod(coeff.numerator * f, coeff.denominator)
+        vec[y] = d = {}
+        for e, c in p.items():
+            d[e], rem = divmod(c.numerator * f, c.denominator)
             if rem:
                 raise ArithmeticError("clearing denominators left a fraction")
-            d[e] = ci
-        vec[y] = d
-    scale = RatFunc(LaurentPoly.const(Fraction(1, f)), den)
-    return vec, scale
+    return vec, RatFunc(LaurentPoly.const(Fraction(1, f)), den)
+
+
+def _rat_coeffs(pairs, scale: RatFunc, keep=None) -> dict[ElementId, RatFunc]:
+    """{x: scale * c} over integer Laurent coefficients (x, c) with keep[x]
+    (all x when keep is None): where the integer kernels return RatFunc."""
+    return {x: RatFunc(LaurentPoly(c)) * scale for x, c in pairs if keep is None or keep[x]}
 
 
 def _split_pack(d: dict[int, int], offset: int, b: int):
@@ -379,13 +365,8 @@ def _dense_product(g: GroupTable, avec, bvec):
     L = length[g.w0]
 
     def poly_bounds(vec):
-        lo, hi, big = 0, 0, 1
-        for d in vec.values():
-            for e, c in d.items():
-                lo = min(lo, e)
-                hi = max(hi, e)
-                big = max(big, abs(c))
-        return lo, hi, big
+        exps = [0, *(e for d in vec.values() for e in d)]
+        return min(exps), max(exps), max(1, *(abs(c) for d in vec.values() for c in d.values()))
 
     alo, ahi, abig = poly_bounds(avec)
     blo, bhi, bbig = poly_bounds(bvec)
@@ -416,20 +397,9 @@ def _dense_product(g: GroupTable, avec, bvec):
     def absorb(z, vec_z):
         bp, bn = packed_b[z]
         for y, (p, n) in vec_z.items():
-            cell = acc.get(y)
-            if cell is None:
-                cell = [0, 0]
-                acc[y] = cell
-            if bp:
-                if p:
-                    cell[0] += bp * p
-                if n:
-                    cell[1] += bp * n
-            if bn:
-                if p:
-                    cell[1] += bn * p
-                if n:
-                    cell[0] += bn * n
+            cell = acc.setdefault(y, [0, 0])
+            cell[0] += bp * p + bn * n
+            cell[1] += bp * n + bn * p
 
     # iterative DFS carrying a * delta_(current path) on a parallel stack
     stack = [(0, iter(children[0]))]
@@ -472,53 +442,97 @@ def _dense_product(g: GroupTable, avec, bvec):
 
 def kl_basis(group: GroupTable, x: ElementId, table: KLTable) -> HeckeElt:
     """b_x = sum_y h_{y,x} delta_y."""
-    return HeckeElt(
-        group, {y: RatFunc(p) for y, p in table.column(x).items()}
-    )
+    return HeckeElt(group, {y: RatFunc(p) for y, p in table.column(x).items()})
 
 
-def _back_substitute(vec: dict[int, dict[int, int]], table: KLTable):
+def _decoded_column(table: KLTable, x: ElementId, cols: dict | None):
+    """Pairs (y, h_{y,x}) of the column of x, decoded.  The checks calling
+    kl_product_coeffs for every (x, s) share one cols dict that keeps each
+    decoded column; a single expansion (cols None) streams instead."""
+    col = table.column_packed(x)
+    if cols is None:
+        return zip(col, map(table.decoded, col.values()))
+    hs = cols.get(x)
+    if hs is None:
+        hs = cols[x] = tuple(map(table.decoded, col.values()))
+    return zip(col, hs)
+
+
+def _lift(vec: dict[int, dict[int, int]], table: KLTable) -> dict[int, dict[int, int]]:
+    """sum_x vec[x] b_x as an integer standard-basis vector."""
+    out: dict[int, dict[int, int]] = {}
+    for x, c in vec.items():
+        for y, h in _decoded_column(table, x, None):
+            _dp_addmul(out.setdefault(y, {}), c, h)
+    return {y: d for y, d in out.items() if d}
+
+
+def _back_substitute(vec: dict[int, dict[int, int]], table: KLTable, cols: dict | None):
     """Yield the integer KL-basis coefficients (x, c_x) with sum_x c_x b_x
     = sum_y vec[y] delta_y, in descending id order; consumes vec.
 
     Descending ids: subtracting c_x b_x only touches y < x in Bruhat order,
     and those have strictly smaller ids in the enumeration."""
-    for x in range(max(vec), -1, -1):
+    for x in range(max(vec, default=-1), -1, -1):
         c = vec.pop(x, None)
         if not c:
             continue
         yield x, c
-        for y, packed in table.column_packed(x).items():
-            if y != x:
-                tgt = vec.setdefault(y, {})
-                _dp_add_into(tgt, _dp_mul(c, _pk_decode(packed)), scale=-1)
-                if not tgt:
-                    del vec[y]
+        for y, h in _decoded_column(table, x, cols):
+            if y == x:
+                continue
+            tgt = vec.get(y)
+            if tgt is None:
+                tgt = vec[y] = {}
+            _dp_addmul(tgt, c, h, -1)
+            if not tgt:
+                del vec[y]
     if vec:
         raise ArithmeticError("back-substitution left a nonzero residue")
 
 
-def to_kl_basis(h: HeckeElt, table: KLTable) -> dict[ElementId, RatFunc]:
+def to_kl_basis(h: HeckeElt, table: KLTable, fc_only: bool = False) -> dict[ElementId, RatFunc]:
     """Coefficients of h in the KL basis, by back-substitution from the
-    longest supported element down."""
+    longest supported element down; with fc_only, only those of the fully
+    commutative x (the others are computed but never become RatFunc)."""
     if not h.coeffs:
         return {}
     vec, scale = _clear(h)
-    return {x: RatFunc(LaurentPoly(c)) * scale for x, c in _back_substitute(vec, table)}
+    keep = table.group.fc if fc_only else None
+    return _rat_coeffs(_back_substitute(vec, table, None), scale, keep)
 
 
-def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, LaurentPoly]:
+def kl_multiply(
+    a: LinComb, b: LinComb, table: KLTable, fc_only: bool = False
+) -> dict[ElementId, RatFunc]:
+    """KL-basis coefficients of (sum_x a_x b_x)(sum_x b_x b_x) for linear
+    combinations keyed by element ids (only the FC ones with fc_only).
+    Each operand is cleared to integer numerators over one scale and lifted
+    to the standard basis; _dense_product and back-substitution follow, and
+    only the coefficients returned become RatFunc."""
+    if not a.coeffs or not b.coeffs:
+        return {}
+    avec, ascale = _clear(a)
+    bvec, bscale = _clear(b)
+    prod = _dense_product(table.group, _lift(avec, table), _lift(bvec, table))
+    keep = table.group.fc if fc_only else None
+    return _rat_coeffs(_back_substitute(prod, table, None), ascale * bscale, keep)
+
+
+def kl_product_coeffs(
+    table: KLTable, x: ElementId, s: int, cols: dict | None = None
+) -> dict[ElementId, LaurentPoly]:
     """KL-basis coefficients of b_x b_s, via the standard basis and
-    back-substitution.  Used for the mu-identity and ideal-closure checks."""
+    back-substitution.  The mu-identity and ideal-closure checks call it
+    for every (x, s), sharing one ``cols`` dict of decoded columns."""
     g = table.group
     length, right = g.length, g.right
     acc: dict[int, dict[int, int]] = {}
-    for y, packed in table.column_packed(x).items():
-        p = _pk_decode(packed)
+    for y, p in _decoded_column(table, x, cols):
         ys = right[y][s]
-        _dp_add_into(acc.setdefault(ys, {}), p)
-        _dp_add_into(acc.setdefault(y, {}), p, shift=1 if length[ys] > length[y] else -1)
-    return {z: LaurentPoly(c) for z, c in _back_substitute(acc, table)}
+        _dp_addmul(acc.setdefault(ys, {}), p, {0: 1})
+        _dp_addmul(acc.setdefault(y, {}), p, {1: 1} if length[ys] > length[y] else {-1: 1})
+    return {z: LaurentPoly(c) for z, c in _back_substitute(acc, table, cols)}
 
 
 # -- the antisymmetriser ------------------------------------------------------------
@@ -576,12 +590,11 @@ def verify_bar_invariance(group: GroupTable, table: KLTable, elements=None) -> i
         cur: dict[int, dict[int, int]] = {}
         for z, p in prev.items():
             zs = right[z][s]
-            _dp_add_into(cur.setdefault(zs, {}), p)
+            _dp_addmul(cur.setdefault(zs, {}), p, {0: 1})
             # (v - v^-1) p, plus the extra (v^-1 - v) p when zs < z
             if length[zs] > length[z]:
                 tgt = cur.setdefault(z, {})
-                _dp_add_into(tgt, p, shift=1)
-                _dp_add_into(tgt, p, scale=-1, shift=-1)
+                _dp_addmul(tgt, p, {1: 1, -1: -1})
                 if not tgt:
                     cur.pop(z, None)
         for z in [z for z, p in cur.items() if not p]:
@@ -589,13 +602,13 @@ def verify_bar_invariance(group: GroupTable, table: KLTable, elements=None) -> i
         bars[y] = cur
     checked = 0
     for x in todo:
-        expect = {y: _pk_decode(p) for y, p in table.column_packed(x).items()}
+        expect = {y: table.decoded(p) for y, p in table.column_packed(x).items()}
         got: dict[int, dict[int, int]] = {}
         for y, p in expect.items():
             bar_p = {-e: c for e, c in p.items()}
             for z, q in bars[y].items():
                 tgt = got.setdefault(z, {})
-                _dp_add_into(tgt, _dp_mul(bar_p, q))
+                _dp_addmul(tgt, q, bar_p)
                 if not tgt:
                     got.pop(z, None)
         if got != expect:
@@ -607,22 +620,30 @@ def verify_bar_invariance(group: GroupTable, table: KLTable, elements=None) -> i
 # -- on-disk cache ------------------------------------------------------------------
 
 
+def _digest(body: list[str]) -> str:
+    """sha256 of the lines, each ended by a newline, hashed in slices."""
+    h = hashlib.sha256()
+    for i in range(0, len(body), 4096):
+        h.update(("\n".join(body[i : i + 4096]) + "\n").encode())
+    return h.hexdigest()
+
+
 def write_kl_cache(path: str, table: KLTable) -> int:
     """Write every computed column to ``path`` atomically.  Lines are
-    sorted, the trailing record pins the line count, and a rewrite of the
-    same table state is byte-identical."""
+    sorted, the trailing record pins the line count and the sha256 of the
+    entry lines, and a rewrite of the same table state is byte-identical."""
     g = table.group
     pres = g.presentation
-    lines = [f"kltable 1 {pres.family} {pres.m_parameter}"]
+    lines = [f"kltable 2 {pres.family} {pres.m_parameter}"]
     count = 0
     for x in table.computed_columns():
         col = table.column_packed(x)
         for y in sorted(col):
-            terms = _pk_decode(col[y])
+            terms = table.decoded(col[y])
             body = " ".join(f"{e}:{terms[e]}" for e in sorted(terms))
             lines.append(f"{x} {y} {body}")
             count += 1
-    lines.append(f"end {count}")
+    lines.append(f"end {count} {_digest(lines[1:])}")
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".kltmp")
@@ -639,8 +660,9 @@ def write_kl_cache(path: str, table: KLTable) -> int:
 
 def load_kl_cache(path: str, table: KLTable) -> int:
     """Merge columns from ``path`` into the table after validating the
-    header, every entry, and the trailing line count.  Raises
-    CacheFormatError on any mismatch; returns the number of columns added."""
+    header, every entry, the trailing line count and the checksum (which
+    catches the edits the per-entry laws miss).  Raises CacheFormatError
+    on any mismatch; returns the number of columns added."""
     g = table.group
     pres = g.presentation
     with open(path) as f:
@@ -648,14 +670,12 @@ def load_kl_cache(path: str, table: KLTable) -> int:
     if not raw:
         raise CacheFormatError("empty cache file")
     head = raw[0].split()
-    if head != ["kltable", "1", pres.family, str(pres.m_parameter)]:
+    if head != ["kltable", "2", pres.family, str(pres.m_parameter)]:
         raise CacheFormatError(f"header mismatch: {raw[0]!r}")
-    if not raw[-1].startswith("end "):
-        raise CacheFormatError("missing trailing count record")
-    try:
-        declared = int(raw[-1].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise CacheFormatError("bad trailing count record") from exc
+    trailer = raw[-1].split()
+    if len(trailer) != 3 or trailer[0] != "end" or not trailer[1].isdigit():
+        raise CacheFormatError(f"bad trailing record: {raw[-1]!r}")
+    declared = int(trailer[1])
     body = raw[1:-1]
     if declared != len(body):
         raise CacheFormatError(f"line count {len(body)} != declared {declared}")
@@ -686,6 +706,8 @@ def load_kl_cache(path: str, table: KLTable) -> int:
         raise
     except (IndexError, ValueError) as exc:
         raise CacheFormatError(f"unparseable line: {exc}") from exc
+    if _digest(body) != trailer[2]:
+        raise CacheFormatError("checksum mismatch")
     added = 0
     for x, col in cols.items():
         if col.get(x) != 1:

@@ -326,12 +326,8 @@ def project_pi(h: HeckeElt, cache: KLTable) -> TLElt:
     and to 0 otherwise."""
     g = h.group
     n = _require_type_a(g)
-    out: dict[Diagram, RatFunc] = {}
-    for x, c in to_kl_basis(h, cache).items():
-        if g.is_fully_commutative(x):
-            d = monomial(g, x)
-            out[d] = out.get(d, RatFunc.zero()) + c
-    return TLElt(n, out)
+    kl = to_kl_basis(h, cache, fc_only=True)
+    return TLElt(n, {monomial(g, x): c for x, c in kl.items()})
 
 
 def jw_minus(n: int, g: GroupTable, cache: KLTable) -> TLElt:

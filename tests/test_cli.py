@@ -383,6 +383,41 @@ def test_cache_entry_breaking_kl_laws_recovers(capsys, tmp_path, command, rank, 
     assert "warning" in err and "invalid term" in err
 
 
+@pytest.mark.parametrize("command", ["kl", "esign"])
+def test_cache_edit_within_kl_laws_recovers(capsys, tmp_path, command):
+    """2 v^3 for h_{e,w0} keeps the degree and parity laws; the checksum
+    rejects it, the table is recomputed, and a clean cache stays silent."""
+    argv = (command, "--family", "A", "--rank", "2", "--cache-dir", str(tmp_path))
+    code, cold, err = _run(capsys, *argv)
+    assert code == 0 and err == ""
+    path = tmp_path / "kl-A-2.kltab"
+    lines = path.read_text().splitlines()
+    lines[lines.index("5 0 3:1")] = "5 0 3:2"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and out == cold
+    assert "warning" in err and "checksum" in err
+    if command == "kl":
+        rec = [r for r in json.loads(out)["records"] if (r["x"], r["y"]) == (5, 0)]
+        assert [r["display"] for r in rec] == ["v^3"]
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and out == cold and err == ""
+
+
+def test_cache_of_format_1_is_recomputed(capsys, tmp_path):
+    argv = ("grrk", "--family", "B", "--rank", "2", "--cache-dir", str(tmp_path))
+    code, cold, _ = _run(capsys, *argv)
+    path = tmp_path / "kl-B-2.kltab"
+    lines = path.read_text().splitlines()
+    lines[0] = lines[0].replace("kltable 2", "kltable 1")
+    lines[-1] = lines[-1].rsplit(" ", 1)[0]  # format 1 had no checksum
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and out == cold
+    assert "warning" in err and "header mismatch" in err
+    assert path.read_text().startswith("kltable 2 B 2\n")
+
+
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("JWKIT_CACHE_DIR", str(tmp_path))
     code, _, _ = _run(capsys, "grrk", "--family", "I2", "--m", "4")

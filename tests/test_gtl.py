@@ -2,8 +2,12 @@
 
 import operator
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jwkit.gtl import (
     GTLElt,
@@ -12,7 +16,7 @@ from jwkit.gtl import (
     gen_jw_projection,
     gtl_multiply,
 )
-from jwkit.hecke import HeckeElt, KLTable
+from jwkit.hecke import HeckeElt, KLTable, kl_basis, to_kl_basis
 from jwkit.qpoly import LaurentPoly, RatFunc, quantum_int
 from jwkit.tl import TLElt, closed_jw, monomial
 
@@ -101,6 +105,48 @@ def test_associativity_random_triples():
             assert gtl_multiply(gtl_multiply(a, b, t), c, t) == gtl_multiply(
                 a, gtl_multiply(b, c, t), t
             )
+
+
+def _oracle_multiply(a, b, t):
+    """The product by the public Hecke API alone: lift with kl_basis,
+    multiply with HeckeElt *, expand with to_kl_basis, keep FC terms."""
+    g = a.group
+
+    def lift(e):
+        return sum((kl_basis(g, x, t).scale(c) for x, c in e.coeffs.items()), HeckeElt.zero(g))
+
+    kl = to_kl_basis(lift(a) * lift(b), t)
+    return GTLElt(g, {x: c for x, c in kl.items() if g.is_fully_commutative(x)})
+
+
+@lru_cache(maxsize=None)
+def _shared_table(family, rank, m):
+    return KLTable(grp(family, rank, m))
+
+
+@st.composite
+def _gtl_elements(draw, g):
+    """Up to three FC terms; numerators with Fraction coefficients over
+    the denominators 1, [2] or [3]."""
+    support = draw(st.lists(st.sampled_from(g.fc_elements()), max_size=3, unique=True))
+    fractions = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3))
+    coeffs = {}
+    for x in support:
+        num = draw(st.dictionaries(st.integers(-2, 2), fractions, min_size=1, max_size=2))
+        coeffs[x] = RatFunc(LaurentPoly(num), quantum_int(draw(st.integers(1, 3))))
+    return GTLElt(g, coeffs)
+
+
+@pytest.mark.parametrize(
+    "family,rank,m", [("A", 3, None), ("B", 3, None), ("H3", 3, None), ("I2", 2, 5)]
+)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_gtl_multiply_matches_hecke_oracle(family, rank, m, data):
+    g = grp(family, rank, m)
+    t = _shared_table(family, rank, m)
+    a, b = data.draw(_gtl_elements(g)), data.draw(_gtl_elements(g))
+    assert gtl_multiply(a, b, t) == _oracle_multiply(a, b, t)
 
 
 def test_mixed_groups_rejected():
@@ -231,3 +277,15 @@ def test_gen_jw_matches_diagram_jw_in_type_a():
         j = gen_jw_closed(g, t)
         jd = closed_jw(n, g, t)
         assert {monomial(g, x): c for x, c in j.coeffs.items()} == jd.coeffs
+
+
+def test_f4_jw_idempotent_and_annihilating():
+    # ungated: the integer product keeps the whole F4 check at a few seconds
+    g = grp("F4", 4, allow_large=True)
+    t = KLTable(g)
+    j = gen_jw_closed(g, t)
+    assert gtl_multiply(j, j, t) == j
+    for x in range(g.size):
+        if g.length[x] == 1:
+            assert gtl_multiply(j, GTLElt.beta(g, x), t) == GTLElt.zero(g)
+            assert gtl_multiply(GTLElt.beta(g, x), j, t) == GTLElt.zero(g)

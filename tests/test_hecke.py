@@ -355,7 +355,8 @@ def test_cache_rejects_corruption(tmp_path):
     expect_reject(good[1:])  # missing header
     expect_reject(good[:-1])  # missing trailing count
     expect_reject(good[:-1] + ["end 999"])  # wrong count
-    expect_reject(["kltable 1 A 2"] + good[1:])  # wrong family
+    expect_reject(["kltable 2 A 2"] + good[1:])  # wrong family
+    expect_reject(["kltable 1 B 2"] + good[1:-1] + [good[-1].rsplit(" ", 1)[0]])  # format 1
     bad = good.copy()
     bad[3] = bad[3].rsplit(" ", 1)[0] + " 2:x"
     expect_reject(bad)
@@ -391,4 +392,19 @@ def test_cache_header_for_i2(tmp_path):
     t.column_packed(g.w0)
     path = tmp_path / "kl.txt"
     write_kl_cache(str(path), t)
-    assert path.read_text().splitlines()[0] == "kltable 1 I2 7"
+    assert path.read_text().splitlines()[0] == "kltable 2 I2 7"
+
+
+def test_cache_checksum_catches_edits_within_the_kl_laws(tmp_path):
+    # 2 v^3 has the degree and parity of h_{e,w0} in A2; only the checksum sees it
+    g = grp("A", 2)
+    t = KLTable(g)
+    for x in range(g.size):
+        t.column_packed(x)
+    path = tmp_path / "kl.txt"
+    write_kl_cache(str(path), t)
+    lines = path.read_text().splitlines()
+    lines[lines.index("5 0 3:1")] = "5 0 3:2"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheFormatError, match="checksum"):
+        load_kl_cache(str(path), KLTable(g))
