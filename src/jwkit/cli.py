@@ -67,7 +67,6 @@ from .hecke import (
     antisymmetriser,
     kl_product_coeffs,
     load_kl_cache,
-    to_kl_basis,
     verify_bar_invariance,
     write_kl_cache,
 )
@@ -541,12 +540,11 @@ def _suite_mu_identity(g, table):
     grw = [grrk(g, table, g.multiply(x, g.w0)).value for x in range(g.size)]
     failures = []
     checks = 0
-    cols: dict = {}
     for s in range(g.rank):
         acc: dict[int, LaurentPoly] = {}
         for x in range(g.size):
             w = grw[x] if g.length[x] % 2 == 0 else -grw[x]
-            for y, coeff in kl_product_coeffs(table, x, s, cols).items():
+            for y, coeff in kl_product_coeffs(table, x, s).items():
                 prev = acc.get(y, LaurentPoly.zero())
                 acc[y] = prev + w * coeff
         for y in range(g.size):

@@ -109,7 +109,7 @@ def gtl_multiply(a: GTLElt, b: GTLElt, cache: KLTable) -> GTLElt:
     in the defining ideal J)."""
     if a.group is not b.group:
         raise ValueError("elements live over different groups")
-    return GTLElt(a.group, kl_multiply(a, b, cache, fc_only=True))
+    return GTLElt(a.group, kl_multiply(a, b, cache))
 
 
 def check_ideal_closure(g: GroupTable, cache: KLTable) -> int:
@@ -121,12 +121,11 @@ def check_ideal_closure(g: GroupTable, cache: KLTable) -> int:
     """
     _require_supported(g)
     checked = 0
-    cols: dict = {}
     for x in range(g.size):
         if g.is_fully_commutative(x):
             continue
         for s in range(g.rank):
-            for z, coeff in kl_product_coeffs(cache, x, s, cols).items():
+            for z, coeff in kl_product_coeffs(cache, x, s).items():
                 if not coeff.is_zero and g.is_fully_commutative(z):
                     raise IdealClosureError(
                         f"b_{x} b_s{s} has FC component at {z}: {coeff!r}"

@@ -33,10 +33,10 @@ tripwire in the decoder still checks every value read out.
 
 Products of general elements run over integer standard-basis vectors with
 a positive/negative split of the packed polynomials (see _dense_product),
-so only exact integer arithmetic is ever performed.  Products in the KL
-basis (kl_multiply) lift integer KL coordinates through the columns,
-multiply and back-substitute; in every route the cleared denominators
-come back, as RatFunc, only on the coefficients returned.
+so only exact integer arithmetic is ever performed.  Products in TL_W
+(kl_multiply) lift integer KL coordinates through the columns, multiply,
+back-substitute and keep the FC part; in every route the cleared
+denominators come back, as RatFunc, only on the coefficients returned.
 """
 
 from __future__ import annotations
@@ -445,29 +445,23 @@ def kl_basis(group: GroupTable, x: ElementId, table: KLTable) -> HeckeElt:
     return HeckeElt(group, {y: RatFunc(p) for y, p in table.column(x).items()})
 
 
-def _decoded_column(table: KLTable, x: ElementId, cols: dict | None):
-    """Pairs (y, h_{y,x}) of the column of x, decoded.  The checks calling
-    kl_product_coeffs for every (x, s) share one cols dict that keeps each
-    decoded column; a single expansion (cols None) streams instead."""
+def _decoded_column(table: KLTable, x: ElementId):
+    """Pairs (y, h_{y,x}) of the column of x, decoded through the table's
+    memo, so each distinct polynomial is decoded once per table."""
     col = table.column_packed(x)
-    if cols is None:
-        return zip(col, map(table.decoded, col.values()))
-    hs = cols.get(x)
-    if hs is None:
-        hs = cols[x] = tuple(map(table.decoded, col.values()))
-    return zip(col, hs)
+    return zip(col, map(table.decoded, col.values()))
 
 
 def _lift(vec: dict[int, dict[int, int]], table: KLTable) -> dict[int, dict[int, int]]:
     """sum_x vec[x] b_x as an integer standard-basis vector."""
     out: dict[int, dict[int, int]] = {}
     for x, c in vec.items():
-        for y, h in _decoded_column(table, x, None):
+        for y, h in _decoded_column(table, x):
             _dp_addmul(out.setdefault(y, {}), c, h)
     return {y: d for y, d in out.items() if d}
 
 
-def _back_substitute(vec: dict[int, dict[int, int]], table: KLTable, cols: dict | None):
+def _back_substitute(vec: dict[int, dict[int, int]], table: KLTable):
     """Yield the integer KL-basis coefficients (x, c_x) with sum_x c_x b_x
     = sum_y vec[y] delta_y, in descending id order; consumes vec.
 
@@ -478,7 +472,7 @@ def _back_substitute(vec: dict[int, dict[int, int]], table: KLTable, cols: dict 
         if not c:
             continue
         yield x, c
-        for y, h in _decoded_column(table, x, cols):
+        for y, h in _decoded_column(table, x):
             if y == x:
                 continue
             tgt = vec.get(y)
@@ -499,14 +493,13 @@ def to_kl_basis(h: HeckeElt, table: KLTable, fc_only: bool = False) -> dict[Elem
         return {}
     vec, scale = _clear(h)
     keep = table.group.fc if fc_only else None
-    return _rat_coeffs(_back_substitute(vec, table, None), scale, keep)
+    return _rat_coeffs(_back_substitute(vec, table), scale, keep)
 
 
-def kl_multiply(
-    a: LinComb, b: LinComb, table: KLTable, fc_only: bool = False
-) -> dict[ElementId, RatFunc]:
-    """KL-basis coefficients of (sum_x a_x b_x)(sum_x b_x b_x) for linear
-    combinations keyed by element ids (only the FC ones with fc_only).
+def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> dict[ElementId, RatFunc]:
+    """The fully commutative KL-basis coefficients of (sum_x a_x b_x)
+    (sum_x b_x b_x) for linear combinations keyed by element ids: the
+    product in TL_W, where the non-FC b_x span the ideal that is dropped.
     Each operand is cleared to integer numerators over one scale and lifted
     to the standard basis; _dense_product and back-substitution follow, and
     only the coefficients returned become RatFunc."""
@@ -515,24 +508,20 @@ def kl_multiply(
     avec, ascale = _clear(a)
     bvec, bscale = _clear(b)
     prod = _dense_product(table.group, _lift(avec, table), _lift(bvec, table))
-    keep = table.group.fc if fc_only else None
-    return _rat_coeffs(_back_substitute(prod, table, None), ascale * bscale, keep)
+    return _rat_coeffs(_back_substitute(prod, table), ascale * bscale, table.group.fc)
 
 
-def kl_product_coeffs(
-    table: KLTable, x: ElementId, s: int, cols: dict | None = None
-) -> dict[ElementId, LaurentPoly]:
+def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, LaurentPoly]:
     """KL-basis coefficients of b_x b_s, via the standard basis and
-    back-substitution.  The mu-identity and ideal-closure checks call it
-    for every (x, s), sharing one ``cols`` dict of decoded columns."""
+    back-substitution."""
     g = table.group
     length, right = g.length, g.right
     acc: dict[int, dict[int, int]] = {}
-    for y, p in _decoded_column(table, x, cols):
+    for y, p in _decoded_column(table, x):
         ys = right[y][s]
         _dp_addmul(acc.setdefault(ys, {}), p, {0: 1})
         _dp_addmul(acc.setdefault(y, {}), p, {1: 1} if length[ys] > length[y] else {-1: 1})
-    return {z: LaurentPoly(c) for z, c in _back_substitute(acc, table, cols)}
+    return {z: LaurentPoly(c) for z, c in _back_substitute(acc, table)}
 
 
 # -- the antisymmetriser ------------------------------------------------------------
@@ -673,7 +662,7 @@ def load_kl_cache(path: str, table: KLTable) -> int:
     if head != ["kltable", "2", pres.family, str(pres.m_parameter)]:
         raise CacheFormatError(f"header mismatch: {raw[0]!r}")
     trailer = raw[-1].split()
-    if len(trailer) != 3 or trailer[0] != "end" or not trailer[1].isdigit():
+    if len(trailer) != 3 or trailer[0] != "end" or not trailer[1].isdecimal():
         raise CacheFormatError(f"bad trailing record: {raw[-1]!r}")
     declared = int(trailer[1])
     body = raw[1:-1]

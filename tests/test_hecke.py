@@ -347,14 +347,18 @@ def test_cache_rejects_corruption(tmp_path):
     write_kl_cache(str(path), t)
     good = path.read_text().splitlines()
 
-    def expect_reject(lines):
+    def expect_reject(lines, match=None):
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CacheFormatError):
+        with pytest.raises(CacheFormatError, match=match):
             load_kl_cache(str(path), KLTable(g))
 
+    _, count, digest = good[-1].split()
     expect_reject(good[1:])  # missing header
-    expect_reject(good[:-1])  # missing trailing count
-    expect_reject(good[:-1] + ["end 999"])  # wrong count
+    expect_reject(good[:-1], match="trailing record")  # missing trailing count
+    expect_reject(good[:-1] + [f"end 999 {digest}"], match="line count")  # wrong count
+    expect_reject(good[:-2] + [good[-1]], match="line count")  # a dropped entry
+    expect_reject(good[:-1] + [f"end {count} {'0' * 64}"], match="checksum")  # wrong checksum
+    expect_reject(good[:-1] + [f"end \u00b2 {digest}"], match="trailing record")  # int() rejects it
     expect_reject(["kltable 2 A 2"] + good[1:])  # wrong family
     expect_reject(["kltable 1 B 2"] + good[1:-1] + [good[-1].rsplit(" ", 1)[0]])  # format 1
     bad = good.copy()
