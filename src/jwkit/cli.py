@@ -17,9 +17,16 @@ Conventions shared by every subcommand:
 * ``--rank`` is the Coxeter rank, with one exception: for ``jw`` in
   family A the rank is the strand count n, so ``jw --family A --rank 3``
   prints j_3, which lives over the symmetric group S_3 = A_2 (this is
-  the usual indexing of TL_n);
+  the usual indexing of TL_n).  F4, H3, H4 and I2(m) take no rank other
+  than their own (I2: 2);
 * documents are deterministic: the same arguments produce byte-identical
   output across runs, warm or cold cache;
+* documents are streamed: each subcommand does all of its work first
+  (group, KL columns, graded ranks, suites, cache write) and returns a
+  header and an iterator of records or rows, which one writer renders to
+  stdout as they come.  A run that fails writes nothing to stdout.  JSON
+  is rendered by a fixed-schema emitter that matches the standard
+  library's encoder with ``indent=2``; ``verify`` prints JSON only;
 * exit codes: 0 success, 1 verification failure, 2 invalid input or
   unsupported family, 3 KL data that breaks a Kazhdan-Lusztig law (for
   instance a cache file edited into a well-formed but wrong table),
@@ -36,12 +43,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
-import json
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .coxeter import (
@@ -158,26 +164,73 @@ def _rat_doc(r: RatFunc) -> dict:
     return doc
 
 
-def _emit_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _json(obj, depth: int = 0) -> str:
+    """``obj`` as the standard JSON encoder with ``indent=2`` (and its
+    default ``ensure_ascii``) renders it at nesting level ``depth``.  The
+    schema is fixed: dicts with str keys, lists, tuples, str, int, bool
+    and None.  Anything else, floats included, raises TypeError rather
+    than being rendered some other way."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        return _json_object(((k, _json(v, depth + 1)) for k, v in obj.items()), depth)
+    if isinstance(obj, (list, tuple)):
+        return _json_block("[", [_json(v, depth + 1) for v in obj], "]", depth)
+    raise TypeError(f"a document cannot hold {type(obj).__name__}")
 
 
-def _emit_csv(columns: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(columns)
-    w.writerows(rows)
-    return buf.getvalue()
+def _json_object(members, depth: int) -> str:
+    """A JSON object from (key, value already rendered at depth + 1) pairs."""
+    items = []
+    for key, text in members:
+        if not isinstance(key, str):
+            raise TypeError(f"document keys must be str, not {type(key).__name__}")
+        items.append(encode_basestring_ascii(key) + ": " + text)
+    return _json_block("{", items, "}", depth)
 
 
-def _emit_latex(columns: list[str], rows: list[list[str]], title: str) -> str:
-    out = ["% " + title, "\\begin{tabular}{" + "l" * len(columns) + "}"]
-    out.append(" & ".join(columns) + " \\\\")
-    out.append("\\hline")
+def _json_block(opening: str, items: list[str], closing: str, depth: int) -> str:
+    if not items:
+        return opening + closing
+    inner = "\n" + "  " * (depth + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + "  " * depth + closing
+
+
+def _write_json(out, fields, records=None) -> None:
+    """Write ``fields`` as a JSON document with ``indent=2`` and a final
+    newline.  With ``records`` (texts rendered at depth 2), ``fields``
+    is an object that gets a last member "records", whose items are
+    written as they come: the whole document is never held in memory."""
+    if records is None:
+        out.write(_json(fields) + "\n")
+        return
+    head = _json_object([*((k, _json(v, 1)) for k, v in fields.items()), ("records", "[")], 0)
+    out.write(head[:-2])  # without the closing "\n}"; the records follow
+    sep = "\n    "
+    for text in records:
+        out.write(sep + text)
+        sep = ",\n    "
+    out.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
+
+
+def _write_table(out, output: str, title: str, columns: list[str], rows) -> None:
+    """Write a csv or LaTeX table row by row."""
+    if output == "csv":
+        w = csv.writer(out, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows(rows)
+        return
+    out.write("%% %s\n\\begin{tabular}{%s}\n" % (title, "l" * len(columns)))
+    out.write(" & ".join(columns) + " \\\\\n\\hline\n")
     for row in rows:
-        out.append(" & ".join(row) + " \\\\")
-    out.append("\\end{tabular}")
-    return "\n".join(out) + "\n"
+        out.write(" & ".join(row) + " \\\\\n")
+    out.write("\\end{tabular}\n")
 
 
 # -- group construction and caching ---------------------------------------------------
@@ -237,7 +290,7 @@ def _group_doc_header(g: GroupTable) -> dict:
 # -- subcommands -----------------------------------------------------------------------
 
 
-def _cmd_group(cfg: JobConfig) -> str:
+def _cmd_group(cfg: JobConfig):
     g, _, _ = _build(cfg, needs_kl=False)
     doc = _group_doc_header(g)
     doc.update(
@@ -248,75 +301,58 @@ def _cmd_group(cfg: JobConfig) -> str:
         }
     )
     if cfg.output == "json":
-        return _emit_json(doc)
-    cols = ["family", "rank", "m", "order", "longest_length", "fully_commutative"]
-    row = [str(doc[c]) if doc[c] is not None else "" for c in cols]
-    if cfg.output == "csv":
-        return _emit_csv(cols, [row])
-    return _emit_latex(cols, [row], "Coxeter group summary")
+        return doc, None
+    row = [str(v) if v is not None else "" for v in doc.values()]
+    return ("Coxeter group summary", list(doc)), [row]
 
 
-def _cmd_kl(cfg: JobConfig) -> str:
+def _cmd_kl(cfg: JobConfig):
     g, table, cache_path = _build(cfg, needs_kl=True)
-    records = []
-    for x in range(g.size):
-        col = table.column(x)
-        for y in sorted(col):
-            records.append((x, y, col[y]))
+    cols = [table.column_packed(x) for x in range(g.size)]
     _save_cache(table, cache_path)
+    # A table holds few distinct polynomials (A5: 98,407 records, 121
+    # polynomials, 720 words), so each polynomial and each word is
+    # rendered once, and all of it before anything is written.
     if cfg.output == "json":
-        doc = _group_doc_header(g)
-        doc["records"] = [
-            {
-                "x": x,
-                "y": y,
-                "word_x": g.word_str(x),
-                "word_y": g.word_str(y),
-                "h": h.to_triples(),
-                "display": repr(h),
-            }
-            for x, y, h in records
-        ]
-        return _emit_json(doc)
-    cols = ["x", "y", "word_x", "word_y", "h"]
-    if cfg.output == "csv":
-        rows = [
-            [str(x), str(y), g.word_str(x), g.word_str(y), repr(h)]
-            for x, y, h in records
-        ]
-        return _emit_csv(cols, rows)
-    rows = [
-        [str(x), str(y), g.word_str(x), g.word_str(y), "$" + _poly_latex(h) + "$"]
-        for x, y, h in records
-    ]
-    return _emit_latex(cols, rows, "Kazhdan-Lusztig polynomials h_{y,x}")
+        words = [_json(g.word_str(x)) for x in range(g.size)]
+
+        def cell(h):
+            return _json(h.to_triples(), 3), _json(repr(h), 3)
+
+    else:
+        words = [g.word_str(x) for x in range(g.size)]
+        cell = repr if cfg.output == "csv" else (lambda h: "$" + _poly_latex(h) + "$")
+    distinct = {p for col in cols for p in col.values()}
+    cells = {p: cell(LaurentPoly(table.decoded(p))) for p in distinct}
+    entries = ((x, y, col[y]) for x, col in enumerate(cols) for y in sorted(col))
+    if cfg.output == "json":
+        keys = ("x", "y", "word_x", "word_y", "h", "display")
+        record = _json_object(zip(keys, ("%d", "%d", "%s", "%s", "%s", "%s")), 2)
+        return _group_doc_header(g), (
+            record % (x, y, words[x], words[y], *cells[p]) for x, y, p in entries
+        )
+    rows = ([str(x), str(y), words[x], words[y], cells[p]] for x, y, p in entries)
+    return ("Kazhdan-Lusztig polynomials h_{y,x}", ["x", "y", "word_x", "word_y", "h"]), rows
 
 
-def _cmd_grrk(cfg: JobConfig) -> str:
+def _cmd_grrk(cfg: JobConfig):
     g, table, cache_path = _build(cfg, needs_kl=True)
     ranks = [(x, g.length[x], grrk(g, table, x).value) for x in range(g.size)]
     _save_cache(table, cache_path)
     if cfg.output == "json":
-        doc = _group_doc_header(g)
-        doc["records"] = [
-            {
-                "index": x,
-                "length": l,
-                "word": g.word_str(x),
-                "grrk": p.to_triples(),
-                "display": repr(p),
-            }
+        return _group_doc_header(g), (
+            _json(
+                {"index": x, "length": l, "word": g.word_str(x), "grrk": p.to_triples(), "display": repr(p)},
+                2,
+            )
             for x, l, p in ranks
-        ]
-        return _emit_json(doc)
-    cols = ["index", "length", "polynomial"]
-    if cfg.output == "csv":
-        return _emit_csv(cols, [[str(x), str(l), repr(p)] for x, l, p in ranks])
-    rows = [[str(x), str(l), "$" + _poly_latex(p) + "$"] for x, l, p in ranks]
-    return _emit_latex(cols, rows, "graded ranks")
+        )
+    cell = repr if cfg.output == "csv" else (lambda p: "$" + _poly_latex(p) + "$")
+    rows = ([str(x), str(l), cell(p)] for x, l, p in ranks)
+    return ("graded ranks", ["index", "length", "polynomial"]), rows
 
 
-def _cmd_esign(cfg: JobConfig) -> str:
+def _cmd_esign(cfg: JobConfig):
     g, table, cache_path = _build(cfg, needs_kl=True)
     e = antisymmetriser(g, table)
     den = grrk_w0(g, table).value
@@ -325,16 +361,13 @@ def _cmd_esign(cfg: JobConfig) -> str:
     if cfg.output == "json":
         doc = _group_doc_header(g)
         doc["normalizer"] = {"grrk_w0": den.to_triples(), "display": repr(den)}
-        doc["records"] = [
-            {"index": x, "word": g.word_str(x), "coefficient": _rat_doc(c)}
+        return doc, (
+            _json({"index": x, "word": g.word_str(x), "coefficient": _rat_doc(c)}, 2)
             for x, c in records
-        ]
-        return _emit_json(doc)
-    cols = ["index", "word", "coefficient"]
-    if cfg.output == "csv":
-        return _emit_csv(cols, [[str(x), g.word_str(x), repr(c)] for x, c in records])
-    rows = [[str(x), g.word_str(x), "$" + _rat_latex(c) + "$"] for x, c in records]
-    return _emit_latex(cols, rows, "sign idempotent, standard basis coefficients")
+        )
+    cell = repr if cfg.output == "csv" else (lambda c: "$" + _rat_latex(c) + "$")
+    rows = ([str(x), g.word_str(x), cell(c)] for x, c in records)
+    return ("sign idempotent, standard basis coefficients", ["index", "word", "coefficient"]), rows
 
 
 def _jw_type_a(cfg: JobConfig):
@@ -369,7 +402,7 @@ def _jw_type_a(cfg: JobConfig):
     return g, records
 
 
-def _cmd_jw(cfg: JobConfig) -> str:
+def _cmd_jw(cfg: JobConfig):
     fam = cfg.family
     if cfg.method == "wenzl" and fam != "A":
         raise UsageError("the Wenzl recursion is specific to family A")
@@ -379,52 +412,32 @@ def _cmd_jw(cfg: JobConfig) -> str:
         if cfg.method != "closed":
             raise UsageError("--sign minus is computed by the closed formula only")
     if fam == "A":
-        _, recs = _jw_type_a(cfg)
-        records = [
-            {"word": w, "diagram": d, "coefficient": c} for w, d, c in recs
-        ]
+        _, records = _jw_type_a(cfg)
     else:
         g, table, cache_path = _build(cfg, needs_kl=True)
         j = gen_jw_closed(g, table) if cfg.method == "closed" else gen_jw_projection(g, table)
-        records = [
-            {"word": g.word_str(x), "diagram": None, "coefficient": j.coeffs[x]}
-            for x in sorted(j.coeffs)
-        ]
+        records = [(g.word_str(x), None, j.coeffs[x]) for x in sorted(j.coeffs)]
         _save_cache(table, cache_path)
     if cfg.output == "json":
-        doc = {
-            "family": fam,
-            "rank": cfg.rank,
-            "m": cfg.m,
-            "sign": cfg.sign,
-            "method": cfg.method,
-            "records": [
-                {
-                    "word": r["word"],
-                    **({"diagram": r["diagram"]} if fam == "A" else {}),
-                    "coefficient": _rat_doc(r["coefficient"]),
-                }
-                for r in records
-            ],
-        }
-        return _emit_json(doc)
-    if fam == "A":
-        cols = ["word", "diagram", "coefficient"]
-        rows = [
-            [r["word"], " ".join(map(str, r["diagram"])), repr(r["coefficient"])]
-            for r in records
-        ]
-    else:
-        cols = ["word", "coefficient"]
-        rows = [[r["word"], repr(r["coefficient"])] for r in records]
+        doc = {"family": fam, "rank": cfg.rank, "m": cfg.m, "sign": cfg.sign, "method": cfg.method}
+        return doc, (
+            _json({"word": w, **({"diagram": d} if fam == "A" else {}), "coefficient": _rat_doc(c)}, 2)
+            for w, d, c in records
+        )
     if cfg.output == "csv":
-        return _emit_csv(cols, rows)
+        if fam == "A":
+            cols = ["word", "diagram", "coefficient"]
+            rows = ([w, " ".join(map(str, d)), repr(c)] for w, d, c in records)
+        else:
+            cols = ["word", "coefficient"]
+            rows = ([w, repr(c)] for w, _, c in records)
+        return ("Jones-Wenzl coefficients", cols), rows
     sym = "u" if fam == "A" else "\\beta"
-    lrows = []
-    for r in records:
-        label = "$%s_{%s}$" % (sym, r["word"]) if r["word"] != "e" else "$1$"
-        lrows.append([label, "$" + _rat_latex(r["coefficient"]) + "$"])
-    return _emit_latex(["element", "coefficient"], lrows, "Jones-Wenzl coefficients")
+    rows = (
+        ["$%s_{%s}$" % (sym, w) if w != "e" else "$1$", "$" + _rat_latex(c) + "$"]
+        for w, _, c in records
+    )
+    return ("Jones-Wenzl coefficients", ["element", "coefficient"]), rows
 
 
 # -- verification suites -----------------------------------------------------------------
@@ -588,7 +601,9 @@ _SUITE_RUNNERS = {
 }
 
 
-def _cmd_verify(cfg: JobConfig) -> tuple[str, int]:
+def _cmd_verify(cfg: JobConfig):
+    if cfg.output != "json":
+        raise UsageError("verify prints a JSON report only; --output must be json")
     if not cfg.suites:
         raise UsageError("verify requires --suite NAME; known suites: " + ", ".join(_SUITES))
     for name in cfg.suites:
@@ -605,8 +620,7 @@ def _cmd_verify(cfg: JobConfig) -> tuple[str, int]:
         failed = failed or bool(failures)
         print(f"suite {name}: {checks} checks, {len(failures)} failures", file=sys.stderr)
     _save_cache(table, cache_path)
-    out = _emit_json(docs[0] if len(docs) == 1 else docs)
-    return out, 1 if failed else 0
+    return docs[0] if len(docs) == 1 else docs, None, 1 if failed else 0
 
 
 # -- argument parsing ----------------------------------------------------------------------
@@ -675,9 +689,9 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         cfg = _to_config(args)
         if cfg.command == "verify":
-            out, code = _cmd_verify(cfg)
+            head, items, code = _cmd_verify(cfg)
         else:
-            out = {
+            head, items = {
                 "group": _cmd_group,
                 "kl": _cmd_kl,
                 "grrk": _cmd_grrk,
@@ -685,7 +699,12 @@ def run(argv) -> int:
                 "jw": _cmd_jw,
             }[cfg.command](cfg)
             code = 0
-        sys.stdout.write(out)
+        # every subcommand has finished its work (and saved its cache)
+        # before anything is written, so a failure leaves stdout empty
+        if cfg.output == "json":
+            _write_json(sys.stdout, head, items)
+        else:
+            _write_table(sys.stdout, cfg.output, *head, items)
         return code
     except (UsageError, UnsupportedFamilyError, LargeComputationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -84,7 +84,8 @@ def presentation(family: str, rank: int | None = None, m: int | None = None) -> 
     """Build the presentation for a supported family.
 
     ``family`` is one of A, B, C (alias of B), F4, H3, H4, I2.  For I2 the
-    parameter ``m`` >= 3 is required; other families take ``rank``.
+    parameter ``m`` >= 3 is required and ``rank``, if given, must be 2;
+    other families take ``rank``.
     """
     fam = family.strip().upper()
     if fam in ("D", "E", "E6", "E7", "E8") or fam.startswith("D"):
@@ -101,6 +102,8 @@ def presentation(family: str, rank: int | None = None, m: int | None = None) -> 
             raise UnsupportedFamilyError("family I2 requires the parameter m")
         if m < 3:
             raise UnsupportedFamilyError(f"I2(m) requires m >= 3, got m={m}")
+        if rank not in (None, 2):
+            raise UnsupportedFamilyError(f"type I2(m) has rank 2, got {rank}")
         return CoxeterPresentation("I2", 2, _chain_matrix(2, {(0, 1): m}))
     if fam == "A":
         if rank is None or rank < 1:

@@ -246,6 +246,11 @@ def test_verify_usage_errors(capsys):
         capsys, "verify", "--suite", "triple-agreement", "--family", "B", "--rank", "2"
     )
     assert code == 2 and "family A" in err
+    for output in ("csv", "latex"):
+        code, out, err = _run(
+            capsys, "verify", "--suite", "parity", "--family", "A", "--rank", "2", "--output", output
+        )
+        assert code == 2 and out == "" and "JSON" in err
 
 
 # -- KL data that breaks a Kazhdan-Lusztig law -------------------------------------------------
@@ -303,6 +308,27 @@ def test_corrupt_table_exits_3(capsys, monkeypatch, command, exponent):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("output", ["json", "csv", "latex"])
+@pytest.mark.parametrize("command", ["kl", "grrk", "esign", "jw"])
+def test_kl_law_breach_in_last_column_leaves_stdout_empty(capsys, monkeypatch, command, output):
+    """Every column before w0's is filled, then the recursion breaks a law:
+    no part of the document may have been written."""
+    combine = KLTable._combine
+
+    def breach_at_w0(self, s, z, cz):
+        g = self.group
+        if g.left[z][s] == g.w0:
+            raise hecke.KLLawError("KL recursion lost unitriangularity")
+        return combine(self, s, z, cz)
+
+    monkeypatch.setattr(KLTable, "_combine", breach_at_w0)
+    rank = "4" if command == "jw" else "3"  # jw counts strands
+    code, out, err = _run(capsys, command, "--family", "A", "--rank", rank, "--output", output)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- errors and gating ------------------------------------------------------------------------
 
 
@@ -314,6 +340,8 @@ def test_usage_errors(capsys):
         ("group", "--family", "A", "--rank", "2", "--threads", "0"),
         ("group", "--family", "A", "--rank", "2", "--bogus"),
         ("kl", "--family", "A", "--rank", "7"),  # S8 without --allow-large
+        ("group", "--family", "I2", "--m", "5", "--rank", "3"),
+        ("jw", "--family", "I2", "--m", "5", "--rank", "3"),
     ]:
         code, _, err = _run(capsys, *argv)
         assert code == 2, argv
