@@ -371,15 +371,15 @@ def _cmd_esign(cfg: JobConfig):
 
 
 def _jw_type_a(cfg: JobConfig):
-    """Returns (group or None, records) for the type A jw document; records
-    are (word, diagram partner array 1-based, coefficient)."""
+    """The records of the type A jw document: (word, diagram partner
+    array 1-based, coefficient)."""
     n = cfg.rank
     if n is None or n < 1:
         raise UsageError("jw --family A requires --rank n >= 1 (the strand count)")
     if n == 1:
         # TL_1 is trivial and has no Coxeter group behind it
         d = Diagram.identity(1)
-        return None, [("e", [q + 1 for q in d.partner], RatFunc.one())]
+        return [("e", [q + 1 for q in d.partner], RatFunc.one())]
     cfg_a = JobConfig(**{**cfg.__dict__, "rank": n - 1})
     if cfg.method == "wenzl":
         g, _, _ = _build(cfg_a, needs_kl=False)
@@ -399,7 +399,7 @@ def _jw_type_a(cfg: JobConfig):
         x = by_diagram[d]
         records.append((g.word_str(x), [q + 1 for q in d.partner], j.coeffs[d]))
     _save_cache(table, cache_path)
-    return g, records
+    return records
 
 
 def _cmd_jw(cfg: JobConfig):
@@ -412,7 +412,7 @@ def _cmd_jw(cfg: JobConfig):
         if cfg.method != "closed":
             raise UsageError("--sign minus is computed by the closed formula only")
     if fam == "A":
-        _, records = _jw_type_a(cfg)
+        records = _jw_type_a(cfg)
     else:
         g, table, cache_path = _build(cfg, needs_kl=True)
         j = gen_jw_closed(g, table) if cfg.method == "closed" else gen_jw_projection(g, table)
@@ -701,10 +701,16 @@ def run(argv) -> int:
             code = 0
         # every subcommand has finished its work (and saved its cache)
         # before anything is written, so a failure leaves stdout empty
-        if cfg.output == "json":
-            _write_json(sys.stdout, head, items)
-        else:
-            _write_table(sys.stdout, cfg.output, *head, items)
+        try:
+            if cfg.output == "json":
+                _write_json(sys.stdout, head, items)
+            else:
+                _write_table(sys.stdout, cfg.output, *head, items)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout early (``jwkit kl ... | head``); stdout
+            # now goes to devnull so that the flush at exit stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except (UsageError, UnsupportedFamilyError, LargeComputationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

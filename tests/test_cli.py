@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -469,3 +471,19 @@ def test_cache_unwritable_warns(capsys, tmp_path):
     assert code == 0
     assert "warning" in err and "could not write" in err
     assert json.loads(out)["records"]
+
+
+def test_reader_closing_stdout_early_ends_quietly():
+    """A reader that stops after a few bytes (``jwkit kl ... | head``) cuts
+    the streamed document short; the run still ends with its exit code
+    and no traceback."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "jwkit.cli", "kl", "--family", "A", "--rank", "4"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{\n  "famil'  # the document is larger than a pipe buffer
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

@@ -24,7 +24,11 @@ _GROUPS = {
 }
 
 _CASES = {
-    **{f"{cmd} {name}": (cmd, *args) for cmd in ("group", "kl", "grrk", "esign") for name, args in _GROUPS.items()},
+    **{
+        f"{cmd} {name}": (cmd, *args)
+        for cmd in ("group", "kl", "grrk", "esign")
+        for name, args in _GROUPS.items()
+    },
     "jw A4 closed": ("jw", "--family", "A", "--rank", "4", "--method", "closed"),
     "jw A4 wenzl": ("jw", "--family", "A", "--rank", "4", "--method", "wenzl"),
     "jw A4 projection": ("jw", "--family", "A", "--rank", "4", "--method", "projection"),
@@ -158,7 +162,10 @@ def test_emitter_matches_json_dumps(doc):
     assert cli._json(doc) == json.dumps(doc, indent=2)
 
 
-@given(st.dictionaries(_TEXT.filter(lambda k: k != "records"), _DOCS, max_size=4), st.lists(_DOCS, max_size=4))
+@given(
+    st.dictionaries(_TEXT.filter(lambda k: k != "records"), _DOCS, max_size=4),
+    st.lists(_DOCS, max_size=4),
+)
 def test_streamed_document_matches_json_dumps(fields, records):
     class Sink:
         def __init__(self):
