@@ -327,6 +327,7 @@ def _cmd_kl(cfg: JobConfig):
     entries = ((x, y, col[y]) for x, col in enumerate(cols) for y in sorted(col))
     if cfg.output == "json":
         keys = ("x", "y", "word_x", "word_y", "h", "display")
+        # the emitter's layout for one record, with %-slots for its values
         record = _json_object(zip(keys, ("%d", "%d", "%s", "%s", "%s", "%s")), 2)
         return _group_doc_header(g), (
             record % (x, y, words[x], words[y], *cells[p]) for x, y, p in entries
@@ -710,7 +711,9 @@ def run(argv) -> int:
         except BrokenPipeError:
             # the reader closed stdout early (``jwkit kl ... | head``); stdout
             # now goes to devnull so that the flush at exit stays quiet
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return code
     except (UsageError, UnsupportedFamilyError, LargeComputationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ shares no code with the CLI's writer.
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -167,17 +168,10 @@ def test_emitter_matches_json_dumps(doc):
     st.lists(_DOCS, max_size=4),
 )
 def test_streamed_document_matches_json_dumps(fields, records):
-    class Sink:
-        def __init__(self):
-            self.parts = []
-
-        def write(self, text):
-            self.parts.append(text)
-
-    out = Sink()
-    cli._write_json(out, fields, (cli._json(r, 2) for r in records))
-    assert "".join(out.parts) == json.dumps({**fields, "records": records}, indent=2) + "\n"
-    assert len(out.parts) == len(records) + 2  # written record by record
+    parts = []
+    cli._write_json(SimpleNamespace(write=parts.append), fields, (cli._json(r, 2) for r in records))
+    assert "".join(parts) == json.dumps({**fields, "records": records}, indent=2) + "\n"
+    assert len(parts) == len(records) + 2  # written record by record
 
 
 @pytest.mark.parametrize(
