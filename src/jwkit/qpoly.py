@@ -20,6 +20,7 @@ Koszul sign twist kappa (v -> -v^-1).  Quantum integers are balanced:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
@@ -289,88 +290,191 @@ def _as_poly(x: object):
     return NotImplemented
 
 
-# -- polynomial gcd (helpers for RatFunc canonicalization) ------------------
+# -- integer polynomial kernel (helpers for RatFunc canonicalization) ---------
+#
+# A polynomial here is a list of ints, constant term first.  A Laurent
+# polynomial p splits as p = (c / d) * v^k * f(v), with c / d its rational
+# content and f primitive: integer coefficients with gcd 1, a positive
+# leading coefficient and a nonzero constant term.  By Gauss's lemma a
+# primitive divisor of an integer polynomial divides it over Z, so gcds and
+# exact quotients of primitive polynomials never leave the integers.
+
+_HEU_TRIES = 6  # heuristic gcd attempts before the remainder sequence
 
 
-def _poly_divmod(a: dict[int, Coeff], b: dict[int, Coeff]):
-    """Division with remainder for honest polynomials (exponents >= 0)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q: dict[int, Coeff] = {}
-    r = dict(a)
-    db = max(b)
-    lb = b[db]
-    while r and max(r) >= db:
-        dr = max(r)
-        c = _norm_coeff(Fraction(r[dr]) / Fraction(lb))
-        q[dr - db] = c
-        for e, bc in b.items():
-            e2 = e + dr - db
-            s = _norm_coeff(r.get(e2, 0) - c * bc)
-            if s:
-                r[e2] = s
-            else:
-                r.pop(e2, None)
-    return q, r
+def _split(terms: Mapping[int, Coeff]) -> tuple[int, int, int, list[int]]:
+    """(c, d, k, f) with sum_e terms[e] v^e = (c / d) v^k f(v), d > 0 and f
+    primitive.  terms must be nonzero."""
+    k = min(terms)
+    f = [0] * (max(terms) - k + 1)
+    d = 1
+    for c in terms.values():
+        if type(c) is not int:
+            d = d * c.denominator // math.gcd(d, c.denominator)
+    if d == 1:
+        for e, c in terms.items():
+            f[e - k] = c
+    else:
+        for e, c in terms.items():
+            f[e - k] = c.numerator * (d // c.denominator)
+    c = math.gcd(*f)
+    if f[-1] < 0:
+        c = -c
+    if c != 1:
+        f = [a // c for a in f]
+    return c, d, k, f
 
 
-def _exact_quotient(a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
-    """a / b for a divisor b of a, such as their gcd."""
-    q, r = _poly_divmod(a, b)
-    if r:
-        raise ArithmeticError("polynomial division by a divisor left a remainder")
+def _primitive(f: list[int]) -> list[int]:
+    """f with its top zeros dropped, divided by its content, leading
+    coefficient made positive."""
+    while not f[-1]:
+        f.pop()
+    c = math.gcd(*f)
+    if f[-1] < 0:
+        c = -c
+    return f if c == 1 else [a // c for a in f]
+
+
+def _mul(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+    return out
+
+
+def _exact_quotient(f: list[int], g: list[int]) -> list[int]:
+    """f / g over Z; ArithmeticError when g does not divide f there."""
+    n = len(g) - 1
+    top = len(f) - 1 - n
+    if top < 0:
+        raise ArithmeticError("polynomial division by a non-divisor")
+    r = list(f)
+    lead = g[-1]
+    q = [0] * (top + 1)
+    for i in range(top, -1, -1):
+        c, rem = divmod(r[i + n], lead)
+        if rem:
+            raise ArithmeticError("polynomial division by a non-divisor")
+        if c:
+            q[i] = c
+            for j in range(n):
+                r[i + j] -= c * g[j]
+    if any(r[:n]):
+        raise ArithmeticError("polynomial division by a non-divisor")
     return q
 
 
-def _poly_gcd(a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
-    """Monic gcd of two honest polynomials over Q."""
-    a, b = dict(a), dict(b)
-    while b:
-        # keep remainders monic so coefficients stay small
-        lead = b[max(b)]
-        if lead != 1:
-            b = {e: _norm_coeff(Fraction(c) / Fraction(lead)) for e, c in b.items()}
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return {}
-    lead = a[max(a)]
-    if lead != 1:
-        a = {e: _norm_coeff(Fraction(c) / Fraction(lead)) for e, c in a.items()}
-    return a
+def _heu_gcd(f: list[int], g: list[int]):
+    """(h, f / h, g / h) with h the primitive gcd of two primitive
+    polynomials of positive degree, or None when every attempt failed.
+
+    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 1989): evaluate
+    at xi = 2^k, take the integer gcd and read h off its balanced base-xi
+    digits.  With xi >= 2 min(|f|, |g|) + 2 (max norms), a candidate that
+    divides both f and g is their gcd; a candidate that does not means an
+    unlucky xi, and the next attempt takes a larger one."""
+    k = (2 * min(max(map(abs, f)), max(map(abs, g))) + 29).bit_length()
+    for _ in range(_HEU_TRIES):
+        n = m = 0
+        for c in reversed(f):
+            n = (n << k) + c
+        for c in reversed(g):
+            m = (m << k) + c
+        n = math.gcd(n, m)
+        half, mask = 1 << (k - 1), (1 << k) - 1
+        h = []
+        while n:
+            c = n & mask
+            if c >= half:
+                c -= 1 << k
+            h.append(c)
+            n = (n - c) >> k
+        h = _primitive(h)
+        try:
+            return h, _exact_quotient(f, h), _exact_quotient(g, h)
+        except ArithmeticError:
+            k = k * 3 // 2 + 1
+    return None
+
+
+def _prs_gcd(f: list[int], g: list[int]) -> list[int]:
+    """Primitive gcd of two primitive polynomials by the primitive
+    remainder sequence: pseudo-divide, keep the primitive part, repeat."""
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        r, n, lead = list(f), len(g) - 1, g[-1]
+        while len(r) > n:
+            c, top = r[-1], len(r) - 1 - n
+            r = [lead * a for a in r]
+            for j, b in enumerate(g, top):
+                r[j] -= c * b
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return g
+        f, g = g, _primitive(r)
+    return [1]
+
+
+def _poly_gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(h, f / h, g / h) with h the primitive gcd of primitive f and g."""
+    if len(f) == 1 or len(g) == 1:
+        return [1], f, g
+    if f == g:
+        return f, [1], [1]
+    out = _heu_gcd(f, g)
+    if out is None:
+        h = _prs_gcd(f, g)
+        out = h, _exact_quotient(f, h), _exact_quotient(g, h)
+    return out
+
+
+def _laurent(c: int, d: int, k: int, f: list[int]) -> LaurentPoly:
+    """(c / d) v^k f(v), with an int wherever a coefficient is integral."""
+    t = math.gcd(c, d)
+    if d < 0:
+        t = -t
+    c, d = c // t, d // t
+    if d == 1:
+        return _wrap({k + i: c * a for i, a in enumerate(f) if a})
+    terms = {}
+    for i, a in enumerate(f):
+        if a:
+            a *= c
+            terms[k + i] = a // d if a % d == 0 else Fraction(a, d)
+    return _wrap(terms)
+
+
+def _monic(f: list[int]) -> LaurentPoly:
+    return _laurent(1, f[-1], 0, f)
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of the polynomial parts (monomial factors dropped)."""
+    """Monic gcd of the polynomial parts (monomial factors dropped); zero
+    when both are zero."""
     if a.is_zero:
-        return b if b.is_zero else _wrap(dict(b.shift(-b.min_exponent())._terms))
+        return b if b.is_zero else _monic(_split(b._terms)[3])
     if b.is_zero:
-        return _wrap(dict(a.shift(-a.min_exponent())._terms))
-    g = _poly_gcd(a.shift(-a.min_exponent())._terms, b.shift(-b.min_exponent())._terms)
-    return _wrap(g)
+        return _monic(_split(a._terms)[3])
+    return _monic(_poly_gcd(_split(a._terms)[3], _split(b._terms)[3])[0])
 
 
 def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Monic lcm of the polynomial parts of two nonzero Laurent polynomials."""
-    if a == b:
-        return a
-    g = poly_gcd(a, b)
-    q = _exact_quotient(a.shift(-a.min_exponent())._terms, g._terms)
-    out = _wrap(q) * b.shift(-b.min_exponent())
-    lead = out.coefficient(out.max_exponent())
-    if lead != 1:
-        out = out.scale(1 / Fraction(lead))
-    return out
+    f, g = _split(a._terms)[3], _split(b._terms)[3]
+    return _monic(_mul(_poly_gcd(f, g)[1], g))
 
 
 def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """a / b when b divides a exactly (up to a monomial)."""
-    ka = a.min_exponent()
-    kb = b.min_exponent()
-    q, r = _poly_divmod(a.shift(-ka)._terms, b.shift(-kb)._terms)
-    if r:
-        raise ValueError("not an exact polynomial division")
-    return _wrap(q).shift(ka - kb)
+    """a / b when b divides a exactly (up to a monomial); ArithmeticError
+    otherwise."""
+    ca, da, ka, f = _split(a._terms)
+    cb, db, kb, g = _split(b._terms)
+    return _laurent(ca * db, da * cb, ka - kb, _exact_quotient(f, g))
 
 
 class RatFunc:
@@ -538,26 +642,18 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly):
     """Reduce num/den to the canonical representative described above."""
     if num.is_zero:
         return LaurentPoly.zero(), LaurentPoly.one()
-    # clear negative exponents from the denominator; afterwards den(0) != 0
-    shift = -den.min_exponent()
-    num = num.shift(shift)
-    den = den.shift(shift)
-    if den.is_one:
-        return num, den
-    # cancel the polynomial gcd; the monomial part of num never cancels
-    # against den because den has a nonzero constant term
-    k = num.min_exponent()
-    g = _poly_gcd(num.shift(-k)._terms, den._terms)
-    if g != {0: 1}:
-        num = _wrap(_exact_quotient(num.shift(-k)._terms, g)).shift(k)
-        den = _wrap(_exact_quotient(den._terms, g))
+    if len(den._terms) == 1:
+        ((k, c),) = den._terms.items()
+        return (num.shift(-k) if c == 1 else num.shift(-k).scale(Fraction(1, c))), LaurentPoly.one()
+    # num = (cn/dn) v^kn f and den = (cd/dd) v^kd g with f, g primitive;
+    # the monomial part of num never cancels against g, whose constant term
+    # is nonzero, so the cancellation is f/h over g/h for h = gcd(f, g)
+    cn, dn, kn, f = _split(num._terms)
+    cd, dd, kd, g = _split(den._terms)
+    if len(f) > 1:
+        _, f, g = _poly_gcd(f, g)
     # make the denominator monic
-    lead = den._terms[den.max_exponent()]
-    if lead != 1:
-        inv = 1 / Fraction(lead)
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return num, den
+    return _laurent(cn * dd, dn * cd * g[-1], kn - kd, f), _monic(g)
 
 
 # -- linear combinations -----------------------------------------------------
@@ -616,15 +712,18 @@ class LinComb:
 
     def cleared(self) -> tuple[dict, LaurentPoly]:
         """(polys, den) with self = sum_k (polys[k] / den) key, where den
-        is the monic lcm of the coefficient denominators."""
+        is the monic lcm of the coefficient denominators.  The lcm and the
+        cofactors den / d are taken once per distinct denominator d."""
+        dens = dict.fromkeys(c.den for c in self.coeffs.values())
         den = LaurentPoly.one()
-        for c in self.coeffs.values():
-            if not c.den.is_one:
-                den = poly_lcm(den, c.den)
-        polys = {}
-        for k, c in self.coeffs.items():
-            polys[k] = c.num if den.is_one else c.num * poly_exact_div(den, c.den)
-        return polys, den
+        for d in dens:
+            if not d.is_one:
+                den = d if den.is_one else poly_lcm(den, d)
+        if den.is_one:
+            return {k: c.num for k, c in self.coeffs.items()}, den
+        for d in dens:
+            dens[d] = den if d.is_one else poly_exact_div(den, d)
+        return {k: c.num * dens[c.den] for k, c in self.coeffs.items()}, den
 
     # -- comparisons, hashing, display ------------------------------------------
 
