@@ -29,7 +29,7 @@ Coeff = Union[int, Fraction]
 
 def _norm_coeff(c: Coeff) -> Coeff:
     """Collapse integer-valued Fractions to int."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is not int and isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
 
@@ -112,12 +112,8 @@ class LaurentPoly:
             return NotImplemented
         t = dict(self._terms)
         for e, c in other._terms.items():
-            s = _norm_coeff(t.get(e, 0) + c)
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        return _wrap(t)
+            t[e] = t.get(e, 0) + c
+        return _reduced(t)
 
     __radd__ = __add__
 
@@ -149,12 +145,8 @@ class LaurentPoly:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = e1 + e2
-                s = _norm_coeff(t.get(e, 0) + c1 * c2)
-                if s:
-                    t[e] = s
-                else:
-                    t.pop(e, None)
-        return _wrap(t)
+                t[e] = t.get(e, 0) + c1 * c2
+        return _reduced(t)
 
     __rmul__ = __mul__
 
@@ -278,6 +270,15 @@ class LaurentPoly:
 def _wrap(t: dict[int, Coeff]) -> LaurentPoly:
     p = LaurentPoly.__new__(LaurentPoly)
     p._terms = {e: c for e, c in t.items() if c}
+    p._hash = None
+    return p
+
+
+def _reduced(t: dict[int, Coeff]) -> LaurentPoly:
+    """_wrap for freshly summed coefficients: zeros dropped and integral
+    Fractions made ints, with one type test per integer coefficient."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p._terms = {e: c if type(c) is int else _norm_coeff(c) for e, c in t.items() if c}
     p._hash = None
     return p
 
