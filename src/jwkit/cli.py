@@ -33,10 +33,12 @@ Conventions shared by every subcommand:
   found outside the ``parity`` and ``bar-invariance`` suites, which
   report it as a failure.
 
-Families F4 and H4 are gated behind ``--allow-large``; subcommands that
-need Kazhdan-Lusztig data additionally require a cache directory
-(``--cache-dir`` or the JWKIT_CACHE_DIR environment variable) so the
-expensive columns persist across runs.
+Groups with at least 1152 elements, the order of F4 (so F4, H4, A_n for
+n >= 6, B_n for n >= 5 and I2(m) for m >= 576), are gated behind
+``--allow-large``; subcommands that need Kazhdan-Lusztig data
+additionally require a cache directory (``--cache-dir`` or the
+JWKIT_CACHE_DIR environment variable) so the expensive columns persist
+across runs.  For ``jw --family A`` the group is S_n, so j_7 is gated.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .coxeter import (
     LargeComputationError,
     UnsupportedFamilyError,
     build_group,
+    classical_order,
     presentation,
 )
 from .grank import grrk, grrk_w0, jw_coefficient
@@ -88,7 +91,7 @@ from .tl import (
     wenzl_jw,
 )
 
-_LARGE_FAMILIES = {"F4", "H4"}
+_LARGE_ORDER = 1152  # |F4|; groups at least this large need --allow-large
 
 _SUITES = (
     "parity",
@@ -238,19 +241,19 @@ def _write_table(out, output: str, title: str, columns: list[str], rows) -> None
 
 def _build(cfg: JobConfig, needs_kl: bool):
     """Build the group and, when needed, its KL table with cache attach."""
-    fam = cfg.family
     cache_dir = cfg.cache_dir or os.environ.get("JWKIT_CACHE_DIR")
-    if fam in _LARGE_FAMILIES:
+    pres = presentation(cfg.family, rank=cfg.rank, m=cfg.m)
+    order = classical_order(pres)
+    if order >= _LARGE_ORDER:
         if not cfg.allow_large:
             raise UsageError(
-                f"family {fam} is a large computation; pass --allow-large to proceed"
+                f"a group of order {order} is a large computation; pass --allow-large to proceed"
             )
         if needs_kl and not cache_dir:
             raise UsageError(
-                f"family {fam} requires a cache directory for KL data; "
+                f"a group of order {order} requires a cache directory for KL data; "
                 "pass --cache-dir or set JWKIT_CACHE_DIR"
             )
-    pres = presentation(fam, rank=cfg.rank, m=cfg.m)
     g = build_group(pres, allow_large=cfg.allow_large)
     if not needs_kl:
         return g, None, None

@@ -9,6 +9,16 @@ form so that equality is literal comparison of numerator and denominator:
     nonzero constant term, monic in its top degree;
   * numerator and denominator share no polynomial factor.
 
+The canonical form is computed on integers.  Numerator and denominator are
+each split once into a rational content, a monomial and a primitive
+integer polynomial.  The gcd of the two primitive parts is the heuristic
+gcd of Char, Geddes and Gonnet: evaluate both at 2^k, take one integer
+gcd and read the candidate off its balanced digits, accepted only when
+integer trial division shows that it divides both.  After a few unlucky
+points it falls back to a primitive remainder sequence.  The trial
+divisions return the cofactors, the denominator's cofactor is made monic,
+and a coefficient is a Fraction only where it is not an integer.
+
 Elements of the algebras built on top (Hecke, TL_n, TL_W) are LinComb
 subclasses: sparse maps from basis keys to RatFunc coefficients.
 

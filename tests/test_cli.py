@@ -362,6 +362,38 @@ def test_large_family_gating(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, needs_kl",
+    [
+        (("kl", "--family", "A", "--rank", "6"), True),  # S_7, 5040 elements
+        (("group", "--family", "A", "--rank", "6"), False),
+        (("grrk", "--family", "B", "--rank", "5"), True),  # 3840 elements
+        (("group", "--family", "B", "--rank", "5"), False),
+        (("jw", "--family", "A", "--rank", "7"), True),  # j_7 lives over S_7
+        (("jw", "--family", "A", "--rank", "7", "--method", "wenzl"), False),
+        (("group", "--family", "I2", "--m", "576"), False),  # as many elements as F4
+    ],
+)
+def test_groups_as_large_as_f4_are_gated(capsys, argv, needs_kl):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--allow-large" in err
+    if needs_kl:
+        code, out, err = _run(capsys, *argv, "--allow-large")
+        assert code == 2 and out == "" and "cache" in err
+
+
+def test_groups_below_f4_order_are_not_gated(capsys):
+    for argv in [
+        ("group", "--family", "A", "--rank", "5"),
+        ("group", "--family", "B", "--rank", "4"),
+        ("group", "--family", "I2", "--m", "575"),
+        ("jw", "--family", "A", "--rank", "4"),
+    ]:
+        code, _, _ = _run(capsys, *argv)
+        assert code == 0, argv
+
+
 # -- caching -----------------------------------------------------------------------------------
 
 

@@ -10,11 +10,18 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jwkit import qpoly
 from jwkit.qpoly import (
     LaurentPoly,
+    LinComb,
     RatFunc,
     parity_class,
+    poly_exact_div,
+    poly_gcd,
+    poly_lcm,
     quantum_factorial,
     quantum_int,
 )
@@ -251,6 +258,150 @@ def test_triples_roundtrip():
 def test_triples_rejects_unsorted():
     with pytest.raises(ValueError):
         LaurentPoly.from_triples([[0, 1, 1], [1, 1, 1]])
+
+
+# -- the integer gcd kernel -----------------------------------------------------------
+
+X = sympy.Symbol("v")
+
+coeffs = st.one_of(
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+)
+laurent = st.dictionaries(st.integers(-5, 5), coeffs, max_size=5).map(LaurentPoly)
+nonzero_laurent = laurent.filter(lambda p: not p.is_zero)
+# integer polynomials of positive degree, constant term first
+int_polys = st.lists(st.integers(-40, 40), min_size=2, max_size=7).filter(lambda f: f[-1] != 0)
+
+
+def _sympy_primitive_gcd(f, g):
+    h = sympy.gcd(sympy.Poly(list(reversed(f)), X), sympy.Poly(list(reversed(g)), X))
+    return qpoly._primitive([int(c) for c in reversed(h.all_coeffs())])
+
+
+@given(laurent, nonzero_laurent, nonzero_laurent, st.integers(-4, 4))
+def test_canonical_form_matches_sympy_cancel(a, b, c, k):
+    """num/den with a planted common factor c and a monomial shift reduces
+    to sympy's cancelled fraction: the same value, and the denominator is
+    sympy's cancelled denominator with its v^m factor dropped, made monic."""
+    f = RatFunc(a * c, (b * c).shift(k))
+    p, q = sympy.fraction(sympy.cancel(to_sympy(a * c) / to_sympy((b * c).shift(k))))
+    assert sympy.expand(to_sympy(f.num) * q - p * to_sympy(f.den)) == 0
+    if a.is_zero:
+        assert f.num.is_zero and f.den.is_one
+        return
+    q = sympy.Poly(q, X)
+    m = min(e for (e,) in q.monoms())
+    q0 = sympy.Poly(sympy.expand(q.as_expr() / X**m), X).monic()
+    assert sympy.expand(to_sympy(f.den) - q0.as_expr()) == 0
+    assert f.den.min_exponent() == 0 and f.den.coefficient(f.den.max_exponent()) == 1
+    # a coefficient is a Fraction exactly when it is not integral
+    for p in (f.num, f.den):
+        for _, x in p.items():
+            assert isinstance(x, int) or x.denominator != 1
+
+
+@given(int_polys, int_polys, int_polys)
+def test_heuristic_gcd_prs_and_sympy_agree(a, b, c):
+    f, g = qpoly._primitive(qpoly._mul(a, c)), qpoly._primitive(qpoly._mul(b, c))
+    while not f[0]:
+        f = f[1:]
+    while not g[0]:
+        g = g[1:]
+    expected = _sympy_primitive_gcd(f, g)
+    assert qpoly._prs_gcd(f, g) == expected
+    if len(f) > 1 and len(g) > 1:
+        h, fq, gq = qpoly._heu_gcd(f, g)
+        assert h == expected
+        assert qpoly._mul(h, fq) == f and qpoly._mul(h, gq) == g
+
+
+def test_heuristic_gcd_retries_after_an_unlucky_point(monkeypatch):
+    # at xi = 32, f(xi) = 31 divides g(xi) = 62, so the first candidate is
+    # v - 1, which does not divide v + 30; a larger xi finds gcd 1
+    f, g = [-1, 1], [30, 1]
+    assert qpoly._heu_gcd(f, g) == ([1], f, g)
+    monkeypatch.setattr(qpoly, "_HEU_TRIES", 1)
+    assert qpoly._heu_gcd(f, g) is None
+    assert qpoly._poly_gcd(f, g) == ([1], f, g)  # through the remainder sequence
+
+
+@given(laurent, nonzero_laurent, nonzero_laurent)
+def test_remainder_sequence_fallback_gives_the_same_canonical_form(a, b, c):
+    f = RatFunc(a * c, b * c)
+    heu = qpoly._heu_gcd
+    try:
+        qpoly._heu_gcd = lambda f, g: None
+        g = RatFunc(a * c, b * c)
+    finally:
+        qpoly._heu_gcd = heu
+    assert (f.num._terms, f.den._terms) == (g.num._terms, g.den._terms)
+
+
+@given(int_polys, int_polys, st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+def test_exact_quotient_raises_on_a_non_divisor(q, g, r):
+    """f = q g + r with r nonzero and of lower degree than g: g does not
+    divide f, and neither does 2g + 1 divide g + 1 over Z."""
+    r = r[: len(g) - 1]
+    f = qpoly._mul(q, g)
+    assert qpoly._exact_quotient(f, g) == q
+    if any(r):
+        f = [x + (r[i] if i < len(r) else 0) for i, x in enumerate(f)]
+        with pytest.raises(ArithmeticError):
+            qpoly._exact_quotient(f, g)
+    with pytest.raises(ArithmeticError):
+        qpoly._exact_quotient([1, 1], [1, 2])
+    with pytest.raises(ArithmeticError):
+        poly_exact_div(v + 1, v + 2)
+
+
+def test_poly_gcd_with_a_zero_argument_is_monic():
+    p = 2 * v**-1 + 4 * v
+    half = LaurentPoly({2: 1, 0: Fraction(1, 2)})
+    assert poly_gcd(LaurentPoly.zero(), p) == half
+    assert poly_gcd(p, LaurentPoly.zero()) == half
+    assert poly_gcd(LaurentPoly.zero(), LaurentPoly.zero()).is_zero
+    assert poly_gcd(2 * v + 2, 4 * v**2 - 4) == v + 1
+
+
+def test_poly_lcm_of_equal_arguments_is_monic():
+    for a, expected in ((2 * v + 2, v + 1), (v + v**-1, v**2 + 1)):
+        assert poly_lcm(a, a) == expected
+        assert poly_lcm(a, 2 * a) == expected
+    assert poly_lcm(v + 1, v - 1) == v**2 - 1
+
+
+class _Vec(LinComb):
+    __slots__ = ()
+
+    def __init__(self, coeffs):
+        self.coeffs = {k: c for k, c in coeffs.items() if c}
+
+    def _rebuild(self, coeffs):
+        return _Vec(coeffs)
+
+    def _algebra(self):
+        return None
+
+    def _label(self, key):
+        return str(key)
+
+
+@settings(max_examples=40)
+@given(st.lists(st.tuples(laurent, nonzero_laurent), max_size=6), nonzero_laurent)
+def test_cleared_matches_pairwise_lcm(pairs, c):
+    """Denominators share the planted factor c, so their product is not
+    their lcm."""
+    vec = _Vec({k: RatFunc(a, b * c) for k, (a, b) in enumerate(pairs)})
+    polys, den = vec.cleared()
+    expected = sympy.Integer(1)
+    for c in vec.coeffs.values():
+        expected = sympy.lcm(expected, to_sympy(c.den))
+    expected = sympy.Poly(expected, X).monic().as_expr() if vec.coeffs else 1
+    assert sympy.expand(to_sympy(den) - expected) == 0
+    assert set(polys) == set(vec.coeffs)
+    for k, c in vec.coeffs.items():
+        assert RatFunc(polys[k], den) == c
 
 
 def test_doctests():
