@@ -360,11 +360,9 @@ def _exact_quotient(f: list[int], g: list[int]) -> list[int]:
     """f / g over Z; ArithmeticError when g does not divide f there."""
     n = len(g) - 1
     top = len(f) - 1 - n
-    if top < 0:
-        raise ArithmeticError("polynomial division by a non-divisor")
     r = list(f)
     lead = g[-1]
-    q = [0] * (top + 1)
+    q = [0] * (top + 1)  # empty when f is shorter than g: then r = f is the remainder
     for i in range(top, -1, -1):
         c, rem = divmod(r[i + n], lead)
         if rem:
