@@ -318,22 +318,15 @@ def _split(terms: Mapping[int, Coeff]) -> tuple[int, int, int, list[int]]:
     primitive.  terms must be nonzero."""
     k = min(terms)
     f = [0] * (max(terms) - k + 1)
-    d = 1
-    for c in terms.values():
-        if type(c) is not int:
-            d = d * c.denominator // math.gcd(d, c.denominator)
+    d = math.lcm(*(c.denominator for c in terms.values() if type(c) is not int))
     if d == 1:
         for e, c in terms.items():
             f[e - k] = c
     else:
         for e, c in terms.items():
             f[e - k] = c.numerator * (d // c.denominator)
-    c = math.gcd(*f)
-    if f[-1] < 0:
-        c = -c
-    if c != 1:
-        f = [a // c for a in f]
-    return c, d, k, f
+    p = _primitive(f)
+    return f[-1] // p[-1], d, k, p
 
 
 def _primitive(f: list[int]) -> list[int]:
@@ -653,15 +646,16 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly):
         return LaurentPoly.zero(), LaurentPoly.one()
     if len(den._terms) == 1:
         ((k, c),) = den._terms.items()
-        return (num.shift(-k) if c == 1 else num.shift(-k).scale(Fraction(1, c))), LaurentPoly.one()
+        num = num.shift(-k)
+        return (num if c == 1 else num.scale(Fraction(1, c))), LaurentPoly.one()
     # num = (cn/dn) v^kn f and den = (cd/dd) v^kd g with f, g primitive;
     # the monomial part of num never cancels against g, whose constant term
     # is nonzero, so the cancellation is f/h over g/h for h = gcd(f, g)
     cn, dn, kn, f = _split(num._terms)
     cd, dd, kd, g = _split(den._terms)
-    if len(f) > 1:
-        _, f, g = _poly_gcd(f, g)
-    # make the denominator monic
+    _, f, g = _poly_gcd(f, g)
+    # the denominator is g made monic; its leading coefficient moves into
+    # the numerator's scalar
     return _laurent(cn * dd, dn * cd * g[-1], kn - kd, f), _monic(g)
 
 
