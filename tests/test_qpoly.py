@@ -341,7 +341,7 @@ def test_remainder_sequence_fallback_gives_the_same_canonical_form(a, b, c):
 @given(int_polys, int_polys, st.lists(st.integers(-9, 9), min_size=1, max_size=6))
 def test_exact_quotient_raises_on_a_non_divisor(q, g, r):
     """f = q g + r with r nonzero and of lower degree than g: g does not
-    divide f, and neither does 2g + 1 divide g + 1 over Z."""
+    divide f.  Nor does 1 + 2v divide 1 + v, nor 2 + v divide 1 + v."""
     r = r[: len(g) - 1]
     f = qpoly._mul(q, g)
     assert qpoly._exact_quotient(f, g) == q
