@@ -272,7 +272,9 @@ def _build(cfg: JobConfig, needs_kl: bool):
 
 
 def _save_cache(table: Optional[KLTable], cache_path: Optional[str]) -> None:
-    if table is None or cache_path is None:
+    """Write the table to its cache file unless the file already holds
+    every column (it was loaded and nothing was computed since)."""
+    if table is None or cache_path is None or not table.unsaved:
         return
     try:
         os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)

@@ -37,6 +37,19 @@ so only exact integer arithmetic is ever performed.  Products in TL_W
 (kl_multiply) lift integer KL coordinates through the columns, multiply,
 back-substitute and keep the FC part; in every route the cleared
 denominators come back, as RatFunc, only on the coefficients returned.
+
+Back-substitution (_back_substitute, the one loop behind to_kl_basis,
+kl_multiply and kl_product_coeffs) runs on signed packed integers: a
+Laurent polynomial with integer coefficients is evaluated at 2^b with an
+exponent offset (_pack), so subtracting c_x b_x from the vector is one
+big-integer multiply-subtract vec[y] -= c_x h_{y,x} per column entry,
+at the table's own 32-bit digits.  Signed digits may borrow, which is
+harmless while every coefficient stays below 2^(b-1) in absolute value:
+then the balanced-digit decode (_unpack) is exact.  The loop keeps a
+running bound on every coefficient still in the vector and widens the
+digit, repacking through the decoded memo, before the bound could reach
+2^(b-1); each decode also checks its digits against the bound
+(OverflowError), as a tripwire.
 """
 
 from __future__ import annotations
@@ -78,6 +91,53 @@ def _pk_encode(d: dict[int, int]) -> int:
     return p
 
 
+def _width(bound: int) -> int:
+    """The digit width for signed coefficients of absolute value at most
+    bound: the table's _B while bound < 2^(_B-1), doubled until it fits."""
+    b = _B
+    while bound >= 1 << (b - 1):
+        b *= 2
+    return b
+
+
+def _pack(d: dict[int, int], off: int, b: int) -> int:
+    """Signed Kronecker packing: sum_e d[e] v^e as sum_e d[e] 2^(b (e - off))
+    (every e >= off)."""
+    return sum(c << (b * (e - off)) for e, c in d.items())
+
+
+def _unpack(p: int, off: int, b: int, bound: int) -> dict[int, int]:
+    """The inverse of _pack by balanced digits, exact when every coefficient
+    has absolute value at most bound < 2^(b-1).  A digit above bound, which
+    a true bound never allows, raises OverflowError."""
+    mask = (1 << b) - 1
+    half = 1 << (b - 1)
+    out = {}
+    e = off
+    while p:
+        c = p & mask
+        if c >= half:
+            c -= 1 << b
+        if c:
+            if abs(c) > bound:
+                raise OverflowError("packed-polynomial digit overflow")
+            out[e] = c
+            p -= c
+        p >>= b
+        e += 1
+    return out
+
+
+def _column_at(table: "KLTable", x: ElementId, b: int) -> dict[ElementId, int]:
+    """The packed column of x at digit width b: the stored column at the
+    table's _B, else repacked through the decoded memo."""
+    col = table.column_packed(x)
+    if b == _B:
+        return col
+    dec = table.decoded
+    return {y: _pack(dec(p), 0, b) for y, p in col.items()}
+
+
 def _dp_addmul(acc: dict, a: dict, b: dict, sign: int = 1) -> None:
     """acc += sign * a * b on plain {exponent: int} polynomials, in place;
     b, the outer loop, is the short factor (a KL polynomial or monomial)."""
@@ -110,7 +170,10 @@ class KLTable:
         self.group = group
         self._cols: dict[int, dict[int, int]] = {0: {0: 1}}
         self._decoded: dict[int, dict[int, int]] = {}
+        self._peaks: dict[int, int] = {}
         self.w0_rank = None  # grrk(w0), memoised by jwkit.grank.grrk_w0
+        # True while the table holds a column its cache file lacks
+        self.unsaved = True
 
     # -- public views --------------------------------------------------------
 
@@ -144,6 +207,16 @@ class KLTable:
             d = self._decoded[p] = _pk_decode(p)
         return d
 
+    def column_peak(self, x: ElementId) -> int:
+        """The largest coefficient of any h_{y,x}, memoised per column (a
+        stored column never changes): the bound packed sums start from."""
+        peak = self._peaks.get(x)
+        if peak is None:
+            dec = self.decoded
+            vals = set(self.column_packed(x).values())
+            peak = self._peaks[x] = max(max(dec(p).values()) for p in vals)
+        return peak
+
     def computed_columns(self) -> list[ElementId]:
         return sorted(self._cols)
 
@@ -174,6 +247,7 @@ class KLTable:
                 stack.extend(pending)
                 continue
             cols[x] = self._combine(s, z, cz)
+            self.unsaved = True
             stack.pop()
 
     def _combine(self, s: int, z: ElementId, cz: dict[int, int]) -> dict[int, int]:
@@ -445,43 +519,60 @@ def kl_basis(group: GroupTable, x: ElementId, table: KLTable) -> HeckeElt:
     return HeckeElt(group, {y: RatFunc(p) for y, p in table.column(x).items()})
 
 
-def _decoded_column(table: KLTable, x: ElementId):
-    """Pairs (y, h_{y,x}) of the column of x, decoded through the table's
-    memo, so each distinct polynomial is decoded once per table."""
-    col = table.column_packed(x)
-    return zip(col, map(table.decoded, col.values()))
-
-
 def _lift(vec: dict[int, dict[int, int]], table: KLTable) -> dict[int, dict[int, int]]:
     """sum_x vec[x] b_x as an integer standard-basis vector."""
     out: dict[int, dict[int, int]] = {}
+    dec = table.decoded  # each distinct polynomial is decoded once per table
     for x, c in vec.items():
-        for y, h in _decoded_column(table, x):
-            _dp_addmul(out.setdefault(y, {}), c, h)
+        for y, p in table.column_packed(x).items():
+            _dp_addmul(out.setdefault(y, {}), c, dec(p))
     return {y: d for y, d in out.items() if d}
 
 
-def _back_substitute(vec: dict[int, dict[int, int]], table: KLTable):
-    """Yield the integer KL-basis coefficients (x, c_x) with sum_x c_x b_x
-    = sum_y vec[y] delta_y, in descending id order; consumes vec.
+def _packed(vec: dict[int, dict[int, int]]):
+    """(packed, off, bound) for _back_substitute from {y: {exp: int}}:
+    bound is the largest |coefficient|, off the smallest exponent."""
+    bound = max((abs(c) for d in vec.values() for c in d.values()), default=0)
+    off = min((e for d in vec.values() for e in d), default=0)
+    b = _width(bound)
+    return {y: _pack(d, off, b) for y, d in vec.items()}, off, bound
+
+
+def _back_substitute(vec: dict[int, int], off: int, bound: int, table: KLTable):
+    """Yield the integer KL-basis coefficients (x, c_x), as {exp: int},
+    with sum_x c_x b_x = sum_y vec[y] delta_y, in descending id order;
+    consumes vec.  vec[y] is packed by _pack at exponent offset off and
+    width _width(bound), and bound is at least every |coefficient| in vec.
 
     Descending ids: subtracting c_x b_x only touches y < x in Bruhat order,
-    and those have strictly smaller ids in the enumeration."""
+    and those have strictly smaller ids in the enumeration.
+
+    Bound: subtracting c_z b_z moves a coefficient by at most peak(z)
+    ||c_z||_1, peak(z) being the largest coefficient of the column of z.
+    So G = ||vec||_inf + the sum of peak(z) ||c_z||_1 over the z popped so
+    far bounds every coefficient still in vec, c_x included, and each c_x
+    is decoded under G.  Before a subtraction lets G reach 2^(b-1), the
+    remaining vector is decoded under the old G and repacked at a wider
+    digit, and the columns read from then on are repacked too."""
+    b = _width(bound)
     for x in range(max(vec, default=-1), -1, -1):
-        c = vec.pop(x, None)
-        if not c:
+        p = vec.get(x)
+        if not p:
             continue
+        c = _unpack(p, off, b, bound)
         yield x, c
-        for y, h in _decoded_column(table, x):
-            if y == x:
-                continue
-            tgt = vec.get(y)
-            if tgt is None:
-                tgt = vec[y] = {}
-            _dp_addmul(tgt, c, h, -1)
-            if not tgt:
-                del vec[y]
-    if vec:
+        grown = bound + table.column_peak(x) * sum(map(abs, c.values()))
+        if grown >= 1 << (b - 1):
+            wide = _width(grown)
+            for y, q in vec.items():
+                if q:
+                    vec[y] = _pack(_unpack(q, off, b, bound), off, wide)
+            b, p = wide, vec[x]
+        bound = grown
+        get = vec.get
+        for y, h in _column_at(table, x, b).items():
+            vec[y] = get(y, 0) - p * h  # vec[x] becomes 0: h_{x,x} = 1
+    if any(vec.values()):
         raise ArithmeticError("back-substitution left a nonzero residue")
 
 
@@ -493,7 +584,7 @@ def to_kl_basis(h: HeckeElt, table: KLTable, fc_only: bool = False) -> dict[Elem
         return {}
     vec, scale = _clear(h)
     keep = table.group.fc if fc_only else None
-    return _rat_coeffs(_back_substitute(vec, table), scale, keep)
+    return _rat_coeffs(_back_substitute(*_packed(vec), table), scale, keep)
 
 
 def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> dict[ElementId, RatFunc]:
@@ -508,20 +599,25 @@ def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> dict[ElementId, RatFu
     avec, ascale = _clear(a)
     bvec, bscale = _clear(b)
     prod = _dense_product(table.group, _lift(avec, table), _lift(bvec, table))
-    return _rat_coeffs(_back_substitute(prod, table), ascale * bscale, table.group.fc)
+    return _rat_coeffs(_back_substitute(*_packed(prod), table), ascale * bscale, table.group.fc)
 
 
 def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, LaurentPoly]:
     """KL-basis coefficients of b_x b_s, via the standard basis and
-    back-substitution."""
+    back-substitution.  b_x b_s = sum_y h_{y,x} (delta_{ys} + v^(+-1)
+    delta_y) is packed straight from the column at exponent offset -1;
+    each of its coefficients sums at most two column coefficients."""
     g = table.group
     length, right = g.length, g.right
-    acc: dict[int, dict[int, int]] = {}
-    for y, p in _decoded_column(table, x):
+    bound = 2 * table.column_peak(x)
+    b = _width(bound)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for y, p in _column_at(table, x, b).items():
         ys = right[y][s]
-        _dp_addmul(acc.setdefault(ys, {}), p, {0: 1})
-        _dp_addmul(acc.setdefault(y, {}), p, {1: 1} if length[ys] > length[y] else {-1: 1})
-    return {z: LaurentPoly(c) for z, c in _back_substitute(acc, table)}
+        acc[ys] = get(ys, 0) + (p << b)
+        acc[y] = get(y, 0) + (p << 2 * b if length[ys] > length[y] else p)
+    return {z: LaurentPoly(c) for z, c in _back_substitute(acc, -1, bound, table)}
 
 
 # -- the antisymmetriser ------------------------------------------------------------
@@ -644,6 +740,7 @@ def write_kl_cache(path: str, table: KLTable) -> int:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    table.unsaved = False
     return count
 
 
@@ -651,7 +748,9 @@ def load_kl_cache(path: str, table: KLTable) -> int:
     """Merge columns from ``path`` into the table after validating the
     header, every entry, the trailing line count and the checksum (which
     catches the edits the per-entry laws miss).  Raises CacheFormatError
-    on any mismatch; returns the number of columns added."""
+    on any mismatch; returns the number of columns added.  Afterwards
+    ``table.unsaved`` tells whether the table holds a column the file
+    lacks."""
     g = table.group
     pres = g.presentation
     with open(path) as f:
@@ -704,4 +803,5 @@ def load_kl_cache(path: str, table: KLTable) -> int:
         if x not in table._cols:
             table._cols[x] = col
             added += 1
+    table.unsaved = any(x not in cols for x in table._cols)
     return added

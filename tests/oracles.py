@@ -103,3 +103,31 @@ def kl_basis_bruteforce(g, x):
         assert r.bar() == -r, "violation is not antisymmetric"
         fix = LaurentPoly({e: co for e, co in r.items() if e > 0})
         c[ystar] = c.get(ystar, LaurentPoly.zero()) + fix
+
+
+# -- dict back-substitution --------------------------------------------------------
+#
+# The KL-basis expansion as it ran before the packed kernel: one {exp: int}
+# dict operation per column entry, no digit widths and no bounds.
+
+
+def back_substitute_dicts(vec, table):
+    """[(x, c_x)] with sum_x c_x b_x = sum_y vec[y] delta_y for integer
+    Laurent vectors {y: {exp: int}}, in descending id order."""
+    vec = {y: dict(d) for y, d in vec.items() if d}
+    out = []
+    for x in range(max(vec, default=-1), -1, -1):
+        c = vec.pop(x, None)
+        if not c:
+            continue
+        out.append((x, c))
+        for y, h in table.column(x).items():
+            if y == x:
+                continue
+            tgt = vec.setdefault(y, {})
+            for e2, c2 in h.items():
+                for e1, c1 in c.items():
+                    tgt[e1 + e2] = tgt.get(e1 + e2, 0) - c1 * c2
+            vec[y] = {e: co for e, co in tgt.items() if co}
+    assert not any(vec.values()), "back-substitution left a residue"
+    return out

@@ -1,13 +1,13 @@
 """Acceptance gate: ten exact criteria, one visible PASS/FAIL line each.
 
-Every assertion is at tolerance zero; all arithmetic is in Q(v).  Two
-optional legs are gated by environment variables because of their cost:
-
-* JWKIT_LARGE=1 enables the F4 legs of criteria 8 and 9 (about two
-  minutes, nearly all KL and generalised-TL work) plus the H4
-  group-order check of criterion 10 (about a second; the default run of
-  test_coxeter.py enumerates H4 too);
-* JWKIT_STRETCH=1 enables the n = 7 stretch leg of criterion 2.
+Every assertion is at tolerance zero; all arithmetic is in Q(v).  One
+optional leg is gated by an environment variable because of its cost:
+JWKIT_LARGE=1 enables the F4 legs of criteria 8 and 9 (about five
+seconds, nearly all KL and generalised-TL work) plus the H4 group-order
+check of criterion 10 (about a second; the default run of
+test_coxeter.py enumerates H4 too).  The n = 7 leg of criterion 2 (the
+triple agreement on S_7, marked ``stretch``) runs by default, on a KL
+table that is freed when the test ends.
 
 Full KL data for H4 (|W| = 14400) is a documented long-running option of
 the library, exercised through the CLI with --allow-large; it is not part
@@ -50,10 +50,6 @@ from oracles import catalan, grp, kl_basis_bruteforce
 run_large = pytest.mark.skipif(
     os.environ.get("JWKIT_LARGE") != "1",
     reason="F4/H4 legs are opt-in: set JWKIT_LARGE=1",
-)
-run_stretch = pytest.mark.skipif(
-    os.environ.get("JWKIT_STRETCH") != "1",
-    reason="n = 7 stretch leg is opt-in: set JWKIT_STRETCH=1",
 )
 
 # the group list shared by criteria 4, 5, 6: A_{<=4}, B2, B3, H3, I2(m <= 8)
@@ -115,12 +111,13 @@ def test_criterion_01_j3_regression(capsys):
 # -- criterion 2: triple agreement ------------------------------------------------------
 
 
+def _constructions(n, g, t):
+    return closed_jw(n, g, t), wenzl_jw(n), project_pi(antisymmetriser(g, t), t)
+
+
 @lru_cache(maxsize=None)
 def _triple(n):
-    g = grp("A", n - 1)
-    t = table("A", n - 1)
-    jc = closed_jw(n, g, t)
-    return jc, wenzl_jw(n), project_pi(antisymmetriser(g, t), t)
+    return _constructions(n, grp("A", n - 1), table("A", n - 1))
 
 
 def test_criterion_02_triple_agreement():
@@ -131,11 +128,13 @@ def test_criterion_02_triple_agreement():
     report(2, ok, "closed = wenzl = projection coefficientwise, n = 2..6")
 
 
-@run_stretch
 @pytest.mark.stretch
 def test_criterion_02_stretch_n7():
+    """On a KL table of its own, outside the cached table() and _triple(),
+    so the A6 table (about 380 MB at its peak) is freed with the test."""
     t0 = time.monotonic()
-    jc, jwz, jpr = _triple(7)
+    g = grp("A", 6)
+    jc, jwz, jpr = _constructions(7, g, KLTable(g))
     ok = jc == jwz == jpr and len(jc.coeffs) == catalan(7)
     report(2, ok, f"stretch leg: triple agreement at n = 7 in {time.monotonic()-t0:.0f}s")
 
@@ -323,7 +322,7 @@ def test_criterion_10_counts():
         ok = ok and len(g.fc_elements()) == catalan(n)
     for n in range(2, 8):
         g = grp("A", n - 1)
-        t = table("A", n - 1)
+        t = table("A", n - 1) if n < 7 else KLTable(g)  # keeps no A6 table in table()
         ok = ok and grrk(g, t, g.w0).value == quantum_factorial(n)
     report(10, ok, "|W| classical on 16 groups (H4 via optional leg); FC = Catalan(n) and "
            "grrk(w0) = [n]! in S_n for n <= 7")

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from jwkit import cli, hecke
-from jwkit.hecke import KLTable
+from jwkit.hecke import KLTable, load_kl_cache
 from jwkit.qpoly import LaurentPoly, RatFunc, quantum_factorial, quantum_int
 
 from oracles import grp
@@ -405,6 +405,37 @@ def test_cache_cold_warm_identical(capsys, tmp_path):
     code, warm, _ = _run(capsys, *argv)
     assert code == 0
     assert cold == warm
+
+
+def test_cache_warm_run_leaves_file_untouched(capsys, tmp_path, monkeypatch):
+    argv = ("grrk", "--family", "B", "--rank", "3", "--cache-dir", str(tmp_path))
+    code, cold, _ = _run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "kl-B-3.kltab"
+    before = path.stat().st_mtime_ns, path.read_bytes()
+    writes = []
+    monkeypatch.setattr(cli, "write_kl_cache", lambda *a: writes.append(a))
+    code, warm, _ = _run(capsys, *argv)
+    assert code == 0 and warm == cold
+    assert writes == []
+    assert (path.stat().st_mtime_ns, path.read_bytes()) == before
+
+
+def test_cache_missing_columns_are_added(capsys, tmp_path):
+    """esign needs only the column of w0 and what it rests on; kl then
+    computes the rest and rewrites the file with every column."""
+    cache = ("--cache-dir", str(tmp_path))
+    code, _, _ = _run(capsys, "esign", "--family", "A", "--rank", "3", *cache)
+    assert code == 0
+    path = tmp_path / "kl-A-3.kltab"
+    partial = path.read_text()
+    code, _, _ = _run(capsys, "kl", "--family", "A", "--rank", "3", *cache)
+    assert code == 0
+    full = path.read_text()
+    assert full != partial
+    table = KLTable(grp("A", 3))
+    load_kl_cache(str(path), table)
+    assert len(table.computed_columns()) == 24 and not table.unsaved
 
 
 def test_cache_corruption_recovers(capsys, tmp_path):

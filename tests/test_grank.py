@@ -5,7 +5,8 @@ import pytest
 from jwkit.coxeter import bruhat_leq_subword
 from jwkit import grank
 from jwkit.grank import GradedRank, grrk, grrk_w0, jw_coefficient, poincare_interval
-from jwkit.hecke import KLTable
+from jwkit import hecke
+from jwkit.hecke import KLLawError, KLTable
 from jwkit.qpoly import LaurentPoly, RatFunc, parity_class, quantum_factorial, quantum_int
 
 from oracles import grp
@@ -207,3 +208,55 @@ def test_grrk_w0_computed_once_per_table(monkeypatch):
     assert grrk_w0(g, t) == expected
     assert grrk_w0(g, _table(g)) == expected
     assert len(calls) == len(fc) + 2
+
+
+# -- the packed sum against the LaurentPoly sum ------------------------------------------------
+
+
+def _grrk_by_laurent_sum(g, t, x):
+    total = LaurentPoly.zero()
+    for y, h in t.column(x).items():
+        total = total + h.shift(-g.length[y])
+    return total
+
+
+@pytest.mark.parametrize(
+    "family,rank,m",
+    [("A", r, None) for r in range(1, 6)]
+    + [("B", r, None) for r in (2, 3, 4)]
+    + [("H3", 3, None), ("I2", 2, 5), ("F4", 4, None)],
+    ids=str,
+)
+def test_packed_grrk_matches_laurent_sum(family, rank, m):
+    g = grp(family, rank, m, allow_large=family == "F4")
+    t = _table(g)
+    for x in range(g.size):
+        assert grrk(g, t, x).value == _grrk_by_laurent_sum(g, t, x)
+
+
+def _scaled_w0_column(g, factor):
+    """A table whose w0 column is factor times the true one: its graded rank
+    is factor * grrk(w0), still bar symmetric and of the right parity."""
+    t = _table(g)
+    col = t.column_packed(g.w0)
+    scaled = {y: {e: factor * c for e, c in t.decoded(p).items()} for y, p in col.items()}
+    t._cols[g.w0] = {y: hecke._pk_encode(d) for y, d in scaled.items()}
+    return t
+
+
+def test_packed_grrk_widens_past_31_bits():
+    """In A2, grrk(w0) = v^-3 + 2 v^-1 + 2 v + v^3: at 2^30 times the true
+    column, two entries meet in a digit of 2^31, past a 32-bit digit."""
+    g = grp("A", 2)
+    t = _scaled_w0_column(g, 1 << 30)
+    assert len(t.column_packed(g.w0)) * t.column_peak(g.w0) >= 1 << 31
+    got = grrk(g, t, g.w0).value
+    assert got == quantum_factorial(3).scale(1 << 30) == _grrk_by_laurent_sum(g, t, g.w0)
+
+
+def test_packed_grrk_checks_laws_of_wide_sums():
+    g = grp("A", 2)
+    t = _scaled_w0_column(g, 1 << 30)
+    t.column_packed(g.w0)[0] += 1 << (2 * hecke._B)  # + v^2 in h_{e,w0}: breaks parity
+    with pytest.raises(KLLawError, match="parity"):
+        grrk(g, t, g.w0)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jwkit import hecke
 from jwkit.hecke import (
@@ -20,7 +22,7 @@ from jwkit.hecke import (
 )
 from jwkit.qpoly import LaurentPoly, RatFunc, quantum_int
 
-from oracles import grp, kl_basis_bruteforce
+from oracles import back_substitute_dicts, grp, kl_basis_bruteforce
 
 v = LaurentPoly.gen()
 
@@ -247,6 +249,67 @@ def test_kl_product_rule():
                     if y != xs:
                         assert g.length[g.right[y][s]] < g.length[y]
                         assert p == LaurentPoly.const(t.mu(y, x))
+
+
+# -- packed back-substitution against the dict oracle -------------------------------------
+
+BACK_GROUPS = [("A", 3, None), ("B", 3, None), ("H3", 3, None), ("I2", 2, 5)]
+
+
+def _packed_back_substitute(vec, t):
+    return list(hecke._back_substitute(*hecke._packed(vec), t))
+
+
+@st.composite
+def _signed_vectors(draw, g, big=1 << 8):
+    support = draw(st.lists(st.integers(0, g.size - 1), min_size=1, max_size=4, unique=True))
+    coeff = st.integers(-big, big).filter(bool)
+    return {y: draw(st.dictionaries(st.integers(-6, 6), coeff, min_size=1, max_size=3)) for y in support}
+
+
+@pytest.mark.parametrize("family,rank,m", BACK_GROUPS, ids=str)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_back_substitute_matches_dict_oracle(family, rank, m, data):
+    g = grp(family, rank, m)
+    t = KLTable(g)
+    vec = data.draw(_signed_vectors(g))
+    assert _packed_back_substitute(vec, t) == back_substitute_dicts(vec, t)
+
+
+@pytest.mark.parametrize("family,rank,m", BACK_GROUPS, ids=str)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_back_substitute_widens_past_31_bits(family, rank, m, data):
+    """Coefficients of 2^31 and more start at a wider digit, and 2^30-sized
+    ones widen in the middle of the run; both agree with the oracle."""
+    g = grp(family, rank, m)
+    t = KLTable(g)
+    big = data.draw(st.sampled_from([1 << 30, 1 << 40, 1 << 70]))
+    vec = data.draw(_signed_vectors(g, big))
+    vec[g.w0] = {-3: big, 0: -big}  # b_w0 reaches every y, so the bound grows
+    assert _packed_back_substitute(vec, t) == back_substitute_dicts(vec, t)
+
+
+def test_back_substitute_widens_in_place():
+    """A vector that fits 32-bit digits but whose bound crosses 2^31 after
+    its first column is repacked at 64 bits, not decoded wrongly: the
+    coefficient of b_e in delta_w0 is v^6 in A3, so 2^30 (delta_w0 + v^6
+    delta_e) has c_e = 2^31 v^6."""
+    g = grp("A", 3)
+    t = KLTable(g)
+    vec = {g.w0: {0: 1 << 30}, 0: {6: 1 << 30}}
+    packed, off, bound = hecke._packed(vec)
+    assert hecke._width(bound) == 32
+    got = list(hecke._back_substitute(packed, off, bound, t))
+    assert got == back_substitute_dicts(vec, t)
+    assert dict(got)[0] == {6: 1 << 31}
+
+
+def test_unpack_tripwire():
+    with pytest.raises(OverflowError):
+        hecke._unpack(hecke._pack({0: 5, 2: -7}, 0, 32), 0, 32, 6)
+    assert hecke._unpack(hecke._pack({-1: 5, 2: -7}, -1, 32), -1, 32, 7) == {-1: 5, 2: -7}
 
 
 # -- antisymmetriser ---------------------------------------------------------------
