@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import ElementId, GroupTable
-from .hecke import KLLawError, KLTable, _column_at, _unpack, _width
+from .hecke import KLLawError, KLTable
 from .qpoly import LaurentPoly, RatFunc, parity_class
 
 
@@ -69,31 +69,14 @@ def grrk(g: GroupTable, cache: KLTable, x: ElementId) -> GradedRank:
     """Graded rank of the indecomposable object attached to x.
 
     Computed as sum_y v^(-length(y)) h_{y,x} over the KL column of x, in
-    one packed sum: the packed h_{y,x} are added into one bucket per
-    length l(y), bucket l is shifted by L - l digits (L = length(w0)),
-    and the total is decoded once at exponent offset -L.  Every
-    coefficient of the total sums at most one coefficient per column
-    entry, so it is at most (column size) x (largest coefficient in the
-    column); the digit is the table's 32 bits while that bound stays
-    below 2^31 and is widened otherwise, and the decode checks its digits
-    against the bound.
+    one packed sum (:meth:`KLTable.graded_sum`).
 
     The result is checked against the parity constraint, it must lie in
     v^(length(x)) Z[v^(-2)], and against bar symmetry; a violation of
     either raises KLLawError.
     """
-    length = g.length
-    L = length[g.w0]
-    bound = len(cache.column_packed(x)) * cache.column_peak(x)
-    b = _width(bound)
-    buckets = [0] * (L + 1)
-    for y, p in _column_at(cache, x, b).items():
-        buckets[length[y]] += p
-    packed = 0
-    for part in buckets:  # bucket l ends up shifted by L - l digits
-        packed = (packed << b) + part
-    total = LaurentPoly(_unpack(packed, -L, b, bound))
-    if not parity_class(total, length[x]):
+    total = LaurentPoly(cache.graded_sum(x))
+    if not parity_class(total, g.length[x]):
         raise KLLawError(f"graded rank of element {x} violates the parity constraint")
     try:
         return GradedRank(total)

@@ -20,36 +20,34 @@ where mu(y, z) is the coefficient of v in h_{y,z}, and
     b_s delta_y = delta_{sy} + v delta_y        if sy > y,
     b_s delta_y = delta_{sy} + v^-1 delta_y     if sy < y.
 
-Internal representation.  All h_{y,x} have nonnegative integer
-coefficients and exponents in [0, length(w0)], so a whole polynomial is
-packed into a single Python integer with one 32-bit digit per exponent
-(coefficient of v^e in bits [32e, 32e+32)).  Polynomial addition and
-shifting become single big-integer operations, which is what makes full
-tables for S7 or F4 cheap.  Subtraction of the mu-corrections cannot
-borrow across digit boundaries: after the generator product the
-accumulator dominates, digit by digit, the sum of everything subtracted
-from it, because the final h coefficients are nonnegative.  A digit
-tripwire in the decoder still checks every value read out.
+Internal representation.  Every integer polynomial here is one Python
+integer, a signed Kronecker packing: sum_e c_e v^e becomes sum_e c_e
+2^(b (e - off)) for an exponent offset off (_pack) and is read back by
+balanced digits (_unpack), exactly while every |c_e| < 2^(b-1), borrows
+between signed digits included.  Addition, shifts and products become
+single big-integer operations.  Each kernel states a bound on every
+coefficient it can produce, takes the digit width b = _width(bound) and
+checks each decoded digit against the bound (OverflowError).  With L =
+length(w0), ||c||_1 the sum of |coefficients| and peak(x) the largest
+coefficient in the column of x, the bounds are:
 
-Products of general elements run over integer standard-basis vectors with
-a positive/negative split of the packed polynomials (see _dense_product),
-so only exact integer arithmetic is ever performed.  Products in TL_W
-(kl_multiply) lift integer KL coordinates through the columns, multiply,
-back-substitute and keep the FC part; in every route the cleared
-denominators come back, as RatFunc, only on the coefficients returned.
+* dense (_dense_product, a b in the standard basis): a step by delta_s at
+  most triples the largest coefficient, so ||a||_inf sum_z 3^length(z)
+  ||b_z||_1 bounds the product and every intermediate a delta_z;
+* lift (_lift, sum_x c_x b_x in the standard basis): sum_x peak(x)
+  ||c_x||_1;
+* bar (_bar_std, bar(delta_y)): 3^length(y), by the same tripling;
+* back-substitution (_back_substitute, behind to_kl_basis, kl_multiply
+  and kl_product_coeffs): a running bound, widening the digit before it
+  could reach 2^(b-1).
 
-Back-substitution (_back_substitute, the one loop behind to_kl_basis,
-kl_multiply and kl_product_coeffs) runs on signed packed integers: a
-Laurent polynomial with integer coefficients is evaluated at 2^b with an
-exponent offset (_pack), so subtracting c_x b_x from the vector is one
-big-integer multiply-subtract vec[y] -= c_x h_{y,x} per column entry,
-at the table's own 32-bit digits.  Signed digits may borrow, which is
-harmless while every coefficient stays below 2^(b-1) in absolute value:
-then the balanced-digit decode (_unpack) is exact.  The loop keeps a
-running bound on every coefficient still in the vector and widens the
-digit, repacking through the decoded memo, before the bound could reach
-2^(b-1); each decode also checks its digits against the bound
-(OverflowError), as a tripwire.
+The KL table stores each h_{y,x} at offset 0 with 32-bit digits: its
+coefficients are nonnegative and below 2^31, its exponents in [0, L].
+The recursion's mu-corrections cannot borrow across digits, because the
+accumulator dominates, digit by digit, everything subtracted from it (the
+final h coefficients are nonnegative); KLTable.decoded still rejects a
+digit of 2^31 or more.  Cleared denominators come back, as RatFunc, only
+on the coefficients a product or expansion returns.
 """
 
 from __future__ import annotations
@@ -65,30 +63,7 @@ from jwkit.qpoly import LaurentPoly, LinComb, RatFunc
 
 _B = 32
 _MASK = (1 << _B) - 1
-_TRIP = 1 << (_B - 1)  # decoded digits must stay below this
-
-
-def _pk_decode(p: int) -> dict[int, int]:
-    d = {}
-    e = 0
-    while p:
-        c = p & _MASK
-        if c:
-            if c >= _TRIP:
-                raise OverflowError("packed-polynomial digit overflow")
-            d[e] = c
-        p >>= _B
-        e += 1
-    return d
-
-
-def _pk_encode(d: dict[int, int]) -> int:
-    p = 0
-    for e, c in d.items():
-        if c < 0 or c >= _TRIP or e < 0:
-            raise ValueError("cannot pack this polynomial")
-        p += c << (_B * e)
-    return p
+_TRIP = 1 << (_B - 1)  # stored coefficients must stay below this
 
 
 def _width(bound: int) -> int:
@@ -103,7 +78,10 @@ def _width(bound: int) -> int:
 def _pack(d: dict[int, int], off: int, b: int) -> int:
     """Signed Kronecker packing: sum_e d[e] v^e as sum_e d[e] 2^(b (e - off))
     (every e >= off)."""
-    return sum(c << (b * (e - off)) for e, c in d.items())
+    p = 0
+    for e, c in d.items():
+        p += c << (b * (e - off))
+    return p
 
 
 def _unpack(p: int, off: int, b: int, bound: int) -> dict[int, int]:
@@ -128,6 +106,25 @@ def _unpack(p: int, off: int, b: int, bound: int) -> dict[int, int]:
     return out
 
 
+def _unpacked(vec: dict[int, int], off: int, bound: int) -> list[tuple[int, dict[int, int]]]:
+    """[(y, {exp: int})] for the nonzero entries of a vector packed at
+    offset off and width _width(bound)."""
+    b = _width(bound)
+    return [(y, _unpack(p, off, b, bound)) for y, p in vec.items() if p]
+
+
+def _pk_encode(d: dict[int, int]) -> int:
+    """_pack(d, 0, _B), as the table stores a KL polynomial, checked and
+    packed in one pass (the cache loader runs it per entry); ValueError for
+    a coefficient outside [0, 2^31) or a negative exponent."""
+    p = 0
+    for e, c in d.items():
+        if c < 0 or c >= _TRIP or e < 0:
+            raise ValueError("cannot pack this polynomial")
+        p += c << (_B * e)
+    return p
+
+
 def _column_at(table: "KLTable", x: ElementId, b: int) -> dict[ElementId, int]:
     """The packed column of x at digit width b: the stored column at the
     table's _B, else repacked through the decoded memo."""
@@ -136,20 +133,6 @@ def _column_at(table: "KLTable", x: ElementId, b: int) -> dict[ElementId, int]:
         return col
     dec = table.decoded
     return {y: _pack(dec(p), 0, b) for y, p in col.items()}
-
-
-def _dp_addmul(acc: dict, a: dict, b: dict, sign: int = 1) -> None:
-    """acc += sign * a * b on plain {exponent: int} polynomials, in place;
-    b, the outer loop, is the short factor (a KL polynomial or monomial)."""
-    for e2, c2 in b.items():
-        c2 *= sign
-        for e1, c1 in a.items():
-            e = e1 + e2
-            s = acc.get(e, 0) + c1 * c2
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
 
 
 class CacheFormatError(ValueError):
@@ -184,9 +167,7 @@ class KLTable:
 
     def mu(self, y: ElementId, x: ElementId) -> int:
         """The coefficient of v in h_{y,x}."""
-        col = self.column_packed(x)
-        p = col.get(y, 0)
-        return (p >> _B) & _MASK
+        return (self.column_packed(x).get(y, 0) >> _B) & _MASK
 
     def column(self, x: ElementId) -> dict[ElementId, LaurentPoly]:
         """All nonzero h_{y,x} as Laurent polynomials."""
@@ -200,11 +181,16 @@ class KLTable:
         return col
 
     def decoded(self, p: int) -> dict[int, int]:
-        """_pk_decode(p), memoised by packed value: a table holds few
-        distinct polynomials (235 in B4, 1691 in F4).  Read-only."""
+        """The stored polynomial p as {exp: int}, memoised by packed value: a
+        table holds few distinct polynomials (235 in B4, 1691 in F4).
+        Read-only.  A digit of 2^31 or more exceeds the bound or decodes
+        negative: OverflowError."""
         d = self._decoded.get(p)
         if d is None:
-            d = self._decoded[p] = _pk_decode(p)
+            d = _unpack(p, 0, _B, _TRIP - 1)
+            if any(c < 0 for c in d.values()):
+                raise OverflowError("packed-polynomial digit overflow")
+            self._decoded[p] = d
         return d
 
     def column_peak(self, x: ElementId) -> int:
@@ -216,6 +202,25 @@ class KLTable:
             vals = set(self.column_packed(x).values())
             peak = self._peaks[x] = max(max(dec(p).values()) for p in vals)
         return peak
+
+    def graded_sum(self, x: ElementId) -> dict[int, int]:
+        """sum_y v^(-length(y)) h_{y,x} over the column of x, the graded rank
+        of x, as {exp: int}.  One packed sum: the h_{y,x} are added into one
+        bucket per length l(y), bucket l is shifted by L - l digits (L =
+        length(w0)), and the total is decoded once at offset -L.  Bound:
+        every coefficient sums at most one coefficient per column entry, so
+        (column size) x peak(x)."""
+        length = self.group.length
+        L = length[self.group.w0]
+        bound = len(self.column_packed(x)) * self.column_peak(x)
+        b = _width(bound)
+        buckets = [0] * (L + 1)
+        for y, p in _column_at(self, x, b).items():
+            buckets[length[y]] += p
+        packed = 0
+        for part in buckets:  # bucket l ends up shifted by L - l digits
+            packed = (packed << b) + part
+        return _unpack(packed, -L, b, bound)
 
     def computed_columns(self) -> list[ElementId]:
         return sorted(self._cols)
@@ -348,32 +353,34 @@ class HeckeElt(LinComb):
             return HeckeElt.zero(self.group)
         avec, ascale = _clear(self)
         bvec, bscale = _clear(other)
-        prod = _dense_product(self.group, avec, bvec)
-        return HeckeElt(self.group, _rat_coeffs(prod.items(), ascale * bscale))
+        prod = _unpacked(*_dense_product(self.group, avec, bvec))
+        return HeckeElt(self.group, _rat_coeffs(prod, ascale * bscale))
 
     # -- involutions ---------------------------------------------------------------
 
     def bar(self) -> "HeckeElt":
         """The bar involution: v -> v^-1, delta_x -> delta_{x^-1}^-1.
 
-        Computed as bar(delta_x) = product along a reduced word of x of
-        (delta_s + v - v^-1), times bar of each coefficient.
+        Cleared to scale * sum_x c_x delta_x with integer c_x, the result is
+        bar(scale) * sum_x bar(c_x) bar(delta_x), with bar(delta_x) from
+        _bar_std.  Bound: sum_x 3^length(x) ||c_x||_1.
         """
+        if not self.coeffs:
+            return self
         g = self.group
-        vdiff = RatFunc(LaurentPoly({1: 1, -1: -1}))  # v - v^-1
-        bars: dict[int, HeckeElt] = {0: HeckeElt.one(g)}
-
-        def bar_std(y: ElementId) -> HeckeElt:  # s is the last letter of y
-            if y not in bars:
-                s = g.word[y][-1]
-                prev = bar_std(g.right[y][s])
-                bars[y] = prev.times_gen(s, "right") + prev.scale(vdiff)
-            return bars[y]
-
-        out = HeckeElt.zero(g)
-        for x, c in self.coeffs.items():
-            out = out + bar_std(x).scale(c.bar())
-        return out
+        length = g.length
+        vec, scale = _clear(self)
+        bound = sum(3 ** length[x] * sum(map(abs, c.values())) for x, c in vec.items())
+        b = _width(bound)
+        hi = max(e for c in vec.values() for e in c)  # bar(c_x) packed at offset -hi
+        bars = _bar_std(g, max(length[x] for x in vec), b)
+        out: dict[int, int] = {}
+        get = out.get
+        for x, c in vec.items():
+            pc = _pack({-e: k for e, k in c.items()}, -hi, b)
+            for z, q in bars[x].items():
+                out[z] = get(z, 0) + pc * q
+        return HeckeElt(g, _rat_coeffs(_unpacked(out, -hi - length[g.w0], bound), scale.bar()))
 
 
 # -- integer standard-basis kernel ---------------------------------------------
@@ -400,58 +407,31 @@ def _rat_coeffs(pairs, scale: RatFunc, keep=None) -> dict[ElementId, RatFunc]:
     return {x: RatFunc(LaurentPoly(c)) * scale for x, c in pairs if keep is None or keep[x]}
 
 
-def _split_pack(d: dict[int, int], offset: int, b: int):
-    """Pack a {exp: int} polynomial into (pos, neg) big integers with one
-    b-bit digit per exponent slot, exponent e in slot e - offset."""
-    pos = neg = 0
-    for e, c in d.items():
-        if c > 0:
-            pos += c << (b * (e - offset))
-        else:
-            neg += (-c) << (b * (e - offset))
-    return pos, neg
-
-
-def _split_decode(pos: int, neg: int, offset: int, b: int) -> dict[int, int]:
-    mask = (1 << b) - 1
-    out: dict[int, int] = {}
-    e = 0
-    while pos or neg:
-        c = (pos & mask) - (neg & mask)
-        if c:
-            out[e + offset] = c
-        pos >>= b
-        neg >>= b
-        e += 1
-    return out
-
-
 def _dense_product(g: GroupTable, avec, bvec):
-    """Product (sum_a vec delta) (sum_b vec delta) over Z[v, v^-1].
+    """(sum_y avec[y] delta_y) (sum_z bvec[z] delta_z) over Z[v, v^-1] for
+    {element: {exp: int}} vectors, as the (vec, off, bound) triple that
+    _back_substitute takes.
 
-    Walks the trie of minimal words of b's support once, maintaining
-    a * delta_z for the current node z; every right generator step is a
-    couple of big-integer shift-adds on the packed vectors.  Positive and
-    negative coefficient parts are packed separately so no subtraction can
-    borrow across digit boundaries.
+    Walks the trie of minimal words of b's support once, keeping a delta_z
+    packed for the current node z: a right step by delta_s adds each entry
+    to delta_{ys}, and (v^-1 - v) times it to delta_y when ys < y; a node z
+    in b's support adds (a delta_z) b_z, one multiply per entry.
+
+    Bound: a step at most triples the largest coefficient, so ||a||_inf
+    sum_z 3^length(z) ||b_z||_1 bounds the product and every a delta_z on
+    the way.  Offset: a's slots start length(w0) below its lowest exponent;
+    a path takes at most length(w0) steps, each lowering the lowest exponent
+    by at most one, so slot 0 is empty whenever a vector is shifted down
+    and p >> b is exact, for negative p too.
     """
     length, right, word = g.length, g.right, g.word
-    L = length[g.w0]
-
-    def poly_bounds(vec):
-        exps = [0, *(e for d in vec.values() for e in d)]
-        return min(exps), max(exps), max(1, *(abs(c) for d in vec.values() for c in d.values()))
-
-    alo, ahi, abig = poly_bounds(avec)
-    blo, bhi, bbig = poly_bounds(bvec)
-    # digit width: |result digit| <= abig 2^L bbig nslots |suppb|, generously
-    nslots_a = (ahi - alo) + 2 * L + 1
-    bits = (abig * bbig).bit_length() + L + nslots_a.bit_length() + len(bvec).bit_length() + 4
-    b = max(_B, (bits + 15) // 16 * 16)
-    off_a = alo - L
-    off_b = blo
-
-    packed_b = {z: _split_pack(d, off_b, b) for z, d in bvec.items()}
+    bound = max(abs(c) for d in avec.values() for c in d.values()) * sum(
+        3 ** length[z] * sum(map(abs, d.values())) for z, d in bvec.items()
+    )
+    b = _width(bound)
+    off_a = min(e for d in avec.values() for e in d) - length[g.w0]
+    off_b = min(e for d in bvec.values() for e in d)
+    packed_b = {z: _pack(d, off_b, b) for z, d in bvec.items()}
 
     # trie of prefixes of b-support words
     children: dict[int, list[tuple[int, int]]] = {0: []}
@@ -465,50 +445,65 @@ def _dense_product(g: GroupTable, avec, bvec):
             children.setdefault(nxt, [])
             node = nxt
 
-    root_vec = {y: _split_pack(d, off_a, b) for y, d in avec.items()}
-    acc: dict[int, list[int]] = {}
+    root_vec = {y: _pack(d, off_a, b) for y, d in avec.items()}
+    acc: dict[int, int] = {}
 
     def absorb(z, vec_z):
-        bp, bn = packed_b[z]
-        for y, (p, n) in vec_z.items():
-            cell = acc.setdefault(y, [0, 0])
-            cell[0] += bp * p + bn * n
-            cell[1] += bp * n + bn * p
+        bp = packed_b[z]
+        get = acc.get
+        for y, p in vec_z.items():
+            acc[y] = get(y, 0) + bp * p
 
     # iterative DFS carrying a * delta_(current path) on a parallel stack
-    stack = [(0, iter(children[0]))]
+    stack = [iter(children[0])]
     vecs = [root_vec]
     if 0 in packed_b:
         absorb(0, root_vec)
     while stack:
-        node, it = stack[-1]
-        step = next(it, None)
+        step = next(stack[-1], None)
         if step is None:
             stack.pop()
             vecs.pop()
             continue
         s, child = step
-        cur = vecs[-1]
-        nxt: dict[int, tuple[int, int]] = {}
-        for y, (p, n) in cur.items():
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for y, p in vecs[-1].items():
             ys = right[y][s]
-            cp, cn = nxt.get(ys, (0, 0))
-            nxt[ys] = (cp + p, cn + n)
+            nxt[ys] = get(ys, 0) + p
             if length[ys] < length[y]:
-                # + (v^-1 - v) (p - n)
-                cp, cn = nxt.get(y, (0, 0))
-                nxt[y] = (cp + (p >> b) + (n << b), cn + (n >> b) + (p << b))
+                nxt[y] = get(y, 0) + (p >> b) - (p << b)
         vecs.append(nxt)
-        stack.append((child, iter(children[child])))
+        stack.append(iter(children[child]))
         if child in packed_b:
             absorb(child, nxt)
+    return acc, off_a + off_b, bound
 
-    out = {}
-    for y, (p, n) in acc.items():
-        d = _split_decode(p, n, off_a + off_b, b)
-        if d:
-            out[y] = d
-    return out
+
+def _bar_std(g: GroupTable, maxlen: int, b: int) -> list[dict[ElementId, int]]:
+    """bar(delta_y) for every y with length(y) <= maxlen (ids are ordered by
+    length), as {z: int} packed at offset -length(w0) and width b, built
+    along the weak right order: bar(delta_y) = bar(delta_{ys}) (delta_s + v
+    - v^-1) for the last letter s of y's word.
+
+    Bound: 3^length(y), as each step at most triples the largest
+    coefficient; b must fit it.  bar(delta_{ys}) has no exponent below
+    1 - length(y) >= 1 - length(w0), so p >> b is exact."""
+    length, right, word = g.length, g.right, g.word
+    bars = [{0: 1 << (b * length[g.w0])}]
+    for y in range(1, g.size):
+        if length[y] > maxlen:
+            break
+        s = word[y][-1]
+        cur: dict[int, int] = {}
+        get = cur.get
+        for z, p in bars[right[y][s]].items():
+            zs = right[z][s]
+            cur[zs] = get(zs, 0) + p
+            if length[zs] > length[z]:  # + (v - v^-1) p; it cancels when zs < z
+                cur[z] = get(z, 0) + (p << b) - (p >> b)
+        bars.append({z: p for z, p in cur.items() if p})
+    return bars
 
 
 # -- KL basis, both directions ---------------------------------------------------
@@ -520,13 +515,20 @@ def kl_basis(group: GroupTable, x: ElementId, table: KLTable) -> HeckeElt:
 
 
 def _lift(vec: dict[int, dict[int, int]], table: KLTable) -> dict[int, dict[int, int]]:
-    """sum_x vec[x] b_x as an integer standard-basis vector."""
-    out: dict[int, dict[int, int]] = {}
-    dec = table.decoded  # each distinct polynomial is decoded once per table
+    """sum_x vec[x] b_x as an integer standard-basis vector: one multiply
+    _pack(c_x) h_{y,x} per column entry, at the lowest exponent of vec.
+    Bound: sum_x peak(x) ||c_x||_1, peak(x) the largest coefficient of the
+    column of x."""
+    bound = sum(table.column_peak(x) * sum(map(abs, c.values())) for x, c in vec.items())
+    b = _width(bound)
+    off = min(e for c in vec.values() for e in c)
+    out: dict[int, int] = {}
+    get = out.get
     for x, c in vec.items():
-        for y, p in table.column_packed(x).items():
-            _dp_addmul(out.setdefault(y, {}), c, dec(p))
-    return {y: d for y, d in out.items() if d}
+        pc = _pack(c, off, b)
+        for y, h in _column_at(table, x, b).items():
+            out[y] = get(y, 0) + pc * h
+    return dict(_unpacked(out, off, bound))
 
 
 def _packed(vec: dict[int, dict[int, int]]):
@@ -599,7 +601,7 @@ def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> dict[ElementId, RatFu
     avec, ascale = _clear(a)
     bvec, bscale = _clear(b)
     prod = _dense_product(table.group, _lift(avec, table), _lift(bvec, table))
-    return _rat_coeffs(_back_substitute(*_packed(prod), table), ascale * bscale, table.group.fc)
+    return _rat_coeffs(_back_substitute(*prod, table), ascale * bscale, table.group.fc)
 
 
 def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, LaurentPoly]:
@@ -656,50 +658,60 @@ def antisymmetriser(group: GroupTable, table: KLTable) -> HeckeElt:
 
 
 def verify_bar_invariance(group: GroupTable, table: KLTable, elements=None) -> int:
-    """Check bar(b_x) = b_x for every x (or the given ids), computing
-    bar(delta_y) independently as products of (delta_s + v - v^-1) along
-    minimal words.  Returns the number of elements checked."""
+    """Check bar(b_x) = b_x for every x (or the given ids), with bar(delta_y)
+    from _bar_std, products of (delta_s + v - v^-1) along minimal words that
+    share nothing with the KL recursion.  Returns the number of elements
+    checked.
+
+    bar(b_x) = sum_y bar(h_{y,x}) bar(delta_y) is summed per distinct
+    polynomial: the bar(delta_y) with the same h_{y,x} are added first and
+    multiplied once by bar(h_{y,x}), packed at offset -length(w0).  The
+    total, at offset -2 length(w0), is compared with the packed column as
+    integers.  Bound: the largest sum_y 3^length(y) ||h_{y,x}||_1 over the
+    columns checked; it bounds every h_{y,x} too, so equal integers mean
+    equal polynomials."""
     g = group
     todo = sorted(elements if elements is not None else range(g.size))
     if not todo:
         return 0
-    length, right = g.length, g.right
-    # bar(delta_y) as integer vectors, built along the weak right order
-    bars: dict[int, dict[int, dict[int, int]]] = {0: {0: {0: 1}}}
-    maxlen = max(length[x] for x in todo)
-    for y in range(1, g.size):
-        if length[y] > maxlen:
-            break
-        s = g.word[y][-1]
-        prev = bars[right[y][s]]
-        cur: dict[int, dict[int, int]] = {}
-        for z, p in prev.items():
-            zs = right[z][s]
-            _dp_addmul(cur.setdefault(zs, {}), p, {0: 1})
-            # (v - v^-1) p, plus the extra (v^-1 - v) p when zs < z
-            if length[zs] > length[z]:
-                tgt = cur.setdefault(z, {})
-                _dp_addmul(tgt, p, {1: 1, -1: -1})
-                if not tgt:
-                    cur.pop(z, None)
-        for z in [z for z, p in cur.items() if not p]:
-            cur.pop(z)
-        bars[y] = cur
-    checked = 0
+    length = g.length
+    L = length[g.w0]
+    pow3 = [3**k for k in range(L + 1)]
+    norm: dict[int, int] = {}  # ||h||_1 per distinct packed h
+    bound = 0
     for x in todo:
-        expect = {y: table.decoded(p) for y, p in table.column_packed(x).items()}
-        got: dict[int, dict[int, int]] = {}
-        for y, p in expect.items():
-            bar_p = {-e: c for e, c in p.items()}
+        n = 0
+        for y, p in table.column_packed(x).items():
+            k = norm.get(p)
+            if k is None:
+                k = norm[p] = sum(table.decoded(p).values())
+            n += k * pow3[length[y]]
+        bound = max(bound, n)
+    b = _width(bound)
+    bars = _bar_std(g, max(length[x] for x in todo), b)
+    barred: dict[int, int] = {}  # bar(h) packed at offset -L, per distinct packed h
+    for x in todo:
+        sums: dict[int, dict[int, int]] = {}  # h -> sum of bar(delta_y) over h_{y,x} = h
+        for y, p in table.column_packed(x).items():
+            acc = sums.get(p)
+            if acc is None:
+                sums[p] = dict(bars[y])
+                continue
+            get = acc.get
             for z, q in bars[y].items():
-                tgt = got.setdefault(z, {})
-                _dp_addmul(tgt, q, bar_p)
-                if not tgt:
-                    got.pop(z, None)
-        if got != expect:
+                acc[z] = get(z, 0) + q
+        got: dict[int, int] = {}
+        get = got.get
+        for p, acc in sums.items():
+            hb = barred.get(p)
+            if hb is None:
+                hb = barred[p] = _pack({-e: c for e, c in table.decoded(p).items()}, -L, b)
+            for z, q in acc.items():
+                got[z] = get(z, 0) + hb * q
+        expect = {z: h << (2 * L * b) for z, h in _column_at(table, x, b).items()}
+        if {z: q for z, q in got.items() if q} != expect:
             raise KLLawError(f"b_{x} is not bar-invariant")
-        checked += 1
-    return checked
+    return len(todo)
 
 
 # -- on-disk cache ------------------------------------------------------------------

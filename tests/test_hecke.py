@@ -22,7 +22,7 @@ from jwkit.hecke import (
 )
 from jwkit.qpoly import LaurentPoly, RatFunc, quantum_int
 
-from oracles import back_substitute_dicts, grp, kl_basis_bruteforce
+from oracles import _bar_vec, back_substitute_dicts, grp, kl_basis_bruteforce
 
 v = LaurentPoly.gen()
 
@@ -49,6 +49,17 @@ def mult_naive(a, b):
     return out
 
 
+# groups for the hypothesis tests against the oracles, and their signed integer vectors
+BACK_GROUPS = [("A", 3, None), ("B", 3, None), ("H3", 3, None), ("I2", 2, 5)]
+
+
+@st.composite
+def _signed_vectors(draw, g, big=1 << 8):
+    support = draw(st.lists(st.integers(0, g.size - 1), min_size=1, max_size=4, unique=True))
+    coeff = st.integers(-big, big).filter(bool)
+    return {y: draw(st.dictionaries(st.integers(-6, 6), coeff, min_size=1, max_size=3)) for y in support}
+
+
 # -- standard basis ------------------------------------------------------------
 
 
@@ -73,12 +84,21 @@ def test_lengths_add():
                 assert prod == HeckeElt.std(g, xs)
 
 
-@pytest.mark.parametrize("family,rank,m", [("A", 3, None), ("B", 2, None), ("I2", None, 5)], ids=str)
-def test_dense_product_matches_naive(family, rank, m):
+@pytest.mark.parametrize(
+    "family,rank,m,scale",
+    [
+        pytest.param(*key, k, id="-".join(map(str, key)) + (f"-2^{k.bit_length() - 1}" if k > 1 else ""))
+        for k in (1, 1 << 31, 1 << 40, 1 << 70)
+        for key in (("A", 3, None), ("B", 2, None), ("I2", None, 5))
+    ],
+)
+def test_dense_product_matches_naive(family, rank, m, scale):
+    """Coefficients scaled past 2^31 run the product at a wider digit."""
     g = grp(family, rank, m)
     rng = random.Random(hash((family, rank, m)) & 0xFFFF)
+    k = RatFunc(LaurentPoly.const(scale))
     for _ in range(8):
-        a, b = rand_elt(g, rng), rand_elt(g, rng)
+        a, b = rand_elt(g, rng).scale(k), rand_elt(g, rng).scale(k)
         assert a * b == mult_naive(a, b)
 
 
@@ -109,6 +129,19 @@ def test_bar_is_involutive_ring_map(family, rank, m):
         assert a.bar().bar() == a
         assert (a * b).bar() == a.bar() * b.bar()
         assert (a + b).bar() == a.bar() + b.bar()
+
+
+@pytest.mark.parametrize("family,rank,m", BACK_GROUPS, ids=str)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_bar_matches_oracle(family, rank, m, data):
+    """HeckeElt.bar against the oracle's bar(delta) table, which shares no
+    code with hecke._bar_std."""
+    g = grp(family, rank, m)
+    big = data.draw(st.sampled_from([1 << 8, 1 << 40]))
+    polys = {y: LaurentPoly(d) for y, d in data.draw(_signed_vectors(g, big)).items()}
+    got = HeckeElt(g, {y: RatFunc(p) for y, p in polys.items()}).bar()
+    assert got == HeckeElt(g, {z: RatFunc(q) for z, q in _bar_vec(g, polys).items()})
 
 
 def test_bar_fixes_identity():
@@ -253,18 +286,9 @@ def test_kl_product_rule():
 
 # -- packed back-substitution against the dict oracle -------------------------------------
 
-BACK_GROUPS = [("A", 3, None), ("B", 3, None), ("H3", 3, None), ("I2", 2, 5)]
-
 
 def _packed_back_substitute(vec, t):
     return list(hecke._back_substitute(*hecke._packed(vec), t))
-
-
-@st.composite
-def _signed_vectors(draw, g, big=1 << 8):
-    support = draw(st.lists(st.integers(0, g.size - 1), min_size=1, max_size=4, unique=True))
-    coeff = st.integers(-big, big).filter(bool)
-    return {y: draw(st.dictionaries(st.integers(-6, 6), coeff, min_size=1, max_size=3)) for y in support}
 
 
 @pytest.mark.parametrize("family,rank,m", BACK_GROUPS, ids=str)
@@ -304,6 +328,15 @@ def test_back_substitute_widens_in_place():
     got = list(hecke._back_substitute(packed, off, bound, t))
     assert got == back_substitute_dicts(vec, t)
     assert dict(got)[0] == {6: 1 << 31}
+
+
+@pytest.mark.parametrize("digit", [1 << 31, (1 << 32) - 1])
+def test_decoded_rejects_digits_past_31_bits(digit):
+    g = grp("A", 2)
+    t = KLTable(g)
+    t.column_packed(g.w0)[0] = digit << hecke._B  # h_{e,w0}: v^3 -> digit v
+    with pytest.raises(OverflowError):
+        t.h(0, g.w0)
 
 
 def test_unpack_tripwire():
@@ -460,6 +493,22 @@ def test_cache_header_for_i2(tmp_path):
     path = tmp_path / "kl.txt"
     write_kl_cache(str(path), t)
     assert path.read_text().splitlines()[0] == "kltable 2 I2 7"
+
+
+def test_cache_rejects_coefficients_past_31_bits(tmp_path):
+    """2^31 v^3 passes the per-entry laws and the checksum, but the table's
+    32-bit digits cannot hold it."""
+    g = grp("A", 2)
+    t = KLTable(g)
+    for x in range(g.size):
+        t.column_packed(x)
+    path = tmp_path / "kl.txt"
+    write_kl_cache(str(path), t)
+    head, *body, _ = path.read_text().splitlines()
+    body[body.index("5 0 3:1")] = f"5 0 3:{1 << 31}"
+    path.write_text("\n".join([head, *body, f"end {len(body)} {hecke._digest(body)}"]) + "\n")
+    with pytest.raises(CacheFormatError, match="cannot pack"):
+        load_kl_cache(str(path), KLTable(g))
 
 
 def test_cache_checksum_catches_edits_within_the_kl_laws(tmp_path):
