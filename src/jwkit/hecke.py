@@ -21,15 +21,15 @@ where mu(y, z) is the coefficient of v in h_{y,z}, and
     b_s delta_y = delta_{sy} + v^-1 delta_y     if sy < y.
 
 Internal representation.  Every integer polynomial here is one Python
-integer, a signed Kronecker packing: sum_e c_e v^e becomes sum_e c_e
-2^(b (e - off)) for an exponent offset off (_pack) and is read back by
-balanced digits (_unpack), exactly while every |c_e| < 2^(b-1), borrows
-between signed digits included.  Addition, shifts and products become
-single big-integer operations.  Each kernel states a bound on every
-coefficient it can produce, takes the digit width b = _width(bound) and
-checks each decoded digit against the bound (OverflowError).  With L =
-length(w0), ||c||_1 the sum of |coefficients| and peak(x) the largest
-coefficient in the column of x, the bounds are:
+integer in the signed Kronecker packing of jwkit.qpoly: sum_e c_e v^e
+becomes sum_e c_e 2^(b (e - off)) for an exponent offset off (_pack) and
+is read back by balanced digits (_unpack), exactly while every |c_e| <
+2^(b-1), borrows between signed digits included.  Addition, shifts and
+products become single big-integer operations.  Each kernel states a
+bound on every coefficient it can produce, takes the digit width b =
+_width(bound) and checks each decoded digit against the bound
+(OverflowError).  With L = length(w0), ||c||_1 the sum of |coefficients|
+and peak(x) the largest coefficient in the column of x, the bounds are:
 
 * dense (_dense_product, a b in the standard basis): a step by delta_s at
   most triples the largest coefficient, so ||a||_inf sum_z 3^length(z)
@@ -59,51 +59,10 @@ import tempfile
 from fractions import Fraction
 
 from jwkit.coxeter import ElementId, GroupTable
-from jwkit.qpoly import LaurentPoly, LinComb, RatFunc
+from jwkit.qpoly import _B, LaurentPoly, LinComb, RatFunc, _pack, _unpack, _width
 
-_B = 32
 _MASK = (1 << _B) - 1
 _TRIP = 1 << (_B - 1)  # stored coefficients must stay below this
-
-
-def _width(bound: int) -> int:
-    """The digit width for signed coefficients of absolute value at most
-    bound: the table's _B while bound < 2^(_B-1), doubled until it fits."""
-    b = _B
-    while bound >= 1 << (b - 1):
-        b *= 2
-    return b
-
-
-def _pack(d: dict[int, int], off: int, b: int) -> int:
-    """Signed Kronecker packing: sum_e d[e] v^e as sum_e d[e] 2^(b (e - off))
-    (every e >= off)."""
-    p = 0
-    for e, c in d.items():
-        p += c << (b * (e - off))
-    return p
-
-
-def _unpack(p: int, off: int, b: int, bound: int) -> dict[int, int]:
-    """The inverse of _pack by balanced digits, exact when every coefficient
-    has absolute value at most bound < 2^(b-1).  A digit above bound, which
-    a true bound never allows, raises OverflowError."""
-    mask = (1 << b) - 1
-    half = 1 << (b - 1)
-    out = {}
-    e = off
-    while p:
-        c = p & mask
-        if c >= half:
-            c -= 1 << b
-        if c:
-            if abs(c) > bound:
-                raise OverflowError("packed-polynomial digit overflow")
-            out[e] = c
-            p -= c
-        p >>= b
-        e += 1
-    return out
 
 
 def _unpacked(vec: dict[int, int], off: int, bound: int) -> list[tuple[int, dict[int, int]]]:
@@ -115,8 +74,8 @@ def _unpacked(vec: dict[int, int], off: int, bound: int) -> list[tuple[int, dict
 
 def _pk_encode(d: dict[int, int]) -> int:
     """_pack(d, 0, _B), as the table stores a KL polynomial, checked and
-    packed in one pass (the cache loader runs it per entry); ValueError for
-    a coefficient outside [0, 2^31) or a negative exponent."""
+    packed in one pass (the cache loader runs it per distinct term list);
+    ValueError for a coefficient outside [0, 2^31) or a negative exponent."""
     p = 0
     for e, c in d.items():
         if c < 0 or c >= _TRIP or e < 0:
@@ -728,25 +687,34 @@ def _digest(body: list[str]) -> str:
 def write_kl_cache(path: str, table: KLTable) -> int:
     """Write every computed column to ``path`` atomically.  Lines are
     sorted, the trailing record pins the line count and the sha256 of the
-    entry lines, and a rewrite of the same table state is byte-identical."""
-    g = table.group
-    pres = g.presentation
-    lines = [f"kltable 2 {pres.family} {pres.m_parameter}"]
-    count = 0
-    for x in table.computed_columns():
-        col = table.column_packed(x)
-        for y in sorted(col):
-            terms = table.decoded(col[y])
-            body = " ".join(f"{e}:{terms[e]}" for e in sorted(terms))
-            lines.append(f"{x} {y} {body}")
-            count += 1
-    lines.append(f"end {count} {_digest(lines[1:])}")
+    entry lines, and a rewrite of the same table state is byte-identical.
+    Entry lines stream to the file a column at a time, and each distinct
+    polynomial is rendered once."""
+    pres = table.group.presentation
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".kltmp")
+    digest = hashlib.sha256()
+    bodies: dict[int, str] = {}
+    count = 0
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        with os.fdopen(fd, "wb") as f:
+            f.write(f"kltable 2 {pres.family} {pres.m_parameter}\n".encode())
+            for x in table.computed_columns():
+                col = table.column_packed(x)
+                lines = []
+                for y in sorted(col):
+                    p = col[y]
+                    body = bodies.get(p)
+                    if body is None:
+                        terms = table.decoded(p)
+                        body = bodies[p] = " ".join(f"{e}:{terms[e]}" for e in sorted(terms))
+                    lines.append(f"{x} {y} {body}\n")
+                chunk = "".join(lines).encode()
+                digest.update(chunk)
+                f.write(chunk)
+                count += len(lines)
+            f.write(f"end {count} {digest.hexdigest()}\n".encode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -780,28 +748,40 @@ def load_kl_cache(path: str, table: KLTable) -> int:
     if declared != len(body):
         raise CacheFormatError(f"line count {len(body)} != declared {declared}")
     cols: dict[int, dict[int, int]] = {}
+    # a table holds few distinct polynomials: each distinct term list is
+    # checked once per length difference and packed once
+    lawful: set[tuple[str, int | None]] = set()
+    packed: dict[str, int] = {}
     try:
         for line in body:
-            parts = line.split()
+            parts = line.split(None, 2)
             x, y = int(parts[0]), int(parts[1])
             if not (0 <= y < g.size and 0 <= x < g.size):
                 raise CacheFormatError(f"element id out of range: {line!r}")
+            text = parts[2] if len(parts) == 3 else ""
             # h_{x,x} = 1; for y != x, h_{y,x} lies in v^d Z[v^-2] and in v Z[v]
-            d = g.length[x] - g.length[y]
-            terms = {}
-            for item in parts[2:]:
-                e, c = item.split(":")
-                e, c = int(e), int(c)
-                if y == x:
-                    lawful = e == 0 and c == 1
-                else:
-                    lawful = c > 0 and 1 <= e <= d and (d - e) % 2 == 0
-                if not lawful:
-                    raise CacheFormatError(f"invalid term {item!r} in h_{{{y},{x}}}")
-                terms[e] = c
-            if not terms or y in cols.get(x, {}):
+            d = None if y == x else g.length[x] - g.length[y]
+            if (text, d) not in lawful:
+                for item in text.split():
+                    e, c = item.split(":")
+                    e, c = int(e), int(c)
+                    if d is None:
+                        ok = e == 0 and c == 1
+                    else:
+                        ok = c > 0 and 1 <= e <= d and (d - e) % 2 == 0
+                    if not ok:
+                        raise CacheFormatError(f"invalid term {item!r} in h_{{{y},{x}}}")
+                lawful.add((text, d))
+            p = packed.get(text)
+            if p is None:
+                terms = {}
+                for item in text.split():
+                    e, c = item.split(":")
+                    terms[int(e)] = int(c)
+                p = packed[text] = _pk_encode(terms)
+            if not p or y in cols.get(x, {}):
                 raise CacheFormatError(f"empty or duplicate entry: {line!r}")
-            cols.setdefault(x, {})[y] = _pk_encode(terms)
+            cols.setdefault(x, {})[y] = p
     except CacheFormatError:
         raise
     except (IndexError, ValueError) as exc:

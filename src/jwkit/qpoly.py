@@ -20,7 +20,11 @@ divisions return the cofactors, the denominator's cofactor is made monic,
 and a coefficient is a Fraction only where it is not an integer.
 
 Elements of the algebras built on top (Hecke, TL_n, TL_W) are LinComb
-subclasses: sparse maps from basis keys to RatFunc coefficients.
+subclasses: sparse maps from basis keys to RatFunc coefficients.  Their
+product kernels multiply cleared integer numerators in one signed
+Kronecker packing (_pack, _unpack, _width below): a polynomial is one
+Python integer, and a sum or product of polynomials one big-integer
+operation.
 
 The two ring involutions used throughout are bar (v -> v^-1) and the
 Koszul sign twist kappa (v -> -v^-1).  Quantum integers are balanced:
@@ -477,6 +481,58 @@ def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     ca, da, ka, f = _split(a._terms)
     cb, db, kb, g = _split(b._terms)
     return _laurent(ca * db, da * cb, ka - kb, _exact_quotient(f, g))
+
+
+# -- signed Kronecker packing -------------------------------------------------
+#
+# One integer holds one integer Laurent polynomial: sum_e c_e v^e becomes
+# sum_e c_e 2^(b (e - off)) for a digit width b and an exponent offset off.
+# Sums, shifts and products of polynomials become single big-integer
+# operations, and balanced digits read the result back exactly while every
+# |c_e| < 2^(b-1), borrows between signed digits included.  A caller
+# bounds every coefficient it can produce and takes b = _width(bound).
+
+_B = 32  # the base digit width
+
+
+def _width(bound: int) -> int:
+    """The digit width for signed coefficients of absolute value at most
+    bound: _B while bound < 2^(_B-1), doubled until it fits."""
+    b = _B
+    while bound >= 1 << (b - 1):
+        b *= 2
+    return b
+
+
+def _pack(d: Mapping[int, int], off: int, b: int) -> int:
+    """Signed Kronecker packing: sum_e d[e] v^e as sum_e d[e] 2^(b (e - off))
+    (every e >= off)."""
+    p = 0
+    for e, c in d.items():
+        p += c << (b * (e - off))
+    return p
+
+
+def _unpack(p: int, off: int, b: int, bound: int) -> dict[int, int]:
+    """The inverse of _pack by balanced digits, exact when every coefficient
+    has absolute value at most bound < 2^(b-1).  A digit above bound, which
+    a true bound never allows, raises OverflowError."""
+    mask = (1 << b) - 1
+    half = 1 << (b - 1)
+    out = {}
+    e = off
+    while p:
+        c = p & mask
+        if c >= half:
+            c -= 1 << b
+        if c:
+            if abs(c) > bound:
+                raise OverflowError("packed-polynomial digit overflow")
+            out[e] = c
+            p -= c
+        p >>= b
+        e += 1
+    return out
 
 
 class RatFunc:

@@ -46,16 +46,37 @@ same coefficients with all signs made positive:
     j_n^- = sum over FC x of (grrk(x w0) / grrk(w0)) u_x^-
 
 where u_x^- is the monomial diagram reread inside TL_n^-.
+
+The product kernel.  Diagrams compose on bare partner tuples (_compose):
+composing two planar perfect matchings always gives one, so nothing is
+validated and a Diagram is built once per distinct composite, without
+re-checking it.  multiply_tl clears each factor to integer numerators
+(the lcm of the coefficient denominators, then the lcm of the Fraction
+denominators left in the numerators) and packs every numerator as one
+integer in the signed Kronecker packing of jwkit.qpoly.  A composite
+closing k loops carries (sign delta)^k; the kernel packs
+(sign delta)^k v^m = sign^k (1 + v^2)^k v^(m - k), m = floor(n/2), once
+per k and multiplies each right numerator by it up front.  Per left
+diagram the packed right numerators are summed per composite (one
+addition per diagram pair), and each sum is multiplied once by the left
+numerator.  Each output coefficient is decoded once and canonicalised
+once.  The bound: a composition closes at most m loops (each uses two of
+the n glue points) and ||delta^k||_1 = 2^k, so every output coefficient
+is at most (sum_d ||p_d||_1) (sum_d ||q_d||_1) 2^m, with p_d and q_d the
+integer numerators of the two factors and ||.||_1 the sum of
+|coefficients|; the digit width is _width of that bound, and a digit
+above it raises OverflowError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .coxeter import ElementId, GroupTable
 from .grank import grrk, grrk_w0, jw_coefficient
 from .hecke import HeckeElt, KLTable, to_kl_basis
-from .qpoly import LaurentPoly, LinComb, RatFunc, quantum_int
+from .qpoly import LaurentPoly, LinComb, RatFunc, _pack, _unpack, _width, quantum_int
 
 _DELTA = LaurentPoly({1: 1, -1: 1})
 
@@ -87,6 +108,15 @@ class Diagram:
             raise ValueError("matching is not planar")
 
     @classmethod
+    def _trusted(cls, n: int, partner: tuple[int, ...]) -> "Diagram":
+        """A diagram from a partner tuple known to be a planar perfect
+        matching, such as a composite of diagrams: no validation."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "n", n)
+        object.__setattr__(d, "partner", partner)
+        return d
+
+    @classmethod
     def identity(cls, n: int) -> "Diagram":
         return cls(n, tuple(range(n, 2 * n)) + tuple(range(n)))
 
@@ -109,6 +139,50 @@ class Diagram:
         return f"Diagram({self.n}, {self.partner})"
 
 
+def _compose(p: tuple[int, ...], q: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
+    """(partner, loops) for the matching p stacked below the matching q on
+    n strands: the composite's partner tuple and the number of closed
+    middle loops.  Glue point k joins p's top point n + k to q's bottom
+    point k.  Nothing is validated and no Diagram is built: composing two
+    planar perfect matchings always gives one."""
+    out = [-1] * (2 * n)
+    seen = [False] * n  # glue points met so far
+    for s in range(2 * n):
+        if out[s] >= 0:
+            continue
+        if s < n:  # a bottom point: leave through p
+            t = p[s]
+            while t >= n:
+                seen[t - n] = True
+                t = q[t - n]
+                if t >= n:
+                    break
+                seen[t] = True
+                t = p[t + n]
+        else:  # a top point: leave through q
+            t = q[s]
+            while t < n:
+                seen[t] = True
+                t = p[t + n]
+                if t < n:
+                    break
+                seen[t - n] = True
+                t = q[t - n]
+        out[s] = t
+        out[t] = s
+    loops = 0
+    for k in range(n):
+        if not seen[k]:  # an unseen glue point lies on a closed loop
+            loops += 1
+            j = k
+            while not seen[j]:
+                seen[j] = True
+                m = p[j + n] - n
+                seen[m] = True
+                j = q[m]
+    return tuple(out), loops
+
+
 def compose(a: Diagram, b: Diagram, sign: int = 1):
     """Stack a below b and read off the result.
 
@@ -119,57 +193,9 @@ def compose(a: Diagram, b: Diagram, sign: int = 1):
     """
     if a.n != b.n:
         raise ValueError(f"strand counts differ: {a.n} vs {b.n}")
-    n = a.n
-    partner = [-1] * (2 * n)
-    seen_mid = [False] * n  # glue edges a-top k <-> b-bottom k
-    for start in range(2 * n):
-        if partner[start] != -1:
-            continue
-        # positions are (layer, idx); result bottom i sits at ("a", i),
-        # result top j at ("b", n + j)
-        layer, idx = ("a", start) if start < n else ("b", start)
-        while True:
-            if layer == "a":
-                q = a.partner[idx]
-                if q < n:
-                    end = q
-                    break
-                seen_mid[q - n] = True
-                layer, idx = "b", q - n
-            else:
-                q = b.partner[idx]
-                if q >= n:
-                    end = q
-                    break
-                seen_mid[q] = True
-                layer, idx = "a", n + q
-        partner[start] = end
-        partner[end] = start
-    loops = 0
-    for k in range(n):
-        if seen_mid[k]:
-            continue
-        loops += 1
-        layer, idx = "b", k
-        while True:
-            if layer == "a":
-                q = a.partner[idx]
-                if q < n:
-                    raise RuntimeError("a middle cycle reached the outer boundary")
-                if seen_mid[q - n]:
-                    break
-                seen_mid[q - n] = True
-                layer, idx = "b", q - n
-            else:
-                q = b.partner[idx]
-                if q >= n:
-                    raise RuntimeError("a middle cycle reached the outer boundary")
-                if seen_mid[q]:
-                    break
-                seen_mid[q] = True
-                layer, idx = "a", n + q
+    partner, loops = _compose(a.partner, b.partner, a.n)
     scalar = (_DELTA.scale(sign)) ** loops if loops else LaurentPoly.one()
-    return Diagram(n, tuple(partner)), loops, scalar
+    return Diagram._trusted(a.n, partner), loops, scalar
 
 
 class TLElt(LinComb):
@@ -219,27 +245,73 @@ class TLElt(LinComb):
         return multiply_tl(self, other)
 
 
+def _integral(elt: TLElt) -> tuple[dict[Diagram, dict[int, int]], LaurentPoly, int]:
+    """(rows, den, scale) with elt = sum_d (rows[d] / (scale den)) d and
+    every rows[d] an integer polynomial {exp: int}: den clears the
+    coefficient denominators, and scale the Fraction denominators left
+    in the cleared numerators."""
+    polys, den = elt.cleared()
+    scale = math.lcm(
+        *(c.denominator for p in polys.values() for _, c in p.items() if type(c) is not int)
+    )
+    rows = {
+        d: {e: c.numerator * (scale // c.denominator) for e, c in p.items()}
+        for d, p in polys.items()
+    }
+    return rows, den, scale
+
+
 def multiply_tl(a: TLElt, b: TLElt) -> TLElt:
     """Bilinear extension of diagram composition, with each erased loop
-    contributing the loop parameter of the common sign.  The expansion
-    runs on cleared polynomials, which avoids canonicalizing a rational
-    function per diagram pair."""
+    contributing the loop parameter of the common sign.
+
+    The expansion runs on integers, in the signed Kronecker packing of
+    jwkit.qpoly; see the module docstring for the bound that fixes the
+    digit width.  Each output coefficient is canonicalised once."""
     if a.n != b.n:
         raise ValueError(f"strand counts differ: {a.n} vs {b.n}")
     if a.sign != b.sign:
         raise ValueError("loop-parameter signs differ")
-    na, da = a.cleared()
-    nb, db = b.cleared()
-    acc: dict[Diagram, LaurentPoly] = {}
-    for d1, pa in na.items():
-        for d2, pb in nb.items():
-            d, _, scalar = compose(d1, d2, a.sign)
-            term = pa * pb
-            if not scalar.is_one:
-                term = term * scalar
-            acc[d] = acc.get(d, LaurentPoly.zero()) + term
-    rescale = RatFunc(LaurentPoly.one(), da * db)
-    return TLElt(a.n, {d: RatFunc(p) * rescale for d, p in acc.items()}, a.sign)
+    n, sign = a.n, a.sign
+    if not a.coeffs or not b.coeffs:
+        return TLElt.zero(n, sign)
+    rows_a, den_a, scale_a = _integral(a)
+    rows_b, den_b, scale_b = _integral(b)
+    m = n // 2  # the most loops one composition can close
+    bound = sum(abs(c) for r in rows_a.values() for c in r.values())
+    bound *= sum(abs(c) for r in rows_b.values() for c in r.values()) << m
+    w = _width(bound)
+    off_a = min(min(r) for r in rows_a.values())
+    off_b = min(min(r) for r in rows_b.values())
+    # (sign delta)^k v^m = sign^k (1 + v^2)^k v^(m - k), one per loop count k
+    loop = [
+        _pack({m - k + 2 * i: sign**k * math.comb(k, i) for i in range(k + 1)}, 0, w)
+        for k in range(m + 1)
+    ]
+    left = [(d.partner, _pack(r, off_a, w)) for d, r in rows_a.items()]
+    right = []
+    for d, r in rows_b.items():
+        q = _pack(r, off_b, w)
+        right.append((d.partner, [q * f for f in loop]))
+    # one left diagram reaches few distinct composites: sum the right
+    # numerators per composite, then multiply once by the left numerator
+    acc: dict[tuple[int, ...], int] = {}
+    for p, pa in left:
+        row: dict[tuple[int, ...], int] = {}
+        get = row.get
+        for q, qb in right:
+            d, k = _compose(p, q, n)
+            row[d] = get(d, 0) + qb[k]
+        for d, s in row.items():
+            acc[d] = acc.get(d, 0) + pa * s
+    den = (den_a * den_b).scale(scale_a * scale_b)
+    off = off_a + off_b - m
+    out = {}
+    for d, c in acc.items():
+        terms = _unpack(c, off, w, bound)
+        if terms:
+            out[Diagram._trusted(n, d)] = RatFunc(LaurentPoly(terms), den)
+    return TLElt(n, out, sign)
 
 
 # -- the monomial basis ---------------------------------------------------------

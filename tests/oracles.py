@@ -131,3 +131,74 @@ def back_substitute_dicts(vec, table):
             vec[y] = {e: co for e, co in tgt.items() if co}
     assert not any(vec.values()), "back-substitution left a residue"
     return out
+
+
+# -- dict TL_n product --------------------------------------------------------------
+#
+# Diagram composition by connected components of the stacked matchings, and
+# the TL_n product as it ran before the packed kernel: one LaurentPoly
+# multiply and add per diagram pair.  Nothing here calls jwkit.tl's
+# composition.
+
+
+def compose_components(p, q, n):
+    """(partner, loops) for the matching p stacked below q on n strands.
+    Nodes are ("a", i) for a bottom point of p, ("m", k) for glue point k
+    (p's top point n + k, q's bottom point k) and ("b", j) for a top point
+    of q; every component is a path between two outer nodes or a loop."""
+    from collections import defaultdict
+
+    def in_p(i):
+        return ("a", i) if i < n else ("m", i - n)
+
+    def in_q(i):
+        return ("m", i) if i < n else ("b", i)
+
+    adj = defaultdict(list)
+    for i, j in enumerate(p):
+        adj[in_p(i)].append(in_p(j))
+    for i, j in enumerate(q):
+        adj[in_q(i)].append(in_q(j))
+    partner = [None] * (2 * n)
+    loops = 0
+    seen = set()
+    for start in adj:
+        if start in seen:
+            continue
+        comp, todo = [], [start]
+        seen.add(start)
+        while todo:
+            u = todo.pop()
+            comp.append(u)
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        ends = [u[1] for u in comp if u[0] != "m"]
+        if not ends:
+            loops += 1
+            continue
+        assert len(ends) == 2, "a path component has two ends"
+        i, j = ends
+        partner[i], partner[j] = j, i
+    return tuple(partner), loops
+
+
+def multiply_tl_dicts(a, b):
+    """a * b in TL_n or TL_n^- on cleared LaurentPoly numerators."""
+    from jwkit.qpoly import RatFunc
+    from jwkit.tl import Diagram, TLElt
+
+    assert a.n == b.n and a.sign == b.sign
+    n = a.n
+    delta = LaurentPoly({1: a.sign, -1: a.sign})
+    na, da = a.cleared()
+    nb, db = b.cleared()
+    acc = {}
+    for d1, pa in na.items():
+        for d2, pb in nb.items():
+            partner, loops = compose_components(d1.partner, d2.partner, n)
+            d = Diagram(n, partner)
+            acc[d] = acc.get(d, LaurentPoly.zero()) + pa * pb * delta**loops
+    rescale = RatFunc(LaurentPoly.one(), da * db)
+    return TLElt(n, {d: RatFunc(p) * rescale for d, p in acc.items()}, a.sign)

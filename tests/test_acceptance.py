@@ -7,7 +7,8 @@ seconds, nearly all KL and generalised-TL work) plus the H4 group-order
 check of criterion 10 (about a second; the default run of
 test_coxeter.py enumerates H4 too).  The n = 7 leg of criterion 2 (the
 triple agreement on S_7, marked ``stretch``) runs by default, on a KL
-table that is freed when the test ends.
+table that is freed when the test ends, and so does the n = 7 leg of
+criterion 3 (wenzl_jw(7) idempotent and annihilating, about 2 s).
 
 Full KL data for H4 (|W| = 14400) is a documented long-running option of
 the library, exercised through the CLI with --allow-large; it is not part
@@ -142,21 +143,27 @@ def test_criterion_02_stretch_n7():
 # -- criterion 3: idempotency and annihilation -------------------------------------------
 
 
+def _idempotent_annihilating(j, n, sign=1):
+    if multiply_tl(j, j) != j:
+        return False
+    for i in range(n - 1):
+        u = TLElt.gen(n, i, sign)
+        if multiply_tl(j, u).coeffs or multiply_tl(u, j).coeffs:
+            return False
+    return True
+
+
 def test_criterion_03_idempotent_annihilation():
-    ok = True
+    ok = all(_idempotent_annihilating(j, n) for n in range(2, 7) for j in _triple(n))
+    ok = ok and _idempotent_annihilating(wenzl_jw(7), 7)
     for n in range(2, 7):
-        for j in _triple(n):
-            ok = ok and multiply_tl(j, j) == j
-            for i in range(n - 1):
-                u = TLElt.gen(n, i)
-                ok = ok and not multiply_tl(j, u).coeffs and not multiply_tl(u, j).coeffs
-    for n in range(2, 5):
         jm = jw_minus(n, grp("A", n - 1), table("A", n - 1))
-        ok = ok and multiply_tl(jm, jm) == jm
-        for i in range(n - 1):
-            um = TLElt.gen(n, i, sign=-1)
-            ok = ok and not multiply_tl(jm, um).coeffs and not multiply_tl(um, jm).coeffs
-    report(3, ok, "j^2 = j, j u_i = u_i j = 0 (3 constructions, n <= 6); j_n^- laws n <= 4")
+        ok = ok and _idempotent_annihilating(jm, n, sign=-1)
+    report(
+        3,
+        ok,
+        "j^2 = j, j u_i = u_i j = 0 (3 constructions, n <= 6; wenzl_jw(7)); j_n^- laws n <= 6",
+    )
 
 
 # -- criterion 4: antisymmetriser laws ----------------------------------------------------

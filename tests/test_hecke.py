@@ -470,6 +470,7 @@ def test_cache_rejects_corruption(tmp_path):
         (2, "5 1 2:1", "5 1 4:1"),  # degree above l(x) - l(y)
         (2, "5 5 0:1", "5 5 0:2"),  # h_{x,x} = 1
         (2, "3 1 1:1", "3 1 1:0"),  # coefficients are positive
+        (2, "5 1 2:1", "5 1 1:1"),  # 1:1 passed at l(x) - l(y) = 1 earlier; here it is 2
     ],
 )
 def test_cache_rejects_entries_that_break_kl_laws(tmp_path, rank, old, new):

@@ -1,9 +1,13 @@
 """Tests for the diagram algebra and the Jones-Wenzl constructions."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jwkit import tl
 from jwkit.hecke import HeckeElt, KLTable, antisymmetriser, kl_basis
 from jwkit.qpoly import LaurentPoly, RatFunc, quantum_int
 from jwkit.tl import (
@@ -18,7 +22,7 @@ from jwkit.tl import (
     wenzl_jw,
 )
 
-from oracles import catalan, grp
+from oracles import catalan, compose_components, grp, multiply_tl_dicts
 
 V = LaurentPoly.gen()
 DELTA = V + V ** -1
@@ -84,6 +88,26 @@ def test_compose_strand_mismatch():
         compose(Diagram.identity(2), Diagram.identity(3))
 
 
+def _all_diagrams(n):
+    if n == 1:
+        return [Diagram.identity(1)]
+    g = grp("A", n - 1)
+    return sorted(monomial(g, x) for x in g.fc_elements())
+
+
+def test_compose_kernel_on_all_tl5_pairs():
+    """Every composite of two TL_5 diagrams from the unvalidated kernel is
+    a valid diagram, and matches compose and the component oracle."""
+    diagrams = _all_diagrams(5)
+    assert len(diagrams) == catalan(5)
+    for a in diagrams:
+        for b in diagrams:
+            partner, loops = tl._compose(a.partner, b.partner, 5)
+            d = Diagram(5, partner)  # validates
+            assert compose(a, b) == (d, loops, DELTA**loops)
+            assert (partner, loops) == compose_components(a.partner, b.partner, 5)
+
+
 # -- algebra relations ---------------------------------------------------------------
 
 
@@ -118,6 +142,54 @@ def test_tl_mixed_sign_rejected():
         multiply_tl(TLElt.gen(3, 0), TLElt.gen(3, 0, sign=-1))
     with pytest.raises(ValueError):
         multiply_tl(TLElt.gen(3, 0), TLElt.gen(4, 0))
+
+
+# -- the packed product against the dict oracle ------------------------------------------
+
+_DENS = [LaurentPoly.one(), quantum_int(2), quantum_int(3), V + 2, LaurentPoly.const(3)]
+
+
+@st.composite
+def _tl_elements(draw, n, sign, big=1):
+    diagrams = _all_diagrams(n)
+    picked = draw(st.lists(st.sampled_from(diagrams), min_size=1, max_size=6, unique=True))
+    coeff = st.one_of(
+        st.integers(-5, 5),
+        st.integers(-big, big),
+        st.fractions(-5, 5, max_denominator=6),
+        st.builds(Fraction, st.integers(-big, big), st.integers(1, 7)),
+    )
+    out = {}
+    for d in picked:
+        num = LaurentPoly(draw(st.dictionaries(st.integers(-4, 4), coeff, max_size=3)))
+        out[d] = RatFunc(num, draw(st.sampled_from(_DENS)))
+    return TLElt(n, out, sign)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_multiply_tl_matches_dict_oracle(data):
+    """Signed, negative-exponent and Fraction coefficients, TL_n and
+    TL_n^-, and coefficients of 2^31 and more, which widen the digit."""
+    n = data.draw(st.integers(1, 6))
+    sign = data.draw(st.sampled_from([1, -1]))
+    big = data.draw(st.sampled_from([1, 1 << 31, 1 << 70]))
+    a = data.draw(_tl_elements(n, sign, big))
+    b = data.draw(_tl_elements(n, sign, big))
+    assert multiply_tl(a, b) == multiply_tl_dicts(a, b)
+
+
+def test_multiply_tl_wide_digit():
+    """A product whose bound passes 2^63 runs at 128-bit digits."""
+    u = TLElt.gen(4, 1).scale(RatFunc(LaurentPoly({-1: 1 << 40, 2: -(1 << 35)})))
+    j = wenzl_jw(4).scale(RatFunc(LaurentPoly({0: (1 << 33) + 1})))
+    for x, y in ((u, j), (j, u), (u, u)):
+        assert multiply_tl(x, y) == multiply_tl_dicts(x, y)
+
+
+def test_multiply_tl_zero():
+    assert multiply_tl(TLElt.zero(3), wenzl_jw(3)) == TLElt.zero(3)
+    assert multiply_tl(TLElt.one(3, -1), TLElt.zero(3, -1)) == TLElt.zero(3, -1)
 
 
 def test_tl_unit_and_linearity():
