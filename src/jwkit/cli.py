@@ -33,12 +33,13 @@ Conventions shared by every subcommand:
   found outside the ``parity`` and ``bar-invariance`` suites, which
   report it as a failure.
 
-Groups with at least 1152 elements, the order of F4 (so F4, H4, A_n for
-n >= 6, B_n for n >= 5 and I2(m) for m >= 576), are gated behind
-``--allow-large``; subcommands that need Kazhdan-Lusztig data
-additionally require a cache directory (``--cache-dir`` or the
-JWKIT_CACHE_DIR environment variable) so the expensive columns persist
-across runs.  For ``jw --family A`` the group is S_n, so j_7 is gated.
+``--allow-large`` is the opt-in of jwkit.coxeter.build_group, which
+refuses every group with at least LARGE_ORDER = 1152 elements (the order
+of F4) without it.  For such a group, subcommands that need
+Kazhdan-Lusztig data also require a cache directory (``--cache-dir`` or
+the JWKIT_CACHE_DIR environment variable) so the expensive columns
+persist across runs.  For ``jw --family A`` the group is S_n, so j_7 is
+gated.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .coxeter import (
+    LARGE_ORDER,
     GroupTable,
     LargeComputationError,
     UnsupportedFamilyError,
@@ -90,8 +92,6 @@ from .tl import (
     project_pi,
     wenzl_jw,
 )
-
-_LARGE_ORDER = 1152  # |F4|; groups at least this large need --allow-large
 
 _SUITES = (
     "parity",
@@ -244,16 +244,13 @@ def _build(cfg: JobConfig, needs_kl: bool):
     cache_dir = cfg.cache_dir or os.environ.get("JWKIT_CACHE_DIR")
     pres = presentation(cfg.family, rank=cfg.rank, m=cfg.m)
     order = classical_order(pres)
-    if order >= _LARGE_ORDER:
-        if not cfg.allow_large:
-            raise UsageError(
-                f"a group of order {order} is a large computation; pass --allow-large to proceed"
-            )
-        if needs_kl and not cache_dir:
-            raise UsageError(
-                f"a group of order {order} requires a cache directory for KL data; "
-                "pass --cache-dir or set JWKIT_CACHE_DIR"
-            )
+    # build_group refuses a large group without --allow-large; an allowed
+    # one that needs KL data must also keep its columns in a cache
+    if order >= LARGE_ORDER and cfg.allow_large and needs_kl and not cache_dir:
+        raise UsageError(
+            f"a group of order {order} requires a cache directory for KL data; "
+            "pass --cache-dir or set JWKIT_CACHE_DIR"
+        )
     g = build_group(pres, allow_large=cfg.allow_large)
     if not needs_kl:
         return g, None, None
@@ -265,8 +262,8 @@ def _build(cfg: JobConfig, needs_kl: bool):
         if os.path.exists(cache_path):
             try:
                 load_kl_cache(cache_path, table)
-            except CacheFormatError as exc:
-                print(f"warning: ignoring corrupt cache {cache_path}: {exc}", file=sys.stderr)
+            except (CacheFormatError, OSError) as exc:
+                print(f"warning: ignoring cache {cache_path}: {exc}", file=sys.stderr)
                 table = KLTable(g)
     return g, table, cache_path
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 ElementId = int  # index into a GroupTable enumeration
 
-LARGE_ORDER = 10_000  # larger groups need an explicit opt-in
+LARGE_ORDER = 1152  # |F4|; groups at least this large need an explicit opt-in
 
 
 class UnsupportedFamilyError(ValueError):
@@ -317,11 +317,12 @@ class GroupTable:
 def build_group(pres: CoxeterPresentation, allow_large: bool = False) -> GroupTable:
     """Enumerate the group and build all tables.
 
-    Groups with more than LARGE_ORDER elements (H4, high-rank A and B)
-    are refused unless ``allow_large`` is set.
+    Groups with at least LARGE_ORDER elements (F4, H4, A_n for n >= 6,
+    B_n for n >= 5, I2(m) for m >= 576) are refused unless ``allow_large``
+    is set.
     """
     order = classical_order(pres)
-    if order > LARGE_ORDER and not allow_large:
+    if order >= LARGE_ORDER and not allow_large:
         raise LargeComputationError(
             f"{pres.family} rank {pres.rank} has {order} elements; "
             "pass allow_large=True (CLI: --allow-large) to build it"

@@ -8,14 +8,15 @@ types (and fails for type D, which :mod:`jwkit.coxeter` refuses to
 build), so the images beta_x of b_x for fully commutative x form a
 basis and multiplication is: lift to the Hecke algebra, multiply,
 expand in the KL basis, discard every non-fully-commutative component.
-It runs on integers, with RatFunc only at the boundary
-(:func:`jwkit.hecke.kl_multiply`): each factor is cleared to integer
-Laurent numerators over one scale, the numerators are lifted to the
-standard basis through the packed KL columns (beta_x -> b_x), the two
-lifts are multiplied by the integer Hecke kernel and the product is
-expanded in the KL basis by back-substitution.  The non-FC components
-are computed, since the back-substitution needs them, but only the
-fully commutative ones become RatFunc, times the product of the scales.
+It runs on integers (:func:`jwkit.hecke.kl_multiply`): each factor is
+cleared by ``LinComb.integral`` to integer Laurent rows over one scale,
+the rows are lifted to the standard basis through the packed KL columns
+(beta_x -> b_x), the two lifts are multiplied by the integer Hecke
+kernel and the product is expanded in the KL basis by
+back-substitution.  The non-FC components are computed, since the
+back-substitution needs them, but only the fully commutative ones are
+rebuilt as RatFunc, times the product of the scales, by
+``jwkit.qpoly._rationals``.
 
 :func:`check_ideal_closure` verifies the ideal property exhaustively
 for a built group: for every non-FC x and every generator s, the KL
@@ -62,8 +63,8 @@ class GTLElt(LinComb):
     """An element of TL_W in the basis {beta_x : x fully commutative},
     stored as a sparse map from element ids to RatFunc coefficients.
 
-    ``+``, ``-``, ``scale``, ``coefficient``, ``cleared``, ``==``,
-    ``hash`` and ``repr`` are inherited from LinComb; elements over
+    ``+``, ``-``, ``scale``, ``coefficient``, ``cleared``, ``integral``,
+    ``==``, ``hash`` and ``repr`` are inherited from LinComb; elements over
     different group tables do not mix (ValueError).  The structure
     constants come from Kazhdan-Lusztig data that the element does not
     carry, so products go through ``gtl_multiply(a, b, cache)`` rather

@@ -46,30 +46,35 @@ coefficients are nonnegative and below 2^31, its exponents in [0, L].
 The recursion's mu-corrections cannot borrow across digits, because the
 accumulator dominates, digit by digit, everything subtracted from it (the
 final h coefficients are nonnegative); KLTable.decoded still rejects a
-digit of 2^31 or more.  Cleared denominators come back, as RatFunc, only
-on the coefficients a product or expansion returns.
+digit of 2^31 or more.
+
+The four entry points that take or return RatFunc coefficients
+(HeckeElt.__mul__, HeckeElt.bar, to_kl_basis and kl_multiply) clear
+them only through LinComb.integral and rebuild them only through
+jwkit.qpoly._rationals, once per coefficient returned.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import tempfile
-from fractions import Fraction
 
 from jwkit.coxeter import ElementId, GroupTable
-from jwkit.qpoly import _B, LaurentPoly, LinComb, RatFunc, _pack, _unpack, _width
+from jwkit.qpoly import (
+    _B,
+    LaurentPoly,
+    LinComb,
+    RatFunc,
+    _pack,
+    _rationals,
+    _unpack,
+    _unpacked,
+    _width,
+)
 
 _MASK = (1 << _B) - 1
 _TRIP = 1 << (_B - 1)  # stored coefficients must stay below this
-
-
-def _unpacked(vec: dict[int, int], off: int, bound: int) -> list[tuple[int, dict[int, int]]]:
-    """[(y, {exp: int})] for the nonzero entries of a vector packed at
-    offset off and width _width(bound)."""
-    b = _width(bound)
-    return [(y, _unpack(p, off, b, bound)) for y, p in vec.items() if p]
 
 
 def _pk_encode(d: dict[int, int]) -> int:
@@ -252,8 +257,8 @@ class HeckeElt(LinComb):
     """A Hecke algebra element, a finite sum of delta_x with RatFunc
     coefficients.  Immutable by convention.
 
-    ``+``, ``-``, ``scale``, ``coefficient``, ``cleared``, ``==``,
-    ``hash`` and ``repr`` are inherited from LinComb; elements over
+    ``+``, ``-``, ``scale``, ``coefficient``, ``cleared``, ``integral``,
+    ``==``, ``hash`` and ``repr`` are inherited from LinComb; elements over
     different group tables do not mix (ValueError)."""
 
     __slots__ = ("group",)
@@ -310,10 +315,10 @@ class HeckeElt(LinComb):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return HeckeElt.zero(self.group)
-        avec, ascale = _clear(self)
-        bvec, bscale = _clear(other)
+        avec, ascale = self.integral()
+        bvec, bscale = other.integral()
         prod = _unpacked(*_dense_product(self.group, avec, bvec))
-        return HeckeElt(self.group, _rat_coeffs(prod, ascale * bscale))
+        return HeckeElt(self.group, _rationals(prod, ascale * bscale))
 
     # -- involutions ---------------------------------------------------------------
 
@@ -328,7 +333,7 @@ class HeckeElt(LinComb):
             return self
         g = self.group
         length = g.length
-        vec, scale = _clear(self)
+        vec, scale = self.integral()
         bound = sum(3 ** length[x] * sum(map(abs, c.values())) for x, c in vec.items())
         b = _width(bound)
         hi = max(e for c in vec.values() for e in c)  # bar(c_x) packed at offset -hi
@@ -339,31 +344,10 @@ class HeckeElt(LinComb):
             pc = _pack({-e: k for e, k in c.items()}, -hi, b)
             for z, q in bars[x].items():
                 out[z] = get(z, 0) + pc * q
-        return HeckeElt(g, _rat_coeffs(_unpacked(out, -hi - length[g.w0], bound), scale.bar()))
+        return HeckeElt(g, _rationals(_unpacked(out, -hi - length[g.w0], bound), scale.bar()))
 
 
 # -- integer standard-basis kernel ---------------------------------------------
-
-
-def _clear(elt: LinComb):
-    """Write elt as scale * sum_k vec[k] k with integer Laurent vectors
-    and one RatFunc scale; returns (vec, scale)."""
-    polys, den = elt.cleared()
-    f = math.lcm(1, *(c.denominator for p in polys.values() for _, c in p.items()))
-    vec = {}
-    for y, p in polys.items():
-        vec[y] = d = {}
-        for e, c in p.items():
-            d[e], rem = divmod(c.numerator * f, c.denominator)
-            if rem:
-                raise ArithmeticError("clearing denominators left a fraction")
-    return vec, RatFunc(LaurentPoly.const(Fraction(1, f)), den)
-
-
-def _rat_coeffs(pairs, scale: RatFunc, keep=None) -> dict[ElementId, RatFunc]:
-    """{x: scale * c} over integer Laurent coefficients (x, c) with keep[x]
-    (all x when keep is None): where the integer kernels return RatFunc."""
-    return {x: RatFunc(LaurentPoly(c)) * scale for x, c in pairs if keep is None or keep[x]}
 
 
 def _dense_product(g: GroupTable, avec, bvec):
@@ -543,24 +527,24 @@ def to_kl_basis(h: HeckeElt, table: KLTable, fc_only: bool = False) -> dict[Elem
     commutative x (the others are computed but never become RatFunc)."""
     if not h.coeffs:
         return {}
-    vec, scale = _clear(h)
+    vec, scale = h.integral()
     keep = table.group.fc if fc_only else None
-    return _rat_coeffs(_back_substitute(*_packed(vec), table), scale, keep)
+    return _rationals(_back_substitute(*_packed(vec), table), scale, keep)
 
 
 def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> dict[ElementId, RatFunc]:
     """The fully commutative KL-basis coefficients of (sum_x a_x b_x)
     (sum_x b_x b_x) for linear combinations keyed by element ids: the
     product in TL_W, where the non-FC b_x span the ideal that is dropped.
-    Each operand is cleared to integer numerators over one scale and lifted
-    to the standard basis; _dense_product and back-substitution follow, and
-    only the coefficients returned become RatFunc."""
+    Each operand is cleared by LinComb.integral and lifted to the standard
+    basis; _dense_product and back-substitution follow, and only the
+    coefficients returned become RatFunc."""
     if not a.coeffs or not b.coeffs:
         return {}
-    avec, ascale = _clear(a)
-    bvec, bscale = _clear(b)
+    avec, ascale = a.integral()
+    bvec, bscale = b.integral()
     prod = _dense_product(table.group, _lift(avec, table), _lift(bvec, table))
-    return _rat_coeffs(_back_substitute(*prod, table), ascale * bscale, table.group.fc)
+    return _rationals(_back_substitute(*prod, table), ascale * bscale, table.group.fc)
 
 
 def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, LaurentPoly]:
@@ -733,8 +717,11 @@ def load_kl_cache(path: str, table: KLTable) -> int:
     lacks."""
     g = table.group
     pres = g.presentation
-    with open(path) as f:
-        raw = f.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as f:
+            raw = f.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CacheFormatError(f"undecodable bytes: {exc}") from exc
     if not raw:
         raise CacheFormatError("empty cache file")
     head = raw[0].split()

@@ -21,10 +21,15 @@ and a coefficient is a Fraction only where it is not an integer.
 
 Elements of the algebras built on top (Hecke, TL_n, TL_W) are LinComb
 subclasses: sparse maps from basis keys to RatFunc coefficients.  Their
-product kernels multiply cleared integer numerators in one signed
-Kronecker packing (_pack, _unpack, _width below): a polynomial is one
-Python integer, and a sum or product of polynomials one big-integer
-operation.
+product kernels (Hecke, TL_n diagrams, TL_W) run on integers, and this
+module is their one boundary with Q(v).  LinComb.integral is the only
+place where coefficients are cleared: it writes an element as one
+RatFunc scale times integer Laurent rows.  _rationals is the only place
+where kernel integers become RatFunc again: each result is multiplied by
+the scale and canonicalised once.  In between, a polynomial is one
+Python integer in the signed Kronecker packing (_pack, _unpack,
+_unpacked, _width below), and a sum or product of polynomials one
+big-integer operation.
 
 The two ring involutions used throughout are bar (v -> v^-1) and the
 Koszul sign twist kappa (v -> -v^-1).  Quantum integers are balanced:
@@ -535,6 +540,13 @@ def _unpack(p: int, off: int, b: int, bound: int) -> dict[int, int]:
     return out
 
 
+def _unpacked(vec: Mapping[object, int], off: int, bound: int) -> list[tuple[object, dict]]:
+    """[(k, {exp: int})] for the nonzero entries of a vector of polynomials
+    packed at offset off and width _width(bound)."""
+    b = _width(bound)
+    return [(k, _unpack(p, off, b, bound)) for k, p in vec.items() if p]
+
+
 class RatFunc:
     """A rational function in v over Q, kept in canonical form.
 
@@ -784,6 +796,17 @@ class LinComb:
             dens[d] = den if d.is_one else poly_exact_div(den, d)
         return {k: c.num * dens[c.den] for k, c in self.coeffs.items()}, den
 
+    def integral(self) -> tuple[dict, RatFunc]:
+        """(rows, scale) with self = scale * sum_k rows[k] key, every rows[k]
+        an integer Laurent polynomial {exp: int} and scale one RatFunc: 1/f
+        over the denominator of cleared(), f the lcm of the Fraction
+        denominators left in its numerators."""
+        polys, den = self.cleared()
+        f = math.lcm(*(c.denominator for p in polys.values() for _, c in p.items()))
+        rows = {k: {e: c.numerator * (f // c.denominator) for e, c in p.items()}
+                for k, p in polys.items()}
+        return rows, RatFunc(LaurentPoly.const(Fraction(1, f)), den)
+
     # -- comparisons, hashing, display ------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -798,6 +821,16 @@ class LinComb:
         if not self.coeffs:
             return "0"
         return " + ".join(f"({self.coeffs[k]!r})*{self._label(k)}" for k in sorted(self.coeffs))
+
+
+def _rationals(pairs, scale: RatFunc, keep=None) -> dict:
+    """{k: scale * c} over pairs (k, c) of a key and an integer Laurent
+    polynomial {exp: int}, for every k with keep[k] (all k when keep is
+    None): the inverse of LinComb.integral for what the integer kernels
+    return.  Each coefficient is canonicalised once, as
+    (c * scale.num) / scale.den."""
+    num, den = scale.num, scale.den
+    return {k: RatFunc(_wrap(c) * num, den) for k, c in pairs if keep is None or keep[k]}
 
 
 # -- quantum integers --------------------------------------------------------

@@ -50,20 +50,19 @@ where u_x^- is the monomial diagram reread inside TL_n^-.
 The product kernel.  Diagrams compose on bare partner tuples (_compose):
 composing two planar perfect matchings always gives one, so nothing is
 validated and a Diagram is built once per distinct composite, without
-re-checking it.  multiply_tl clears each factor to integer numerators
-(the lcm of the coefficient denominators, then the lcm of the Fraction
-denominators left in the numerators) and packs every numerator as one
-integer in the signed Kronecker packing of jwkit.qpoly.  A composite
-closing k loops carries (sign delta)^k; the kernel packs
-(sign delta)^k v^m = sign^k (1 + v^2)^k v^(m - k), m = floor(n/2), once
-per k and multiplies each right numerator by it up front.  Per left
-diagram the packed right numerators are summed per composite (one
-addition per diagram pair), and each sum is multiplied once by the left
-numerator.  Each output coefficient is decoded once and canonicalised
-once.  The bound: a composition closes at most m loops (each uses two of
-the n glue points) and ||delta^k||_1 = 2^k, so every output coefficient
-is at most (sum_d ||p_d||_1) (sum_d ||q_d||_1) 2^m, with p_d and q_d the
-integer numerators of the two factors and ||.||_1 the sum of
+re-checking it.  multiply_tl clears each factor by LinComb.integral to
+integer rows over one RatFunc scale and packs every row as one integer
+in the signed Kronecker packing of jwkit.qpoly.  A composite closing k
+loops carries (sign delta)^k; the kernel packs (sign delta)^k v^m =
+sign^k (1 + v^2)^k v^(m - k), m = floor(n/2), once per k and multiplies
+each right numerator by it up front.  Per left diagram the packed right
+numerators are summed per composite (one addition per diagram pair), and
+each sum is multiplied once by the left numerator.  Each output
+coefficient is decoded once (_unpacked) and rebuilt as a RatFunc once
+(_rationals).  The bound: a composition closes at most m loops (each
+uses two of the n glue points) and ||delta^k||_1 = 2^k, so every output
+coefficient is at most (sum_d ||p_d||_1) (sum_d ||q_d||_1) 2^m, with p_d
+and q_d the integer numerators of the two factors and ||.||_1 the sum of
 |coefficients|; the digit width is _width of that bound, and a digit
 above it raises OverflowError.
 """
@@ -74,9 +73,9 @@ import math
 from dataclasses import dataclass
 
 from .coxeter import ElementId, GroupTable
-from .grank import grrk, grrk_w0, jw_coefficient
+from .grank import grrk, jw_coefficient  # noqa: F401 (perfbench wraps the jwkit.tl.grrk alias)
 from .hecke import HeckeElt, KLTable, to_kl_basis
-from .qpoly import LaurentPoly, LinComb, RatFunc, _pack, _unpack, _width, quantum_int
+from .qpoly import LaurentPoly, LinComb, RatFunc, _pack, _rationals, _unpacked, _width, quantum_int
 
 _DELTA = LaurentPoly({1: 1, -1: 1})
 
@@ -202,8 +201,8 @@ class TLElt(LinComb):
     """An element of TL_n (sign +1) or TL_n^- (sign -1): a finite sum of
     diagrams with RatFunc coefficients.
 
-    ``+``, ``-``, ``scale``, ``coefficient``, ``cleared``, ``==``,
-    ``hash`` and ``repr`` are inherited from LinComb; elements with
+    ``+``, ``-``, ``scale``, ``coefficient``, ``cleared``, ``integral``,
+    ``==``, ``hash`` and ``repr`` are inherited from LinComb; elements with
     different n or sign do not mix (ValueError)."""
 
     __slots__ = ("n", "sign")
@@ -245,22 +244,6 @@ class TLElt(LinComb):
         return multiply_tl(self, other)
 
 
-def _integral(elt: TLElt) -> tuple[dict[Diagram, dict[int, int]], LaurentPoly, int]:
-    """(rows, den, scale) with elt = sum_d (rows[d] / (scale den)) d and
-    every rows[d] an integer polynomial {exp: int}: den clears the
-    coefficient denominators, and scale the Fraction denominators left
-    in the cleared numerators."""
-    polys, den = elt.cleared()
-    scale = math.lcm(
-        *(c.denominator for p in polys.values() for _, c in p.items() if type(c) is not int)
-    )
-    rows = {
-        d: {e: c.numerator * (scale // c.denominator) for e, c in p.items()}
-        for d, p in polys.items()
-    }
-    return rows, den, scale
-
-
 def multiply_tl(a: TLElt, b: TLElt) -> TLElt:
     """Bilinear extension of diagram composition, with each erased loop
     contributing the loop parameter of the common sign.
@@ -275,8 +258,8 @@ def multiply_tl(a: TLElt, b: TLElt) -> TLElt:
     n, sign = a.n, a.sign
     if not a.coeffs or not b.coeffs:
         return TLElt.zero(n, sign)
-    rows_a, den_a, scale_a = _integral(a)
-    rows_b, den_b, scale_b = _integral(b)
+    rows_a, scale_a = a.integral()
+    rows_b, scale_b = b.integral()
     m = n // 2  # the most loops one composition can close
     bound = sum(abs(c) for r in rows_a.values() for c in r.values())
     bound *= sum(abs(c) for r in rows_b.values() for c in r.values()) << m
@@ -304,14 +287,8 @@ def multiply_tl(a: TLElt, b: TLElt) -> TLElt:
             row[d] = get(d, 0) + qb[k]
         for d, s in row.items():
             acc[d] = acc.get(d, 0) + pa * s
-    den = (den_a * den_b).scale(scale_a * scale_b)
-    off = off_a + off_b - m
-    out = {}
-    for d, c in acc.items():
-        terms = _unpack(c, off, w, bound)
-        if terms:
-            out[Diagram._trusted(n, d)] = RatFunc(LaurentPoly(terms), den)
-    return TLElt(n, out, sign)
+    prod = ((Diagram._trusted(n, d), c) for d, c in _unpacked(acc, off_a + off_b - m, bound))
+    return TLElt(n, _rationals(prod, scale_a * scale_b), sign)
 
 
 # -- the monomial basis ---------------------------------------------------------
@@ -380,36 +357,37 @@ def wenzl_jw(n: int) -> TLElt:
     return j
 
 
+def _on_diagrams(g: GroupTable, coeffs: dict[ElementId, RatFunc], sign: int = 1) -> TLElt:
+    """sum_x coeffs[x] u_x in TL_n^sign, over fully commutative ids x of g = S_n."""
+    return TLElt(_require_type_a(g), {monomial(g, x): c for x, c in coeffs.items()}, sign)
+
+
+def _closed_coefficients(n: int, g: GroupTable, cache: KLTable) -> dict[ElementId, RatFunc]:
+    """The closed-formula coefficients of j_n, keyed by the FC ids of g = S_n."""
+    if _require_type_a(g) != n:
+        raise ValueError(f"group has rank {g.rank}, expected {n - 1}")
+    return {x: jw_coefficient(g, cache, x) for x in g.fc_elements()}
+
+
 def closed_jw(n: int, g: GroupTable, cache: KLTable) -> TLElt:
     """The Jones-Wenzl idempotent by the closed formula: the coefficient
     of u_x is (-1)^length(x) grrk(x w0) / grrk(w0), summed over the
     fully commutative elements of the symmetric group S_n."""
-    if _require_type_a(g) != n:
-        raise ValueError(f"group has rank {g.rank}, expected {n - 1}")
-    out = {}
-    for x in g.fc_elements():
-        out[monomial(g, x)] = jw_coefficient(g, cache, x)
-    return TLElt(n, out)
+    return _on_diagrams(g, _closed_coefficients(n, g, cache))
 
 
 def project_pi(h: HeckeElt, cache: KLTable) -> TLElt:
     """The quotient map pi from the type A Hecke algebra onto TL_n:
     expand in the KL basis and send b_x to u_x for fully commutative x
     and to 0 otherwise."""
-    g = h.group
-    n = _require_type_a(g)
-    kl = to_kl_basis(h, cache, fc_only=True)
-    return TLElt(n, {monomial(g, x): c for x, c in kl.items()})
+    _require_type_a(h.group)  # before the expansion, the costly part
+    return _on_diagrams(h.group, to_kl_basis(h, cache, fc_only=True))
 
 
 def jw_minus(n: int, g: GroupTable, cache: KLTable) -> TLElt:
     """The sign-twisted Jones-Wenzl element j_n^- of TL_n^-, with
-    all-positive coefficients grrk(x w0) / grrk(w0) on u_x^-."""
-    if _require_type_a(g) != n:
-        raise ValueError(f"group has rank {g.rank}, expected {n - 1}")
-    den = grrk_w0(g, cache).value
-    out = {}
-    for x in g.fc_elements():
-        num = grrk(g, cache, g.multiply(x, g.w0)).value
-        out[monomial(g, x)] = RatFunc(num, den)
-    return TLElt(n, out, sign=-1)
+    all-positive coefficients grrk(x w0) / grrk(w0) on u_x^-: the
+    closed-formula coefficients c_x of j_n give j_n^- = sum_x
+    (-1)^length(x) c_x u_x^-."""
+    coeffs = _closed_coefficients(n, g, cache)
+    return _on_diagrams(g, {x: -c if g.length[x] % 2 else c for x, c in coeffs.items()}, -1)

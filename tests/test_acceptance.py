@@ -134,7 +134,7 @@ def test_criterion_02_stretch_n7():
     """On a KL table of its own, outside the cached table() and _triple(),
     so the A6 table (about 380 MB at its peak) is freed with the test."""
     t0 = time.monotonic()
-    g = grp("A", 6)
+    g = grp("A", 6, allow_large=True)
     jc, jwz, jpr = _constructions(7, g, KLTable(g))
     ok = jc == jwz == jpr and len(jc.coeffs) == catalan(7)
     report(2, ok, f"stretch leg: triple agreement at n = 7 in {time.monotonic()-t0:.0f}s")
@@ -322,13 +322,13 @@ def test_criterion_10_counts():
         + [("F4", 4, None)]
     )
     for args in order_checks:
-        g = grp(*args)
+        g = grp(*args, allow_large=True)
         ok = ok and g.size == classical_order(presentation(args[0], rank=args[1], m=args[2]))
     for n in range(2, 8):
-        g = grp("A", n - 1)
+        g = grp("A", n - 1, allow_large=True)
         ok = ok and len(g.fc_elements()) == catalan(n)
     for n in range(2, 8):
-        g = grp("A", n - 1)
+        g = grp("A", n - 1, allow_large=True)
         t = table("A", n - 1) if n < 7 else KLTable(g)  # keeps no A6 table in table()
         ok = ok and grrk(g, t, g.w0).value == quantum_factorial(n)
     report(10, ok, "|W| classical on 16 groups (H4 via optional leg); FC = Catalan(n) and "

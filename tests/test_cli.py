@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -451,6 +452,24 @@ def test_cache_corruption_recovers(capsys, tmp_path):
     # the rewritten cache is valid again
     code, out, err = _run(capsys, *argv)
     assert code == 0 and out == cold and "warning" not in err
+
+
+@pytest.mark.parametrize("spoil", ["undecodable-byte", "directory"])
+def test_unreadable_cache_is_recomputed(capsys, tmp_path, spoil):
+    """A cache path holding bytes that are not text, or a directory, is
+    warned about and recomputed, never a traceback with exit 1."""
+    argv = ("grrk", "--family", "A", "--rank", "2", "--cache-dir")
+    code, cold, _ = _run(capsys, *argv, str(tmp_path / "cold"))
+    assert code == 0
+    path = tmp_path / "spoilt" / "kl-A-2.kltab"
+    if spoil == "directory":
+        path.mkdir(parents=True)
+    else:
+        shutil.copytree(tmp_path / "cold", path.parent)
+        path.write_bytes(path.read_bytes().replace(b"kltable", b"kl\xfftable", 1))
+    code, out, err = _run(capsys, *argv, str(path.parent))
+    assert code == 0 and out == cold
+    assert "warning" in err and "ignoring cache" in err
 
 
 @pytest.mark.parametrize(

@@ -178,7 +178,7 @@ def test_fc_identity_and_generators():
 
 
 def test_f4_builds_with_correct_order():
-    g = grp("F4")
+    g = grp("F4", allow_large=True)
     assert g.size == 1152
     assert g.length[g.w0] == 24
 
@@ -199,7 +199,7 @@ MATRIX_MODEL_DIGESTS = {
 
 @pytest.mark.parametrize("family", sorted(MATRIX_MODEL_DIGESTS))
 def test_tables_match_matrix_model(family):
-    assert _table_digest(grp(family)) == MATRIX_MODEL_DIGESTS[family]
+    assert _table_digest(grp(family, allow_large=True)) == MATRIX_MODEL_DIGESTS[family]
 
 
 def _family_rank(name):
@@ -274,7 +274,7 @@ def test_fc_counts_match_stembridge():
     # groups" (J. Algebraic Combin., 1998): H3 44, H4 195, F4 106 and
     # (n + 2) C_n - 1 in B_n, which is 83 in B4
     assert sum(grp("H3").fc) == 44
-    assert sum(grp("F4").fc) == 106
+    assert sum(grp("F4", allow_large=True).fc) == 106
     assert sum(grp("H4", allow_large=True).fc) == 195
     for n in (2, 3, 4):
         assert sum(grp("B", n).fc) == (n + 2) * catalan(n) - 1

@@ -10,14 +10,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jwkit import qpoly
+from jwkit.hecke import HeckeElt
 from jwkit.qpoly import (
     LaurentPoly,
     LinComb,
     RatFunc,
+    _rationals,
     parity_class,
     poly_exact_div,
     poly_gcd,
@@ -25,6 +27,9 @@ from jwkit.qpoly import (
     quantum_factorial,
     quantum_int,
 )
+from jwkit.tl import TLElt, monomial
+
+from oracles import grp
 
 v = LaurentPoly.gen()
 
@@ -402,6 +407,41 @@ def test_cleared_matches_pairwise_lcm(pairs, c):
     assert set(polys) == set(vec.coeffs)
     for k, c in vec.coeffs.items():
         assert RatFunc(polys[k], den) == c
+
+
+S3 = grp("A", 2)
+# keys of both algebras: the six elements of S_3, and the five TL_3
+# diagrams of its fully commutative elements
+BOUNDARY_KEYS = {
+    "hecke": (list(range(S3.size)), lambda c: HeckeElt(S3, c)),
+    "tl": ([monomial(S3, x) for x in S3.fc_elements()], lambda c: TLElt(3, c)),
+}
+DENOMINATORS = [1, 3, quantum_int(2), quantum_int(3), v + 2, (v + 2) * quantum_int(2)]
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(sorted(BOUNDARY_KEYS)),
+    st.lists(st.tuples(laurent, st.sampled_from(DENOMINATORS)), max_size=6),
+    st.lists(st.booleans(), min_size=6, max_size=6),
+)
+@example("hecke", [], [True] * 6)
+@example("tl", [(LaurentPoly.zero(), 3)], [True] * 6)
+def test_integral_and_rationals_round_trip(algebra, entries, flags):
+    """scale * sum_k rows[k] k rebuilds the element, over Fraction
+    coefficients, several distinct denominators, negative exponents and
+    the zero element; _rationals rebuilds exactly the keys keep selects."""
+    keys, build = BOUNDARY_KEYS[algebra]
+    elt = build({keys[i]: RatFunc(a, d) for i, (a, d) in enumerate(entries[: len(keys)])})
+    rows, scale = elt.integral()
+    assert set(rows) == set(elt.coeffs)
+    assert all(type(c) is int and c for r in rows.values() for c in r.values())
+    rebuilt = build({k: RatFunc(LaurentPoly(r)) for k, r in rows.items()}).scale(scale)
+    assert rebuilt == elt
+    assert _rationals(rows.items(), scale) == elt.coeffs
+    keep = dict(zip(keys, flags))
+    kept = _rationals(rows.items(), scale, keep)
+    assert kept == {k: c for k, c in elt.coeffs.items() if keep[k]}
 
 
 def test_doctests():
