@@ -312,9 +312,6 @@ def _cmd_kl(cfg: JobConfig):
     g, table, cache_path = _build(cfg, needs_kl=True)
     cols = [table.column_packed(x) for x in range(g.size)]
     _save_cache(table, cache_path)
-    # A table holds few distinct polynomials (A5: 98,407 records, 121
-    # polynomials, 720 words), so each polynomial and each word is
-    # rendered once, and all of it before anything is written.
     if cfg.output == "json":
         words = [_json(g.word_str(x)) for x in range(g.size)]
 
@@ -324,17 +321,16 @@ def _cmd_kl(cfg: JobConfig):
     else:
         words = [g.word_str(x) for x in range(g.size)]
         cell = repr if cfg.output == "csv" else (lambda h: "$" + _poly_latex(h) + "$")
-    distinct = {p for col in cols for p in col.values()}
-    cells = {p: cell(LaurentPoly(table.decoded(p))) for p in distinct}
+    cells = [cell(LaurentPoly(d)) for d in table.terms]  # by polynomial id
     entries = ((x, y, col[y]) for x, col in enumerate(cols) for y in sorted(col))
     if cfg.output == "json":
         keys = ("x", "y", "word_x", "word_y", "h", "display")
         # the emitter's layout for one record, with %-slots for its values
         record = _json_object(zip(keys, ("%d", "%d", "%s", "%s", "%s", "%s")), 2)
         return _group_doc_header(g), (
-            record % (x, y, words[x], words[y], *cells[p]) for x, y, p in entries
+            record % (x, y, words[x], words[y], *cells[i]) for x, y, i in entries
         )
-    rows = ([str(x), str(y), words[x], words[y], cells[p]] for x, y, p in entries)
+    rows = ([str(x), str(y), words[x], words[y], cells[i]] for x, y, i in entries)
     return ("Kazhdan-Lusztig polynomials h_{y,x}", ["x", "y", "word_x", "word_y", "h"]), rows
 
 
@@ -667,11 +663,12 @@ def _build_parser() -> _Parser:
 
 
 def _to_config(args: argparse.Namespace) -> JobConfig:
-    if args.m is not None and args.family not in ("I2",):
+    family = args.family.strip().upper()
+    if args.m is not None and family != "I2":
         raise UsageError("--m only applies to family I2")
     return JobConfig(
         command=args.command,
-        family=args.family,
+        family=family,
         rank=args.rank,
         m=args.m,
         method=getattr(args, "method", "closed"),

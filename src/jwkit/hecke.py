@@ -41,12 +41,13 @@ and peak(x) the largest coefficient in the column of x, the bounds are:
   and kl_product_coeffs): a running bound, widening the digit before it
   could reach 2^(b-1).
 
-The KL table stores each h_{y,x} at offset 0 with 32-bit digits: its
-coefficients are nonnegative and below 2^31, its exponents in [0, L].
-The recursion's mu-corrections cannot borrow across digits, because the
+The KL table stores each distinct polynomial once, at offset 0 with
+32-bit digits (its coefficients are nonnegative and below 2^31, its
+exponents in [0, L]), and a column maps y to the id of h_{y,x}.  The
+recursion's mu-corrections cannot borrow across digits, because the
 accumulator dominates, digit by digit, everything subtracted from it (the
-final h coefficients are nonnegative); KLTable.decoded still rejects a
-digit of 2^31 or more.
+final h coefficients are nonnegative); storing rejects a digit of 2^31
+or more.  Wider digits are read from the store's repacking at that width.
 
 The four entry points that take or return RatFunc coefficients
 (HeckeElt.__mul__, HeckeElt.bar, to_kl_basis and kl_multiply) clear
@@ -73,30 +74,7 @@ from jwkit.qpoly import (
     _width,
 )
 
-_MASK = (1 << _B) - 1
 _TRIP = 1 << (_B - 1)  # stored coefficients must stay below this
-
-
-def _pk_encode(d: dict[int, int]) -> int:
-    """_pack(d, 0, _B), as the table stores a KL polynomial, checked and
-    packed in one pass (the cache loader runs it per distinct term list);
-    ValueError for a coefficient outside [0, 2^31) or a negative exponent."""
-    p = 0
-    for e, c in d.items():
-        if c < 0 or c >= _TRIP or e < 0:
-            raise ValueError("cannot pack this polynomial")
-        p += c << (_B * e)
-    return p
-
-
-def _column_at(table: "KLTable", x: ElementId, b: int) -> dict[ElementId, int]:
-    """The packed column of x at digit width b: the stored column at the
-    table's _B, else repacked through the decoded memo."""
-    col = table.column_packed(x)
-    if b == _B:
-        return col
-    dec = table.decoded
-    return {y: _pack(dec(p), 0, b) for y, p in col.items()}
 
 
 class CacheFormatError(ValueError):
@@ -111,61 +89,79 @@ class KLLawError(ArithmeticError):
 
 class KLTable:
     """Kazhdan-Lusztig polynomials h_{y,x} for one group, computed lazily
-    column by column and shared by everything downstream."""
+    column by column and shared by everything downstream.
+
+    Each distinct polynomial is stored once under a small-int id (id 0 is
+    1): packed at offset 0 and width _B, as {exp: int} (``terms``), with its
+    largest coefficient and mu.  A column maps y to the id of h_{y,x}."""
 
     def __init__(self, group: GroupTable):
         self.group = group
-        self._cols: dict[int, dict[int, int]] = {0: {0: 1}}
-        self._decoded: dict[int, dict[int, int]] = {}
-        self._peaks: dict[int, int] = {}
+        self._ids: dict[int, int] = {}  # packed at _B -> id
+        self._packed: dict[int, list[int]] = {_B: []}  # digit width -> packed, by id
+        self.terms: list[dict[int, int]] = []  # read-only
+        self._peak: list[int] = []
+        self._mu: list[int] = []
+        self._cols: dict[int, dict[int, int]] = {0: {0: self._intern(1)}}
         self.w0_rank = None  # grrk(w0), memoised by jwkit.grank.grrk_w0
         # True while the table holds a column its cache file lacks
         self.unsaved = True
+
+    # -- the polynomial store --------------------------------------------------
+
+    def _intern(self, p: int) -> int:
+        """The id of the nonzero polynomial packed as p at offset 0 and width _B,
+        stored on first sight.  A digit of 2^31 or more exceeds the bound or
+        decodes negative: OverflowError."""
+        i = self._ids.get(p)
+        if i is None:
+            d = _unpack(p, 0, _B, _TRIP - 1)
+            if any(c < 0 for c in d.values()):
+                raise OverflowError("packed-polynomial digit overflow")
+            i = self._ids[p] = len(self.terms)
+            self._packed[_B].append(p)
+            self.terms.append(d)
+            self._peak.append(max(d.values()))
+            self._mu.append(d.get(1, 0))
+        return i
+
+    def packed_at(self, b: int) -> list[int]:
+        """Every stored polynomial packed at offset 0 and digit width b, by
+        id; a wider width is packed on first use and kept up to date."""
+        hs = self._packed.setdefault(b, [])
+        terms = self.terms
+        hs.extend(_pack(terms[i], 0, b) for i in range(len(hs), len(terms)))
+        return hs
 
     # -- public views --------------------------------------------------------
 
     def h(self, y: ElementId, x: ElementId) -> LaurentPoly:
         """The KL polynomial h_{y,x} (zero unless y <= x)."""
-        p = self.column_packed(x).get(y)
-        return LaurentPoly(self.decoded(p)) if p else LaurentPoly.zero()
+        i = self.column_packed(x).get(y)
+        return LaurentPoly() if i is None else LaurentPoly(self.terms[i])
 
     def mu(self, y: ElementId, x: ElementId) -> int:
         """The coefficient of v in h_{y,x}."""
-        return (self.column_packed(x).get(y, 0) >> _B) & _MASK
+        i = self.column_packed(x).get(y)
+        return 0 if i is None else self._mu[i]
 
     def column(self, x: ElementId) -> dict[ElementId, LaurentPoly]:
         """All nonzero h_{y,x} as Laurent polynomials."""
-        return {y: LaurentPoly(self.decoded(p)) for y, p in self.column_packed(x).items()}
+        terms = self.terms
+        return {y: LaurentPoly(terms[i]) for y, i in self.column_packed(x).items()}
 
     def column_packed(self, x: ElementId) -> dict[ElementId, int]:
+        """The stored column of x, {y: id of h_{y,x}}, computed on first use."""
         col = self._cols.get(x)
         if col is None:
             self._fill_column(x)
             col = self._cols[x]
         return col
 
-    def decoded(self, p: int) -> dict[int, int]:
-        """The stored polynomial p as {exp: int}, memoised by packed value: a
-        table holds few distinct polynomials (235 in B4, 1691 in F4).
-        Read-only.  A digit of 2^31 or more exceeds the bound or decodes
-        negative: OverflowError."""
-        d = self._decoded.get(p)
-        if d is None:
-            d = _unpack(p, 0, _B, _TRIP - 1)
-            if any(c < 0 for c in d.values()):
-                raise OverflowError("packed-polynomial digit overflow")
-            self._decoded[p] = d
-        return d
-
     def column_peak(self, x: ElementId) -> int:
-        """The largest coefficient of any h_{y,x}, memoised per column (a
-        stored column never changes): the bound packed sums start from."""
-        peak = self._peaks.get(x)
-        if peak is None:
-            dec = self.decoded
-            vals = set(self.column_packed(x).values())
-            peak = self._peaks[x] = max(max(dec(p).values()) for p in vals)
-        return peak
+        """The largest coefficient of any h_{y,x}: the bound packed sums
+        start from."""
+        return max(map(self._peak.__getitem__, self.column_packed(x).values()))
 
     def graded_sum(self, x: ElementId) -> dict[int, int]:
         """sum_y v^(-length(y)) h_{y,x} over the column of x, the graded rank
@@ -176,11 +172,13 @@ class KLTable:
         (column size) x peak(x)."""
         length = self.group.length
         L = length[self.group.w0]
-        bound = len(self.column_packed(x)) * self.column_peak(x)
+        col = self.column_packed(x)
+        bound = len(col) * self.column_peak(x)
         b = _width(bound)
+        hs = self.packed_at(b)
         buckets = [0] * (L + 1)
-        for y, p in _column_at(self, x, b).items():
-            buckets[length[y]] += p
+        for y, i in col.items():
+            buckets[length[y]] += hs[i]
         packed = 0
         for part in buckets:  # bucket l ends up shifted by L - l digits
             packed = (packed << b) + part
@@ -193,7 +191,7 @@ class KLTable:
 
     def _fill_column(self, x0: ElementId) -> None:
         g = self.group
-        cols = self._cols
+        cols, mus = self._cols, self._mu
         length, left = g.length, g.left
         stack = [x0]
         while stack:
@@ -209,8 +207,8 @@ class KLTable:
                 continue
             pending = [
                 y
-                for y, p in cz.items()
-                if length[left[y][s]] < length[y] and (p >> _B) & _MASK and y not in cols
+                for y, i in cz.items()
+                if length[left[y][s]] < length[y] and mus[i] and y not in cols
             ]
             if pending:
                 stack.extend(pending)
@@ -220,12 +218,15 @@ class KLTable:
             stack.pop()
 
     def _combine(self, s: int, z: ElementId, cz: dict[int, int]) -> dict[int, int]:
-        """Column of x = s z from the column of z, lengths descending."""
+        """Column of x = s z from the column of z, lengths descending, summed
+        in one transient packed accumulator and interned once."""
         g = self.group
         length, left = g.length, g.left
+        hs, mus = self._packed[_B], self._mu
         acc: dict[int, int] = {}
         corrections = []
-        for y, p in cz.items():
+        for y, i in cz.items():
+            p = hs[i]
             sy = left[y][s]
             if length[sy] > length[y]:
                 acc[sy] = acc.get(sy, 0) + p
@@ -233,13 +234,11 @@ class KLTable:
             else:
                 acc[sy] = acc.get(sy, 0) + p
                 acc[y] = acc.get(y, 0) + (p >> _B)  # + v^-1 h_{y,z}; min exp >= 1 here
-                mu = (p >> _B) & _MASK
-                if mu:
-                    corrections.append((y, mu))
+                if mus[i]:
+                    corrections.append((y, mus[i]))
         for y, mu in corrections:
-            coly = self._cols[y]
-            for yy, q in coly.items():
-                r = acc.get(yy, 0) - mu * q
+            for yy, j in self._cols[y].items():
+                r = acc.get(yy, 0) - mu * hs[j]
                 if r:
                     acc[yy] = r
                 else:
@@ -247,7 +246,7 @@ class KLTable:
         x = left[z][s]
         if acc.get(x) != 1:
             raise KLLawError("KL recursion lost unitriangularity")
-        return {y: p for y, p in acc.items() if p}
+        return {y: self._intern(p) for y, p in acc.items()}
 
 
 # -- elements -----------------------------------------------------------------
@@ -466,11 +465,12 @@ def _lift(vec: dict[int, dict[int, int]], table: KLTable) -> dict[int, dict[int,
     b = _width(bound)
     off = min(e for c in vec.values() for e in c)
     out: dict[int, int] = {}
+    hs = table.packed_at(b)  # the bound filled every column read below
     get = out.get
     for x, c in vec.items():
         pc = _pack(c, off, b)
-        for y, h in _column_at(table, x, b).items():
-            out[y] = get(y, 0) + pc * h
+        for y, i in table.column_packed(x).items():
+            out[y] = get(y, 0) + pc * hs[i]
     return dict(_unpacked(out, off, bound))
 
 
@@ -498,7 +498,7 @@ def _back_substitute(vec: dict[int, int], off: int, bound: int, table: KLTable):
     far bounds every coefficient still in vec, c_x included, and each c_x
     is decoded under G.  Before a subtraction lets G reach 2^(b-1), the
     remaining vector is decoded under the old G and repacked at a wider
-    digit, and the columns read from then on are repacked too."""
+    digit, and the columns are read from then on at that digit."""
     b = _width(bound)
     for x in range(max(vec, default=-1), -1, -1):
         p = vec.get(x)
@@ -515,8 +515,9 @@ def _back_substitute(vec: dict[int, int], off: int, bound: int, table: KLTable):
             b, p = wide, vec[x]
         bound = grown
         get = vec.get
-        for y, h in _column_at(table, x, b).items():
-            vec[y] = get(y, 0) - p * h  # vec[x] becomes 0: h_{x,x} = 1
+        hs = table.packed_at(b)
+        for y, i in table.column_packed(x).items():
+            vec[y] = get(y, 0) - p * hs[i]  # vec[x] becomes 0: h_{x,x} = 1
     if any(vec.values()):
         raise ArithmeticError("back-substitution left a nonzero residue")
 
@@ -556,9 +557,11 @@ def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, L
     length, right = g.length, g.right
     bound = 2 * table.column_peak(x)
     b = _width(bound)
+    hs = table.packed_at(b)
     acc: dict[int, int] = {}
     get = acc.get
-    for y, p in _column_at(table, x, b).items():
+    for y, i in table.column_packed(x).items():
+        p = hs[i]
         ys = right[y][s]
         acc[ys] = get(ys, 0) + (p << b)
         acc[y] = get(y, 0) + (p << 2 * b if length[ys] > length[y] else p)
@@ -606,9 +609,9 @@ def verify_bar_invariance(group: GroupTable, table: KLTable, elements=None) -> i
     share nothing with the KL recursion.  Returns the number of elements
     checked.
 
-    bar(b_x) = sum_y bar(h_{y,x}) bar(delta_y) is summed per distinct
-    polynomial: the bar(delta_y) with the same h_{y,x} are added first and
-    multiplied once by bar(h_{y,x}), packed at offset -length(w0).  The
+    bar(b_x) = sum_y bar(h_{y,x}) bar(delta_y) is summed per polynomial id:
+    the bar(delta_y) with the same h_{y,x} are added first and multiplied
+    once by bar(h_{y,x}), packed at offset -length(w0).  The
     total, at offset -2 length(w0), is compared with the packed column as
     integers.  Bound: the largest sum_y 3^length(y) ||h_{y,x}||_1 over the
     columns checked; it bounds every h_{y,x} too, so equal integers mean
@@ -620,38 +623,30 @@ def verify_bar_invariance(group: GroupTable, table: KLTable, elements=None) -> i
     length = g.length
     L = length[g.w0]
     pow3 = [3**k for k in range(L + 1)]
-    norm: dict[int, int] = {}  # ||h||_1 per distinct packed h
-    bound = 0
-    for x in todo:
-        n = 0
-        for y, p in table.column_packed(x).items():
-            k = norm.get(p)
-            if k is None:
-                k = norm[p] = sum(table.decoded(p).values())
-            n += k * pow3[length[y]]
-        bound = max(bound, n)
+    cols = [table.column_packed(x) for x in todo]
+    l1 = [sum(d.values()) for d in table.terms]  # ||h||_1 by id
+    bound = max(sum(l1[i] * pow3[length[y]] for y, i in col.items()) for col in cols)
     b = _width(bound)
     bars = _bar_std(g, max(length[x] for x in todo), b)
-    barred: dict[int, int] = {}  # bar(h) packed at offset -L, per distinct packed h
-    for x in todo:
-        sums: dict[int, dict[int, int]] = {}  # h -> sum of bar(delta_y) over h_{y,x} = h
-        for y, p in table.column_packed(x).items():
-            acc = sums.get(p)
+    hs = table.packed_at(b)
+    bar_h = [_pack({-e: c for e, c in d.items()}, -L, b) for d in table.terms]  # at offset -L
+    for x, col in zip(todo, cols):
+        sums: dict[int, dict[int, int]] = {}  # id -> sum of bar(delta_y) over h_{y,x} with that id
+        for y, i in col.items():
+            acc = sums.get(i)
             if acc is None:
-                sums[p] = dict(bars[y])
+                sums[i] = dict(bars[y])
                 continue
             get = acc.get
             for z, q in bars[y].items():
                 acc[z] = get(z, 0) + q
         got: dict[int, int] = {}
         get = got.get
-        for p, acc in sums.items():
-            hb = barred.get(p)
-            if hb is None:
-                hb = barred[p] = _pack({-e: c for e, c in table.decoded(p).items()}, -L, b)
+        for i, acc in sums.items():
+            hb = bar_h[i]
             for z, q in acc.items():
                 got[z] = get(z, 0) + hb * q
-        expect = {z: h << (2 * L * b) for z, h in _column_at(table, x, b).items()}
+        expect = {z: hs[i] << (2 * L * b) for z, i in col.items()}
         if {z: q for z, q in got.items() if q} != expect:
             raise KLLawError(f"b_{x} is not bar-invariant")
     return len(todo)
@@ -672,32 +667,24 @@ def write_kl_cache(path: str, table: KLTable) -> int:
     """Write every computed column to ``path`` atomically.  Lines are
     sorted, the trailing record pins the line count and the sha256 of the
     entry lines, and a rewrite of the same table state is byte-identical.
-    Entry lines stream to the file a column at a time, and each distinct
+    Entry lines stream to the file a column at a time, and each stored
     polynomial is rendered once."""
     pres = table.group.presentation
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".kltmp")
     digest = hashlib.sha256()
-    bodies: dict[int, str] = {}
+    rendered = [" ".join(f"{e}:{h[e]}" for e in sorted(h)) for h in table.terms]  # by id
     count = 0
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(f"kltable 2 {pres.family} {pres.m_parameter}\n".encode())
             for x in table.computed_columns():
                 col = table.column_packed(x)
-                lines = []
-                for y in sorted(col):
-                    p = col[y]
-                    body = bodies.get(p)
-                    if body is None:
-                        terms = table.decoded(p)
-                        body = bodies[p] = " ".join(f"{e}:{terms[e]}" for e in sorted(terms))
-                    lines.append(f"{x} {y} {body}\n")
-                chunk = "".join(lines).encode()
+                chunk = "".join([f"{x} {y} {rendered[col[y]]}\n" for y in sorted(col)]).encode()
                 digest.update(chunk)
                 f.write(chunk)
-                count += len(lines)
+                count += len(col)
             f.write(f"end {count} {digest.hexdigest()}\n".encode())
         os.replace(tmp, path)
     except BaseException:
@@ -734,11 +721,16 @@ def load_kl_cache(path: str, table: KLTable) -> int:
     body = raw[1:-1]
     if declared != len(body):
         raise CacheFormatError(f"line count {len(body)} != declared {declared}")
+    # Every column is validated before the table changes.  A table holds
+    # few distinct polynomials: each distinct term list is parsed once, its
+    # exponents checked to lie in [0, L] before it is packed, and a
+    # polynomial new to the store gets the id it will have once stored.
+    L = g.length[g.w0]
+    base = len(table.terms)
+    fresh: dict[int, int] = {}  # packed -> id, for polynomials new to the store
+    seen: dict[str, tuple[int, tuple[int, ...]]] = {}  # term list -> (id, exponents)
+    lawful: set[tuple[int, int | None]] = set()  # (id, length difference) checked
     cols: dict[int, dict[int, int]] = {}
-    # a table holds few distinct polynomials: each distinct term list is
-    # checked once per length difference and packed once
-    lawful: set[tuple[str, int | None]] = set()
-    packed: dict[str, int] = {}
     try:
         for line in body:
             parts = line.split(None, 2)
@@ -746,41 +738,47 @@ def load_kl_cache(path: str, table: KLTable) -> int:
             if not (0 <= y < g.size and 0 <= x < g.size):
                 raise CacheFormatError(f"element id out of range: {line!r}")
             text = parts[2] if len(parts) == 3 else ""
-            # h_{x,x} = 1; for y != x, h_{y,x} lies in v^d Z[v^-2] and in v Z[v]
-            d = None if y == x else g.length[x] - g.length[y]
-            if (text, d) not in lawful:
-                for item in text.split():
-                    e, c = item.split(":")
-                    e, c = int(e), int(c)
-                    if d is None:
-                        ok = e == 0 and c == 1
-                    else:
-                        ok = c > 0 and 1 <= e <= d and (d - e) % 2 == 0
-                    if not ok:
-                        raise CacheFormatError(f"invalid term {item!r} in h_{{{y},{x}}}")
-                lawful.add((text, d))
-            p = packed.get(text)
-            if p is None:
+            entry = seen.get(text)
+            if entry is None:
                 terms = {}
                 for item in text.split():
                     e, c = item.split(":")
                     terms[int(e)] = int(c)
-                p = packed[text] = _pk_encode(terms)
-            if not p or y in cols.get(x, {}):
-                raise CacheFormatError(f"empty or duplicate entry: {line!r}")
-            cols.setdefault(x, {})[y] = p
+                if not terms or min(terms.values()) <= 0 or min(terms) < 0 or max(terms) > L:
+                    raise CacheFormatError(f"empty entry or invalid term: {line!r}")
+                if max(terms.values()) >= _TRIP:
+                    raise CacheFormatError(f"cannot pack {line!r} in 32-bit digits")
+                p = _pack(terms, 0, _B)
+                i = table._ids.get(p)
+                if i is None:
+                    i = fresh.setdefault(p, base + len(fresh))
+                entry = seen[text] = (i, tuple(terms))
+            i, exps = entry
+            # h_{x,x} = 1; for y != x, h_{y,x} lies in v^d Z[v^-2] and in v Z[v]
+            d = None if y == x else g.length[x] - g.length[y]
+            if (i, d) not in lawful:
+                ok = i == 0 if d is None else all(1 <= e <= d and (d - e) % 2 == 0 for e in exps)
+                if not ok:
+                    raise CacheFormatError(f"invalid term in h_{{{y},{x}}}: {line!r}")
+                lawful.add((i, d))
+            col = cols.setdefault(x, {})
+            if y in col:
+                raise CacheFormatError(f"duplicate entry: {line!r}")
+            col[y] = i
     except CacheFormatError:
         raise
     except (IndexError, ValueError) as exc:
         raise CacheFormatError(f"unparseable line: {exc}") from exc
     if _digest(body) != trailer[2]:
         raise CacheFormatError("checksum mismatch")
-    added = 0
+    del raw, body, seen  # not needed past the checksum; frees the file's lines before storing
     for x, col in cols.items():
-        if col.get(x) != 1:
+        if x not in col:  # h_{x,x} passed its law, so it is 1
             raise CacheFormatError(f"column {x} is not unitriangular")
-        if x not in table._cols:
-            table._cols[x] = col
-            added += 1
+    for p, i in fresh.items():  # in id order
+        if table._intern(p) != i:
+            raise AssertionError(f"store gave a loaded polynomial an id other than {i}")
+    added = {x: col for x, col in cols.items() if x not in table._cols}
+    table._cols.update(added)
     table.unsaved = any(x not in cols for x in table._cols)
-    return added
+    return len(added)

@@ -7,12 +7,24 @@ it cross-checks the package's cleverer code paths without sharing logic.
 import itertools
 from functools import lru_cache
 
-from jwkit import coxeter
+from jwkit import coxeter, hecke
 
 
 @lru_cache(maxsize=None)
 def grp(family, rank=None, m=None, allow_large=False):
     return coxeter.build_group(coxeter.presentation(family, rank=rank, m=m), allow_large=allow_large)
+
+
+def packed_entry(table, y, x):
+    """h_{y,x} packed at offset 0 and width hecke._B, as the table's
+    polynomial store holds it."""
+    return table.packed_at(hecke._B)[table.column_packed(x)[y]]
+
+
+def store_entry(table, y, x, p):
+    """Corrupt a table through its polynomial store: h_{y,x} becomes the
+    polynomial packed as p at offset 0 and width hecke._B."""
+    table.column_packed(x)[y] = table._intern(p)
 
 
 def shortlex_words_bruteforce(g):

@@ -12,7 +12,7 @@ from jwkit import cli, hecke
 from jwkit.hecke import KLTable, load_kl_cache
 from jwkit.qpoly import LaurentPoly, RatFunc, quantum_factorial, quantum_int
 
-from oracles import grp
+from oracles import grp, packed_entry, store_entry
 
 
 def _run(capsys, *argv):
@@ -240,6 +240,23 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert doc["failures"] == [{"check": "parity", "element": 1}]
 
 
+@pytest.mark.parametrize(
+    "family,args",
+    [
+        ("A", ("jw", "--rank", "3")),
+        ("A", ("jw", "--rank", "3", "--method", "wenzl", "--output", "csv")),
+        ("I2", ("group", "--m", "5")),
+        ("B", ("grrk", "--rank", "3", "--output", "latex")),
+    ],
+    ids=str,
+)
+def test_family_is_case_insensitive(capsys, family, args):
+    code, upper, _ = _run(capsys, *args, "--family", family)
+    assert code == 0
+    for spelled in (family.lower(), f" {family.lower()} "):
+        assert _run(capsys, *args, "--family", spelled) == (0, upper, "")
+
+
 def test_verify_usage_errors(capsys):
     code, _, err = _run(capsys, "verify", "--family", "A", "--rank", "2")
     assert code == 2 and "--suite" in err
@@ -260,7 +277,7 @@ def test_verify_usage_errors(capsys):
 
 
 def _add_to_h_e_w0(g, table, exponent):
-    table.column_packed(g.w0)[0] += 1 << (exponent * hecke._B)
+    store_entry(table, 0, g.w0, packed_entry(table, 0, g.w0) + (1 << (exponent * hecke._B)))
 
 
 def _corrupt_tables(monkeypatch, exponent):
@@ -479,6 +496,7 @@ def test_unreadable_cache_is_recomputed(capsys, tmp_path, spoil):
         ("esign", "2", "5 0 3:1", "5 0 2:1 3:1"),
         ("kl", "3", "23 0 6:1", "23 0 0:1 2:1 4:5 6:1"),
         ("grrk", "3", "23 0 6:1", "23 0 0:1 2:1 4:5 6:1"),
+        ("grrk", "2", "5 0 3:1", "5 0 99999999999999999999:1"),  # exponent past l(w0)
     ],
 )
 def test_cache_entry_breaking_kl_laws_recovers(capsys, tmp_path, command, rank, old, new):

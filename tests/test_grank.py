@@ -9,7 +9,7 @@ from jwkit import hecke
 from jwkit.hecke import KLLawError, KLTable
 from jwkit.qpoly import LaurentPoly, RatFunc, parity_class, quantum_factorial, quantum_int
 
-from oracles import grp
+from oracles import grp, packed_entry, store_entry
 
 V = LaurentPoly.gen()
 ONE = LaurentPoly.one()
@@ -238,9 +238,8 @@ def _scaled_w0_column(g, factor):
     """A table whose w0 column is factor times the true one: its graded rank
     is factor * grrk(w0), still bar symmetric and of the right parity."""
     t = _table(g)
-    col = t.column_packed(g.w0)
-    scaled = {y: {e: factor * c for e, c in t.decoded(p).items()} for y, p in col.items()}
-    t._cols[g.w0] = {y: hecke._pk_encode(d) for y, d in scaled.items()}
+    for y in list(t.column_packed(g.w0)):
+        store_entry(t, y, g.w0, factor * packed_entry(t, y, g.w0))
     return t
 
 
@@ -257,6 +256,51 @@ def test_packed_grrk_widens_past_31_bits():
 def test_packed_grrk_checks_laws_of_wide_sums():
     g = grp("A", 2)
     t = _scaled_w0_column(g, 1 << 30)
-    t.column_packed(g.w0)[0] += 1 << (2 * hecke._B)  # + v^2 in h_{e,w0}: breaks parity
+    p = packed_entry(t, 0, g.w0) + (1 << (2 * hecke._B))  # + v^2 in h_{e,w0}: breaks parity
+    store_entry(t, 0, g.w0, p)
     with pytest.raises(KLLawError, match="parity"):
         grrk(g, t, g.w0)
+
+
+# -- the W-graph recursion, an independent route to graded ranks ---------------------------
+
+
+def _wgraph_grrk(g, t, extra=0):
+    """grrk of every element by the W-graph recursion: applying delta_s -> v^-1
+    to b_s b_z = b_x + sum mu(y, z) b_y (y < z, sy < y) gives grrk(x) =
+    [2] grrk(z) - sum mu(y, z) grrk(y), with z = s x for the first left
+    descent s of x.  Only KLTable.mu and LaurentPoly arithmetic; ``extra``
+    is added at every step, for the control."""
+    two = quantum_int(2)
+    ranks = [LaurentPoly.one()]
+    for x in range(1, g.size):
+        s = g.first_left_descent(x)
+        z = g.left[x][s]
+        r = two * ranks[z] + LaurentPoly.const(extra)
+        for y in range(z):  # ids are ordered by length, so y < z has a smaller id
+            mu = t.mu(y, z)
+            if mu and g.length[g.left[y][s]] < g.length[y]:
+                r = r - ranks[y].scale(mu)
+        ranks.append(r)
+    return ranks
+
+
+WGRAPH_GROUPS = [("A", 4, None), ("B", 4, None), ("H3", 3, None), ("I2", None, 7)]
+
+
+@pytest.mark.parametrize("family,rank,m", WGRAPH_GROUPS, ids=str)
+def test_wgraph_recursion_matches_grrk(family, rank, m):
+    g = grp(family, rank, m)
+    t = _table(g)
+    ranks = _wgraph_grrk(g, t)
+    assert [grrk(g, t, x).value for x in range(g.size)] == ranks
+
+
+@pytest.mark.parametrize("family,rank,m", WGRAPH_GROUPS, ids=str)
+def test_wgraph_recursion_control_fails(family, rank, m):
+    """The same recursion with +1 at every step misses grrk on every element
+    but e, so the check above can fail."""
+    g = grp(family, rank, m)
+    t = _table(g)
+    ranks = _wgraph_grrk(g, t, extra=1)
+    assert all(ranks[x] != grrk(g, t, x).value for x in range(1, g.size))

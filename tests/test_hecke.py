@@ -1,5 +1,6 @@
 """Hecke algebra: standard basis, bar involution, KL basis, antisymmetriser."""
 
+import hashlib
 import random
 
 import pytest
@@ -22,7 +23,14 @@ from jwkit.hecke import (
 )
 from jwkit.qpoly import LaurentPoly, RatFunc, quantum_int
 
-from oracles import _bar_vec, back_substitute_dicts, grp, kl_basis_bruteforce
+from oracles import (
+    _bar_vec,
+    back_substitute_dicts,
+    grp,
+    kl_basis_bruteforce,
+    packed_entry,
+    store_entry,
+)
 
 v = LaurentPoly.gen()
 
@@ -334,9 +342,9 @@ def test_back_substitute_widens_in_place():
 def test_decoded_rejects_digits_past_31_bits(digit):
     g = grp("A", 2)
     t = KLTable(g)
-    t.column_packed(g.w0)[0] = digit << hecke._B  # h_{e,w0}: v^3 -> digit v
     with pytest.raises(OverflowError):
-        t.h(0, g.w0)
+        store_entry(t, 0, g.w0, digit << hecke._B)  # h_{e,w0}: v^3 -> digit v
+    assert t.h(0, g.w0) == v**3
 
 
 def test_unpack_tripwire():
@@ -388,7 +396,8 @@ def test_antisymmetriser_checks_parity_of_grrk_w0():
     catches a corrupted w0 column."""
     g = grp("A", 2)
     t = KLTable(g)
-    t.column_packed(g.w0)[0] += 1 << (2 * hecke._B)  # h_{e,w0}: v^3 -> v^3 + v^2
+    p = packed_entry(t, 0, g.w0) + (1 << (2 * hecke._B))  # h_{e,w0}: v^3 -> v^3 + v^2
+    store_entry(t, 0, g.w0, p)
     with pytest.raises(hecke.KLLawError, match="parity"):
         antisymmetriser(g, t)
 
@@ -434,6 +443,65 @@ def test_cache_roundtrip(tmp_path):
     assert path.read_bytes() == before
 
 
+# sha256 of the full-table cache files, recorded from the writer that stored
+# one packed polynomial per entry; the store of distinct polynomials keeps them
+CACHE_SHA256 = {
+    ("A", 3, None): "0d94e0c2e8475b11b743bf1f5bd5a9d5637eaf214b2628b038dade598179e11d",
+    ("B", 4, None): "eaca1d98a1dd4ca4e8e45f5cbefa6d40919ddde1901f86241c79db8426431151",
+    ("H3", 3, None): "3def2c86764f4935010b884c5fb5cbdb3b0f166a30ca76a8cb78dd70844bbc3e",
+    ("I2", None, 7): "efdc482480528b0aeaa410badc274baba5b773760d9355c533dc0d74f69e360f",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CACHE_SHA256, key=str), ids=str)
+def test_cache_bytes_are_pinned(tmp_path, key):
+    g = grp(*key)
+    t = KLTable(g)
+    for x in range(g.size):
+        t.column_packed(x)
+    path = tmp_path / "kl.txt"
+    write_kl_cache(str(path), t)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA256[key]
+    t2 = KLTable(g)
+    load_kl_cache(str(path), t2)
+    write_kl_cache(str(path), t2)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA256[key]
+
+
+def test_store_holds_each_polynomial_once():
+    g = grp("B", 3)
+    t = KLTable(g)
+    for x in range(g.size):
+        t.column_packed(x)
+    distinct = {tuple(sorted(h.items())) for x in range(g.size) for h in t.column(x).values()}
+    assert len(t.terms) == len(distinct)
+    wide = t.packed_at(64)
+    assert [hecke._unpack(p, 0, 64, 1 << 31) for p in wide] == t.terms
+    assert t.terms[0] == {0: 1}
+
+
+def test_failed_cache_load_leaves_table_unchanged(tmp_path):
+    """A file whose column 5 lacks h_{5,5} passes every per-entry law and
+    the checksum; the load fails before any column or polynomial is kept."""
+    g = grp("A", 2)
+    t = KLTable(g)
+    for x in range(g.size):
+        t.column_packed(x)
+    path = tmp_path / "kl.txt"
+    write_kl_cache(str(path), t)
+    head, *body, _ = path.read_text().splitlines()
+    body.remove("5 5 0:1")
+    path.write_text("\n".join([head, *body, f"end {len(body)} {hecke._digest(body)}"]) + "\n")
+    t2 = KLTable(g)
+    t2.column_packed(1)
+    cols = {x: dict(col) for x, col in t2._cols.items()}
+    with pytest.raises(CacheFormatError, match="column 5 is not unitriangular"):
+        load_kl_cache(str(path), t2)
+    assert t2._cols == cols
+    assert t2.terms == [{0: 1}, {1: 1}]
+    assert t2.packed_at(hecke._B) == [1, 1 << hecke._B]
+
+
 def test_cache_rejects_corruption(tmp_path):
     g = grp("B", 2)
     t = KLTable(g)
@@ -471,6 +539,8 @@ def test_cache_rejects_corruption(tmp_path):
         (2, "5 5 0:1", "5 5 0:2"),  # h_{x,x} = 1
         (2, "3 1 1:1", "3 1 1:0"),  # coefficients are positive
         (2, "5 1 2:1", "5 1 1:1"),  # 1:1 passed at l(x) - l(y) = 1 earlier; here it is 2
+        (2, "5 0 3:1", "5 0 99999999999999999999:1"),  # far past l(w0): rejected unpacked
+        (2, "5 0 3:1", "5 0 -1:1"),  # exponents are nonnegative
     ],
 )
 def test_cache_rejects_entries_that_break_kl_laws(tmp_path, rank, old, new):
