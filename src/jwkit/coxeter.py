@@ -40,6 +40,9 @@ from dataclasses import dataclass
 ElementId = int  # index into a GroupTable enumeration
 
 LARGE_ORDER = 1152  # |F4|; groups at least this large need an explicit opt-in
+# Version of the element order above; KL cache files record it, since they
+# store element ids.  Bump it whenever the ids of any group change.
+ENUMERATION = 1
 
 
 class UnsupportedFamilyError(ValueError):

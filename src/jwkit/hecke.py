@@ -60,8 +60,9 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+from bisect import bisect_left
 
-from jwkit.coxeter import ElementId, GroupTable
+from jwkit.coxeter import ENUMERATION, ElementId, GroupTable
 from jwkit.qpoly import (
     _B,
     LaurentPoly,
@@ -653,38 +654,45 @@ def verify_bar_invariance(group: GroupTable, table: KLTable, elements=None) -> i
 
 
 # -- on-disk cache ------------------------------------------------------------------
-
-
-def _digest(body: list[str]) -> str:
-    """sha256 of the lines, each ended by a newline, hashed in slices."""
-    h = hashlib.sha256()
-    for i in range(0, len(body), 4096):
-        h.update(("\n".join(body[i : i + 4096]) + "\n").encode())
-    return h.hexdigest()
+#
+# Format 3, one file per group:
+#
+#     kltable 3 <family> <m> <enumeration version>
+#     h <e>:<c> <e>:<c> ...          one per stored polynomial, in id order
+#     c <x> <y> <id> <y> <id> ...    one per computed column, y ascending
+#     end <body lines> <sha256 of the body>
+#
+# The body is every line between the header and the trailer, newlines
+# included.  Element ids depend on the enumeration, hence its version.
 
 
 def write_kl_cache(path: str, table: KLTable) -> int:
-    """Write every computed column to ``path`` atomically.  Lines are
-    sorted, the trailing record pins the line count and the sha256 of the
-    entry lines, and a rewrite of the same table state is byte-identical.
-    Entry lines stream to the file a column at a time, and each stored
-    polynomial is rendered once."""
+    """Write the stored polynomials and every computed column to ``path``
+    atomically in format 3, hashing the body as it streams out; a rewrite
+    of the same table state is byte-identical.  Returns the number of body
+    lines."""
     pres = table.group.presentation
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".kltmp")
     digest = hashlib.sha256()
-    rendered = [" ".join(f"{e}:{h[e]}" for e in sorted(h)) for h in table.terms]  # by id
+
+    def body():
+        for h in table.terms:
+            yield "h " + " ".join(f"{e}:{h[e]}" for e in sorted(h))
+        for x in table.computed_columns():
+            col = table.column_packed(x)
+            yield f"c {x} " + " ".join([f"{y} {col[y]}" for y in sorted(col)])
+
     count = 0
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(f"kltable 2 {pres.family} {pres.m_parameter}\n".encode())
-            for x in table.computed_columns():
-                col = table.column_packed(x)
-                chunk = "".join([f"{x} {y} {rendered[col[y]]}\n" for y in sorted(col)]).encode()
+            f.write(f"kltable 3 {pres.family} {pres.m_parameter} {ENUMERATION}\n".encode())
+            for line in body():
+                chunk = (line + "\n").encode()
                 digest.update(chunk)
                 f.write(chunk)
-                count += len(col)
+                count += 1
             f.write(f"end {count} {digest.hexdigest()}\n".encode())
         os.replace(tmp, path)
     except BaseException:
@@ -696,88 +704,122 @@ def write_kl_cache(path: str, table: KLTable) -> int:
 
 
 def load_kl_cache(path: str, table: KLTable) -> int:
-    """Merge columns from ``path`` into the table after validating the
-    header, every entry, the trailing line count and the checksum (which
-    catches the edits the per-entry laws miss).  Raises CacheFormatError
-    on any mismatch; returns the number of columns added.  Afterwards
-    ``table.unsaved`` tells whether the table holds a column the file
-    lacks."""
+    """Merge the columns of the format-3 file at ``path`` into the table.
+
+    The file is read one line at a time and hashed as it is read.  Each
+    polynomial line is checked once: exponents in [0, L], coefficients
+    positive and below 2^31, and polynomial 0 is 1.  Each column line is
+    parsed in bulk (every id is a canonical decimal, looked up in one
+    dict) and checked for y strictly ascending, x in range and not given
+    twice, and unitriangularity: the last entry is y = x with polynomial
+    0, and no other y has the length of x.  Element ids are sorted by
+    length, so the other entries fall into one run per length l(y); the
+    law that h_{y,x} lies in v Z[v] and in v^d Z[v^-2], d = l(x) - l(y),
+    and the polynomial id range are checked once per (polynomial id, d)
+    pair.  The trailer's line count and checksum, and no polynomial
+    stored twice, come last; the checksum catches the edits the laws miss.  Only a file that passes every check
+    changes the table: its new polynomials are stored, then the columns
+    the table lacks are merged.  Raises CacheFormatError on any mismatch;
+    returns the number of columns added.  Afterwards ``table.unsaved``
+    tells whether the table holds a column the file lacks."""
     g = table.group
     pres = g.presentation
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = f.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise CacheFormatError(f"undecodable bytes: {exc}") from exc
-    if not raw:
-        raise CacheFormatError("empty cache file")
-    head = raw[0].split()
-    if head != ["kltable", "2", pres.family, str(pres.m_parameter)]:
-        raise CacheFormatError(f"header mismatch: {raw[0]!r}")
-    trailer = raw[-1].split()
-    if len(trailer) != 3 or trailer[0] != "end" or not trailer[1].isdecimal():
-        raise CacheFormatError(f"bad trailing record: {raw[-1]!r}")
-    declared = int(trailer[1])
-    body = raw[1:-1]
-    if declared != len(body):
-        raise CacheFormatError(f"line count {len(body)} != declared {declared}")
-    # Every column is validated before the table changes.  A table holds
-    # few distinct polynomials: each distinct term list is parsed once, its
-    # exponents checked to lie in [0, L] before it is packed, and a
-    # polynomial new to the store gets the id it will have once stored.
-    L = g.length[g.w0]
+    length, size = g.length, g.size
+    L = length[g.w0]
+    starts = [bisect_left(length, l) for l in range(L + 2)]  # first id of each length
+    header = f"kltable 3 {pres.family} {pres.m_parameter} {ENUMERATION}".encode().split()
+    names = {b"%d" % i: i for i in range(size)}  # decimal token -> id; polynomial ids join below
     base = len(table.terms)
+    polys: list[dict[int, int]] = []  # by file id
+    ids: list[int] = []  # file id -> id in the table's store
     fresh: dict[int, int] = {}  # packed -> id, for polynomials new to the store
-    seen: dict[str, tuple[int, tuple[int, ...]]] = {}  # term list -> (id, exponents)
-    lawful: set[tuple[int, int | None]] = set()  # (id, length difference) checked
-    cols: dict[int, dict[int, int]] = {}
-    try:
-        for line in body:
-            parts = line.split(None, 2)
-            x, y = int(parts[0]), int(parts[1])
-            if not (0 <= y < g.size and 0 <= x < g.size):
-                raise CacheFormatError(f"element id out of range: {line!r}")
-            text = parts[2] if len(parts) == 3 else ""
-            entry = seen.get(text)
-            if entry is None:
-                terms = {}
-                for item in text.split():
-                    e, c = item.split(":")
-                    terms[int(e)] = int(c)
-                if not terms or min(terms.values()) <= 0 or min(terms) < 0 or max(terms) > L:
-                    raise CacheFormatError(f"empty entry or invalid term: {line!r}")
-                if max(terms.values()) >= _TRIP:
-                    raise CacheFormatError(f"cannot pack {line!r} in 32-bit digits")
-                p = _pack(terms, 0, _B)
-                i = table._ids.get(p)
-                if i is None:
-                    i = fresh.setdefault(p, base + len(fresh))
-                entry = seen[text] = (i, tuple(terms))
-            i, exps = entry
-            # h_{x,x} = 1; for y != x, h_{y,x} lies in v^d Z[v^-2] and in v Z[v]
-            d = None if y == x else g.length[x] - g.length[y]
-            if (i, d) not in lawful:
-                ok = i == 0 if d is None else all(1 <= e <= d and (d - e) % 2 == 0 for e in exps)
-                if not ok:
-                    raise CacheFormatError(f"invalid term in h_{{{y},{x}}}: {line!r}")
-                lawful.add((i, d))
-            col = cols.setdefault(x, {})
-            if y in col:
-                raise CacheFormatError(f"duplicate entry: {line!r}")
-            col[y] = i
-    except CacheFormatError:
-        raise
-    except (IndexError, ValueError) as exc:
-        raise CacheFormatError(f"unparseable line: {exc}") from exc
-    if _digest(body) != trailer[2]:
+    lawful = [set() for _ in range(L + 1)]  # file ids checked, by length difference
+    cols: dict[int, dict[int, int]] = {}  # x -> {y: file id}
+    digest = hashlib.sha256()
+    count = 0
+    trailer = None
+    with open(path, "rb") as f:
+        head = f.readline()
+        if head.split() != header:
+            raise CacheFormatError(f"header mismatch: {head.decode(errors='replace').strip()!r}")
+        try:
+            for line in f:
+                if trailer is not None:
+                    raise CacheFormatError(f"line after the trailing record: {line[:40]!r}")
+                parts = line.split()
+                tag = parts[0]
+                if tag == b"end":
+                    trailer = parts
+                    continue
+                digest.update(line)
+                count += 1
+                if tag == b"h":
+                    terms = {}
+                    for item in parts[1:]:
+                        e, c = item.split(b":")
+                        terms[int(e)] = int(c)
+                    if not terms or min(terms.values()) <= 0 or min(terms) < 0 or max(terms) > L:
+                        raise CacheFormatError(f"empty polynomial or invalid term: {line!r}")
+                    if max(terms.values()) >= _TRIP:
+                        raise CacheFormatError(f"cannot pack {line!r} in 32-bit digits")
+                    if not polys and terms != {0: 1}:
+                        raise CacheFormatError(f"invalid term: polynomial 0 is not 1: {line!r}")
+                    p = _pack(terms, 0, _B)
+                    i = table._ids.get(p)
+                    ids.append(fresh.setdefault(p, base + len(fresh)) if i is None else i)
+                    names.setdefault(b"%d" % len(polys), len(polys))
+                    polys.append(terms)
+                elif tag == b"c":
+                    nums = list(map(names.__getitem__, parts[1:]))
+                    x, ys, ks = nums[0], nums[1::2], nums[2::2]
+                    if len(ys) != len(ks):
+                        raise CacheFormatError(f"odd token count in column {x}")
+                    col = dict(zip(ys, ks))
+                    if len(col) != len(ys) or ys != sorted(ys):
+                        raise CacheFormatError(f"duplicate or unsorted y in column {x}")
+                    if x >= size or x in cols:
+                        raise CacheFormatError(f"column {x} out of range or given twice")
+                    lx = length[x]
+                    if ys[-1] != x or (len(ys) > 1 and length[ys[-2]] == lx):
+                        raise CacheFormatError(f"column {x} is not unitriangular")
+                    if ks[-1]:
+                        raise CacheFormatError(f"invalid term in column {x}: h_{{x,x}} is not 1")
+                    lo = 0
+                    for l in range(length[ys[0]], lx):  # the run of y with l(y) = l
+                        hi = bisect_left(ys, starts[l + 1], lo)
+                        d = lx - l
+                        new = set(ks[lo:hi]).difference(lawful[d])
+                        for k in new:
+                            if k >= len(polys):
+                                raise CacheFormatError(f"polynomial id {k} out of range in column {x}")
+                            if not all(1 <= e <= d and (d - e) % 2 == 0 for e in polys[k]):
+                                raise CacheFormatError(
+                                    f"invalid term in column {x}: polynomial {k} at l(x) - l(y) = {d}"
+                                )
+                        lawful[d].update(new)
+                        lo = hi
+                    cols[x] = col
+                else:
+                    raise CacheFormatError(f"unknown line tag: {line[:40]!r}")
+        except CacheFormatError:
+            raise
+        except KeyError as exc:
+            raise CacheFormatError(f"id out of range or not a decimal: {exc}") from exc
+        except (IndexError, ValueError) as exc:
+            raise CacheFormatError(f"unparseable line: {exc}") from exc
+    if trailer is None or len(trailer) != 3 or not trailer[1].isdigit():
+        raise CacheFormatError(f"missing or bad trailing record: {trailer!r}")
+    if int(trailer[1]) != count:
+        raise CacheFormatError(f"line count {count} != declared {int(trailer[1])}")
+    if trailer[2] != digest.hexdigest().encode():
         raise CacheFormatError("checksum mismatch")
-    del raw, body, seen  # not needed past the checksum; frees the file's lines before storing
-    for x, col in cols.items():
-        if x not in col:  # h_{x,x} passed its law, so it is 1
-            raise CacheFormatError(f"column {x} is not unitriangular")
+    if len(set(ids)) != len(ids):
+        raise CacheFormatError("a polynomial is stored twice")
     for p, i in fresh.items():  # in id order
         if table._intern(p) != i:
             raise AssertionError(f"store gave a loaded polynomial an id other than {i}")
+    if ids != list(range(len(ids))):  # the table numbers the file's polynomials otherwise
+        cols = {x: dict(zip(col, map(ids.__getitem__, col.values()))) for x, col in cols.items()}
     added = {x: col for x, col in cols.items() if x not in table._cols}
     table._cols.update(added)
     table.unsaved = any(x not in cols for x in table._cols)

@@ -4,6 +4,7 @@ Everything here is deliberately naive (brute force, exponential) so that
 it cross-checks the package's cleverer code paths without sharing logic.
 """
 
+import hashlib
 import itertools
 from functools import lru_cache
 
@@ -25,6 +26,14 @@ def store_entry(table, y, x, p):
     """Corrupt a table through its polynomial store: h_{y,x} becomes the
     polynomial packed as p at offset 0 and width hecke._B."""
     table.column_packed(x)[y] = table._intern(p)
+
+
+def reseal(lines):
+    """The text of a KL cache file from its lines, the last of which is a
+    stale trailer: a fresh trailer counts the body lines and hashes them."""
+    head, *body, _ = lines
+    text = "".join(line + "\n" for line in body)
+    return f"{head}\n{text}end {len(body)} {hashlib.sha256(text.encode()).hexdigest()}\n"
 
 
 def shortlex_words_bruteforce(g):

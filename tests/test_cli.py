@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from jwkit import cli, hecke
+from jwkit import cli, coxeter, hecke
 from jwkit.hecke import KLTable, load_kl_cache
 from jwkit.qpoly import LaurentPoly, RatFunc, quantum_factorial, quantum_int
 
@@ -492,11 +492,19 @@ def test_unreadable_cache_is_recomputed(capsys, tmp_path, spoil):
 @pytest.mark.parametrize(
     "command,rank,old,new",
     [
-        ("kl", "2", "5 0 3:1", "5 0 2:1 3:1"),
-        ("esign", "2", "5 0 3:1", "5 0 2:1 3:1"),
-        ("kl", "3", "23 0 6:1", "23 0 0:1 2:1 4:5 6:1"),
-        ("grrk", "3", "23 0 6:1", "23 0 0:1 2:1 4:5 6:1"),
-        ("grrk", "2", "5 0 3:1", "5 0 99999999999999999999:1"),  # exponent past l(w0)
+        ("kl", "2", "h 3:1", "h 2:1 3:1"),
+        ("esign", "2", "h 3:1", "h 2:1 3:1"),
+        ("kl", "3", "h 6:1", "h 0:1 2:1 4:5 6:1"),
+        ("grrk", "3", "h 6:1", "h 0:1 2:1 4:5 6:1"),
+        ("grrk", "2", "h 3:1", "h 99999999999999999999:1"),  # exponent past l(w0)
+    ],
+    # each edits h_{e,w0}; the id names it as the line "x y terms" before and after
+    ids=[
+        "kl-2-5 0 3:1-5 0 2:1 3:1",
+        "esign-2-5 0 3:1-5 0 2:1 3:1",
+        "kl-3-23 0 6:1-23 0 0:1 2:1 4:5 6:1",
+        "grrk-3-23 0 6:1-23 0 0:1 2:1 4:5 6:1",
+        "grrk-2-5 0 3:1-5 0 99999999999999999999:1",
     ],
 )
 def test_cache_entry_breaking_kl_laws_recovers(capsys, tmp_path, command, rank, old, new):
@@ -522,7 +530,7 @@ def test_cache_edit_within_kl_laws_recovers(capsys, tmp_path, command):
     assert code == 0 and err == ""
     path = tmp_path / "kl-A-2.kltab"
     lines = path.read_text().splitlines()
-    lines[lines.index("5 0 3:1")] = "5 0 3:2"
+    lines[lines.index("h 3:1")] = "h 3:2"  # h_{e,w0}
     path.write_text("\n".join(lines) + "\n")
     code, out, err = _run(capsys, *argv)
     assert code == 0 and out == cold
@@ -539,13 +547,67 @@ def test_cache_of_format_1_is_recomputed(capsys, tmp_path):
     code, cold, _ = _run(capsys, *argv)
     path = tmp_path / "kl-B-2.kltab"
     lines = path.read_text().splitlines()
-    lines[0] = lines[0].replace("kltable 2", "kltable 1")
+    lines[0] = "kltable 1 B 2"
     lines[-1] = lines[-1].rsplit(" ", 1)[0]  # format 1 had no checksum
     path.write_text("\n".join(lines) + "\n")
     code, out, err = _run(capsys, *argv)
     assert code == 0 and out == cold
     assert "warning" in err and "header mismatch" in err
-    assert path.read_text().startswith("kltable 2 B 2\n")
+    assert path.read_text().startswith(f"kltable 3 B 2 {coxeter.ENUMERATION}\n")
+
+
+# the full A2 table as the format-2 writer wrote it: one line per entry
+A2_FORMAT_2 = """kltable 2 A 2
+0 0 0:1
+1 0 1:1
+1 1 0:1
+2 0 1:1
+2 2 0:1
+3 0 2:1
+3 1 1:1
+3 2 1:1
+3 3 0:1
+4 0 2:1
+4 1 1:1
+4 2 1:1
+4 4 0:1
+5 0 3:1
+5 1 2:1
+5 2 2:1
+5 3 1:1
+5 4 1:1
+5 5 0:1
+end 19 2bcbf78e8f75240f4e23672fc57a124c401c1de1debf7242fba8b226d109ce30
+"""
+
+
+def test_cache_of_format_2_is_recomputed(capsys, tmp_path):
+    argv = ("grrk", "--family", "A", "--rank", "2", "--cache-dir")
+    code, cold, _ = _run(capsys, *argv, str(tmp_path / "cold"))
+    assert code == 0
+    path = tmp_path / "old" / "kl-A-2.kltab"
+    path.parent.mkdir()
+    path.write_text(A2_FORMAT_2)
+    code, out, err = _run(capsys, *argv, str(path.parent))
+    assert code == 0 and out == cold
+    assert "warning" in err and "header mismatch" in err
+    assert path.read_text().startswith("kltable 3 ")
+
+
+def test_cache_of_another_enumeration_is_recomputed(capsys, tmp_path):
+    """Element ids follow the enumeration; a file written under another
+    version of it is warned about and recomputed."""
+    argv = ("grrk", "--family", "B", "--rank", "2", "--cache-dir", str(tmp_path))
+    code, cold, _ = _run(capsys, *argv)
+    path = tmp_path / "kl-B-2.kltab"
+    current = f"kltable 3 B 2 {coxeter.ENUMERATION}\n"
+    text = path.read_text()
+    assert text.startswith(current)
+    path.write_text(text.replace(current, f"kltable 3 B 2 {coxeter.ENUMERATION + 1}\n"))
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and out == cold
+    assert "warning" in err and "header mismatch" in err
+    assert path.read_text() == text
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

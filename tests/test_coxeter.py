@@ -191,6 +191,8 @@ def _table_digest(g):
 # sha256 of (length, word, right, left, inv, fc), recorded from the earlier
 # model that multiplied reflection matrices over Q(sqrt d); the root
 # permutation model must reproduce every table exactly
+# (KL cache files store element ids: bump coxeter.ENUMERATION whenever a
+# digest here or in PERMUTATION_MODEL_DIGESTS changes)
 MATRIX_MODEL_DIGESTS = {
     "H3": "87cba2d6b2760c090117814be94b3bbdd9456c0b16173ebc8861f6a5db9645d1",
     "F4": "fcc51df709b4ef038b9ed634c3d64ec55ba646d3432dbf7b9d1163b80d77ef23",
@@ -220,6 +222,7 @@ def _named_group(name):
 # models of A (permutations of {0, ..., n}), B (signed permutations) and
 # I2(m) (dihedral pairs); the root permutation model must reproduce the A
 # and B tables exactly, and the I2 tables must not move
+# (bump coxeter.ENUMERATION whenever a digest here changes)
 PERMUTATION_MODEL_DIGESTS = {
     "A1": "cd7c67151c65edf8300038844b9cd2ac7fa7406bcb84d3de6ddca6030cf72eb7",
     "A2": "99ee0705d7d96eccbd07c3801b59cb431e8281309ba9a4ef452796561d5d307a",

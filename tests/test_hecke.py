@@ -2,12 +2,13 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jwkit import hecke
+from jwkit import coxeter, hecke
 from jwkit.hecke import (
     CacheFormatError,
     HeckeElt,
@@ -29,6 +30,7 @@ from oracles import (
     grp,
     kl_basis_bruteforce,
     packed_entry,
+    reseal,
     store_entry,
 )
 
@@ -424,6 +426,13 @@ def test_t_w0_class_laws():
 # -- cache file ---------------------------------------------------------------------
 
 
+def _full_table(g):
+    t = KLTable(g)
+    for x in range(g.size):
+        t.column_packed(x)
+    return t
+
+
 def test_cache_roundtrip(tmp_path):
     g = grp("B", 2)
     t = KLTable(g)
@@ -443,13 +452,26 @@ def test_cache_roundtrip(tmp_path):
     assert path.read_bytes() == before
 
 
-# sha256 of the full-table cache files, recorded from the writer that stored
-# one packed polynomial per entry; the store of distinct polynomials keeps them
+def test_cache_merges_into_a_table_that_numbers_polynomials_otherwise(tmp_path):
+    g = grp("A", 3)
+    t = _full_table(g)
+    path = tmp_path / "kl.txt"
+    write_kl_cache(str(path), t)
+    t2 = KLTable(g)
+    t2.column_packed(g.w0)  # filled from w0 down: the store numbers its polynomials otherwise
+    assert t2.terms != t.terms[: len(t2.terms)]
+    load_kl_cache(str(path), t2)
+    assert sorted(map(str, t2.terms)) == sorted(map(str, t.terms))
+    for x in range(g.size):
+        assert t2.column(x) == t.column(x)
+
+
+# sha256 of the full-table cache files, recorded from the format-3 writer
 CACHE_SHA256 = {
-    ("A", 3, None): "0d94e0c2e8475b11b743bf1f5bd5a9d5637eaf214b2628b038dade598179e11d",
-    ("B", 4, None): "eaca1d98a1dd4ca4e8e45f5cbefa6d40919ddde1901f86241c79db8426431151",
-    ("H3", 3, None): "3def2c86764f4935010b884c5fb5cbdb3b0f166a30ca76a8cb78dd70844bbc3e",
-    ("I2", None, 7): "efdc482480528b0aeaa410badc274baba5b773760d9355c533dc0d74f69e360f",
+    ("A", 3, None): "090e100c1c541715d478dafb04ed7d3037d2ab5ead52a5554ab39b3fa4466300",
+    ("B", 4, None): "6c049f92b19dee162ca9ad980a9bb1efa61cb707275da9f4d1debf48acb6c196",
+    ("H3", 3, None): "294dd1be2fd094f9e429e22c1ba2d71cfeeb7a58563396935b81b0f7afc76178",
+    ("I2", None, 7): "73264309042b680f7e705fd1887078eaf7dbc91c4943177126d2dcb5674cb0de",
 }
 
 
@@ -489,9 +511,10 @@ def test_failed_cache_load_leaves_table_unchanged(tmp_path):
         t.column_packed(x)
     path = tmp_path / "kl.txt"
     write_kl_cache(str(path), t)
-    head, *body, _ = path.read_text().splitlines()
-    body.remove("5 5 0:1")
-    path.write_text("\n".join([head, *body, f"end {len(body)} {hecke._digest(body)}"]) + "\n")
+    lines = path.read_text().splitlines()
+    col5 = "c 5 0 3 1 2 2 2 3 1 4 1 5 0"
+    lines[lines.index(col5)] = col5.removesuffix(" 5 0")
+    path.write_text(reseal(lines))
     t2 = KLTable(g)
     t2.column_packed(1)
     cols = {x: dict(col) for x, col in t2._cols.items()}
@@ -520,27 +543,50 @@ def test_cache_rejects_corruption(tmp_path):
     expect_reject(good[1:])  # missing header
     expect_reject(good[:-1], match="trailing record")  # missing trailing count
     expect_reject(good[:-1] + [f"end 999 {digest}"], match="line count")  # wrong count
-    expect_reject(good[:-2] + [good[-1]], match="line count")  # a dropped entry
+    expect_reject(good[:-2] + [good[-1]], match="line count")  # a dropped column
     expect_reject(good[:-1] + [f"end {count} {'0' * 64}"], match="checksum")  # wrong checksum
     expect_reject(good[:-1] + [f"end \u00b2 {digest}"], match="trailing record")  # int() rejects it
-    expect_reject(["kltable 2 A 2"] + good[1:])  # wrong family
+    expect_reject(good + [good[1]], match="after the trailing record")
+    expect_reject(["kltable 3 A 2 1"] + good[1:])  # wrong family
     expect_reject(["kltable 1 B 2"] + good[1:-1] + [good[-1].rsplit(" ", 1)[0]])  # format 1
+    expect_reject(["kltable 2 B 2"] + good[1:], match="header mismatch")  # format 2
+    other = f"kltable 3 B 2 {coxeter.ENUMERATION + 1}"  # ids from another enumeration
+    expect_reject([other] + good[1:], match="header mismatch")
     bad = good.copy()
     bad[3] = bad[3].rsplit(" ", 1)[0] + " 2:x"
     expect_reject(bad)
 
 
+A2_COLUMN_5 = "c 5 0 3 1 2 2 2 3 1 4 1 5 0"  # in A2, polynomial k is v^k
+
+
+# each id names the edited entry h_{y,x} as the line "x y terms" before and after
 @pytest.mark.parametrize(
     "rank,old,new",
     [
-        (2, "5 0 3:1", "5 0 2:1 3:1"),  # v^2 has the wrong parity for l(w0) - l(e) = 3
-        (3, "23 0 6:1", "23 0 0:1 2:1 4:5 6:1"),  # h_{y,x} lies in v Z[v] for y != x
-        (2, "5 1 2:1", "5 1 4:1"),  # degree above l(x) - l(y)
-        (2, "5 5 0:1", "5 5 0:2"),  # h_{x,x} = 1
-        (2, "3 1 1:1", "3 1 1:0"),  # coefficients are positive
-        (2, "5 1 2:1", "5 1 1:1"),  # 1:1 passed at l(x) - l(y) = 1 earlier; here it is 2
-        (2, "5 0 3:1", "5 0 99999999999999999999:1"),  # far past l(w0): rejected unpacked
-        (2, "5 0 3:1", "5 0 -1:1"),  # exponents are nonnegative
+        # v^2 has the wrong parity for l(w0) - l(e) = 3
+        pytest.param(2, "h 3:1", "h 2:1 3:1", id="2-5 0 3:1-5 0 2:1 3:1"),
+        # h_{y,x} lies in v Z[v] for y != x
+        pytest.param(3, "h 6:1", "h 0:1 2:1 4:5 6:1", id="3-23 0 6:1-23 0 0:1 2:1 4:5 6:1"),
+        # degree above l(x) - l(y) = 2, and past l(w0)
+        pytest.param(2, "h 2:1", "h 4:1", id="2-5 1 2:1-5 1 4:1"),
+        # degree above l(x) - l(y) = 1, with the right parity
+        pytest.param(
+            2, A2_COLUMN_5, A2_COLUMN_5.replace("3 1 4", "3 3 4"), id="2-5 3 1:1-5 3 3:1"
+        ),
+        # h_{x,x} = 1
+        pytest.param(2, "h 0:1", "h 0:2", id="2-5 5 0:1-5 5 0:2"),
+        pytest.param(2, A2_COLUMN_5, A2_COLUMN_5.removesuffix("5 0") + "5 1", id="2-5 5 0:1-5 5 1:1"),
+        # coefficients are positive
+        pytest.param(2, "h 1:1", "h 1:0", id="2-3 1 1:1-3 1 1:0"),
+        # v passed at l(x) - l(y) = 1 in columns 1 to 4; here it is 2
+        pytest.param(2, A2_COLUMN_5, A2_COLUMN_5.replace("1 2 2", "1 1 2"), id="2-5 1 2:1-5 1 1:1"),
+        # far past l(w0): rejected unpacked
+        pytest.param(
+            2, "h 3:1", "h 99999999999999999999:1", id="2-5 0 3:1-5 0 99999999999999999999:1"
+        ),
+        # exponents are nonnegative
+        pytest.param(2, "h 3:1", "h -1:1", id="2-5 0 3:1-5 0 -1:1"),
     ],
 )
 def test_cache_rejects_entries_that_break_kl_laws(tmp_path, rank, old, new):
@@ -563,7 +609,7 @@ def test_cache_header_for_i2(tmp_path):
     t.column_packed(g.w0)
     path = tmp_path / "kl.txt"
     write_kl_cache(str(path), t)
-    assert path.read_text().splitlines()[0] == "kltable 2 I2 7"
+    assert path.read_text().splitlines()[0] == f"kltable 3 I2 7 {coxeter.ENUMERATION}"
 
 
 def test_cache_rejects_coefficients_past_31_bits(tmp_path):
@@ -575,9 +621,9 @@ def test_cache_rejects_coefficients_past_31_bits(tmp_path):
         t.column_packed(x)
     path = tmp_path / "kl.txt"
     write_kl_cache(str(path), t)
-    head, *body, _ = path.read_text().splitlines()
-    body[body.index("5 0 3:1")] = f"5 0 3:{1 << 31}"
-    path.write_text("\n".join([head, *body, f"end {len(body)} {hecke._digest(body)}"]) + "\n")
+    lines = path.read_text().splitlines()
+    lines[lines.index("h 3:1")] = f"h 3:{1 << 31}"
+    path.write_text(reseal(lines))
     with pytest.raises(CacheFormatError, match="cannot pack"):
         load_kl_cache(str(path), KLTable(g))
 
@@ -591,7 +637,94 @@ def test_cache_checksum_catches_edits_within_the_kl_laws(tmp_path):
     path = tmp_path / "kl.txt"
     write_kl_cache(str(path), t)
     lines = path.read_text().splitlines()
-    lines[lines.index("5 0 3:1")] = "5 0 3:2"
+    lines[lines.index("h 3:1")] = "h 3:2"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CacheFormatError, match="checksum"):
         load_kl_cache(str(path), KLTable(g))
+
+
+# two lines of the full B2 file, whose polynomials h 0:1 ... h 4:1 are v^0 ... v^4
+B2_COLUMN_3 = "c 3 0 2 1 1 2 1 3 0"
+B2_COLUMN_7 = "c 7 0 4 1 3 2 3 3 2 4 2 5 1 6 1 7 0"
+
+
+@pytest.mark.parametrize(
+    "old,new,match",
+    [
+        (B2_COLUMN_7, B2_COLUMN_7.replace("c 7 0 4", "c 7 0 5"), "polynomial id 5 out of range"),
+        (B2_COLUMN_7, B2_COLUMN_7.replace("c 7 0 4", "c 7 0 -1"), "out of range"),
+        (B2_COLUMN_7, B2_COLUMN_7 + " 8 1", "out of range"),  # B2 has 8 elements
+        (B2_COLUMN_7, B2_COLUMN_7.replace("c 7 0 4", "c 7 -1 4"), "out of range"),
+        (B2_COLUMN_3, f"{B2_COLUMN_3}\n{B2_COLUMN_3}", "column 3 out of range or given twice"),
+        (B2_COLUMN_3, B2_COLUMN_3.removesuffix(" 0"), "odd token count"),
+        (B2_COLUMN_3, B2_COLUMN_3.replace("2 1 3", "1 1 3"), "duplicate"),
+        # h_{0,3} = v, out of order, would be checked at l(x) - l(y) = 1
+        (B2_COLUMN_3, "c 3 1 1 0 1 2 1 3 0", "unsorted"),
+        # h_{3,4} = 1, though l(3) = l(4)
+        ("c 4 0 2 1 1 2 1 4 0", "c 4 0 2 1 1 2 1 3 0 4 0", "not unitriangular"),
+        ("h 4:1", "h 4:1\nk 1:1", "unknown line tag"),
+        ("h 4:1", "h 4:1\nh 4:1", "stored twice"),
+    ],
+)
+def test_cache_rejects_malformed_lines(tmp_path, old, new, match):
+    g = grp("B", 2)
+    path = tmp_path / "kl.txt"
+    write_kl_cache(str(path), _full_table(g))
+    lines = path.read_text().splitlines()
+    i = lines.index(old)
+    path.write_text(reseal(lines[:i] + new.split("\n") + lines[i + 1 :]))
+    with pytest.raises(CacheFormatError, match=match):
+        load_kl_cache(str(path), KLTable(g))
+
+
+def test_cache_mutations_are_rejected_or_harmless(tmp_path):
+    """Every line of the B2 file deleted, duplicated, or with one of its
+    integers raised by 1: the load raises CacheFormatError or gives the
+    computed table, never another exception, and a failed load leaves the
+    table unchanged.  Resealed, the same edits reach the per-line checks;
+    they may then load another lawful table, but raise nothing else."""
+    g = grp("B", 2)
+    t = _full_table(g)
+    path = tmp_path / "kl.txt"
+    write_kl_cache(str(path), t)
+    good = path.read_text().splitlines()
+    variants = []
+    for i, line in enumerate(good):
+        variants.append(good[:i] + good[i + 1 :])
+        variants.append(good[: i + 1] + good[i:])
+        for m in re.finditer(r"\b\d+\b", line):
+            edited = f"{line[: m.start()]}{int(m.group()) + 1}{line[m.end() :]}"
+            variants.append(good[:i] + [edited] + good[i + 1 :])
+    for lines in variants:
+        for text, resealed in (("\n".join(lines) + "\n", False), (reseal(lines), True)):
+            path.write_text(text)
+            t2 = KLTable(g)
+            t2.column_packed(1)
+            cols, terms = {x: dict(col) for x, col in t2._cols.items()}, list(t2.terms)
+            try:
+                load_kl_cache(str(path), t2)
+            except CacheFormatError:
+                assert t2._cols == cols and t2.terms == terms
+                continue
+            if not resealed:
+                assert all(t2.column(x) == t.column(x) for x in range(g.size))
+
+
+# sha256 of the full F4 cache file, recorded from the format-3 writer
+F4_CACHE_SHA256 = "f05b247c05f1f26b56b5cf9849f86008e589787b5442a1daceeadfa650c12634"
+
+
+def test_f4_cache_round_trip(tmp_path):
+    g = grp("F4", allow_large=True)
+    t = _full_table(g)
+    path = tmp_path / "kl.txt"
+    write_kl_cache(str(path), t)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == F4_CACHE_SHA256
+    t2 = KLTable(g)
+    assert load_kl_cache(str(path), t2) == g.size - 1 and not t2.unsaved
+    for x in range(g.size):
+        assert {y: t2.terms[i] for y, i in t2.column_packed(x).items()} == {
+            y: t.terms[i] for y, i in t.column_packed(x).items()
+        }
+    write_kl_cache(str(path), t2)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == F4_CACHE_SHA256
