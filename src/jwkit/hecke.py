@@ -20,6 +20,13 @@ where mu(y, z) is the coefficient of v in h_{y,z}, and
     b_s delta_y = delta_{sy} + v delta_y        if sy > y,
     b_s delta_y = delta_{sy} + v^-1 delta_y     if sy < y.
 
+The anti-automorphism delta_x -> delta_{x^-1} commutes with bar and
+keeps lengths and the Bruhat order, so h_{y,x} = h_{y^-1,x^-1}.  The
+recursion runs for x only while the column of x^-1 is not stored;
+otherwise the column of x is that of x^-1 with every y replaced by y^-1,
+holding the same polynomial ids.  Of each pair {x, x^-1} only the column
+reached first is computed.
+
 Internal representation.  Every integer polynomial here is one Python
 integer in the signed Kronecker packing of jwkit.qpoly: sum_e c_e v^e
 becomes sum_e c_e 2^(b (e - off)) for an exponent offset off (_pack) and
@@ -193,11 +200,17 @@ class KLTable:
     def _fill_column(self, x0: ElementId) -> None:
         g = self.group
         cols, mus = self._cols, self._mu
-        length, left = g.length, g.left
+        length, left, inv = g.length, g.left, g.inv
         stack = [x0]
         while stack:
             x = stack[-1]
             if x in cols:
+                stack.pop()
+                continue
+            cx = cols.get(inv[x])
+            if cx is not None:  # h_{y,x} = h_{y^-1,x^-1}: relabel, same ids
+                cols[x] = {inv[y]: i for y, i in cx.items()}
+                self.unsaved = True
                 stack.pop()
                 continue
             s = g.first_left_descent(x)
@@ -220,34 +233,40 @@ class KLTable:
 
     def _combine(self, s: int, z: ElementId, cz: dict[int, int]) -> dict[int, int]:
         """Column of x = s z from the column of z, lengths descending, summed
-        in one transient packed accumulator and interned once."""
+        in one transient packed accumulator and interned once.  Every y in
+        the column of a mu-correction is <= x, so it is already in acc (w <= x
+        gives w <= z or sw <= z)."""
         g = self.group
         length, left = g.length, g.left
-        hs, mus = self._packed[_B], self._mu
+        hs, mus, cols = self._packed[_B], self._mu, self._cols
         acc: dict[int, int] = {}
         corrections = []
         for y, i in cz.items():
             p = hs[i]
             sy = left[y][s]
+            acc[sy] = acc.get(sy, 0) + p
             if length[sy] > length[y]:
-                acc[sy] = acc.get(sy, 0) + p
                 acc[y] = acc.get(y, 0) + (p << _B)  # + v h_{y,z}
             else:
-                acc[sy] = acc.get(sy, 0) + p
                 acc[y] = acc.get(y, 0) + (p >> _B)  # + v^-1 h_{y,z}; min exp >= 1 here
                 if mus[i]:
                     corrections.append((y, mus[i]))
-        for y, mu in corrections:
-            for yy, j in self._cols[y].items():
-                r = acc.get(yy, 0) - mu * hs[j]
-                if r:
-                    acc[yy] = r
-                else:
-                    acc.pop(yy, None)
+        try:
+            for y, mu in corrections:
+                for yy, j in cols[y].items():
+                    acc[yy] -= mu * hs[j]
+        except KeyError:
+            raise KLLawError("a KL column is not a Bruhat interval") from None
         x = left[z][s]
         if acc.get(x) != 1:
             raise KLLawError("KL recursion lost unitriangularity")
-        return {y: self._intern(p) for y, p in acc.items()}
+        ids, intern = self._ids, self._intern
+        out = {}
+        for y, p in acc.items():
+            if p:
+                i = ids.get(p)
+                out[y] = intern(p) if i is None else i
+        return out
 
 
 # -- elements -----------------------------------------------------------------

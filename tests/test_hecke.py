@@ -294,6 +294,132 @@ def test_kl_product_rule():
                         assert p == LaurentPoly.const(t.mu(y, x))
 
 
+# -- the inverse symmetry h_{y,x} = h_{y^-1,x^-1} and the fill order ---------------
+
+
+def _filled(g, order):
+    """A table whose columns were requested in ``order``, and the x whose
+    columns its recursion computed; every other column was relabelled."""
+    t = KLTable(g)
+    computed = []
+    combine = t._combine
+
+    def counting(s, z, cz):
+        computed.append(g.left[z][s])
+        return combine(s, z, cz)
+
+    t._combine = counting
+    for x in order:
+        t.column_packed(x)
+    return t, computed
+
+
+def _polys(t, x):
+    return {y: t.terms[i] for y, i in t.column_packed(x).items()}
+
+
+SYMMETRY_GROUPS = [
+    ("A", 1, None),
+    ("A", 2, None),
+    ("A", 3, None),
+    ("A", 4, None),
+    ("A", 5, None),
+    ("B", 2, None),
+    ("B", 3, None),
+    ("B", 4, None),
+    ("H3", 3, None),
+    ("I2", None, 5),
+    ("I2", None, 6),
+    ("I2", None, 7),
+    ("F4", None, None),
+]
+
+
+@pytest.mark.parametrize("family,rank,m", SYMMETRY_GROUPS, ids=str)
+def test_kl_columns_have_the_inverse_symmetry(family, rank, m):
+    g = grp(family, rank, m, allow_large=True)
+    inv = g.inv
+    # requested in length order, a column finds every shorter one stored, so
+    # in id order the smaller of x and x^-1 is computed, larger ids first the larger
+    up, computed_up = _filled(g, range(g.size))
+    down, computed_down = _filled(g, sorted(range(g.size), key=lambda x: (g.length[x], -x)))
+    assert sorted(computed_up) == [x for x in range(1, g.size) if x <= inv[x]]
+    assert sorted(computed_down) == [x for x in range(1, g.size) if x >= inv[x]]
+    for x in range(g.size):
+        assert _polys(down, inv[x]) == {inv[y]: h for y, h in _polys(up, x).items()}
+
+
+@pytest.mark.parametrize(
+    "family,rank,m",
+    [("A", 2, None), ("A", 3, None), ("B", 2, None), ("I2", None, 4), ("I2", None, 5), ("I2", None, 6)],
+    ids=str,
+)
+def test_inverse_symmetry_matches_bruteforce(family, rank, m):
+    g = grp(family, rank, m)
+    t = KLTable(g)
+    for x in range(g.size):
+        expect = {g.inv[y]: p for y, p in kl_basis_bruteforce(g, x).items()}
+        assert t.column(g.inv[x]) == expect
+
+
+@pytest.mark.parametrize("family,rank,m", [("B", 4, None), ("H3", 3, None), ("F4", None, None)], ids=str)
+def test_column_of_the_inverse_is_relabelled_not_computed(family, rank, m, monkeypatch):
+    g = grp(family, rank, m, allow_large=True)
+    calls = []
+    combine = KLTable._combine
+    monkeypatch.setattr(KLTable, "_combine", lambda self, *a: calls.append(a) or combine(self, *a))
+    pairs = [x for x in range(g.size) if g.inv[x] != x]
+    for x in random.Random(14).sample(pairs, 4) + [pairs[-1]]:
+        t = KLTable(g)
+        t.column_packed(x)
+        assert calls
+        n = len(t.computed_columns())
+        calls.clear()
+        t.column_packed(g.inv[x])
+        assert len(t.computed_columns()) == n + 1 and not calls
+
+
+@pytest.mark.parametrize("family,rank,m", [("A", 4, None), ("B", 4, None), ("H3", 3, None)], ids=str)
+def test_fill_order_does_not_change_the_table(tmp_path, family, rank, m):
+    g = grp(family, rank, m)
+    ids = list(range(g.size))
+    shuffled = ids[:]
+    random.Random(14).shuffle(shuffled)
+    orders = {"id": ids, "w0-down": ids[::-1], "shuffled": shuffled}
+    tables = {name: _filled(g, order)[0] for name, order in orders.items()}
+    ref = tables["id"]
+    for t in tables.values():
+        for x in ids:
+            assert t.column(x) == ref.column(x)
+            assert t.column_peak(x) == ref.column_peak(x)
+            assert t.graded_sum(x) == ref.graded_sum(x)
+    for src, t in tables.items():
+        path = tmp_path / f"{src}.txt"
+        write_kl_cache(str(path), t)
+        for dst in (d for d in orders if d != src):
+            t2 = _filled(g, orders[dst][: g.size // 2])[0]
+            assert t2.terms != t.terms[: len(t2.terms)]  # numbered otherwise: the remapping path
+            before = len(t2.computed_columns())
+            assert load_kl_cache(str(path), t2) == g.size - before
+            for x in ids:
+                assert t2.column(x) == ref.column(x)
+
+
+def test_recursion_rejects_a_column_that_is_not_a_bruhat_interval():
+    g = grp("A", 3)
+    t = KLTable(g)
+    x = g.w0
+    s = g.first_left_descent(x)
+    z = g.left[x][s]
+    cz = t.column_packed(z)
+    y = next(y for y, i in cz.items() if g.length[g.left[y][s]] < g.length[y] and t._mu[i])
+    # drop w and sw from the column of z, for a w that the mu-correction by y subtracts
+    w = next(w for w in t.column_packed(y) if {w, g.left[w][s]}.isdisjoint({y, z}))
+    bad = {k: i for k, i in cz.items() if k not in (w, g.left[w][s])}
+    with pytest.raises(hecke.KLLawError, match="Bruhat interval"):
+        t._combine(s, z, bad)
+
+
 # -- packed back-substitution against the dict oracle -------------------------------------
 
 
@@ -469,8 +595,8 @@ def test_cache_merges_into_a_table_that_numbers_polynomials_otherwise(tmp_path):
 # sha256 of the full-table cache files, recorded from the format-3 writer
 CACHE_SHA256 = {
     ("A", 3, None): "090e100c1c541715d478dafb04ed7d3037d2ab5ead52a5554ab39b3fa4466300",
-    ("B", 4, None): "6c049f92b19dee162ca9ad980a9bb1efa61cb707275da9f4d1debf48acb6c196",
-    ("H3", 3, None): "294dd1be2fd094f9e429e22c1ba2d71cfeeb7a58563396935b81b0f7afc76178",
+    ("B", 4, None): "aef39fbe4a5714ea039d2443205dd22b9ea043371578d4c76b306e6d777caaf4",
+    ("H3", 3, None): "12dd1534a4151cb3ccf03e201f98af3e19a8f2af3ae6178031cbabf1ed456056",
     ("I2", None, 7): "73264309042b680f7e705fd1887078eaf7dbc91c4943177126d2dcb5674cb0de",
 }
 
@@ -711,7 +837,7 @@ def test_cache_mutations_are_rejected_or_harmless(tmp_path):
 
 
 # sha256 of the full F4 cache file, recorded from the format-3 writer
-F4_CACHE_SHA256 = "f05b247c05f1f26b56b5cf9849f86008e589787b5442a1daceeadfa650c12634"
+F4_CACHE_SHA256 = "64531cbefb0fbd9b9fe362e7d196fadc28cff3623cad8b742ffe98143256fc5d"
 
 
 def test_f4_cache_round_trip(tmp_path):
