@@ -49,7 +49,6 @@ import csv
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -135,22 +134,14 @@ def _poly_latex(p: LaurentPoly) -> str:
     bits = []
     terms = sorted(p.items(), key=lambda ec: -ec[0])
     for e, c in terms:
-        frac = Fraction(c)
-        mag = abs(frac)
         if e == 0:
             base = ""
         elif e == 1:
             base = "v"
         else:
             base = "v^{%d}" % e
-        if mag == 1 and base:
-            coeff = ""
-        elif mag.denominator == 1:
-            coeff = str(mag.numerator)
-        else:
-            coeff = "\\tfrac{%d}{%d}" % (mag.numerator, mag.denominator)
-        term = (coeff + base) or "1"
-        bits.append(("-" if frac < 0 else "+", term))
+        coeff = "" if abs(c) == 1 and base else str(abs(c))
+        bits.append(("-" if c < 0 else "+", coeff + base))
     head = ("-" if bits[0][0] == "-" else "") + bits[0][1]
     return head + "".join(f" {s} {t}" for s, t in bits[1:])
 

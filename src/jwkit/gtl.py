@@ -63,7 +63,7 @@ class GTLElt(LinComb):
     """An element of TL_W in the basis {beta_x : x fully commutative},
     stored as a sparse map from element ids to RatFunc coefficients.
 
-    ``+``, ``-``, ``scale``, ``coefficient``, ``cleared``, ``integral``,
+    ``+``, ``-``, ``scale``, ``coefficient``, ``integral``,
     ``==``, ``hash`` and ``repr`` are inherited from LinComb; elements over
     different group tables do not mix (ValueError).  The structure
     constants come from Kazhdan-Lusztig data that the element does not

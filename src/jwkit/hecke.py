@@ -201,47 +201,54 @@ class KLTable:
         g = self.group
         cols, mus = self._cols, self._mu
         length, left, inv = g.length, g.left, g.inv
+        # x -> (s, z, its mu-corrections) while the corrections' columns fill;
+        # everything stacked above x is shorter than x, so when x is back on
+        # top they are all filled and the column of x^-1 still is not
+        waiting: dict[int, tuple[int, int, list[tuple[int, int]]]] = {}
         stack = [x0]
         while stack:
             x = stack[-1]
             if x in cols:
                 stack.pop()
                 continue
-            cx = cols.get(inv[x])
-            if cx is not None:  # h_{y,x} = h_{y^-1,x^-1}: relabel, same ids
-                cols[x] = {inv[y]: i for y, i in cx.items()}
-                self.unsaved = True
-                stack.pop()
-                continue
-            s = g.first_left_descent(x)
-            z = left[x][s]
-            cz = cols.get(z)
-            if cz is None:
-                stack.append(z)
-                continue
-            pending = [
-                y
-                for y, i in cz.items()
-                if length[left[y][s]] < length[y] and mus[i] and y not in cols
-            ]
-            if pending:
-                stack.extend(pending)
-                continue
-            cols[x] = self._combine(s, z, cz)
+            if x in waiting:
+                s, z, corrections = waiting.pop(x)
+            else:
+                cx = cols.get(inv[x])
+                if cx is not None:  # h_{y,x} = h_{y^-1,x^-1}: relabel, same ids
+                    cols[x] = {inv[y]: i for y, i in cx.items()}
+                    self.unsaved = True
+                    stack.pop()
+                    continue
+                s = g.first_left_descent(x)
+                z = left[x][s]
+                cz = cols.get(z)
+                if cz is None:
+                    stack.append(z)
+                    continue
+                corrections = [
+                    (y, mus[i]) for y, i in cz.items() if length[left[y][s]] < length[y] and mus[i]
+                ]
+                pending = [y for y, _ in corrections if y not in cols]
+                if pending:
+                    waiting[x] = s, z, corrections
+                    stack.extend(pending)
+                    continue
+            cols[x] = self._combine(s, z, corrections)
             self.unsaved = True
             stack.pop()
 
-    def _combine(self, s: int, z: ElementId, cz: dict[int, int]) -> dict[int, int]:
-        """Column of x = s z from the column of z, lengths descending, summed
+    def _combine(self, s: int, z: ElementId, corrections: list[tuple[int, int]]) -> dict[int, int]:
+        """Column of x = s z from the column of z and the mu-corrections
+        [(y, mu(y, z))] over y < z with sy < y, lengths descending, summed
         in one transient packed accumulator and interned once.  Every y in
         the column of a mu-correction is <= x, so it is already in acc (w <= x
         gives w <= z or sw <= z)."""
         g = self.group
         length, left = g.length, g.left
-        hs, mus, cols = self._packed[_B], self._mu, self._cols
+        hs, cols = self._packed[_B], self._cols
         acc: dict[int, int] = {}
-        corrections = []
-        for y, i in cz.items():
+        for y, i in cols[z].items():
             p = hs[i]
             sy = left[y][s]
             acc[sy] = acc.get(sy, 0) + p
@@ -249,8 +256,6 @@ class KLTable:
                 acc[y] = acc.get(y, 0) + (p << _B)  # + v h_{y,z}
             else:
                 acc[y] = acc.get(y, 0) + (p >> _B)  # + v^-1 h_{y,z}; min exp >= 1 here
-                if mus[i]:
-                    corrections.append((y, mus[i]))
         try:
             for y, mu in corrections:
                 for yy, j in cols[y].items():
@@ -276,7 +281,7 @@ class HeckeElt(LinComb):
     """A Hecke algebra element, a finite sum of delta_x with RatFunc
     coefficients.  Immutable by convention.
 
-    ``+``, ``-``, ``scale``, ``coefficient``, ``cleared``, ``integral``,
+    ``+``, ``-``, ``scale``, ``coefficient``, ``integral``,
     ``==``, ``hash`` and ``repr`` are inherited from LinComb; elements over
     different group tables do not mix (ValueError)."""
 
@@ -736,11 +741,12 @@ def load_kl_cache(path: str, table: KLTable) -> int:
     law that h_{y,x} lies in v Z[v] and in v^d Z[v^-2], d = l(x) - l(y),
     and the polynomial id range are checked once per (polynomial id, d)
     pair.  The trailer's line count and checksum, and no polynomial
-    stored twice, come last; the checksum catches the edits the laws miss.  Only a file that passes every check
-    changes the table: its new polynomials are stored, then the columns
-    the table lacks are merged.  Raises CacheFormatError on any mismatch;
-    returns the number of columns added.  Afterwards ``table.unsaved``
-    tells whether the table holds a column the file lacks."""
+    stored twice, come last; the checksum catches the edits the laws
+    miss.  Only a file that passes every check changes the table: its new
+    polynomials are stored, then the columns the table lacks are merged.
+    Raises CacheFormatError on any mismatch; returns the number of columns
+    added.  Afterwards ``table.unsaved`` tells whether the table holds a
+    column the file lacks."""
     g = table.group
     pres = g.presentation
     length, size = g.length, g.size

@@ -1,35 +1,38 @@
 """Exact arithmetic in Z[v, v^-1] and its fraction field.
 
 Laurent polynomials are stored sparsely as {exponent: coefficient} with
-integer exponents and rational coefficients (plain ints where possible,
-fractions.Fraction otherwise).  Rational functions are kept in a canonical
-form so that equality is literal comparison of numerator and denominator:
+integer exponents and int coefficients; LaurentPoly rejects any other
+coefficient.  Every rational constant lives in a RatFunc, kept in a
+canonical form so that equality is literal comparison of numerator and
+denominator:
 
-  * the denominator is an honest polynomial (no negative exponents) with a
-    nonzero constant term, monic in its top degree;
-  * numerator and denominator share no polynomial factor.
+  * numerator and denominator are integer Laurent polynomials;
+  * the denominator has no negative exponents, a nonzero constant term and
+    a positive leading coefficient;
+  * numerator and denominator share no factor in Z[v, v^-1], constants
+    included.
 
-The canonical form is computed on integers.  Numerator and denominator are
-each split once into a rational content, a monomial and a primitive
-integer polynomial.  The gcd of the two primitive parts is the heuristic
-gcd of Char, Geddes and Gonnet: evaluate both at 2^k, take one integer
-gcd and read the candidate off its balanced digits, accepted only when
-integer trial division shows that it divides both.  After a few unlucky
-points it falls back to a primitive remainder sequence.  The trial
-divisions return the cofactors, the denominator's cofactor is made monic,
-and a coefficient is a Fraction only where it is not an integer.
+A monic integer denominator over an integer numerator is already in this
+form.  It is computed on integers: numerator and denominator are each
+split once into an integer content, a monomial and a primitive integer
+polynomial.  The gcd of the two primitive parts is the heuristic gcd of
+Char, Geddes and Gonnet: evaluate both at 2^k, take one integer gcd and
+read the candidate off its balanced digits, accepted only when integer
+trial division shows that it divides both.  After a few unlucky points it
+falls back to a primitive remainder sequence.  The trial divisions return
+the cofactors, and the two contents are divided by their gcd.
 
 Elements of the algebras built on top (Hecke, TL_n, TL_W) are LinComb
 subclasses: sparse maps from basis keys to RatFunc coefficients.  Their
 product kernels (Hecke, TL_n diagrams, TL_W) run on integers, and this
 module is their one boundary with Q(v).  LinComb.integral is the only
 place where coefficients are cleared: it writes an element as one
-RatFunc scale times integer Laurent rows.  _rationals is the only place
-where kernel integers become RatFunc again: each result is multiplied by
-the scale and canonicalised once.  In between, a polynomial is one
-Python integer in the signed Kronecker packing (_pack, _unpack,
-_unpacked, _width below), and a sum or product of polynomials one
-big-integer operation.
+RatFunc scale 1/den times integer Laurent rows.  _rationals is the only
+place where kernel integers become RatFunc again: each result is
+multiplied by the scale and canonicalised once.  In between, a
+polynomial is one Python integer in the signed Kronecker packing (_pack,
+_unpack, _unpacked, _width below), and a sum or product of polynomials
+one big-integer operation.
 
 The two ring involutions used throughout are bar (v -> v^-1) and the
 Koszul sign twist kappa (v -> -v^-1).  Quantum integers are balanced:
@@ -41,20 +44,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
-
-Coeff = Union[int, Fraction]
-
-
-def _norm_coeff(c: Coeff) -> Coeff:
-    """Collapse integer-valued Fractions to int."""
-    if type(c) is not int and isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+from typing import Iterator, Mapping
 
 
 class LaurentPoly:
-    """A Laurent polynomial in v with rational coefficients.
+    """A Laurent polynomial in v with integer coefficients.
 
     >>> v = LaurentPoly.gen()
     >>> (v + v**-1) * (v - v**-1)
@@ -65,11 +59,12 @@ class LaurentPoly:
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[int, Coeff] | None = None):
-        t: dict[int, Coeff] = {}
+    def __init__(self, terms: Mapping[int, int] | None = None):
+        t: dict[int, int] = {}
         if terms:
             for e, c in terms.items():
-                c = _norm_coeff(c)
+                if not isinstance(c, int):
+                    raise TypeError(f"LaurentPoly coefficients are ints, not {type(c).__name__}")
                 if c:
                     t[int(e)] = c
         self._terms = t
@@ -91,15 +86,15 @@ class LaurentPoly:
         return cls({exponent: 1})
 
     @classmethod
-    def const(cls, c: Coeff) -> "LaurentPoly":
+    def const(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
     # -- inspection --------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[int, Coeff]]:
+    def items(self) -> Iterator[tuple[int, int]]:
         return iter(self._terms.items())
 
-    def coefficient(self, exponent: int) -> Coeff:
+    def coefficient(self, exponent: int) -> int:
         return self._terms.get(exponent, 0)
 
     @property
@@ -109,9 +104,6 @@ class LaurentPoly:
     @property
     def is_one(self) -> bool:
         return self._terms == {0: 1}
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
 
     def min_exponent(self) -> int:
         if not self._terms:
@@ -132,7 +124,7 @@ class LaurentPoly:
         t = dict(self._terms)
         for e, c in other._terms.items():
             t[e] = t.get(e, 0) + c
-        return _reduced(t)
+        return _wrap(t)
 
     __radd__ = __add__
 
@@ -160,12 +152,12 @@ class LaurentPoly:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        t: dict[int, Coeff] = {}
+        t: dict[int, int] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = e1 + e2
                 t[e] = t.get(e, 0) + c1 * c2
-        return _reduced(t)
+        return _wrap(t)
 
     __rmul__ = __mul__
 
@@ -173,10 +165,11 @@ class LaurentPoly:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            if self.is_monomial():
+            if len(self._terms) == 1:
                 ((e, c),) = self._terms.items()
-                return _wrap({e * n: _norm_coeff(Fraction(1) / Fraction(c) ** (-n))})
-            raise ValueError("negative powers only defined for monomials")
+                if c in (1, -1):
+                    return _wrap({e * n: c**-n})
+            raise ValueError("negative powers are defined only for the units +-v^k")
         result = LaurentPoly.one()
         base = self
         while n:
@@ -188,28 +181,20 @@ class LaurentPoly:
         return result
 
     def __truediv__(self, other: object) -> "RatFunc":
-        if isinstance(other, RatFunc):
-            return RatFunc(self, LaurentPoly.one()) / other
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self, other)
+        return RatFunc(self).__truediv__(other)
 
     def __rtruediv__(self, other: object) -> "RatFunc":
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(other, self)
+        return RatFunc(self).__rtruediv__(other)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by the monomial v^k."""
         return _wrap({e + k: c for e, c in self._terms.items()})
 
-    def scale(self, c: Coeff) -> "LaurentPoly":
-        c = _norm_coeff(c)
-        if not c:
-            return LaurentPoly.zero()
-        return _wrap({e: _norm_coeff(x * c) for e, x in self._terms.items()})
+    def scale(self, c: int) -> "LaurentPoly":
+        """Multiply by the integer c."""
+        if not isinstance(c, int):
+            raise TypeError(f"LaurentPoly scales by ints, not {type(c).__name__}")
+        return _wrap({e: x * c for e, x in self._terms.items()})
 
     # -- involutions -------------------------------------------------------
 
@@ -232,12 +217,14 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == ({0: _norm_coeff(other)} if other else {})
+            return self._terms == ({0: other} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:
+        """A constant hashes as the number it equals."""
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
+            t = self._terms
+            self._hash = hash(t.get(0, 0)) if t.keys() <= {0} else hash(tuple(sorted(t.items())))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -250,7 +237,7 @@ class LaurentPoly:
         for e in sorted(self._terms, reverse=True):
             c = self._terms[e]
             if e == 0:
-                mono = str(abs(c) if isinstance(c, int) else abs(c))
+                mono = str(abs(c))
             else:
                 vpow = "v" if e == 1 else f"v^{e}"
                 ac = abs(c)
@@ -266,38 +253,24 @@ class LaurentPoly:
     # -- serialization -----------------------------------------------------
 
     def to_triples(self) -> list[list[int]]:
-        """[exponent, coefficient numerator, coefficient denominator] rows,
-        exponents strictly decreasing."""
-        rows = []
-        for e in sorted(self._terms, reverse=True):
-            c = Fraction(self._terms[e])
-            rows.append([e, c.numerator, c.denominator])
-        return rows
+        """[exponent, coefficient, 1] rows, exponents strictly decreasing:
+        the [exponent, numerator, denominator] rows of the documents."""
+        return [[e, self._terms[e], 1] for e in sorted(self._terms, reverse=True)]
 
     @classmethod
     def from_triples(cls, rows) -> "LaurentPoly":
-        t: dict[int, Coeff] = {}
-        prev = None
-        for e, num, den in rows:
-            if prev is not None and e >= prev:
-                raise ValueError("exponents must be strictly decreasing")
-            prev = e
-            t[e] = Fraction(num, den)
-        return cls(t)
+        """The inverse of to_triples; ValueError on a coefficient that is
+        not an integer."""
+        p, m = _from_rows(rows)
+        if m != 1:
+            raise ValueError("Laurent polynomial rows with a non-integer coefficient")
+        return p
 
 
-def _wrap(t: dict[int, Coeff]) -> LaurentPoly:
+def _wrap(t: dict[int, int]) -> LaurentPoly:
+    """The LaurentPoly of int coefficients t, zeros dropped, unchecked."""
     p = LaurentPoly.__new__(LaurentPoly)
     p._terms = {e: c for e, c in t.items() if c}
-    p._hash = None
-    return p
-
-
-def _reduced(t: dict[int, Coeff]) -> LaurentPoly:
-    """_wrap for freshly summed coefficients: zeros dropped and integral
-    Fractions made ints, with one type test per integer coefficient."""
-    p = LaurentPoly.__new__(LaurentPoly)
-    p._terms = {e: c if type(c) is int else _norm_coeff(c) for e, c in t.items() if c}
     p._hash = None
     return p
 
@@ -305,37 +278,48 @@ def _reduced(t: dict[int, Coeff]) -> LaurentPoly:
 def _as_poly(x: object):
     if isinstance(x, LaurentPoly):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return LaurentPoly.const(x)
     return NotImplemented
 
 
+def _from_rows(rows) -> tuple[LaurentPoly, int]:
+    """(p, m) with p / m the Laurent polynomial of [exponent, numerator,
+    denominator] rows, exponents strictly decreasing: m is the lcm of the
+    coefficient denominators, and p is integral."""
+    coeffs: dict[int, Fraction] = {}
+    prev = None
+    for e, num, den in rows:
+        if prev is not None and e >= prev:
+            raise ValueError("exponents must be strictly decreasing")
+        prev = e
+        coeffs[e] = Fraction(num, den)
+    m = math.lcm(*(c.denominator for c in coeffs.values()))
+    return LaurentPoly({e: c.numerator * (m // c.denominator) for e, c in coeffs.items()}), m
+
+
 # -- integer polynomial kernel (helpers for RatFunc canonicalization) ---------
 #
-# A polynomial here is a list of ints, constant term first.  A Laurent
-# polynomial p splits as p = (c / d) * v^k * f(v), with c / d its rational
-# content and f primitive: integer coefficients with gcd 1, a positive
+# A polynomial here is a list of ints, constant term first.  A nonzero
+# Laurent polynomial p splits as p = c v^k f(v), with c its integer content
+# (signed) and f primitive: integer coefficients with gcd 1, a positive
 # leading coefficient and a nonzero constant term.  By Gauss's lemma a
 # primitive divisor of an integer polynomial divides it over Z, so gcds and
-# exact quotients of primitive polynomials never leave the integers.
+# exact quotients of primitive polynomials never leave the integers, and
+# c v^k f divides c' v^k' f' in Z[v, v^-1] exactly when c | c' and f | f'.
 
 _HEU_TRIES = 6  # heuristic gcd attempts before the remainder sequence
 
 
-def _split(terms: Mapping[int, Coeff]) -> tuple[int, int, int, list[int]]:
-    """(c, d, k, f) with sum_e terms[e] v^e = (c / d) v^k f(v), d > 0 and f
-    primitive.  terms must be nonzero."""
+def _split(terms: Mapping[int, int]) -> tuple[int, int, list[int]]:
+    """(c, k, f) with sum_e terms[e] v^e = c v^k f(v) and f primitive.
+    terms must be nonzero."""
     k = min(terms)
     f = [0] * (max(terms) - k + 1)
-    d = math.lcm(*(c.denominator for c in terms.values() if type(c) is not int))
-    if d == 1:
-        for e, c in terms.items():
-            f[e - k] = c
-    else:
-        for e, c in terms.items():
-            f[e - k] = c.numerator * (d // c.denominator)
+    for e, c in terms.items():
+        f[e - k] = c
     p = _primitive(f)
-    return f[-1] // p[-1], d, k, p
+    return f[-1] // p[-1], k, p
 
 
 def _primitive(f: list[int]) -> list[int]:
@@ -444,48 +428,38 @@ def _poly_gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[in
     return out
 
 
-def _laurent(c: int, d: int, k: int, f: list[int]) -> LaurentPoly:
-    """(c / d) v^k f(v), with an int wherever a coefficient is integral."""
-    t = math.gcd(c, d)
-    if d < 0:
-        t = -t
-    c, d = c // t, d // t
-    if d == 1:
-        return _wrap({k + i: c * a for i, a in enumerate(f) if a})
-    terms = {}
-    for i, a in enumerate(f):
-        if a:
-            a *= c
-            terms[k + i] = a // d if a % d == 0 else Fraction(a, d)
-    return _wrap(terms)
-
-
-def _monic(f: list[int]) -> LaurentPoly:
-    return _laurent(1, f[-1], 0, f)
+def _laurent(c: int, k: int, f: list[int]) -> LaurentPoly:
+    """c v^k f(v)."""
+    return _wrap({k + i: c * a for i, a in enumerate(f) if a})
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of the polynomial parts (monomial factors dropped); zero
-    when both are zero."""
-    if a.is_zero:
-        return b if b.is_zero else _monic(_split(b._terms)[3])
-    if b.is_zero:
-        return _monic(_split(a._terms)[3])
-    return _monic(_poly_gcd(_split(a._terms)[3], _split(b._terms)[3])[0])
+    """Primitive gcd of the polynomial parts (contents and monomial factors
+    dropped); zero when both are zero."""
+    fs = [_split(p._terms)[2] for p in (a, b) if p]  # primitive parts
+    if not fs:
+        return a
+    return _laurent(1, 0, fs[0] if len(fs) == 1 else _poly_gcd(*fs)[0])
 
 
 def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic lcm of the polynomial parts of two nonzero Laurent polynomials."""
-    f, g = _split(a._terms)[3], _split(b._terms)[3]
-    return _monic(_mul(_poly_gcd(f, g)[1], g))
+    """lcm in Z[v, v^-1] of two nonzero Laurent polynomials, monomial
+    factors dropped: the lcm of the two contents times the primitive lcm."""
+    ca, _, f = _split(a._terms)
+    cb, _, g = _split(b._terms)
+    return _laurent(math.lcm(ca, cb), 0, _mul(_poly_gcd(f, g)[1], g))
 
 
 def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """a / b when b divides a exactly (up to a monomial); ArithmeticError
-    otherwise."""
-    ca, da, ka, f = _split(a._terms)
-    cb, db, kb, g = _split(b._terms)
-    return _laurent(ca * db, da * cb, ka - kb, _exact_quotient(f, g))
+    """a / b when b divides a in Z[v, v^-1]; ArithmeticError otherwise."""
+    if a.is_zero:
+        return a
+    ca, ka, f = _split(a._terms)
+    cb, kb, g = _split(b._terms)
+    c, r = divmod(ca, cb)
+    if r:
+        raise ArithmeticError("polynomial division by a non-divisor")
+    return _laurent(c, ka - kb, _exact_quotient(f, g))
 
 
 # -- signed Kronecker packing -------------------------------------------------
@@ -558,15 +532,18 @@ class RatFunc:
     v^2 + 1
     >>> f * (v + v**-1) == v**2 + 1 + v**-2
     True
+    >>> g = v / (2*v + 2)
+    >>> g.num, g.den
+    (v, 2*v + 2)
     """
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num: LaurentPoly | Coeff, den: LaurentPoly | Coeff = 1):
+    def __init__(self, num: LaurentPoly | int, den: LaurentPoly | int = 1):
         num = _as_poly(num)
         den = _as_poly(den)
         if num is NotImplemented or den is NotImplemented:
-            raise TypeError("RatFunc expects Laurent polynomials or rationals")
+            raise TypeError("RatFunc expects Laurent polynomials or ints")
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         num, den = _canonicalize(num, den)
@@ -675,8 +652,16 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        """Equal values hash equal: a polynomial as its numerator, a
+        rational constant as the Fraction it equals."""
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            n, d = self.num._terms, self.den._terms
+            if d == {0: 1}:
+                self._hash = hash(self.num)
+            elif n.keys() == d.keys() == {0}:
+                self._hash = hash(Fraction(n[0], d[0]))
+            else:
+                self._hash = hash((self.num, self.den))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -697,14 +682,20 @@ class RatFunc:
 
     @classmethod
     def from_triples(cls, doc) -> "RatFunc":
-        return cls(LaurentPoly.from_triples(doc["num"]), LaurentPoly.from_triples(doc["den"]))
+        """The inverse of to_triples.  Rows with rational coefficients
+        are accepted: each side is cleared to one integer scale."""
+        (num, a), (den, b) = _from_rows(doc["num"]), _from_rows(doc["den"])
+        return cls(num.scale(b), den.scale(a))
 
 
 def _as_rat(x: object):
+    """x as a RatFunc; the one entry point for Fraction scalars."""
     if isinstance(x, RatFunc):
         return x
-    if isinstance(x, (int, Fraction, LaurentPoly)):
+    if isinstance(x, (int, LaurentPoly)):
         return RatFunc(x)
+    if isinstance(x, Fraction):
+        return RatFunc(x.numerator, x.denominator)
     return NotImplemented
 
 
@@ -712,19 +703,19 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly):
     """Reduce num/den to the canonical representative described above."""
     if num.is_zero:
         return LaurentPoly.zero(), LaurentPoly.one()
-    if len(den._terms) == 1:
-        ((k, c),) = den._terms.items()
-        num = num.shift(-k)
-        return (num if c == 1 else num.scale(Fraction(1, c))), LaurentPoly.one()
-    # num = (cn/dn) v^kn f and den = (cd/dd) v^kd g with f, g primitive;
-    # the monomial part of num never cancels against g, whose constant term
-    # is nonzero, so the cancellation is f/h over g/h for h = gcd(f, g)
-    cn, dn, kn, f = _split(num._terms)
-    cd, dd, kd, g = _split(den._terms)
+    if den.is_one:
+        return num, den
+    # num = cn v^kn f and den = cd v^kd g with f, g primitive; the monomial
+    # part of num never cancels against g, whose constant term is nonzero,
+    # so the cancellation is f/h over g/h for h = gcd(f, g), and the
+    # contents cancel by their gcd, signed to leave cd positive
+    cn, kn, f = _split(num._terms)
+    cd, kd, g = _split(den._terms)
     _, f, g = _poly_gcd(f, g)
-    # the denominator is g made monic; its leading coefficient moves into
-    # the numerator's scalar
-    return _laurent(cn * dd, dn * cd * g[-1], kn - kd, f), _monic(g)
+    t = math.gcd(cn, cd)
+    if cd < 0:
+        t = -t
+    return _laurent(cn // t, kn - kd, f), _laurent(cd // t, 0, g)
 
 
 # -- linear combinations -----------------------------------------------------
@@ -775,37 +766,29 @@ class LinComb:
         return self + (-other)
 
     def scale(self, c) -> "LinComb":
-        c = c if isinstance(c, RatFunc) else RatFunc(c)
+        c = _as_rat(c)
+        if c is NotImplemented:
+            raise TypeError("a scalar is a RatFunc, LaurentPoly, int or Fraction")
         return self._rebuild({k: ck * c for k, ck in self.coeffs.items()})
 
     def coefficient(self, key) -> RatFunc:
         return self.coeffs.get(key, RatFunc.zero())
 
-    def cleared(self) -> tuple[dict, LaurentPoly]:
-        """(polys, den) with self = sum_k (polys[k] / den) key, where den
-        is the monic lcm of the coefficient denominators.  The lcm and the
-        cofactors den / d are taken once per distinct denominator d."""
+    def integral(self) -> tuple[dict, RatFunc]:
+        """(rows, scale) with self = scale * sum_k rows[k] key, every rows[k]
+        an integer Laurent polynomial {exp: int} (read-only) and scale =
+        1 / den, den the lcm of the coefficient denominators.  The lcm and
+        the cofactors den / d are taken once per distinct denominator d."""
         dens = dict.fromkeys(c.den for c in self.coeffs.values())
         den = LaurentPoly.one()
         for d in dens:
             if not d.is_one:
                 den = d if den.is_one else poly_lcm(den, d)
         if den.is_one:
-            return {k: c.num for k, c in self.coeffs.items()}, den
+            return {k: c.num._terms for k, c in self.coeffs.items()}, RatFunc.one()
         for d in dens:
             dens[d] = den if d.is_one else poly_exact_div(den, d)
-        return {k: c.num * dens[c.den] for k, c in self.coeffs.items()}, den
-
-    def integral(self) -> tuple[dict, RatFunc]:
-        """(rows, scale) with self = scale * sum_k rows[k] key, every rows[k]
-        an integer Laurent polynomial {exp: int} and scale one RatFunc: 1/f
-        over the denominator of cleared(), f the lcm of the Fraction
-        denominators left in its numerators."""
-        polys, den = self.cleared()
-        f = math.lcm(*(c.denominator for p in polys.values() for _, c in p.items()))
-        rows = {k: {e: c.numerator * (f // c.denominator) for e, c in p.items()}
-                for k, p in polys.items()}
-        return rows, RatFunc(LaurentPoly.const(Fraction(1, f)), den)
+        return {k: (c.num * dens[c.den])._terms for k, c in self.coeffs.items()}, RatFunc(1, den)
 
     # -- comparisons, hashing, display ------------------------------------------
 

@@ -73,7 +73,8 @@ import math
 from dataclasses import dataclass
 
 from .coxeter import ElementId, GroupTable
-from .grank import grrk, jw_coefficient  # noqa: F401 (perfbench wraps the jwkit.tl.grrk alias)
+from .grank import grrk  # noqa: F401 (perfbench wraps the jwkit.tl.grrk alias)
+from .gtl import gen_jw_closed
 from .hecke import HeckeElt, KLTable, to_kl_basis
 from .qpoly import LaurentPoly, LinComb, RatFunc, _pack, _rationals, _unpacked, _width, quantum_int
 
@@ -201,7 +202,7 @@ class TLElt(LinComb):
     """An element of TL_n (sign +1) or TL_n^- (sign -1): a finite sum of
     diagrams with RatFunc coefficients.
 
-    ``+``, ``-``, ``scale``, ``coefficient``, ``cleared``, ``integral``,
+    ``+``, ``-``, ``scale``, ``coefficient``, ``integral``,
     ``==``, ``hash`` and ``repr`` are inherited from LinComb; elements with
     different n or sign do not mix (ValueError)."""
 
@@ -294,11 +295,15 @@ def multiply_tl(a: TLElt, b: TLElt) -> TLElt:
 # -- the monomial basis ---------------------------------------------------------
 
 
-def _require_type_a(g: GroupTable) -> int:
+def _require_type_a(g: GroupTable, n: int | None = None) -> int:
+    """The strand count of g = S_n; ValueError unless g is of type A (and
+    of rank n - 1, when n is given)."""
     if g.presentation.family != "A":
         raise ValueError(
             f"diagrams require a type A group, got {g.presentation.family}"
         )
+    if n is not None and g.rank + 1 != n:
+        raise ValueError(f"group has rank {g.rank}, expected {n - 1}")
     return g.rank + 1
 
 
@@ -362,18 +367,12 @@ def _on_diagrams(g: GroupTable, coeffs: dict[ElementId, RatFunc], sign: int = 1)
     return TLElt(_require_type_a(g), {monomial(g, x): c for x, c in coeffs.items()}, sign)
 
 
-def _closed_coefficients(n: int, g: GroupTable, cache: KLTable) -> dict[ElementId, RatFunc]:
-    """The closed-formula coefficients of j_n, keyed by the FC ids of g = S_n."""
-    if _require_type_a(g) != n:
-        raise ValueError(f"group has rank {g.rank}, expected {n - 1}")
-    return {x: jw_coefficient(g, cache, x) for x in g.fc_elements()}
-
-
 def closed_jw(n: int, g: GroupTable, cache: KLTable) -> TLElt:
     """The Jones-Wenzl idempotent by the closed formula: the coefficient
     of u_x is (-1)^length(x) grrk(x w0) / grrk(w0), summed over the
     fully commutative elements of the symmetric group S_n."""
-    return _on_diagrams(g, _closed_coefficients(n, g, cache))
+    _require_type_a(g, n)
+    return _on_diagrams(g, gen_jw_closed(g, cache).coeffs)
 
 
 def project_pi(h: HeckeElt, cache: KLTable) -> TLElt:
@@ -389,5 +388,6 @@ def jw_minus(n: int, g: GroupTable, cache: KLTable) -> TLElt:
     all-positive coefficients grrk(x w0) / grrk(w0) on u_x^-: the
     closed-formula coefficients c_x of j_n give j_n^- = sum_x
     (-1)^length(x) c_x u_x^-."""
-    coeffs = _closed_coefficients(n, g, cache)
+    _require_type_a(g, n)
+    coeffs = gen_jw_closed(g, cache).coeffs
     return _on_diagrams(g, {x: -c if g.length[x] % 2 else c for x, c in coeffs.items()}, -1)

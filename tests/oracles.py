@@ -6,6 +6,8 @@ it cross-checks the package's cleverer code paths without sharing logic.
 
 import hashlib
 import itertools
+import math
+from fractions import Fraction
 from functools import lru_cache
 
 from jwkit import coxeter, hecke
@@ -213,13 +215,20 @@ def multiply_tl_dicts(a, b):
     assert a.n == b.n and a.sign == b.sign
     n = a.n
     delta = LaurentPoly({1: a.sign, -1: a.sign})
-    na, da = a.cleared()
-    nb, db = b.cleared()
+    na, sa = a.integral()
+    nb, sb = b.integral()
     acc = {}
     for d1, pa in na.items():
         for d2, pb in nb.items():
             partner, loops = compose_components(d1.partner, d2.partner, n)
             d = Diagram(n, partner)
-            acc[d] = acc.get(d, LaurentPoly.zero()) + pa * pb * delta**loops
-    rescale = RatFunc(LaurentPoly.one(), da * db)
+            acc[d] = acc.get(d, LaurentPoly.zero()) + LaurentPoly(pa) * LaurentPoly(pb) * delta**loops
+    rescale = sa * sb
     return TLElt(n, {d: RatFunc(p) * rescale for d, p in acc.items()}, a.sign)
+
+
+def integer_scaled(terms):
+    """(p, m) for a Laurent polynomial {exp: coefficient} over Q: m > 0 the
+    lcm of the coefficient denominators and p = m times it, integral."""
+    m = math.lcm(*(Fraction(c).denominator for c in terms.values()))
+    return LaurentPoly({e: int(c * m) for e, c in terms.items()}), m

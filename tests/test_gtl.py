@@ -20,7 +20,7 @@ from jwkit.hecke import HeckeElt, KLTable, kl_basis, to_kl_basis
 from jwkit.qpoly import LaurentPoly, RatFunc, quantum_int
 from jwkit.tl import TLElt, closed_jw, monomial
 
-from oracles import grp
+from oracles import grp, integer_scaled
 
 
 def _table(g):
@@ -127,13 +127,14 @@ def _shared_table(family, rank, m):
 @st.composite
 def _gtl_elements(draw, g):
     """Up to three FC terms; numerators with Fraction coefficients over
-    the denominators 1, [2] or [3]."""
+    the denominators 1, [2] or [3], written as integer numerators over
+    integer-scaled denominators."""
     support = draw(st.lists(st.sampled_from(g.fc_elements()), max_size=3, unique=True))
     fractions = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3))
     coeffs = {}
     for x in support:
-        num = draw(st.dictionaries(st.integers(-2, 2), fractions, min_size=1, max_size=2))
-        coeffs[x] = RatFunc(LaurentPoly(num), quantum_int(draw(st.integers(1, 3))))
+        num, m = integer_scaled(draw(st.dictionaries(st.integers(-2, 2), fractions, min_size=1, max_size=2)))
+        coeffs[x] = RatFunc(num, quantum_int(draw(st.integers(1, 3))) * m)
     return GTLElt(g, coeffs)
 
 

@@ -415,9 +415,9 @@ def test_recursion_rejects_a_column_that_is_not_a_bruhat_interval():
     y = next(y for y, i in cz.items() if g.length[g.left[y][s]] < g.length[y] and t._mu[i])
     # drop w and sw from the column of z, for a w that the mu-correction by y subtracts
     w = next(w for w in t.column_packed(y) if {w, g.left[w][s]}.isdisjoint({y, z}))
-    bad = {k: i for k, i in cz.items() if k not in (w, g.left[w][s])}
+    t._cols[z] = {k: i for k, i in cz.items() if k not in (w, g.left[w][s])}
     with pytest.raises(hecke.KLLawError, match="Bruhat interval"):
-        t._combine(s, z, bad)
+        t._combine(s, z, [(y, t._mu[cz[y]])])
 
 
 # -- packed back-substitution against the dict oracle -------------------------------------

@@ -5,6 +5,7 @@ independent gcd machinery; ring axioms and involution laws are checked on
 seeded random inputs.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -29,12 +30,14 @@ from jwkit.qpoly import (
 )
 from jwkit.tl import TLElt, monomial
 
-from oracles import grp
+from oracles import grp, integer_scaled
 
 v = LaurentPoly.gen()
 
 
 def rand_poly(rng, nterms=4, span=6):
+    """A random Laurent polynomial over Q as (p, m): p integral, m > 0,
+    value p / m."""
     terms = {}
     for _ in range(rng.randint(0, nterms)):
         e = rng.randint(-span, span)
@@ -42,12 +45,24 @@ def rand_poly(rng, nterms=4, span=6):
         if rng.random() < 0.3:
             c = Fraction(c, rng.randint(1, 5))
         terms[e] = terms.get(e, 0) + c
-    return LaurentPoly(terms)
+    return integer_scaled(terms)
+
+
+def rand_ratio(rng):
+    """(a, b, f): the values a and b of two random rand_poly draws, as
+    sympy expressions, and f = a / b as a RatFunc (None when b = 0)."""
+    (pa, ma), (pb, mb) = rand_poly(rng), rand_poly(rng)
+    f = None if pb.is_zero else RatFunc(pa * mb, pb * ma)
+    return to_sympy(pa) / ma, to_sympy(pb) / mb, f
 
 
 def to_sympy(p):
     x = sympy.Symbol("v")
-    return sum(sympy.Rational(Fraction(c)) * x**e for e, c in p.items())
+    return sum(sympy.Integer(c) * x**e for e, c in p.items())
+
+
+def all_int(*polys):
+    return all(type(c) is int for p in polys for _, c in p.items())
 
 
 # -- LaurentPoly ring --------------------------------------------------------
@@ -70,15 +85,22 @@ def test_zero_one_identities():
 def test_pow():
     assert (v + 1) ** 2 == v**2 + 2 * v + 1
     assert v**0 == LaurentPoly.one()
-    assert (2 * v) ** -2 == LaurentPoly({-2: Fraction(1, 4)})
+    assert 1 / (2 * v) ** 2 == RatFunc(v**-2, 4)
+    assert (-v) ** -3 == -(v**-3)
     with pytest.raises(ValueError):
         (v + 1) ** -1
+
+
+def test_negative_powers_only_of_units():
+    for p in (2 * v, -3 * v**2, LaurentPoly.const(2)):
+        with pytest.raises(ValueError):
+            p**-1
 
 
 def test_ring_axioms_random():
     rng = random.Random(20260816)
     for _ in range(200):
-        a, b, c = rand_poly(rng), rand_poly(rng), rand_poly(rng)
+        a, b, c = rand_poly(rng)[0], rand_poly(rng)[0], rand_poly(rng)[0]
         assert a + b == b + a
         assert a * b == b * a
         assert (a + b) + c == a + (b + c)
@@ -86,11 +108,14 @@ def test_ring_axioms_random():
         assert a * (b + c) == a * b + a * c
 
 
-def test_fraction_coefficients_collapse_to_int():
-    p = LaurentPoly({1: Fraction(3, 2)})
-    q = p + p
-    assert q.coefficient(1) == 3
-    assert isinstance(q.coefficient(1), int)
+def test_laurent_poly_rejects_non_int_coefficients():
+    for c in (Fraction(3, 2), Fraction(4, 2), 0.1, 1.0, "1"):
+        with pytest.raises(TypeError):
+            LaurentPoly({1: c})
+        with pytest.raises(TypeError):
+            LaurentPoly.const(c)
+    with pytest.raises(TypeError):
+        v.scale(Fraction(1, 2))
 
 
 # -- involutions -------------------------------------------------------------
@@ -111,7 +136,7 @@ def test_koszul():
 def test_involutions_are_ring_maps_and_involutive():
     rng = random.Random(99)
     for _ in range(100):
-        a, b = rand_poly(rng), rand_poly(rng)
+        a, b = rand_poly(rng)[0], rand_poly(rng)[0]
         for f in (LaurentPoly.bar, LaurentPoly.koszul):
             assert f(a + b) == f(a) + f(b)
             assert f(a * b) == f(a) * f(b)
@@ -164,7 +189,8 @@ def test_parity_class():
 
 def test_canonical_form_spec_example():
     f = (v**2 + 1 + v**-2) / (v + v**-1)
-    # denominator cleared of negative exponents, monic, nonzero constant term
+    # denominator cleared of negative exponents, positive leading
+    # coefficient, nonzero constant term
     assert f.den == v**2 + 1
     assert f.num == v**3 + v + v**-1
     assert f * (v + v**-1) == RatFunc(v**2 + 1 + v**-2)
@@ -178,10 +204,12 @@ def test_gcd_cancellation():
     assert g.as_poly() == v + 1
 
 
-def test_monic_denominator():
+def test_denominator_keeps_its_integer_content():
     f = v / (2 * v + 2)
-    assert f.den == v + 1
-    assert f.num == LaurentPoly({1: Fraction(1, 2)})
+    assert f.den == 2 * v + 2
+    assert f.num == v
+    g = (3 * v) / (-6 * v**2 - 6 * v)  # contents cancel to 1 over -2
+    assert g.num == -1 and g.den == 2 * v + 2
 
 
 def test_zero_division():
@@ -193,25 +221,26 @@ def test_zero_division():
 
 def test_canonical_form_random_vs_sympy():
     """num/den == sympy's cancel of the same fraction, and the canonical
-    denominator matches sympy's monic cancelled denominator up to the
-    monomial v^k that our form pushes into the numerator."""
+    invariants hold: the denominator is a polynomial with a nonzero
+    constant term and a positive leading coefficient, and numerator and
+    denominator share no polynomial factor and no constant one."""
     rng = random.Random(4242)
     x = sympy.Symbol("v")
     checked = 0
     while checked < 60:
-        a, b = rand_poly(rng), rand_poly(rng)
-        if b.is_zero:
+        a, b, f = rand_ratio(rng)
+        if f is None:
             continue
         checked += 1
-        f = a / b
         ours = to_sympy(f.num) / to_sympy(f.den)
-        theirs = sympy.cancel(to_sympy(a) / to_sympy(b))
+        theirs = sympy.cancel(a / b)
         assert sympy.simplify(ours - theirs) == 0
-        if not a.is_zero:
+        if a != 0:
             # canonical invariants
             assert f.den.min_exponent() == 0
             assert f.den.coefficient(0) != 0
-            assert f.den.coefficient(f.den.max_exponent()) == 1
+            assert f.den.coefficient(f.den.max_exponent()) > 0
+            assert math.gcd(*(c for p in (f.num, f.den) for _, c in p.items())) == 1
             num_sym = sympy.Poly(to_sympy(f.num.shift(-f.num.min_exponent())), x)
             den_sym = sympy.Poly(to_sympy(f.den), x)
             assert sympy.degree(sympy.gcd(num_sym, den_sym), x) == 0
@@ -221,11 +250,10 @@ def test_field_axioms_random():
     rng = random.Random(777)
     made = 0
     while made < 60:
-        a, b, c, d = (rand_poly(rng) for _ in range(4))
-        if b.is_zero or d.is_zero:
+        f, g = rand_ratio(rng)[2], rand_ratio(rng)[2]
+        if f is None or g is None:
             continue
         made += 1
-        f, g = a / b, c / d
         assert f + g == g + f
         assert f * g == g * f
         assert (f + g) - g == f
@@ -248,21 +276,85 @@ def test_equality_and_hash():
     assert f != (v + 2) / LaurentPoly.one()
 
 
+# every representation of one value: int, Fraction, LaurentPoly and RatFunc
+REPRESENTATIONS = {
+    "0": [0, Fraction(0), LaurentPoly.zero(), RatFunc(0), RatFunc.zero()],
+    "1": [1, Fraction(1), LaurentPoly.one(), RatFunc(1), RatFunc(v, v)],
+    "-3": [-3, Fraction(-3), LaurentPoly.const(-3), RatFunc(-3), RatFunc(6 * v + 6, -2 * v - 2)],
+    "1/2": [Fraction(1, 2), RatFunc(1, 2), RatFunc(v + 1, 2 * v + 2)],
+    "v": [v, RatFunc(v), RatFunc(2 * v**2, 2 * v)],
+    "v/(v+1)": [RatFunc(v, v + 1), RatFunc(2 * v, 2 * v + 2), v / (v + 1)],
+}
+
+
+@pytest.mark.parametrize("value", sorted(REPRESENTATIONS))
+def test_equal_values_hash_equal(value):
+    for a in REPRESENTATIONS[value]:
+        for b in REPRESENTATIONS[value]:
+            assert a == b
+            assert hash(a) == hash(b)
+            assert a in {b}
+        for other, reps in REPRESENTATIONS.items():
+            if other != value:
+                assert all(a != b for b in reps)
+
+
+def test_scale_by_a_fraction():
+    vec = _Vec({0: RatFunc(v), 1: RatFunc(1, v + 1)})
+    assert vec.scale(Fraction(1, 2)) == vec.scale(RatFunc(1, 2))
+    assert vec.scale(Fraction(1, 2)).coeffs[1] == RatFunc(1, 2 * v + 2)
+    assert RatFunc(v) * Fraction(2, 3) == RatFunc(2 * v, 3)
+    with pytest.raises(TypeError):
+        vec.scale(0.5)
+
+
+ints = st.integers(-(1 << 70), 1 << 70)
+int_laurent = st.dictionaries(st.integers(-5, 5), ints, max_size=5).map(LaurentPoly)
+
+
+@given(int_laurent, int_laurent, st.integers(-4, 4), ints)
+def test_laurent_polynomials_hold_only_ints(a, b, k, c):
+    """What ring operations, the involutions, shifts and the canonical
+    form of RatFunc return holds int coefficients only."""
+    out = [a + b, a - b, -a, a * b, a**2, a.bar(), a.koszul(), a.shift(k), a.scale(c)]
+    out += [v**-k, (-v) ** -3]
+    if not b.is_zero:
+        f = RatFunc(a, b) * Fraction(1, 3) + RatFunc(c, b.shift(k))
+        out += [f.num, f.den, f.bar().num, f.bar().den, f.koszul().num, f.koszul().den]
+        out += [poly_gcd(a, b), poly_lcm(b, b.shift(k) * 3), poly_exact_div(a * b, b)]
+    assert all_int(*out)
+
+
 # -- serialization -----------------------------------------------------------
 
 
 def test_triples_roundtrip():
-    p = v**3 - LaurentPoly({0: Fraction(1, 2)}) + v**-2
+    p = 2 * v**3 - 1 + 2 * v**-2
     rows = p.to_triples()
-    assert rows == [[3, 1, 1], [0, -1, 2], [-2, 1, 1]]
+    assert rows == [[3, 2, 1], [0, -1, 1], [-2, 2, 1]]
     assert LaurentPoly.from_triples(rows) == p
-    f = p / (v + v**-1)
+    half = RatFunc(p, 2)  # v^3 - 1/2 + v^-2
+    assert half.to_triples() == {"num": rows, "den": [[0, 2, 1]]}
+    rational_rows = [[3, 1, 1], [0, -1, 2], [-2, 1, 1]]
+    assert RatFunc.from_triples({"num": rational_rows, "den": [[0, 1, 1]]}) == half
+    with pytest.raises(ValueError):
+        LaurentPoly.from_triples(rational_rows)
+    f = half / (v + v**-1)
     assert RatFunc.from_triples(f.to_triples()) == f
 
 
 def test_triples_rejects_unsorted():
     with pytest.raises(ValueError):
         LaurentPoly.from_triples([[0, 1, 1], [1, 1, 1]])
+
+
+def test_ratfunc_from_triples_clears_rational_rows():
+    assert RatFunc.from_triples({"num": [[0, 1, 2]], "den": [[0, 1, 1]]}) == RatFunc(1, 2)
+    assert RatFunc.from_triples({"num": [[1, 1, 3]], "den": [[1, 1, 1], [0, 1, 2]]}) == RatFunc(
+        2 * v, 6 * v + 3
+    )
+    with pytest.raises(ValueError):
+        RatFunc.from_triples({"num": [[0, 1, 1], [1, 1, 1]], "den": [[0, 1, 1]]})
 
 
 # -- the integer gcd kernel -----------------------------------------------------------
@@ -273,8 +365,9 @@ coeffs = st.one_of(
     st.integers(-30, 30),
     st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
 )
-laurent = st.dictionaries(st.integers(-5, 5), coeffs, max_size=5).map(LaurentPoly)
-nonzero_laurent = laurent.filter(lambda p: not p.is_zero)
+# a Laurent polynomial over Q as (p, m): p integral, m > 0, value p / m
+rational = st.dictionaries(st.integers(-5, 5), coeffs, max_size=5).map(integer_scaled)
+nonzero_rational = rational.filter(lambda pm: not pm[0].is_zero)
 # integer polynomials of positive degree, constant term first
 int_polys = st.lists(st.integers(-40, 40), min_size=2, max_size=7).filter(lambda f: f[-1] != 0)
 
@@ -284,26 +377,37 @@ def _sympy_primitive_gcd(f, g):
     return qpoly._primitive([int(c) for c in reversed(h.all_coeffs())])
 
 
-@given(laurent, nonzero_laurent, nonzero_laurent, st.integers(-4, 4))
+def _planted(a, b, c, k=0):
+    """(num, den) with num / den = (a c) / (b c v^k) for (p, m) pairs:
+    rational a and b, and the common factor c, over Z[v, v^-1]."""
+    (pa, ma), (pb, mb), (pc, _) = a, b, c
+    return pa * pc * mb, (pb * pc * ma).shift(k)
+
+
+@given(rational, nonzero_rational, nonzero_rational, st.integers(-4, 4))
 def test_canonical_form_matches_sympy_cancel(a, b, c, k):
     """num/den with a planted common factor c and a monomial shift reduces
     to sympy's cancelled fraction: the same value, and the denominator is
-    sympy's cancelled denominator with its v^m factor dropped, made monic."""
-    f = RatFunc(a * c, (b * c).shift(k))
-    p, q = sympy.fraction(sympy.cancel(to_sympy(a * c) / to_sympy((b * c).shift(k))))
+    sympy's cancelled denominator with its v^m factor dropped, made
+    primitive with a positive leading coefficient, times a content coprime
+    to the numerator's."""
+    num, den = _planted(a, b, c, k)
+    f = RatFunc(num, den)
+    p, q = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
     assert sympy.expand(to_sympy(f.num) * q - p * to_sympy(f.den)) == 0
-    if a.is_zero:
+    if num.is_zero:
         assert f.num.is_zero and f.den.is_one
         return
     q = sympy.Poly(q, X)
     m = min(e for (e,) in q.monoms())
-    q0 = sympy.Poly(sympy.expand(q.as_expr() / X**m), X).monic()
-    assert sympy.expand(to_sympy(f.den) - q0.as_expr()) == 0
-    assert f.den.min_exponent() == 0 and f.den.coefficient(f.den.max_exponent()) == 1
-    # a coefficient is a Fraction exactly when it is not integral
-    for p in (f.num, f.den):
-        for _, x in p.items():
-            assert isinstance(x, int) or x.denominator != 1
+    q0 = sympy.Poly(sympy.expand(q.as_expr() / X**m), X).primitive()[1]
+    if q0.LC() < 0:
+        q0 = -q0
+    content = math.gcd(*(c for _, c in f.den.items()))
+    assert sympy.expand(to_sympy(f.den) - content * q0.as_expr()) == 0
+    assert f.den.min_exponent() == 0 and f.den.coefficient(f.den.max_exponent()) > 0
+    assert math.gcd(*(c for _, c in f.num.items()), content) == 1
+    assert all_int(f.num, f.den)
 
 
 @given(int_polys, int_polys, int_polys)
@@ -331,13 +435,14 @@ def test_heuristic_gcd_retries_after_an_unlucky_point(monkeypatch):
     assert qpoly._poly_gcd(f, g) == ([1], f, g)  # through the remainder sequence
 
 
-@given(laurent, nonzero_laurent, nonzero_laurent)
+@given(rational, nonzero_rational, nonzero_rational)
 def test_remainder_sequence_fallback_gives_the_same_canonical_form(a, b, c):
-    f = RatFunc(a * c, b * c)
+    num, den = _planted(a, b, c)
+    f = RatFunc(num, den)
     heu = qpoly._heu_gcd
     try:
         qpoly._heu_gcd = lambda f, g: None
-        g = RatFunc(a * c, b * c)
+        g = RatFunc(num, den)
     finally:
         qpoly._heu_gcd = heu
     assert (f.num._terms, f.den._terms) == (g.num._terms, g.den._terms)
@@ -358,22 +463,25 @@ def test_exact_quotient_raises_on_a_non_divisor(q, g, r):
         qpoly._exact_quotient([1, 1], [1, 2])
     with pytest.raises(ArithmeticError):
         poly_exact_div(v + 1, v + 2)
+    with pytest.raises(ArithmeticError):
+        poly_exact_div(v + 1, 2 * v + 2)  # exact over Q, not over Z
+    assert poly_exact_div(6 * v**2 + 6 * v, -2 * v - 2) == -3 * v
 
 
-def test_poly_gcd_with_a_zero_argument_is_monic():
+def test_poly_gcd_with_a_zero_argument_is_primitive():
     p = 2 * v**-1 + 4 * v
-    half = LaurentPoly({2: 1, 0: Fraction(1, 2)})
-    assert poly_gcd(LaurentPoly.zero(), p) == half
-    assert poly_gcd(p, LaurentPoly.zero()) == half
+    assert poly_gcd(LaurentPoly.zero(), p) == 2 * v**2 + 1
+    assert poly_gcd(p, LaurentPoly.zero()) == 2 * v**2 + 1
     assert poly_gcd(LaurentPoly.zero(), LaurentPoly.zero()).is_zero
     assert poly_gcd(2 * v + 2, 4 * v**2 - 4) == v + 1
 
 
-def test_poly_lcm_of_equal_arguments_is_monic():
-    for a, expected in ((2 * v + 2, v + 1), (v + v**-1, v**2 + 1)):
+def test_poly_lcm_carries_the_lcm_of_the_contents():
+    for a, expected in ((2 * v + 2, 2 * v + 2), (v + v**-1, v**2 + 1)):
         assert poly_lcm(a, a) == expected
-        assert poly_lcm(a, 2 * a) == expected
+        assert poly_lcm(a, 2 * a) == 2 * expected
     assert poly_lcm(v + 1, v - 1) == v**2 - 1
+    assert poly_lcm(6 * v + 6, -4 * v + 4) == 12 * v**2 - 12
 
 
 class _Vec(LinComb):
@@ -393,20 +501,20 @@ class _Vec(LinComb):
 
 
 @settings(max_examples=40)
-@given(st.lists(st.tuples(laurent, nonzero_laurent), max_size=6), nonzero_laurent)
-def test_cleared_matches_pairwise_lcm(pairs, c):
+@given(st.lists(st.tuples(rational, nonzero_rational), max_size=6), nonzero_rational)
+def test_integral_matches_pairwise_lcm(pairs, c):
     """Denominators share the planted factor c, so their product is not
-    their lcm."""
-    vec = _Vec({k: RatFunc(a, b * c) for k, (a, b) in enumerate(pairs)})
-    polys, den = vec.cleared()
+    their lcm; the lcm is taken in Z[v], contents included."""
+    vec = _Vec({k: RatFunc(*_planted(a, b, c)) for k, (a, b) in enumerate(pairs)})
+    rows, scale = vec.integral()
     expected = sympy.Integer(1)
-    for c in vec.coeffs.values():
-        expected = sympy.lcm(expected, to_sympy(c.den))
-    expected = sympy.Poly(expected, X).monic().as_expr() if vec.coeffs else 1
-    assert sympy.expand(to_sympy(den) - expected) == 0
-    assert set(polys) == set(vec.coeffs)
-    for k, c in vec.coeffs.items():
-        assert RatFunc(polys[k], den) == c
+    for f in vec.coeffs.values():
+        expected = sympy.lcm(expected, to_sympy(f.den))
+    assert scale.num.is_one
+    assert sympy.expand(to_sympy(scale.den) - expected) == 0
+    assert set(rows) == set(vec.coeffs)
+    for k, f in vec.coeffs.items():
+        assert RatFunc(LaurentPoly(rows[k]), scale.den) == f
 
 
 S3 = grp("A", 2)
@@ -422,17 +530,18 @@ DENOMINATORS = [1, 3, quantum_int(2), quantum_int(3), v + 2, (v + 2) * quantum_i
 @settings(max_examples=60)
 @given(
     st.sampled_from(sorted(BOUNDARY_KEYS)),
-    st.lists(st.tuples(laurent, st.sampled_from(DENOMINATORS)), max_size=6),
+    st.lists(st.tuples(rational, st.sampled_from(DENOMINATORS)), max_size=6),
     st.lists(st.booleans(), min_size=6, max_size=6),
 )
 @example("hecke", [], [True] * 6)
-@example("tl", [(LaurentPoly.zero(), 3)], [True] * 6)
+@example("tl", [((LaurentPoly.zero(), 1), 3)], [True] * 6)
 def test_integral_and_rationals_round_trip(algebra, entries, flags):
     """scale * sum_k rows[k] k rebuilds the element, over Fraction
-    coefficients, several distinct denominators, negative exponents and
-    the zero element; _rationals rebuilds exactly the keys keep selects."""
+    coefficients (integer numerators over integer-scaled denominators),
+    several distinct denominators, negative exponents and the zero
+    element; _rationals rebuilds exactly the keys keep selects."""
     keys, build = BOUNDARY_KEYS[algebra]
-    elt = build({keys[i]: RatFunc(a, d) for i, (a, d) in enumerate(entries[: len(keys)])})
+    elt = build({keys[i]: RatFunc(p, d * m) for i, ((p, m), d) in enumerate(entries[: len(keys)])})
     rows, scale = elt.integral()
     assert set(rows) == set(elt.coeffs)
     assert all(type(c) is int and c for r in rows.values() for c in r.values())

@@ -22,7 +22,7 @@ from jwkit.tl import (
     wenzl_jw,
 )
 
-from oracles import catalan, compose_components, grp, multiply_tl_dicts
+from oracles import catalan, compose_components, grp, integer_scaled, multiply_tl_dicts
 
 V = LaurentPoly.gen()
 DELTA = V + V ** -1
@@ -161,8 +161,8 @@ def _tl_elements(draw, n, sign, big=1):
     )
     out = {}
     for d in picked:
-        num = LaurentPoly(draw(st.dictionaries(st.integers(-4, 4), coeff, max_size=3)))
-        out[d] = RatFunc(num, draw(st.sampled_from(_DENS)))
+        num, m = integer_scaled(draw(st.dictionaries(st.integers(-4, 4), coeff, max_size=3)))
+        out[d] = RatFunc(num, draw(st.sampled_from(_DENS)) * m)
     return TLElt(n, out, sign)
 
 
