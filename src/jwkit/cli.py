@@ -301,7 +301,8 @@ def _cmd_group(cfg: JobConfig):
 
 def _cmd_kl(cfg: JobConfig):
     g, table, cache_path = _build(cfg, needs_kl=True)
-    cols = [table.column_packed(x) for x in range(g.size)]
+    for x in g.representatives():  # every stored column, before any output
+        table.column_packed(x)
     _save_cache(table, cache_path)
     if cfg.output == "json":
         words = [_json(g.word_str(x)) for x in range(g.size)]
@@ -313,15 +314,21 @@ def _cmd_kl(cfg: JobConfig):
         words = [g.word_str(x) for x in range(g.size)]
         cell = repr if cfg.output == "csv" else (lambda h: "$" + _poly_latex(h) + "$")
     cells = [cell(LaurentPoly(d)) for d in table.terms]  # by polynomial id
-    entries = ((x, y, col[y]) for x, col in enumerate(cols) for y in sorted(col))
+
+    def entries():  # one relabelled column at a time
+        for x in range(g.size):
+            col = table.column_packed(x)
+            for y in sorted(col):
+                yield x, y, col[y]
+
     if cfg.output == "json":
         keys = ("x", "y", "word_x", "word_y", "h", "display")
         # the emitter's layout for one record, with %-slots for its values
         record = _json_object(zip(keys, ("%d", "%d", "%s", "%s", "%s", "%s")), 2)
         return _group_doc_header(g), (
-            record % (x, y, words[x], words[y], *cells[i]) for x, y, i in entries
+            record % (x, y, words[x], words[y], *cells[i]) for x, y, i in entries()
         )
-    rows = ([str(x), str(y), words[x], words[y], cells[i]] for x, y, i in entries)
+    rows = ([str(x), str(y), words[x], words[y], cells[i]] for x, y, i in entries())
     return ("Kazhdan-Lusztig polynomials h_{y,x}", ["x", "y", "word_x", "word_y", "h"]), rows
 
 

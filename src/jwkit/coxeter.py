@@ -249,7 +249,7 @@ class GroupTable:
     only ever gains entries and is deterministic.
     """
 
-    def __init__(self, pres, size, length, word, right, left, inv, fc):
+    def __init__(self, pres, size, length, word, right, left, inv, fc, rep, relabel):
         self.presentation = pres
         self.size = size
         self.length = length  # list[int]
@@ -258,6 +258,9 @@ class GroupTable:
         self.left = left  # left[x][s] = s * x
         self.inv = inv  # list[ElementId]
         self.fc = fc  # list[bool], fully commutative flags
+        self.rep = rep  # list[ElementId], the least id in each element's orbit
+        # relabel[x][y] = phi(y) for the symmetry phi with phi(rep[x]) = x
+        self.relabel = relabel  # list[list[ElementId]]
         self.w0 = size - 1
         self.rank = pres.rank
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
@@ -289,6 +292,10 @@ class GroupTable:
 
     def fc_elements(self) -> list[ElementId]:
         return [x for x in range(self.size) if self.fc[x]]
+
+    def representatives(self) -> list[ElementId]:
+        """The least id of every orbit under inversion and the graph flip."""
+        return [x for x in range(self.size) if self.rep[x] == x]
 
     # -- Bruhat order ----------------------------------------------------------
 
@@ -387,7 +394,34 @@ def build_group(pres: CoxeterPresentation, allow_large: bool = False) -> GroupTa
     left = [[inv[right[inv[x]][s]] for s in range(rank)] for x in range(size)]
 
     fc = _fc_flags(pres.matrix, length, right)
-    return GroupTable(pres, size, length, word, right, left, inv, fc)
+    rep, relabel = _orbits(pres.matrix, word, right, inv)
+    return GroupTable(pres, size, length, word, right, left, inv, fc, rep, relabel)
+
+
+def _orbits(matrix, word, right, inv):
+    """(rep, relabel): the least id in the orbit of each element under the
+    symmetries of the Coxeter system, and for each x the symmetry phi, as
+    the list y -> phi(y), with phi(rep[x]) = x.
+
+    The symmetries are inversion and, when the Coxeter matrix is
+    palindromic (A_n, B2, F4, I2(m)), the graph flip s_i -> s_{r-1-i},
+    which reverses the generator chain, with their product.  Each keeps
+    lengths and the Bruhat order and fixes every KL polynomial, h_{phi y,
+    phi x} = h_{y,x}; each is an involution, and they commute.  The flip
+    of x is built from that of its parent x s, s the last letter of the
+    word of x, which has a smaller id."""
+    rank, size = len(matrix), len(word)
+    maps = [list(range(size)), inv]
+    flipped = tuple(row[::-1] for row in matrix[::-1])
+    if rank > 1 and flipped == matrix:
+        flip = [0] * size
+        for x in range(1, size):
+            s = word[x][-1]
+            flip[x] = right[flip[right[x][s]]][rank - 1 - s]
+        maps += [flip, [inv[y] for y in flip]]
+    rep = [min(phi[x] for phi in maps) for x in range(size)]
+    relabel = [next(phi for phi in maps if phi[rep[x]] == x) for x in range(size)]
+    return rep, relabel
 
 
 # -- fully commutative elements ------------------------------------------------

@@ -21,11 +21,16 @@ where mu(y, z) is the coefficient of v in h_{y,z}, and
     b_s delta_y = delta_{sy} + v^-1 delta_y     if sy < y.
 
 The anti-automorphism delta_x -> delta_{x^-1} commutes with bar and
-keeps lengths and the Bruhat order, so h_{y,x} = h_{y^-1,x^-1}.  The
-recursion runs for x only while the column of x^-1 is not stored;
-otherwise the column of x is that of x^-1 with every y replaced by y^-1,
-holding the same polynomial ids.  Of each pair {x, x^-1} only the column
-reached first is computed.
+keeps lengths and the Bruhat order, and so does every automorphism of
+the Coxeter system; the graph flip s_i -> s_{r-1-i} is one when the
+Coxeter matrix is palindromic (A_n, B2, F4, I2(m)).  So h_{phi y, phi x}
+= h_{y,x} for every phi they generate, and the table stores one column
+per orbit, that of its least id (GroupTable.rep).  The recursion runs
+for representatives only, reading the column of z and of each
+mu-correction through phi (GroupTable.relabel) entry by entry; a public
+read of another column relabels its representative's, y -> phi(y), with
+the same polynomial ids.  A full table runs the recursion for 344 of the
+1151 columns past the identity in F4, and for 1387 of 5039 in S7.
 
 Internal representation.  Every integer polynomial here is one Python
 integer in the signed Kronecker packing of jwkit.qpoly: sum_e c_e v^e
@@ -101,7 +106,8 @@ class KLTable:
 
     Each distinct polynomial is stored once under a small-int id (id 0 is
     1): packed at offset 0 and width _B, as {exp: int} (``terms``), with its
-    largest coefficient and mu.  A column maps y to the id of h_{y,x}."""
+    largest coefficient and mu.  A column maps y to the id of h_{y,x}; only
+    the columns of orbit representatives are stored (``_cols``)."""
 
     def __init__(self, group: GroupTable):
         self.group = group
@@ -111,6 +117,7 @@ class KLTable:
         self._peak: list[int] = []
         self._mu: list[int] = []
         self._cols: dict[int, dict[int, int]] = {0: {0: self._intern(1)}}
+        self._column_peaks: dict[int, int] = {}  # representative -> column_peak
         self.w0_rank = None  # grrk(w0), memoised by jwkit.grank.grrk_w0
         # True while the table holds a column its cache file lacks
         self.unsaved = True
@@ -145,12 +152,14 @@ class KLTable:
 
     def h(self, y: ElementId, x: ElementId) -> LaurentPoly:
         """The KL polynomial h_{y,x} (zero unless y <= x)."""
-        i = self.column_packed(x).get(y)
+        col, phi = self.stored_column(x)
+        i = col.get(phi[y])  # phi is an involution
         return LaurentPoly() if i is None else LaurentPoly(self.terms[i])
 
     def mu(self, y: ElementId, x: ElementId) -> int:
         """The coefficient of v in h_{y,x}."""
-        i = self.column_packed(x).get(y)
+        col, phi = self.stored_column(x)
+        i = col.get(phi[y])
         return 0 if i is None else self._mu[i]
 
     def column(self, x: ElementId) -> dict[ElementId, LaurentPoly]:
@@ -159,28 +168,45 @@ class KLTable:
         return {y: LaurentPoly(terms[i]) for y, i in self.column_packed(x).items()}
 
     def column_packed(self, x: ElementId) -> dict[ElementId, int]:
-        """The stored column of x, {y: id of h_{y,x}}, computed on first use."""
-        col = self._cols.get(x)
+        """The column of x, {y: id of h_{y,x}}: the stored column of its
+        representative, computed on first use, relabelled unless x is the
+        representative.  Every fill starts here."""
+        r = self.group.rep[x]
+        col = self._cols.get(r)
         if col is None:
-            self._fill_column(x)
-            col = self._cols[x]
-        return col
+            self._fill_column(r)
+            col = self._cols[r]
+        if r == x:
+            return col
+        phi = self.group.relabel[x]
+        return {phi[y]: i for y, i in col.items()}
+
+    def stored_column(self, x: ElementId) -> tuple[dict[ElementId, int], list[ElementId]]:
+        """(col, phi): the stored column of the representative of x and the
+        symmetry carrying it to x, so h_{phi(y),x} has id col[y]."""
+        g = self.group
+        return self.column_packed(g.rep[x]), g.relabel[x]
 
     def column_peak(self, x: ElementId) -> int:
         """The largest coefficient of any h_{y,x}: the bound packed sums
-        start from."""
-        return max(map(self._peak.__getitem__, self.column_packed(x).values()))
+        start from; found once per representative."""
+        r = self.group.rep[x]
+        peak = self._column_peaks.get(r)
+        if peak is None:
+            peak = self._column_peaks[r] = max(map(self._peak.__getitem__, self.column_packed(r).values()))
+        return peak
 
     def graded_sum(self, x: ElementId) -> dict[int, int]:
         """sum_y v^(-length(y)) h_{y,x} over the column of x, the graded rank
-        of x, as {exp: int}.  One packed sum: the h_{y,x} are added into one
-        bucket per length l(y), bucket l is shifted by L - l digits (L =
-        length(w0)), and the total is decoded once at offset -L.  Bound:
-        every coefficient sums at most one coefficient per column entry, so
-        (column size) x peak(x)."""
+        of x, as {exp: int}.  One packed sum over the stored column of the
+        representative of x, which has the same lengths: the h_{y,x} are
+        added into one bucket per length l(y), bucket l is shifted by L - l
+        digits (L = length(w0)), and the total is decoded once at offset -L.
+        Bound: every coefficient sums at most one coefficient per column
+        entry, so (column size) x peak(x)."""
         length = self.group.length
         L = length[self.group.w0]
-        col = self.column_packed(x)
+        col = self.column_packed(self.group.rep[x])
         bound = len(col) * self.column_peak(x)
         b = _width(bound)
         hs = self.packed_at(b)
@@ -193,17 +219,20 @@ class KLTable:
         return _unpack(packed, -L, b, bound)
 
     def computed_columns(self) -> list[ElementId]:
+        """The representatives whose columns are stored, ascending."""
         return sorted(self._cols)
 
     # -- the recursion ---------------------------------------------------------
 
     def _fill_column(self, x0: ElementId) -> None:
+        """Fill the column of the representative x0 and every column of a
+        representative it rests on."""
         g = self.group
         cols, mus = self._cols, self._mu
-        length, left, inv = g.length, g.left, g.inv
+        length, left, rep, relabel = g.length, g.left, g.rep, g.relabel
         # x -> (s, z, its mu-corrections) while the corrections' columns fill;
-        # everything stacked above x is shorter than x, so when x is back on
-        # top they are all filled and the column of x^-1 still is not
+        # the stack holds representatives, and everything stacked above x
+        # is shorter than x, so when x is back on top they are all filled
         waiting: dict[int, tuple[int, int, list[tuple[int, int]]]] = {}
         stack = [x0]
         while stack:
@@ -214,22 +243,20 @@ class KLTable:
             if x in waiting:
                 s, z, corrections = waiting.pop(x)
             else:
-                cx = cols.get(inv[x])
-                if cx is not None:  # h_{y,x} = h_{y^-1,x^-1}: relabel, same ids
-                    cols[x] = {inv[y]: i for y, i in cx.items()}
-                    self.unsaved = True
-                    stack.pop()
-                    continue
                 s = g.first_left_descent(x)
                 z = left[x][s]
-                cz = cols.get(z)
+                cz = cols.get(rep[z])
                 if cz is None:
-                    stack.append(z)
+                    stack.append(rep[z])
                     continue
-                corrections = [
-                    (y, mus[i]) for y, i in cz.items() if length[left[y][s]] < length[y] and mus[i]
-                ]
-                pending = [y for y, _ in corrections if y not in cols]
+                phi = relabel[z]
+                corrections = []
+                for y, i in cz.items():
+                    if mus[i]:
+                        y = phi[y]
+                        if length[left[y][s]] < length[y]:
+                            corrections.append((y, mus[i]))
+                pending = [rep[y] for y, _ in corrections if rep[y] not in cols]
                 if pending:
                     waiting[x] = s, z, corrections
                     stack.extend(pending)
@@ -240,15 +267,18 @@ class KLTable:
 
     def _combine(self, s: int, z: ElementId, corrections: list[tuple[int, int]]) -> dict[int, int]:
         """Column of x = s z from the column of z and the mu-corrections
-        [(y, mu(y, z))] over y < z with sy < y, lengths descending, summed
-        in one transient packed accumulator and interned once.  Every y in
-        the column of a mu-correction is <= x, so it is already in acc (w <= x
-        gives w <= z or sw <= z)."""
+        [(y, mu(y, z))] over y < z with sy < y, summed in one transient
+        packed accumulator and interned once; every column is read from
+        its representative's through the symmetry.  Every y in the column
+        of a mu-correction is <= x, so it is already in acc (w <= x gives
+        w <= z or sw <= z)."""
         g = self.group
-        length, left = g.length, g.left
+        length, left, rep, relabel = g.length, g.left, g.rep, g.relabel
         hs, cols = self._packed[_B], self._cols
         acc: dict[int, int] = {}
-        for y, i in cols[z].items():
+        phi = relabel[z]
+        for y, i in cols[rep[z]].items():
+            y = phi[y]
             p = hs[i]
             sy = left[y][s]
             acc[sy] = acc.get(sy, 0) + p
@@ -258,8 +288,9 @@ class KLTable:
                 acc[y] = acc.get(y, 0) + (p >> _B)  # + v^-1 h_{y,z}; min exp >= 1 here
         try:
             for y, mu in corrections:
-                for yy, j in cols[y].items():
-                    acc[yy] -= mu * hs[j]
+                phi = relabel[y]
+                for w, j in cols[rep[y]].items():
+                    acc[phi[w]] -= mu * hs[j]
         except KeyError:
             raise KLLawError("a KL column is not a Bruhat interval") from None
         x = left[z][s]
@@ -494,7 +525,9 @@ def _lift(vec: dict[int, dict[int, int]], table: KLTable) -> dict[int, dict[int,
     get = out.get
     for x, c in vec.items():
         pc = _pack(c, off, b)
-        for y, i in table.column_packed(x).items():
+        col, phi = table.stored_column(x)
+        for y, i in col.items():
+            y = phi[y]
             out[y] = get(y, 0) + pc * hs[i]
     return dict(_unpacked(out, off, bound))
 
@@ -541,7 +574,9 @@ def _back_substitute(vec: dict[int, int], off: int, bound: int, table: KLTable):
         bound = grown
         get = vec.get
         hs = table.packed_at(b)
-        for y, i in table.column_packed(x).items():
+        col, phi = table.stored_column(x)
+        for y, i in col.items():
+            y = phi[y]
             vec[y] = get(y, 0) - p * hs[i]  # vec[x] becomes 0: h_{x,x} = 1
     if any(vec.values()):
         raise ArithmeticError("back-substitution left a nonzero residue")
@@ -585,7 +620,9 @@ def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, L
     hs = table.packed_at(b)
     acc: dict[int, int] = {}
     get = acc.get
-    for y, i in table.column_packed(x).items():
+    col, phi = table.stored_column(x)
+    for y, i in col.items():
+        y = phi[y]
         p = hs[i]
         ys = right[y][s]
         acc[ys] = get(ys, 0) + (p << b)
@@ -648,14 +685,16 @@ def verify_bar_invariance(group: GroupTable, table: KLTable, elements=None) -> i
     length = g.length
     L = length[g.w0]
     pow3 = [3**k for k in range(L + 1)]
-    cols = [table.column_packed(x) for x in todo]
+    # a column has the lengths and polynomial ids of its representative's
+    reps = [table.column_packed(r) for r in sorted({g.rep[x] for x in todo})]
     l1 = [sum(d.values()) for d in table.terms]  # ||h||_1 by id
-    bound = max(sum(l1[i] * pow3[length[y]] for y, i in col.items()) for col in cols)
+    bound = max(sum(l1[i] * pow3[length[y]] for y, i in col.items()) for col in reps)
     b = _width(bound)
     bars = _bar_std(g, max(length[x] for x in todo), b)
     hs = table.packed_at(b)
     bar_h = [_pack({-e: c for e, c in d.items()}, -L, b) for d in table.terms]  # at offset -L
-    for x, col in zip(todo, cols):
+    for x in todo:
+        col = table.column_packed(x)
         sums: dict[int, dict[int, int]] = {}  # id -> sum of bar(delta_y) over h_{y,x} with that id
         for y, i in col.items():
             acc = sums.get(i)
@@ -679,23 +718,29 @@ def verify_bar_invariance(group: GroupTable, table: KLTable, elements=None) -> i
 
 # -- on-disk cache ------------------------------------------------------------------
 #
-# Format 3, one file per group:
+# Format 4, one file per group:
 #
-#     kltable 3 <family> <m> <enumeration version>
+#     kltable 4 <family> <m> <enumeration version>
 #     h <e>:<c> <e>:<c> ...          one per stored polynomial, in id order
 #     c <x> <y> <id> <y> <id> ...    one per computed column, y ascending
 #     end <body lines> <sha256 of the body>
 #
 # The body is every line between the header and the trailer, newlines
 # included.  Element ids depend on the enumeration, hence its version.
+# Only the columns of orbit representatives are stored (format 3 held
+# every computed column).
+
+
+def _header(group: GroupTable) -> str:
+    pres = group.presentation
+    return f"kltable 4 {pres.family} {pres.m_parameter} {ENUMERATION}"
 
 
 def write_kl_cache(path: str, table: KLTable) -> int:
-    """Write the stored polynomials and every computed column to ``path``
-    atomically in format 3, hashing the body as it streams out; a rewrite
+    """Write the stored polynomials and every stored column to ``path``
+    atomically in format 4, hashing the body as it streams out; a rewrite
     of the same table state is byte-identical.  Returns the number of body
     lines."""
-    pres = table.group.presentation
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".kltmp")
@@ -711,7 +756,7 @@ def write_kl_cache(path: str, table: KLTable) -> int:
     count = 0
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(f"kltable 3 {pres.family} {pres.m_parameter} {ENUMERATION}\n".encode())
+            f.write(f"{_header(table.group)}\n".encode())
             for line in body():
                 chunk = (line + "\n").encode()
                 digest.update(chunk)
@@ -728,14 +773,14 @@ def write_kl_cache(path: str, table: KLTable) -> int:
 
 
 def load_kl_cache(path: str, table: KLTable) -> int:
-    """Merge the columns of the format-3 file at ``path`` into the table.
+    """Merge the columns of the format-4 file at ``path`` into the table.
 
     The file is read one line at a time and hashed as it is read.  Each
     polynomial line is checked once: exponents in [0, L], coefficients
     positive and below 2^31, and polynomial 0 is 1.  Each column line is
     parsed in bulk (every id is a canonical decimal, looked up in one
-    dict) and checked for y strictly ascending, x in range and not given
-    twice, and unitriangularity: the last entry is y = x with polynomial
+    dict) and checked for y strictly ascending, x in range, not given
+    twice and an orbit representative, and unitriangularity: the last entry is y = x with polynomial
     0, and no other y has the length of x.  Element ids are sorted by
     length, so the other entries fall into one run per length l(y); the
     law that h_{y,x} lies in v Z[v] and in v^d Z[v^-2], d = l(x) - l(y),
@@ -748,11 +793,10 @@ def load_kl_cache(path: str, table: KLTable) -> int:
     added.  Afterwards ``table.unsaved`` tells whether the table holds a
     column the file lacks."""
     g = table.group
-    pres = g.presentation
-    length, size = g.length, g.size
+    length, size, rep = g.length, g.size, g.rep
     L = length[g.w0]
     starts = [bisect_left(length, l) for l in range(L + 2)]  # first id of each length
-    header = f"kltable 3 {pres.family} {pres.m_parameter} {ENUMERATION}".encode().split()
+    header = _header(g).encode().split()
     names = {b"%d" % i: i for i in range(size)}  # decimal token -> id; polynomial ids join below
     base = len(table.terms)
     polys: list[dict[int, int]] = []  # by file id
@@ -804,6 +848,8 @@ def load_kl_cache(path: str, table: KLTable) -> int:
                         raise CacheFormatError(f"duplicate or unsorted y in column {x}")
                     if x >= size or x in cols:
                         raise CacheFormatError(f"column {x} out of range or given twice")
+                    if rep[x] != x:
+                        raise CacheFormatError(f"column {x} is not an orbit representative")
                     lx = length[x]
                     if ys[-1] != x or (len(ys) > 1 and length[ys[-2]] == lx):
                         raise CacheFormatError(f"column {x} is not unitriangular")

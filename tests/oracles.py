@@ -26,8 +26,11 @@ def packed_entry(table, y, x):
 
 def store_entry(table, y, x, p):
     """Corrupt a table through its polynomial store: h_{y,x} becomes the
-    polynomial packed as p at offset 0 and width hecke._B."""
-    table.column_packed(x)[y] = table._intern(p)
+    polynomial packed as p at offset 0 and width hecke._B, in the stored
+    column of the representative of x, so every column of its orbit changes."""
+    col, phi = table.stored_column(x)
+    col[phi[y]] = table._intern(p)
+    table._column_peaks.pop(table.group.rep[x], None)
 
 
 def reseal(lines):

@@ -441,7 +441,8 @@ def test_cache_warm_run_leaves_file_untouched(capsys, tmp_path, monkeypatch):
 
 def test_cache_missing_columns_are_added(capsys, tmp_path):
     """esign needs only the column of w0 and what it rests on; kl then
-    computes the rest and rewrites the file with every column."""
+    computes the rest and rewrites the file with every stored column: one
+    per orbit under inversion and the graph flip."""
     cache = ("--cache-dir", str(tmp_path))
     code, _, _ = _run(capsys, "esign", "--family", "A", "--rank", "3", *cache)
     assert code == 0
@@ -451,9 +452,13 @@ def test_cache_missing_columns_are_added(capsys, tmp_path):
     assert code == 0
     full = path.read_text()
     assert full != partial
-    table = KLTable(grp("A", 3))
+    g = grp("A", 3)
+    table = KLTable(g)
     load_kl_cache(str(path), table)
-    assert len(table.computed_columns()) == 24 and not table.unsaved
+    assert table.computed_columns() == g.representatives() and not table.unsaved
+    assert len(g.representatives()) == 13  # of 24
+    fresh = KLTable(g)
+    assert all(table.column(x) == fresh.column(x) for x in range(g.size))
 
 
 def test_cache_corruption_recovers(capsys, tmp_path):
@@ -553,7 +558,7 @@ def test_cache_of_format_1_is_recomputed(capsys, tmp_path):
     code, out, err = _run(capsys, *argv)
     assert code == 0 and out == cold
     assert "warning" in err and "header mismatch" in err
-    assert path.read_text().startswith(f"kltable 3 B 2 {coxeter.ENUMERATION}\n")
+    assert path.read_text().startswith(f"kltable 4 B 2 {coxeter.ENUMERATION}\n")
 
 
 # the full A2 table as the format-2 writer wrote it: one line per entry
@@ -591,7 +596,38 @@ def test_cache_of_format_2_is_recomputed(capsys, tmp_path):
     code, out, err = _run(capsys, *argv, str(path.parent))
     assert code == 0 and out == cold
     assert "warning" in err and "header mismatch" in err
-    assert path.read_text().startswith("kltable 3 ")
+    assert path.read_text().startswith("kltable 4 ")
+
+
+# the full A2 table as the format-3 writer wrote it: every computed column,
+# columns 2 and 4 included, which format 4 relabels from 1 and 3
+A2_FORMAT_3 = """kltable 3 A 2 1
+h 0:1
+h 1:1
+h 2:1
+h 3:1
+c 0 0 0
+c 1 0 1 1 0
+c 2 0 1 2 0
+c 3 0 2 1 1 2 1 3 0
+c 4 0 2 1 1 2 1 4 0
+c 5 0 3 1 2 2 2 3 1 4 1 5 0
+end 10 0ee1459e6943ef22a97e62ad233da88347f450441ef75c0af919de262e203388
+"""
+
+
+def test_cache_of_format_3_is_recomputed(capsys, tmp_path):
+    argv = ("kl", "--family", "A", "--rank", "2", "--cache-dir")
+    code, cold, _ = _run(capsys, *argv, str(tmp_path / "cold"))
+    assert code == 0
+    path = tmp_path / "old" / "kl-A-2.kltab"
+    path.parent.mkdir()
+    path.write_text(A2_FORMAT_3)
+    code, out, err = _run(capsys, *argv, str(path.parent))
+    assert code == 0 and out == cold
+    assert "warning" in err and "header mismatch" in err
+    assert path.read_text() == (tmp_path / "cold" / "kl-A-2.kltab").read_text()
+    assert path.read_text().startswith(f"kltable 4 A 2 {coxeter.ENUMERATION}\n")
 
 
 def test_cache_of_another_enumeration_is_recomputed(capsys, tmp_path):
@@ -600,10 +636,10 @@ def test_cache_of_another_enumeration_is_recomputed(capsys, tmp_path):
     argv = ("grrk", "--family", "B", "--rank", "2", "--cache-dir", str(tmp_path))
     code, cold, _ = _run(capsys, *argv)
     path = tmp_path / "kl-B-2.kltab"
-    current = f"kltable 3 B 2 {coxeter.ENUMERATION}\n"
+    current = f"kltable 4 B 2 {coxeter.ENUMERATION}\n"
     text = path.read_text()
     assert text.startswith(current)
-    path.write_text(text.replace(current, f"kltable 3 B 2 {coxeter.ENUMERATION + 1}\n"))
+    path.write_text(text.replace(current, f"kltable 4 B 2 {coxeter.ENUMERATION + 1}\n"))
     code, out, err = _run(capsys, *argv)
     assert code == 0 and out == cold
     assert "warning" in err and "header mismatch" in err

@@ -170,6 +170,33 @@ def test_fc_dihedral():
         assert g.fc == [True] * (g.size - 1) + [False]
 
 
+@pytest.mark.parametrize("family,rank,m", SMALL + [("B", 4, None), ("F4", None, None)], ids=str)
+def test_orbit_symmetries_fix_the_coxeter_system(family, rank, m):
+    """Each relabelling is an involution of the ids that fixes e and maps
+    y s to phi(y) t(s), or to t(s) phi(y), for one permutation t of the
+    generators with m(t(s), t(u)) = m(s, u): an automorphism or
+    anti-automorphism of the Coxeter system, so it fixes every KL
+    polynomial.  rep[x] is the least id it carries to x."""
+    g = grp(family, rank, m, allow_large=True)
+    matrix = g.presentation.matrix
+    gens = [t for t in itertools.permutations(range(g.rank))
+            if all(matrix[t[s]][t[u]] == matrix[s][u] for s in range(g.rank) for u in range(g.rank))]
+    ids = list(range(g.size))
+    for phi in {id(phi): phi for phi in g.relabel}.values():
+        assert phi[0] == 0 and [phi[y] for y in phi] == ids
+        assert any(
+            all(phi[g.right[y][s]] == table[phi[y]][t[s]] for y in ids for s in range(g.rank))
+            for t in gens
+            for table in (g.right, g.left)
+        )
+    orbits = {}
+    for x in ids:
+        assert g.relabel[x][g.rep[x]] == x
+        orbits.setdefault(g.rep[x], set()).add(x)
+    assert all(min(orbit) == r for r, orbit in orbits.items())
+    assert g.representatives() == sorted(orbits)
+
+
 def test_fc_identity_and_generators():
     g = grp("B", 3)
     assert g.fc[0]

@@ -3,12 +3,14 @@
 import hashlib
 import random
 import re
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jwkit import coxeter, hecke
+from jwkit.gtl import gen_jw_closed
 from jwkit.hecke import (
     CacheFormatError,
     HeckeElt,
@@ -294,7 +296,7 @@ def test_kl_product_rule():
                         assert p == LaurentPoly.const(t.mu(y, x))
 
 
-# -- the inverse symmetry h_{y,x} = h_{y^-1,x^-1} and the fill order ---------------
+# -- the symmetries h_{phi y, phi x} = h_{y,x}: one stored column per orbit ---------------
 
 
 def _filled(g, order):
@@ -318,6 +320,36 @@ def _polys(t, x):
     return {y: t.terms[i] for y, i in t.column_packed(x).items()}
 
 
+def _by_words(g, letter, reverse=False):
+    """The map x -> the product of letter(s) over the minimal word of x,
+    reversed if asked, from the multiplication table alone."""
+    out = []
+    for x in range(g.size):
+        z = 0
+        for s in reversed(g.word[x]) if reverse else g.word[x]:
+            z = g.right[z][letter(s)]
+        out.append(z)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _symmetries(g):
+    """Inversion and, when m(s_i, s_j) = m(s_{r-1-i}, s_{r-1-j}) for all i,
+    j, the graph flip and its product with inversion, each as a list
+    x -> phi(x) built from minimal words."""
+    r = g.rank
+    inverse = _by_words(g, lambda s: s, reverse=True)
+    matrix = g.presentation.matrix
+    if r == 1 or any(matrix[i][j] != matrix[r - 1 - i][r - 1 - j] for i in range(r) for j in range(r)):
+        return [inverse]
+    flip = _by_words(g, lambda s: r - 1 - s)
+    return [inverse, flip, [inverse[y] for y in flip]]
+
+
+def _orbit(g, x):
+    return {x} | {phi[x] for phi in _symmetries(g)}
+
+
 SYMMETRY_GROUPS = [
     ("A", 1, None),
     ("A", 2, None),
@@ -337,16 +369,22 @@ SYMMETRY_GROUPS = [
 
 @pytest.mark.parametrize("family,rank,m", SYMMETRY_GROUPS, ids=str)
 def test_kl_columns_have_the_inverse_symmetry(family, rank, m):
+    """In any fill order the recursion runs once per orbit, for its least
+    id, only those columns are stored, and every column is its
+    representative's relabelled by each symmetry."""
     g = grp(family, rank, m, allow_large=True)
-    inv = g.inv
-    # requested in length order, a column finds every shorter one stored, so
-    # in id order the smaller of x and x^-1 is computed, larger ids first the larger
+    symmetries = _symmetries(g)
+    flips = family in ("A", "I2", "F4") or (family, rank) == ("B", 2)  # palindromic matrices
+    assert len(symmetries) == (3 if flips and g.rank > 1 else 1)
+    reps = [x for x in range(g.size) if x == min(_orbit(g, x))]
+    assert g.representatives() == reps
     up, computed_up = _filled(g, range(g.size))
     down, computed_down = _filled(g, sorted(range(g.size), key=lambda x: (g.length[x], -x)))
-    assert sorted(computed_up) == [x for x in range(1, g.size) if x <= inv[x]]
-    assert sorted(computed_down) == [x for x in range(1, g.size) if x >= inv[x]]
-    for x in range(g.size):
-        assert _polys(down, inv[x]) == {inv[y]: h for y, h in _polys(up, x).items()}
+    assert sorted(computed_up) == sorted(computed_down) == reps[1:]
+    assert up.computed_columns() == down.computed_columns() == reps
+    for phi in symmetries:
+        for x in range(g.size):
+            assert _polys(down, phi[x]) == {phi[y]: h for y, h in _polys(up, x).items()}
 
 
 @pytest.mark.parametrize(
@@ -362,21 +400,69 @@ def test_inverse_symmetry_matches_bruteforce(family, rank, m):
         assert t.column(g.inv[x]) == expect
 
 
-@pytest.mark.parametrize("family,rank,m", [("B", 4, None), ("H3", 3, None), ("F4", None, None)], ids=str)
-def test_column_of_the_inverse_is_relabelled_not_computed(family, rank, m, monkeypatch):
-    g = grp(family, rank, m, allow_large=True)
+@pytest.mark.parametrize(
+    "family,rank,m", [("A", 3, None), ("B", 2, None), ("I2", None, 5), ("I2", None, 6)], ids=str
+)
+def test_flip_symmetry_matches_bruteforce(family, rank, m):
+    """h_{sigma y, sigma x} = h_{y,x} for the graph flip sigma and for sigma
+    composed with inversion, by the bar-repair oracle, which shares no
+    code with the relabelling; the table's relabelled columns agree."""
+    g = grp(family, rank, m)
+    t = KLTable(g)
+    _, flip, both = _symmetries(g)
+    assert flip != list(range(g.size))
+    for phi in (flip, both):
+        for x in range(g.size):
+            expect = {phi[y]: p for y, p in kl_basis_bruteforce(g, x).items()}
+            assert kl_basis_bruteforce(g, phi[x]) == expect
+            assert t.column(phi[x]) == expect
+
+
+def _count_combines(monkeypatch):
     calls = []
     combine = KLTable._combine
     monkeypatch.setattr(KLTable, "_combine", lambda self, *a: calls.append(a) or combine(self, *a))
-    pairs = [x for x in range(g.size) if g.inv[x] != x]
-    for x in random.Random(14).sample(pairs, 4) + [pairs[-1]]:
+    return calls
+
+
+@pytest.mark.parametrize("family,rank,m", [("B", 4, None), ("H3", 3, None), ("F4", None, None)], ids=str)
+def test_column_of_the_inverse_is_relabelled_not_computed(family, rank, m, monkeypatch):
+    """Once a column is filled, every other column of its orbit is read
+    without the recursion and without storing anything."""
+    g = grp(family, rank, m, allow_large=True)
+    calls = _count_combines(monkeypatch)
+    moved = [x for x in range(g.size) if len(_orbit(g, x)) > 1]
+    for x in random.Random(14).sample(moved, 4) + [moved[-1]]:
         t = KLTable(g)
         t.column_packed(x)
         assert calls
-        n = len(t.computed_columns())
+        stored = t.computed_columns()
+        assert min(_orbit(g, x)) in stored
         calls.clear()
-        t.column_packed(g.inv[x])
-        assert len(t.computed_columns()) == n + 1 and not calls
+        for y in _orbit(g, x) - {x}:
+            phi = next(phi for phi in _symmetries(g) if phi[x] == y)
+            assert _polys(t, y) == {phi[w]: h for w, h in _polys(t, x).items()}
+        assert t.computed_columns() == stored and not calls
+
+
+@pytest.mark.parametrize(
+    "family,rank,m,fill,combines",
+    [("F4", None, None, "closure", 257), ("F4", None, None, "full", 344), ("A", 6, None, "full", 1387)],
+    ids=str,
+)
+def test_every_stored_column_ran_the_recursion_once(monkeypatch, family, rank, m, fill, combines):
+    """A stored column is a recursion run and nothing else: the growth of
+    the stored columns counts the recursion, for the closure of the closed
+    formula and for the full table."""
+    g = grp(family, rank, m, allow_large=True)
+    calls = _count_combines(monkeypatch)
+    t = KLTable(g)
+    if fill == "closure":
+        gen_jw_closed(g, t)
+    else:
+        for x in range(g.size):
+            t.column_packed(x)
+    assert len(t.computed_columns()) - 1 == len(calls) == combines
 
 
 @pytest.mark.parametrize("family,rank,m", [("A", 4, None), ("B", 4, None), ("H3", 3, None)], ids=str)
@@ -400,7 +486,8 @@ def test_fill_order_does_not_change_the_table(tmp_path, family, rank, m):
             t2 = _filled(g, orders[dst][: g.size // 2])[0]
             assert t2.terms != t.terms[: len(t2.terms)]  # numbered otherwise: the remapping path
             before = len(t2.computed_columns())
-            assert load_kl_cache(str(path), t2) == g.size - before
+            assert load_kl_cache(str(path), t2) == len(g.representatives()) - before
+            assert t2.computed_columns() == g.representatives()
             for x in ids:
                 assert t2.column(x) == ref.column(x)
 
@@ -413,9 +500,11 @@ def test_recursion_rejects_a_column_that_is_not_a_bruhat_interval():
     z = g.left[x][s]
     cz = t.column_packed(z)
     y = next(y for y, i in cz.items() if g.length[g.left[y][s]] < g.length[y] and t._mu[i])
-    # drop w and sw from the column of z, for a w that the mu-correction by y subtracts
+    # drop w and sw from the column of z, for a w that the mu-correction by y
+    # subtracts: from the stored column that the column of z relabels
     w = next(w for w in t.column_packed(y) if {w, g.left[w][s]}.isdisjoint({y, z}))
-    t._cols[z] = {k: i for k, i in cz.items() if k not in (w, g.left[w][s])}
+    stored, phi = t.stored_column(z)
+    t._cols[g.rep[z]] = {k: i for k, i in stored.items() if phi[k] not in (w, g.left[w][s])}
     with pytest.raises(hecke.KLLawError, match="Bruhat interval"):
         t._combine(s, z, [(y, t._mu[cz[y]])])
 
@@ -569,7 +658,8 @@ def test_cache_roundtrip(tmp_path):
     assert n > 0
     t2 = KLTable(g)
     added = load_kl_cache(str(path), t2)
-    assert added == g.size - 1  # identity column is pre-seeded
+    assert added == len(g.representatives()) - 1  # identity column is pre-seeded
+    assert t2.computed_columns() == g.representatives() == [0, 1, 3, 5, 7]
     for x in range(g.size):
         assert t2.column(x) == t.column(x)
     # a rewrite is byte-identical
@@ -592,12 +682,12 @@ def test_cache_merges_into_a_table_that_numbers_polynomials_otherwise(tmp_path):
         assert t2.column(x) == t.column(x)
 
 
-# sha256 of the full-table cache files, recorded from the format-3 writer
+# sha256 of the full-table cache files, recorded from the format-4 writer
 CACHE_SHA256 = {
-    ("A", 3, None): "090e100c1c541715d478dafb04ed7d3037d2ab5ead52a5554ab39b3fa4466300",
-    ("B", 4, None): "aef39fbe4a5714ea039d2443205dd22b9ea043371578d4c76b306e6d777caaf4",
-    ("H3", 3, None): "12dd1534a4151cb3ccf03e201f98af3e19a8f2af3ae6178031cbabf1ed456056",
-    ("I2", None, 7): "73264309042b680f7e705fd1887078eaf7dbc91c4943177126d2dcb5674cb0de",
+    ("A", 3, None): "c417a62b1629e7df94a247396d995b3026de026bcd3264e05ef4fb2298f35e58",
+    ("B", 4, None): "6c10b2e5064e3b0e57788e3d6a6267fe927b4468a752c0fe7b8d217568ed5a05",
+    ("H3", 3, None): "fb4dd2c6a19f638925f33464c880c96f3e4624adc47a4f8f6e08816322fb3fab",
+    ("I2", None, 7): "bd32ba5fd3894dc07b280700a036fee8f6ecee07c6bccc656238168f0e9aeebd",
 }
 
 
@@ -673,10 +763,11 @@ def test_cache_rejects_corruption(tmp_path):
     expect_reject(good[:-1] + [f"end {count} {'0' * 64}"], match="checksum")  # wrong checksum
     expect_reject(good[:-1] + [f"end \u00b2 {digest}"], match="trailing record")  # int() rejects it
     expect_reject(good + [good[1]], match="after the trailing record")
-    expect_reject(["kltable 3 A 2 1"] + good[1:])  # wrong family
+    expect_reject(["kltable 4 A 2 1"] + good[1:])  # wrong family
     expect_reject(["kltable 1 B 2"] + good[1:-1] + [good[-1].rsplit(" ", 1)[0]])  # format 1
     expect_reject(["kltable 2 B 2"] + good[1:], match="header mismatch")  # format 2
-    other = f"kltable 3 B 2 {coxeter.ENUMERATION + 1}"  # ids from another enumeration
+    expect_reject([f"kltable 3 B 2 {coxeter.ENUMERATION}"] + good[1:], match="header mismatch")  # format 3
+    other = f"kltable 4 B 2 {coxeter.ENUMERATION + 1}"  # ids from another enumeration
     expect_reject([other] + good[1:], match="header mismatch")
     bad = good.copy()
     bad[3] = bad[3].rsplit(" ", 1)[0] + " 2:x"
@@ -735,7 +826,7 @@ def test_cache_header_for_i2(tmp_path):
     t.column_packed(g.w0)
     path = tmp_path / "kl.txt"
     write_kl_cache(str(path), t)
-    assert path.read_text().splitlines()[0] == f"kltable 3 I2 7 {coxeter.ENUMERATION}"
+    assert path.read_text().splitlines()[0] == f"kltable 4 I2 7 {coxeter.ENUMERATION}"
 
 
 def test_cache_rejects_coefficients_past_31_bits(tmp_path):
@@ -786,8 +877,8 @@ B2_COLUMN_7 = "c 7 0 4 1 3 2 3 3 2 4 2 5 1 6 1 7 0"
         (B2_COLUMN_3, B2_COLUMN_3.replace("2 1 3", "1 1 3"), "duplicate"),
         # h_{0,3} = v, out of order, would be checked at l(x) - l(y) = 1
         (B2_COLUMN_3, "c 3 1 1 0 1 2 1 3 0", "unsorted"),
-        # h_{3,4} = 1, though l(3) = l(4)
-        ("c 4 0 2 1 1 2 1 4 0", "c 4 0 2 1 1 2 1 3 0 4 0", "not unitriangular"),
+        # a lawful column of 4 = ts, which relabels that of 3 = st
+        (B2_COLUMN_3, f"{B2_COLUMN_3}\nc 4 0 2 1 1 2 1 4 0", "column 4 is not an orbit representative"),
         ("h 4:1", "h 4:1\nk 1:1", "unknown line tag"),
         ("h 4:1", "h 4:1\nh 4:1", "stored twice"),
     ],
@@ -800,6 +891,19 @@ def test_cache_rejects_malformed_lines(tmp_path, old, new, match):
     i = lines.index(old)
     path.write_text(reseal(lines[:i] + new.split("\n") + lines[i + 1 :]))
     with pytest.raises(CacheFormatError, match=match):
+        load_kl_cache(str(path), KLTable(g))
+
+
+def test_cache_rejects_a_column_with_two_elements_of_its_length(tmp_path):
+    """h_{1,2} = 1 in A3, though l(1) = l(2) = 1: the column of the
+    representative 2 = s_2 is not unitriangular."""
+    g = grp("A", 3)
+    path = tmp_path / "kl.txt"
+    write_kl_cache(str(path), _full_table(g))
+    lines = path.read_text().splitlines()
+    lines[lines.index("c 2 0 1 2 0")] = "c 2 0 1 1 0 2 0"
+    path.write_text(reseal(lines))
+    with pytest.raises(CacheFormatError, match="column 2 is not unitriangular"):
         load_kl_cache(str(path), KLTable(g))
 
 
@@ -836,8 +940,8 @@ def test_cache_mutations_are_rejected_or_harmless(tmp_path):
                 assert all(t2.column(x) == t.column(x) for x in range(g.size))
 
 
-# sha256 of the full F4 cache file, recorded from the format-3 writer
-F4_CACHE_SHA256 = "64531cbefb0fbd9b9fe362e7d196fadc28cff3623cad8b742ffe98143256fc5d"
+# sha256 of the full F4 cache file, recorded from the format-4 writer
+F4_CACHE_SHA256 = "5185b2dbfe4b2f0d01ebac36bc8636787f87fbfb0c7e1fe5abbd00c04ba9e4a9"
 
 
 def test_f4_cache_round_trip(tmp_path):
@@ -847,7 +951,8 @@ def test_f4_cache_round_trip(tmp_path):
     write_kl_cache(str(path), t)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == F4_CACHE_SHA256
     t2 = KLTable(g)
-    assert load_kl_cache(str(path), t2) == g.size - 1 and not t2.unsaved
+    assert load_kl_cache(str(path), t2) == len(g.representatives()) - 1 == 344 and not t2.unsaved
+    assert t2.computed_columns() == g.representatives()
     for x in range(g.size):
         assert {y: t2.terms[i] for y, i in t2.column_packed(x).items()} == {
             y: t.terms[i] for y, i in t.column_packed(x).items()
