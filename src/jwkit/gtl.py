@@ -3,25 +3,34 @@
 For a finite Coxeter group W of type A, B, F4, H3, H4 or I2(m), the
 generalised Temperley-Lieb algebra TL_W is the quotient of the Hecke
 algebra by the two-sided ideal J spanned by the KL basis elements b_x
-with x not fully commutative.  That span really is an ideal for these
-types (and fails for type D, which :mod:`jwkit.coxeter` refuses to
-build), so the images beta_x of b_x for fully commutative x form a
-basis and multiplication is: lift to the Hecke algebra, multiply,
-expand in the KL basis, discard every non-fully-commutative component.
-It runs on integers (:func:`jwkit.hecke.kl_multiply`): each factor is
-cleared by ``LinComb.integral`` to integer Laurent rows over one scale,
-the rows are lifted to the standard basis through the packed KL columns
-(beta_x -> b_x), the two lifts are multiplied by the integer Hecke
-kernel and the product is expanded in the KL basis by
-back-substitution.  The non-FC components are computed, since the
-back-substitution needs them, but only the fully commutative ones are
-rebuilt as RatFunc, times the product of the scales, by
-``jwkit.qpoly._rationals``.
+with x not fully commutative (FC).  That span really is an ideal for
+these types (and fails for type D, which :mod:`jwkit.coxeter` refuses to
+build), so the images beta_x of b_x for FC x form a basis, and the right
+action of a generator is the FC part of the W-graph (Kazhdan-Lusztig
+1979; Green-Losonczy, "Canonical bases for Hecke algebra quotients",
+1999):
+
+    beta_w beta_s = [2] beta_w                                  if ws < w,
+    beta_w beta_s = beta_{ws} + sum_y mu(y, w) beta_y           otherwise,
+
+the first term only when ws is FC, the sum over FC y < w with ys < y.
+This is b_w b_s in the KL basis with the components in J dropped, and
+it is a product rule only because J is a two-sided ideal: the terms
+dropped at one step never feed back into FC terms later.  Products run on
+integers (:func:`jwkit.hecke.kl_multiply`): each factor is cleared by
+``LinComb.integral`` to integer Laurent rows over one scale, a beta_x
+is reached from a beta_{xs} by one step of the rule and the
+mu-corrections, and only the resulting FC coefficients are rebuilt as
+RatFunc, times the product of the scales, by ``jwkit.qpoly._rationals``.
+Only the KL columns of FC elements are read (and the columns their
+recursion rests on); no element outside the FC set is multiplied.
 
 :func:`check_ideal_closure` verifies the ideal property exhaustively
 for a built group: for every non-FC x and every generator s, the KL
 expansion of b_x b_s must be supported on non-FC elements.  This is
 the computational fact that makes the truncated product well defined.
+It runs in the Hecke algebra (back-substitution over all of W), not on
+the W-graph rule, which takes the property for granted.
 
 In type A, beta_x corresponds to the monomial diagram u_x; the module
 :mod:`jwkit.tl` realizes that case diagrammatically and the test suite
@@ -105,9 +114,12 @@ class GTLElt(LinComb):
 
 
 def gtl_multiply(a: GTLElt, b: GTLElt, cache: KLTable) -> GTLElt:
-    """The product in TL_W: multiply the lifts in the Hecke algebra,
-    re-expand in the KL basis, and drop the non-FC components (they lie
-    in the defining ideal J)."""
+    """The product in TL_W on the FC basis by the W-graph rule of the
+    module docstring: a beta_x is built along the word of x, one
+    generator at a time, from the mu values in the KL columns of FC
+    elements.  It equals the Hecke product of the lifts, re-expanded in
+    the KL basis with the components in the ideal J dropped, because J
+    is a two-sided ideal (:func:`check_ideal_closure`)."""
     if a.group is not b.group:
         raise ValueError("elements live over different groups")
     return GTLElt(a.group, kl_multiply(a, b, cache))

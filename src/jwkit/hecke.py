@@ -46,12 +46,15 @@ and peak(x) the largest coefficient in the column of x, the bounds are:
 * dense (_dense_product, a b in the standard basis): a step by delta_s at
   most triples the largest coefficient, so ||a||_inf sum_z 3^length(z)
   ||b_z||_1 bounds the product and every intermediate a delta_z;
-* lift (_lift, sum_x c_x b_x in the standard basis): sum_x peak(x)
-  ||c_x||_1;
+* W-graph (kl_multiply, a b in TL_W on the fully commutative basis): a
+  step by beta_s at most multiplies ||.||_1 by M_s, the largest max(2, sum
+  of the coefficients of beta_w beta_s) over fully commutative w, so
+  B(e) = ||a||_1, B(x) = M_s B(xs) + sum_y mu(y, xs) B(y) and sum_x
+  ||c_x||_1 B(x) over b's support bound everything on the way;
 * bar (_bar_std, bar(delta_y)): 3^length(y), by the same tripling;
-* back-substitution (_back_substitute, behind to_kl_basis, kl_multiply
-  and kl_product_coeffs): a running bound, widening the digit before it
-  could reach 2^(b-1).
+* back-substitution (_back_substitute, behind to_kl_basis and
+  kl_product_coeffs): a running bound, widening the digit before it could
+  reach 2^(b-1).
 
 The KL table stores each distinct polynomial once, at offset 0 with
 32-bit digits (its coefficients are nonnegative and below 2^31, its
@@ -118,6 +121,7 @@ class KLTable:
         self._mu: list[int] = []
         self._cols: dict[int, dict[int, int]] = {0: {0: self._intern(1)}}
         self._column_peaks: dict[int, int] = {}  # representative -> column_peak
+        self._fc_graph = None  # (graph, growth), memoised by fc_w_graph
         self.w0_rank = None  # grrk(w0), memoised by jwkit.grank.grrk_w0
         # True while the table holds a column its cache file lacks
         self.unsaved = True
@@ -221,6 +225,38 @@ class KLTable:
     def computed_columns(self) -> list[ElementId]:
         """The representatives whose columns are stored, ascending."""
         return sorted(self._cols)
+
+    def fc_w_graph(self) -> tuple[list[dict[ElementId, tuple | None]], list[int]]:
+        """(graph, growth): the right action of each beta_s on the fully
+        commutative (FC) basis of TL_W, read from the columns of the FC
+        elements.  graph[s][w] is None when ws < w, for beta_w beta_s = [2]
+        beta_w, and otherwise (ws if it is FC else None, [(y, mu(y, w)) over
+        FC y < w with ys < y and mu(y, w) != 0]), for
+
+            beta_w beta_s = beta_{ws} + sum_y mu(y, w) beta_y,
+
+        the image of b_w b_s = b_{ws} + sum over y < w with ys < y of mu(y, w)
+        b_y with the non-FC terms dropped.  growth[s] is M_s, the largest
+        max(2, sum of the coefficients of beta_w beta_s) over FC w, which
+        bounds the growth of ||.||_1 under beta_s.  Built once per table:
+        stored columns never change."""
+        if self._fc_graph is None:
+            g = self.group
+            fc, length, right, mus = g.fc, g.length, g.right, self._mu
+            graph: list[dict[ElementId, tuple | None]] = [{} for _ in range(g.rank)]
+            growth = [2] * g.rank
+            for w in g.fc_elements():
+                edges = [(y, mus[i]) for y, i in self.column_packed(w).items() if mus[i] and fc[y]]
+                lw = length[w]
+                for s, ws in enumerate(right[w]):
+                    if length[ws] < lw:
+                        graph[s][w] = None
+                    else:
+                        down = [(y, mu) for y, mu in edges if length[right[y][s]] < length[y]]
+                        graph[s][w] = (ws if fc[ws] else None, down)
+                        growth[s] = max(growth[s], fc[ws] + sum(mu for _, mu in down))
+            self._fc_graph = graph, growth
+        return self._fc_graph
 
     # -- the recursion ---------------------------------------------------------
 
@@ -408,7 +444,7 @@ class HeckeElt(LinComb):
 def _dense_product(g: GroupTable, avec, bvec):
     """(sum_y avec[y] delta_y) (sum_z bvec[z] delta_z) over Z[v, v^-1] for
     {element: {exp: int}} vectors, as the (vec, off, bound) triple that
-    _back_substitute takes.
+    _unpacked takes.
 
     Walks the trie of minimal words of b's support once, keeping a delta_z
     packed for the current node z: a right step by delta_s adds each entry
@@ -512,26 +548,6 @@ def kl_basis(group: GroupTable, x: ElementId, table: KLTable) -> HeckeElt:
     return HeckeElt(group, {y: RatFunc(p) for y, p in table.column(x).items()})
 
 
-def _lift(vec: dict[int, dict[int, int]], table: KLTable) -> dict[int, dict[int, int]]:
-    """sum_x vec[x] b_x as an integer standard-basis vector: one multiply
-    _pack(c_x) h_{y,x} per column entry, at the lowest exponent of vec.
-    Bound: sum_x peak(x) ||c_x||_1, peak(x) the largest coefficient of the
-    column of x."""
-    bound = sum(table.column_peak(x) * sum(map(abs, c.values())) for x, c in vec.items())
-    b = _width(bound)
-    off = min(e for c in vec.values() for e in c)
-    out: dict[int, int] = {}
-    hs = table.packed_at(b)  # the bound filled every column read below
-    get = out.get
-    for x, c in vec.items():
-        pc = _pack(c, off, b)
-        col, phi = table.stored_column(x)
-        for y, i in col.items():
-            y = phi[y]
-            out[y] = get(y, 0) + pc * hs[i]
-    return dict(_unpacked(out, off, bound))
-
-
 def _packed(vec: dict[int, dict[int, int]]):
     """(packed, off, bound) for _back_substitute from {y: {exp: int}}:
     bound is the largest |coefficient|, off the smallest exponent."""
@@ -593,19 +609,96 @@ def to_kl_basis(h: HeckeElt, table: KLTable, fc_only: bool = False) -> dict[Elem
     return _rationals(_back_substitute(*_packed(vec), table), scale, keep)
 
 
+# -- TL_W products on the W-graph --------------------------------------------------
+
+
 def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> dict[ElementId, RatFunc]:
-    """The fully commutative KL-basis coefficients of (sum_x a_x b_x)
-    (sum_x b_x b_x) for linear combinations keyed by element ids: the
-    product in TL_W, where the non-FC b_x span the ideal that is dropped.
-    Each operand is cleared by LinComb.integral and lifted to the standard
-    basis; _dense_product and back-substitution follow, and only the
-    coefficients returned become RatFunc."""
+    """The KL-basis coefficients of (sum_x a_x b_x) (sum_x b_x b_x) modulo
+    the span of the non-FC b_x, for linear combinations keyed by fully
+    commutative element ids (a non-FC key: ValueError): the product in
+    TL_W, computed on the FC part of the W-graph (KLTable.fc_w_graph) alone.
+
+    Each operand is cleared by LinComb.integral.  For each x in the
+    closure of b's support, in id order, with s the last letter of the
+    word of x and x' = xs,
+
+        a beta_x = (a beta_{x'}) beta_s - sum_y mu(y, x') a beta_y
+
+    over the y of graph[s][x'], all shorter than x; the product is sum_x
+    c_x (a beta_x), and only its coefficients become RatFunc.
+
+    Bound: a step by beta_s multiplies ||.||_1 by at most M_s = growth[s],
+    so B(e) = ||a||_1 and B(x) = M_s B(x') + sum_y mu(y, x') B(y) bound
+    ||a beta_x||_1 and every vector on its way, and sum_x ||c_x||_1 B(x)
+    bounds the product (each B on the way is at most some B(x), x in the
+    support).
+    Offset: a's slots start l below its lowest exponent, l the longest
+    length in b's support; a beta_x has no exponent below that of a minus
+    length(x), so slot 0 is empty whenever a vector is shifted down (the
+    v^-1 of [2]) and p >> b is exact, for negative p too."""
     if not a.coeffs or not b.coeffs:
         return {}
+    g = table.group
+    fc, length, right, word = g.fc, g.length, g.right, g.word
+    for x in (*a.coeffs, *b.coeffs):
+        if not fc[x]:
+            raise ValueError(f"element {x} is not fully commutative; beta_x is not defined")
     avec, ascale = a.integral()
     bvec, bscale = b.integral()
-    prod = _dense_product(table.group, _lift(avec, table), _lift(bvec, table))
-    return _rationals(_back_substitute(*prod, table), ascale * bscale, table.group.fc)
+    graph, growth = table.fc_w_graph()
+
+    steps: dict[int, tuple] = {}  # x -> (s, x', the mu-corrections of (x', s))
+    todo = list(bvec)
+    while todo:
+        x = todo.pop()
+        if x and x not in steps:
+            s = word[x][-1]
+            xp = right[x][s]
+            corrections = graph[s][xp][1]
+            steps[x] = s, xp, corrections
+            todo.append(xp)
+            todo.extend(y for y, _ in corrections)
+    order = sorted(steps)
+
+    l1 = {0: sum(abs(c) for d in avec.values() for c in d.values())}
+    for x in order:
+        s, xp, corrections = steps[x]
+        l1[x] = growth[s] * l1[xp] + sum(mu * l1[y] for y, mu in corrections)
+    bound = sum(sum(map(abs, d.values())) * l1[x] for x, d in bvec.items())
+    bw = _width(bound)
+    off_a = min(e for d in avec.values() for e in d) - max(length[x] for x in bvec)
+    off_b = min(e for d in bvec.values() for e in d)
+
+    vecs = {0: {w: _pack(d, off_a, bw) for w, d in avec.items()}}  # x -> a beta_x
+    for x in order:
+        s, xp, corrections = steps[x]
+        row = graph[s]
+        out: dict[int, int] = {}
+        get = out.get
+        for w, p in vecs[xp].items():
+            e = row[w]
+            if e is None:
+                out[w] = get(w, 0) + (p << bw) + (p >> bw)  # [2] p
+            else:
+                up, down = e
+                if up is not None:
+                    out[up] = get(up, 0) + p
+                for y, mu in down:
+                    out[y] = get(y, 0) + mu * p
+        for y, mu in corrections:
+            for w, q in vecs[y].items():
+                out[w] = get(w, 0) - mu * q
+        vecs[x] = out
+
+    acc: dict[int, int] = {}
+    get = acc.get
+    for x, d in bvec.items():
+        pc = _pack(d, off_b, bw)
+        for w, p in vecs[x].items():
+            acc[w] = get(w, 0) + pc * p
+    off = off_a + off_b
+    pairs = ((w, _unpack(acc[w], off, bw, bound)) for w in sorted(acc, reverse=True) if acc[w])
+    return _rationals(pairs, ascale * bscale)
 
 
 def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, LaurentPoly]:

@@ -16,7 +16,7 @@ from jwkit.gtl import (
     gen_jw_projection,
     gtl_multiply,
 )
-from jwkit.hecke import HeckeElt, KLTable, kl_basis, to_kl_basis
+from jwkit.hecke import HeckeElt, KLTable, kl_basis, kl_multiply, to_kl_basis
 from jwkit.qpoly import LaurentPoly, RatFunc, quantum_int
 from jwkit.tl import TLElt, closed_jw, monomial
 
@@ -139,7 +139,7 @@ def _gtl_elements(draw, g):
 
 
 @pytest.mark.parametrize(
-    "family,rank,m", [("A", 3, None), ("B", 3, None), ("H3", 3, None), ("I2", 2, 5)]
+    "family,rank,m", [("A", 3, None), ("B", 3, None), ("B", 4, None), ("H3", 3, None), ("I2", 2, 5)]
 )
 @settings(max_examples=40)
 @given(data=st.data())
@@ -148,6 +148,46 @@ def test_gtl_multiply_matches_hecke_oracle(family, rank, m, data):
     t = _shared_table(family, rank, m)
     a, b = data.draw(_gtl_elements(g)), data.draw(_gtl_elements(g))
     assert gtl_multiply(a, b, t) == _oracle_multiply(a, b, t)
+
+
+@pytest.mark.parametrize("k", [(1 << 31) - 1, 1 << 31, 1 << 70])
+def test_gtl_multiply_wide_coefficients(k):
+    # beta_{s1 s3} squared is [2]^2 beta_{s1 s3}: its middle coefficient is
+    # twice that of the factor, so k = 2^31 - 1 needs a wider digit than k
+    # itself; the other products are checked against the Hecke oracle
+    g = grp("B", 3)
+    t = _shared_table("B", 3, None)
+    w = _by_word(g)
+    x = w[(0, 2)]
+    big = RatFunc(LaurentPoly.const(k))
+    two = RatFunc(quantum_int(2))
+    assert gtl_multiply(GTLElt(g, {x: big}), GTLElt.beta(g, x), t) == GTLElt(g, {x: big * two * two})
+    a = GTLElt(g, {x: RatFunc(LaurentPoly({0: k, 1: -k})), w[(1,)]: RatFunc(LaurentPoly({-1: k}))})
+    b = GTLElt(g, {x: RatFunc(LaurentPoly({2: k})), w[(1, 0)]: RatFunc.one()})
+    assert gtl_multiply(a, b, t) == _oracle_multiply(a, b, t)
+    assert gtl_multiply(b, a, t) == _oracle_multiply(b, a, t)
+
+
+def test_kl_multiply_rejects_non_fc_keys():
+    g = grp("B", 3)
+    t = _table(g)
+    one = GTLElt.one(g)
+    for bad in (HeckeElt.std(g, g.w0), HeckeElt.one(g) + HeckeElt.std(g, g.w0)):
+        with pytest.raises(ValueError):
+            kl_multiply(bad, one, t)
+        with pytest.raises(ValueError):
+            kl_multiply(one, bad, t)
+
+
+def test_empty_operands_give_the_empty_product():
+    g = grp("H3")
+    t = _table(g)
+    zero, b = GTLElt.zero(g), GTLElt.beta(g, g.fc_elements()[-1])
+    assert gtl_multiply(zero, b, t) == zero
+    assert gtl_multiply(b, zero, t) == zero
+    assert gtl_multiply(zero, zero, t) == zero
+    assert kl_multiply(zero, b, t) == {} == kl_multiply(b, zero, t)
+    assert t.computed_columns() == [0]
 
 
 def test_mixed_groups_rejected():
@@ -281,7 +321,8 @@ def test_gen_jw_matches_diagram_jw_in_type_a():
 
 
 def test_f4_jw_idempotent_and_annihilating():
-    # ungated: the integer product keeps the whole F4 check at a few seconds
+    # ungated: the products read only the mu values of FC columns, and the
+    # whole F4 check takes well under a second (gen_jw_closed fills most)
     g = grp("F4", 4, allow_large=True)
     t = KLTable(g)
     j = gen_jw_closed(g, t)
@@ -290,3 +331,76 @@ def test_f4_jw_idempotent_and_annihilating():
         if g.length[x] == 1:
             assert gtl_multiply(j, GTLElt.beta(g, x), t) == GTLElt.zero(g)
             assert gtl_multiply(GTLElt.beta(g, x), j, t) == GTLElt.zero(g)
+
+
+def _fc_closure(g):
+    """The representatives a fresh table stores after filling exactly the
+    columns of the fully commutative elements."""
+    t = KLTable(g)
+    for x in g.fc_elements():
+        t.column_packed(x)
+    return t.computed_columns()
+
+
+def test_f4_jw_square_reads_only_fc_columns():
+    g = grp("F4", 4, allow_large=True)
+    j = gen_jw_closed(g, KLTable(g))
+    t = KLTable(g)
+    assert gtl_multiply(j, j, t) == j
+    assert t.computed_columns() == _fc_closure(g)
+    assert len(t.computed_columns()) == 36  # the product of the lifts in the Hecke algebra fills 287
+
+
+def test_w_graph_is_built_once_per_table(monkeypatch):
+    g = grp("B", 4)
+    t = KLTable(g)
+    fc = g.fc_elements()
+    a, b = GTLElt.beta(g, fc[5]), GTLElt.beta(g, fc[-1])
+    want = _oracle_multiply(a, b, KLTable(g)), _oracle_multiply(b, a, KLTable(g))
+    assert gtl_multiply(a, b, t) == want[0]
+    graph = t.fc_w_graph()
+    reads = []
+    real = KLTable.column_packed
+    monkeypatch.setattr(KLTable, "column_packed", lambda self, x: reads.append(x) or real(self, x))
+    assert (gtl_multiply(a, b, t), gtl_multiply(b, a, t)) == want
+    assert reads == [] and t.fc_w_graph() is graph  # no column is read again
+
+
+def test_h4_products_on_the_fc_w_graph():
+    # ungated: the FC closure of H4 is 177 of its 7486 orbit representatives
+    g = grp("H4", allow_large=True)
+    t = KLTable(g)
+    rng = random.Random(17)
+    fc = g.fc_elements()
+    two = RatFunc(quantum_int(2))
+    one = GTLElt.one(g)
+
+    # beta_w beta_s against the product rule, mu read through KLTable.mu
+    for w in rng.sample(fc, 12):
+        for s in range(g.rank):
+            ws = g.right[w][s]
+            got = gtl_multiply(GTLElt.beta(g, w), GTLElt.beta(g, g.right[0][s]), t)
+            if g.length[ws] < g.length[w]:
+                assert got == GTLElt.beta(g, w).scale(two)
+                continue
+            want = {ws: RatFunc.one()} if g.fc[ws] else {}
+            for y in t.column_packed(w):
+                if g.fc[y] and g.length[g.right[y][s]] < g.length[y] and t.mu(y, w):
+                    want[y] = RatFunc(LaurentPoly.const(t.mu(y, w)))
+            assert got == GTLElt(g, want)
+
+    def combo():
+        xs = [0] + rng.sample(fc[1:], 3)
+        return GTLElt(g, {x: RatFunc(LaurentPoly({rng.randint(-2, 2): rng.choice([-2, -1, 1, 3])})) for x in xs})
+
+    for _ in range(6):
+        a, b = combo(), combo()
+        x = rng.choice(fc)
+        assert gtl_multiply(one, GTLElt.beta(g, x), t) == GTLElt.beta(g, x) == gtl_multiply(GTLElt.beta(g, x), one, t)
+        # beta_x -> [x = e] is a character of TL_W (the sign character of
+        # the Hecke algebra kills every b_x with x != e)
+        assert gtl_multiply(a, b, t).coefficient(0) == a.coefficient(0) * b.coefficient(0)
+    for _ in range(3):
+        a, b, c = combo(), combo(), combo()
+        assert gtl_multiply(gtl_multiply(a, b, t), c, t) == gtl_multiply(a, gtl_multiply(b, c, t), t)
+    assert set(t.computed_columns()) <= set(_fc_closure(g))
