@@ -39,7 +39,8 @@ of F4) without it.  For such a group, subcommands that need
 Kazhdan-Lusztig data also require a cache directory (``--cache-dir`` or
 the JWKIT_CACHE_DIR environment variable) so the expensive columns
 persist across runs.  For ``jw --family A`` the group is S_n, so j_7 is
-gated.
+gated.  A group of more than MAX_ORDER = 10^7 elements is refused with
+or without the flag (exit 2).
 """
 
 from __future__ import annotations

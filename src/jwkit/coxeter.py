@@ -34,12 +34,14 @@ established), so this toolkit does not build those groups.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 ElementId = int  # index into a GroupTable enumeration
 
 LARGE_ORDER = 1152  # |F4|; groups at least this large need an explicit opt-in
+# No presentation of a larger group is built, opt-in or not: its enumeration
+# alone would hold more than rank * MAX_ORDER table entries.
+MAX_ORDER = 10**7
 # Version of the element order above; KL cache files record it, since they
 # store element ids.  Bump it whenever the ids of any group change.
 ENUMERATION = 1
@@ -50,7 +52,8 @@ class UnsupportedFamilyError(ValueError):
 
 
 class LargeComputationError(RuntimeError):
-    """Refused a large build that was not explicitly opted into."""
+    """Refused a large build: one that was not explicitly opted into, or
+    one of more than MAX_ORDER elements."""
 
 
 class EnumerationError(RuntimeError):
@@ -88,7 +91,8 @@ def presentation(family: str, rank: int | None = None, m: int | None = None) -> 
 
     ``family`` is one of A, B, C (alias of B), F4, H3, H4, I2.  For I2 the
     parameter ``m`` >= 3 is required and ``rank``, if given, must be 2;
-    other families take ``rank``.
+    other families take ``rank``.  A group of more than MAX_ORDER elements
+    is refused (LargeComputationError) before its Coxeter matrix is built.
     """
     fam = family.strip().upper()
     if fam in ("D", "E", "E6", "E7", "E8") or fam.startswith("D"):
@@ -107,14 +111,17 @@ def presentation(family: str, rank: int | None = None, m: int | None = None) -> 
             raise UnsupportedFamilyError(f"I2(m) requires m >= 3, got m={m}")
         if rank not in (None, 2):
             raise UnsupportedFamilyError(f"type I2(m) has rank 2, got {rank}")
+        _refuse_beyond_max_order("I2", 2, m)
         return CoxeterPresentation("I2", 2, _chain_matrix(2, {(0, 1): m}))
     if fam == "A":
         if rank is None or rank < 1:
             raise UnsupportedFamilyError(f"type A requires rank >= 1, got {rank}")
+        _refuse_beyond_max_order("A", rank)
         return CoxeterPresentation("A", rank, _chain_matrix(rank, {(i, i + 1): 3 for i in range(rank - 1)}))
     if fam == "B":
         if rank is None or rank < 2:
             raise UnsupportedFamilyError(f"type B requires rank >= 2, got {rank}")
+        _refuse_beyond_max_order("B", rank)
         bonds = {(0, 1): 4}
         bonds.update({(i, i + 1): 3 for i in range(1, rank - 1)})
         return CoxeterPresentation("B", rank, _chain_matrix(rank, bonds))
@@ -133,21 +140,41 @@ def presentation(family: str, rank: int | None = None, m: int | None = None) -> 
     raise UnsupportedFamilyError(f"unknown Coxeter family {family!r}")
 
 
+def _order(family: str, rank: int, m: int | None = None) -> int:
+    """|W| by the classical product formulas, exact up to MAX_ORDER; any
+    larger order comes back as MAX_ORDER + 1, so a huge rank is never
+    multiplied out."""
+    fixed = {"F4": 1152, "H3": 120, "H4": 14400}
+    if family in fixed:
+        return fixed[family]
+    if family == "I2":
+        return min(2 * m, MAX_ORDER + 1)
+    if family == "A":
+        factors = range(2, rank + 2)  # (rank + 1)!
+    elif family == "B":
+        factors = range(2, 2 * rank + 1, 2)  # 2^rank rank! = 2 * 4 * ... * 2 rank
+    else:
+        raise UnsupportedFamilyError(family)
+    order = 1
+    for f in factors:
+        order *= f
+        if order > MAX_ORDER:
+            return MAX_ORDER + 1
+    return order
+
+
+def _refuse_beyond_max_order(family: str, rank: int, m: int | None = None) -> None:
+    if _order(family, rank, m) > MAX_ORDER:
+        name = "I2(m)" if family == "I2" else f"{family} rank {rank}"
+        raise LargeComputationError(
+            f"{name} has more than {MAX_ORDER} elements; no group that large is built, "
+            "with or without --allow-large"
+        )
+
+
 def classical_order(pres: CoxeterPresentation) -> int:
     """|W| by the classical product formulas."""
-    if pres.family == "A":
-        return math.factorial(pres.rank + 1)
-    if pres.family == "B":
-        return (2**pres.rank) * math.factorial(pres.rank)
-    if pres.family == "F4":
-        return 1152
-    if pres.family == "H3":
-        return 120
-    if pres.family == "H4":
-        return 14400
-    if pres.family == "I2":
-        return 2 * pres.m_parameter
-    raise UnsupportedFamilyError(pres.family)
+    return _order(pres.family, pres.rank, pres.m_parameter)
 
 
 # -- concrete element models -------------------------------------------------

@@ -17,11 +17,10 @@ the first term only when ws is FC, the sum over FC y < w with ys < y.
 This is b_w b_s in the KL basis with the components in J dropped, and
 it is a product rule only because J is a two-sided ideal: the terms
 dropped at one step never feed back into FC terms later.  Products run on
-integers (:func:`jwkit.hecke.kl_multiply`): each factor is cleared by
-``LinComb.integral`` to integer Laurent rows over one scale, a beta_x
-is reached from a beta_{xs} by one step of the rule and the
-mu-corrections, and only the resulting FC coefficients are rebuilt as
-RatFunc, times the product of the scales, by ``jwkit.qpoly._rationals``.
+integers (:func:`jwkit.hecke.kl_multiply`): on the integer Laurent rows of
+the factors over the product of their common denominators, a beta_x is
+reached from a beta_{xs} by one step of the rule and the mu-corrections,
+and the resulting rows are reduced once against that denominator.
 Only the KL columns of FC elements are read (and the columns their
 recursion rests on); no element outside the FC set is multiplied.
 
@@ -42,15 +41,16 @@ that must agree:
 * gen_jw_projection: push the sign idempotent e_sign of the Hecke
   algebra through the quotient;
 * gen_jw_closed: write down the closed formula, coefficient of beta_x
-  equal to (-1)^length(x) grrk(x w0) / grrk(w0).
+  equal to (-1)^length(x) grrk(x w0) / grrk(w0), as the rows
+  +-grrk(x w0) over grrk(w0), reduced once.
 """
 
 from __future__ import annotations
 
 from .coxeter import ElementId, GroupTable, UnsupportedFamilyError
-from .grank import jw_coefficient
+from .grank import grrk, grrk_w0
 from .hecke import KLTable, antisymmetriser, kl_multiply, kl_product_coeffs, to_kl_basis
-from .qpoly import LinComb, RatFunc
+from .qpoly import LinComb, RatFunc, _canonical
 
 _SUPPORTED = {"A", "B", "F4", "H3", "H4", "I2"}
 
@@ -70,9 +70,9 @@ def _require_supported(g: GroupTable) -> None:
 
 class GTLElt(LinComb):
     """An element of TL_W in the basis {beta_x : x fully commutative},
-    stored as a sparse map from element ids to RatFunc coefficients.
+    built from a sparse map from element ids to RatFunc coefficients.
 
-    ``+``, ``-``, ``scale``, ``coefficient``, ``integral``,
+    ``+``, ``-``, ``scale``, ``coefficient``, ``coeffs``, ``rows``, ``den``,
     ``==``, ``hash`` and ``repr`` are inherited from LinComb; elements over
     different group tables do not mix (ValueError).  The structure
     constants come from Kazhdan-Lusztig data that the element does not
@@ -84,15 +84,12 @@ class GTLElt(LinComb):
     def __init__(self, group: GroupTable, coeffs: dict[ElementId, RatFunc]):
         _require_supported(group)
         self.group = group
-        self.coeffs = {x: c for x, c in coeffs.items() if not c.is_zero}
-        for x in self.coeffs:
+        LinComb.__init__(self, coeffs)
+        for x in self.rows:
             if not group.is_fully_commutative(x):
                 raise ValueError(
                     f"element {x} is not fully commutative; beta_x is not defined"
                 )
-
-    def _rebuild(self, coeffs: dict[ElementId, RatFunc]) -> "GTLElt":
-        return GTLElt(self.group, coeffs)
 
     def _algebra(self) -> int:
         return id(self.group)
@@ -122,7 +119,7 @@ def gtl_multiply(a: GTLElt, b: GTLElt, cache: KLTable) -> GTLElt:
     is a two-sided ideal (:func:`check_ideal_closure`)."""
     if a.group is not b.group:
         raise ValueError("elements live over different groups")
-    return GTLElt(a.group, kl_multiply(a, b, cache))
+    return a._rebuild(*kl_multiply(a, b, cache))
 
 
 def check_ideal_closure(g: GroupTable, cache: KLTable) -> int:
@@ -152,13 +149,21 @@ def check_ideal_closure(g: GroupTable, cache: KLTable) -> int:
 
 def gen_jw_closed(g: GroupTable, cache: KLTable) -> GTLElt:
     """j_W by the closed formula: the coefficient of beta_x is
-    (-1)^length(x) grrk(x w0) / grrk(w0) over the FC elements."""
+    (-1)^length(x) grrk(x w0) / grrk(w0) over the FC elements.  Both
+    sides are multiplied by v^length(w0), which normalises grrk(w0) (its
+    lowest term is v^-length(w0)), and the rows are reduced once: they can
+    share a factor with grrk(w0), [2] in type A_2."""
     _require_supported(g)
-    return GTLElt(g, {x: jw_coefficient(g, cache, x) for x in g.fc_elements()})
+    lw0 = g.length[g.w0]
+    rows = {}
+    for x in g.fc_elements():
+        r = grrk(g, cache, g.multiply(x, g.w0)).value.shift(lw0)
+        rows[x] = (-r if g.length[x] % 2 else r)._terms
+    return GTLElt.zero(g)._rebuild(*_canonical(rows, grrk_w0(g, cache).value.shift(lw0)))
 
 
 def gen_jw_projection(g: GroupTable, cache: KLTable) -> GTLElt:
     """j_W as the image of the sign idempotent e_sign under the quotient
     map: expand e_sign in the KL basis and truncate to FC support."""
     _require_supported(g)
-    return GTLElt(g, to_kl_basis(antisymmetriser(g, cache), cache, fc_only=True))
+    return GTLElt.zero(g)._rebuild(*to_kl_basis(antisymmetriser(g, cache), cache, fc_only=True))

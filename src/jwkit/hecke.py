@@ -64,10 +64,11 @@ accumulator dominates, digit by digit, everything subtracted from it (the
 final h coefficients are nonnegative); storing rejects a digit of 2^31
 or more.  Wider digits are read from the store's repacking at that width.
 
-The four entry points that take or return RatFunc coefficients
-(HeckeElt.__mul__, HeckeElt.bar, to_kl_basis and kl_multiply) clear
-them only through LinComb.integral and rebuild them only through
-jwkit.qpoly._rationals, once per coefficient returned.
+The four kernels on linear combinations (HeckeElt.__mul__, HeckeElt.bar,
+to_kl_basis and kl_multiply) read the integer rows and the common
+denominator D of their operands (jwkit.qpoly.LinComb) and return rows
+over D, reduced once by jwkit.qpoly._reduced.  No coefficient becomes a
+RatFunc on the way.
 """
 
 from __future__ import annotations
@@ -83,8 +84,10 @@ from jwkit.qpoly import (
     LaurentPoly,
     LinComb,
     RatFunc,
+    _canonical,
     _pack,
-    _rationals,
+    _packed,
+    _reduced,
     _unpack,
     _unpacked,
     _width,
@@ -345,10 +348,10 @@ class KLTable:
 
 
 class HeckeElt(LinComb):
-    """A Hecke algebra element, a finite sum of delta_x with RatFunc
-    coefficients.  Immutable by convention.
+    """A Hecke algebra element, a finite sum of delta_x with coefficients
+    in Q(v), built from {x: RatFunc}.  Immutable by convention.
 
-    ``+``, ``-``, ``scale``, ``coefficient``, ``integral``,
+    ``+``, ``-``, ``scale``, ``coefficient``, ``coeffs``, ``rows``, ``den``,
     ``==``, ``hash`` and ``repr`` are inherited from LinComb; elements over
     different group tables do not mix (ValueError)."""
 
@@ -356,10 +359,7 @@ class HeckeElt(LinComb):
 
     def __init__(self, group: GroupTable, coeffs: dict[ElementId, RatFunc]):
         self.group = group
-        self.coeffs = {x: c for x, c in coeffs.items() if not c.is_zero}
-
-    def _rebuild(self, coeffs: dict[ElementId, RatFunc]) -> "HeckeElt":
-        return HeckeElt(self.group, coeffs)
+        LinComb.__init__(self, coeffs)
 
     def _algebra(self) -> int:
         return id(self.group)
@@ -404,27 +404,29 @@ class HeckeElt(LinComb):
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         if not self._peer(other):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        if not self.rows or not other.rows:
             return HeckeElt.zero(self.group)
-        avec, ascale = self.integral()
-        bvec, bscale = other.integral()
-        prod = _unpacked(*_dense_product(self.group, avec, bvec))
-        return HeckeElt(self.group, _rationals(prod, ascale * bscale))
+        acc, off, bound = _dense_product(self.group, self.rows, other.rows)
+        return self._rebuild(*_reduced(acc, off, bound, self.den * other.den))
 
     # -- involutions ---------------------------------------------------------------
 
     def bar(self) -> "HeckeElt":
         """The bar involution: v -> v^-1, delta_x -> delta_{x^-1}^-1.
 
-        Cleared to scale * sum_x c_x delta_x with integer c_x, the result is
-        bar(scale) * sum_x bar(c_x) bar(delta_x), with bar(delta_x) from
-        _bar_std.  Bound: sum_x 3^length(x) ||c_x||_1.
+        For self = sum_x c_x delta_x / D with integer rows c_x, the result
+        is sum_x bar(c_x) bar(delta_x) / bar(D), with bar(delta_x) from
+        _bar_std; rows and denominator are multiplied by the unit +-v^d,
+        d = deg D, that normalises bar(D).  bar is a ring automorphism, so
+        the result is in canonical form without a gcd: a factor common to
+        bar(D) and every row would come back under bar as a factor common
+        to D and every row of self.  Bound: sum_x 3^length(x) ||c_x||_1.
         """
-        if not self.coeffs:
+        if not self.rows:
             return self
         g = self.group
         length = g.length
-        vec, scale = self.integral()
+        vec, den = self.rows, self.den._terms
         bound = sum(3 ** length[x] * sum(map(abs, c.values())) for x, c in vec.items())
         b = _width(bound)
         hi = max(e for c in vec.values() for e in c)  # bar(c_x) packed at offset -hi
@@ -435,7 +437,9 @@ class HeckeElt(LinComb):
             pc = _pack({-e: k for e, k in c.items()}, -hi, b)
             for z, q in bars[x].items():
                 out[z] = get(z, 0) + pc * q
-        return HeckeElt(g, _rationals(_unpacked(out, -hi - length[g.w0], bound), scale.bar()))
+        d, sign = max(den), 1 if den[0] > 0 else -1
+        rows = dict(_unpacked({z: sign * p for z, p in out.items()}, d - hi - length[g.w0], bound))
+        return self._rebuild(rows, LaurentPoly({d - e: sign * c for e, c in den.items()}))
 
 
 # -- integer standard-basis kernel ---------------------------------------------
@@ -548,15 +552,6 @@ def kl_basis(group: GroupTable, x: ElementId, table: KLTable) -> HeckeElt:
     return HeckeElt(group, {y: RatFunc(p) for y, p in table.column(x).items()})
 
 
-def _packed(vec: dict[int, dict[int, int]]):
-    """(packed, off, bound) for _back_substitute from {y: {exp: int}}:
-    bound is the largest |coefficient|, off the smallest exponent."""
-    bound = max((abs(c) for d in vec.values() for c in d.values()), default=0)
-    off = min((e for d in vec.values() for e in d), default=0)
-    b = _width(bound)
-    return {y: _pack(d, off, b) for y, d in vec.items()}, off, bound
-
-
 def _back_substitute(vec: dict[int, int], off: int, bound: int, table: KLTable):
     """Yield the integer KL-basis coefficients (x, c_x), as {exp: int},
     with sum_x c_x b_x = sum_y vec[y] delta_y, in descending id order;
@@ -598,34 +593,34 @@ def _back_substitute(vec: dict[int, int], off: int, bound: int, table: KLTable):
         raise ArithmeticError("back-substitution left a nonzero residue")
 
 
-def to_kl_basis(h: HeckeElt, table: KLTable, fc_only: bool = False) -> dict[ElementId, RatFunc]:
-    """Coefficients of h in the KL basis, by back-substitution from the
-    longest supported element down; with fc_only, only those of the fully
-    commutative x (the others are computed but never become RatFunc)."""
-    if not h.coeffs:
-        return {}
-    vec, scale = h.integral()
-    keep = table.group.fc if fc_only else None
-    return _rationals(_back_substitute(*_packed(vec), table), scale, keep)
+def to_kl_basis(h: HeckeElt, table: KLTable, fc_only: bool = False) -> tuple[dict, LaurentPoly]:
+    """The coefficients of h in the KL basis as canonical (rows, den), as
+    LinComb holds them, by back-substitution from the longest supported
+    element down; with fc_only, only those of the fully commutative x (the
+    others are computed and dropped)."""
+    fc = table.group.fc
+    pairs = _back_substitute(*_packed(h.rows), table)
+    return _canonical({x: c for x, c in pairs if fc[x] or not fc_only}, h.den)
 
 
 # -- TL_W products on the W-graph --------------------------------------------------
 
 
-def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> dict[ElementId, RatFunc]:
+def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> tuple[dict, LaurentPoly]:
     """The KL-basis coefficients of (sum_x a_x b_x) (sum_x b_x b_x) modulo
     the span of the non-FC b_x, for linear combinations keyed by fully
-    commutative element ids (a non-FC key: ValueError): the product in
-    TL_W, computed on the FC part of the W-graph (KLTable.fc_w_graph) alone.
+    commutative element ids (a non-FC key: ValueError), as canonical
+    (rows, den): the product in TL_W, computed on the FC part of the
+    W-graph (KLTable.fc_w_graph) alone.
 
-    Each operand is cleared by LinComb.integral.  For each x in the
-    closure of b's support, in id order, with s the last letter of the
-    word of x and x' = xs,
+    On the integer rows of the operands, over the product of their
+    denominators: for each x in the closure of b's support, in id order,
+    with s the last letter of the word of x and x' = xs,
 
         a beta_x = (a beta_{x'}) beta_s - sum_y mu(y, x') a beta_y
 
     over the y of graph[s][x'], all shorter than x; the product is sum_x
-    c_x (a beta_x), and only its coefficients become RatFunc.
+    c_x (a beta_x), reduced once.
 
     Bound: a step by beta_s multiplies ||.||_1 by at most M_s = growth[s],
     so B(e) = ||a||_1 and B(x) = M_s B(x') + sum_y mu(y, x') B(y) bound
@@ -636,15 +631,14 @@ def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> dict[ElementId, RatFu
     length in b's support; a beta_x has no exponent below that of a minus
     length(x), so slot 0 is empty whenever a vector is shifted down (the
     v^-1 of [2]) and p >> b is exact, for negative p too."""
-    if not a.coeffs or not b.coeffs:
-        return {}
     g = table.group
     fc, length, right, word = g.fc, g.length, g.right, g.word
-    for x in (*a.coeffs, *b.coeffs):
+    avec, bvec = a.rows, b.rows
+    for x in (*avec, *bvec):
         if not fc[x]:
             raise ValueError(f"element {x} is not fully commutative; beta_x is not defined")
-    avec, ascale = a.integral()
-    bvec, bscale = b.integral()
+    if not avec or not bvec:
+        return {}, LaurentPoly.one()
     graph, growth = table.fc_w_graph()
 
     steps: dict[int, tuple] = {}  # x -> (s, x', the mu-corrections of (x', s))
@@ -696,9 +690,7 @@ def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> dict[ElementId, RatFu
         pc = _pack(d, off_b, bw)
         for w, p in vecs[x].items():
             acc[w] = get(w, 0) + pc * p
-    off = off_a + off_b
-    pairs = ((w, _unpack(acc[w], off, bw, bound)) for w in sorted(acc, reverse=True) if acc[w])
-    return _rationals(pairs, ascale * bscale)
+    return _reduced(acc, off_a + off_b, bound, a.den * b.den)
 
 
 def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, LaurentPoly]:

@@ -23,16 +23,18 @@ falls back to a primitive remainder sequence.  The trial divisions return
 the cofactors, and the two contents are divided by their gcd.
 
 Elements of the algebras built on top (Hecke, TL_n, TL_W) are LinComb
-subclasses: sparse maps from basis keys to RatFunc coefficients.  Their
-product kernels (Hecke, TL_n diagrams, TL_W) run on integers, and this
-module is their one boundary with Q(v).  LinComb.integral is the only
-place where coefficients are cleared: it writes an element as one
-RatFunc scale 1/den times integer Laurent rows.  _rationals is the only
-place where kernel integers become RatFunc again: each result is
-multiplied by the scale and canonicalised once.  In between, a
+subclasses: integer Laurent rows, one per basis key, over one common
+denominator polynomial D, in a canonical form (D normalised as a RatFunc
+denominator, and no factor common to D and every row), so that equality
+is literal comparison of rows and D.  The product kernels (Hecke, TL_n
+diagrams, TL_W) take and return rows over D.  Inside a kernel a
 polynomial is one Python integer in the signed Kronecker packing (_pack,
 _unpack, _unpacked, _width below), and a sum or product of polynomials
-one big-integer operation.
+one big-integer operation; each result is reduced once (_reduced): one
+heuristic gcd on a random integer combination of the packed rows, and
+exact integer divisions whose quotients a bound makes conclusive.  A
+coefficient becomes a RatFunc only when LinComb.coeffs is first read,
+canonicalised once there.
 
 The two ring involutions used throughout are bar (v -> v^-1) and the
 Koszul sign twist kappa (v -> -v^-1).  Quantum integers are balanced:
@@ -43,6 +45,7 @@ Koszul sign twist kappa (v -> -v^-1).  Quantum integers are balanced:
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -362,7 +365,28 @@ def _exact_quotient(f: list[int], g: list[int]) -> list[int]:
     return q
 
 
-def _heu_gcd(f: list[int], g: list[int]):
+def _eval(f: list[int], k: int) -> int:
+    """f(2^k)."""
+    n = 0
+    for c in reversed(f):
+        n = (n << k) + c
+    return n
+
+
+def _digits(n: int, k: int) -> list[int]:
+    """The balanced base-2^k digits of n, least significant first."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    while n:
+        c = n & mask
+        if c >= half:
+            c -= 1 << k
+        out.append(c)
+        n = (n - c) >> k
+    return out
+
+
+def _heu_gcd(f: list[int], g: list[int], g_at: tuple[int, int] | None = None):
     """(h, f / h, g / h) with h the primitive gcd of two primitive
     polynomials of positive degree, or None when every attempt failed.
 
@@ -370,28 +394,19 @@ def _heu_gcd(f: list[int], g: list[int]):
     at xi = 2^k, take the integer gcd and read h off its balanced base-xi
     digits.  With xi >= 2 min(|f|, |g|) + 2 (max norms), a candidate that
     divides both f and g is their gcd; a candidate that does not means an
-    unlucky xi, and the next attempt takes a larger one."""
-    k = (2 * min(max(map(abs, f)), max(map(abs, g))) + 29).bit_length()
+    unlucky xi, and the next attempt takes a larger one.  g_at = (k,
+    g(2^k)), with 2^k at least what g alone requires, saves the first
+    evaluation of a g shared by many calls."""
+    if g_at is None:
+        k, m = (2 * min(max(map(abs, f)), max(map(abs, g))) + 29).bit_length(), None
+    else:
+        k, m = g_at
     for _ in range(_HEU_TRIES):
-        n = m = 0
-        for c in reversed(f):
-            n = (n << k) + c
-        for c in reversed(g):
-            m = (m << k) + c
-        n = math.gcd(n, m)
-        half, mask = 1 << (k - 1), (1 << k) - 1
-        h = []
-        while n:
-            c = n & mask
-            if c >= half:
-                c -= 1 << k
-            h.append(c)
-            n = (n - c) >> k
-        h = _primitive(h)
+        h = _primitive(_digits(math.gcd(_eval(f, k), _eval(g, k) if m is None else m), k))
         try:
             return h, _exact_quotient(f, h), _exact_quotient(g, h)
         except ArithmeticError:
-            k = k * 3 // 2 + 1
+            k, m = k * 3 // 2 + 1, None
     return None
 
 
@@ -415,13 +430,14 @@ def _prs_gcd(f: list[int], g: list[int]) -> list[int]:
     return [1]
 
 
-def _poly_gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """(h, f / h, g / h) with h the primitive gcd of primitive f and g."""
+def _poly_gcd(f: list[int], g: list[int], g_at=None) -> tuple[list[int], list[int], list[int]]:
+    """(h, f / h, g / h) with h the primitive gcd of primitive f and g;
+    g_at as for _heu_gcd."""
     if len(f) == 1 or len(g) == 1:
         return [1], f, g
     if f == g:
         return f, [1], [1]
-    out = _heu_gcd(f, g)
+    out = _heu_gcd(f, g, g_at)
     if out is None:
         h = _prs_gcd(f, g)
         out = h, _exact_quotient(f, h), _exact_quotient(g, h)
@@ -589,11 +605,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        r = RatFunc.__new__(RatFunc)
-        r.num = -self.num
-        r.den = self.den
-        r._hash = None
-        return r
+        return _ratfunc(-self.num, self.den)
 
     def __sub__(self, other: object) -> "RatFunc":
         other = _as_rat(other)
@@ -612,11 +624,7 @@ class RatFunc:
         if other is NotImplemented:
             return NotImplemented
         if self.den.is_one and other.den.is_one:
-            r = RatFunc.__new__(RatFunc)
-            r.num = self.num * other.num
-            r.den = self.den
-            r._hash = None
-            return r
+            return _ratfunc(self.num * other.num, self.den)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -688,6 +696,15 @@ class RatFunc:
         return cls(num.scale(b), den.scale(a))
 
 
+def _ratfunc(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
+    """The RatFunc num / den of a pair already in canonical form."""
+    r = RatFunc.__new__(RatFunc)
+    r.num = num
+    r.den = den
+    r._hash = None
+    return r
+
+
 def _as_rat(x: object):
     """x as a RatFunc; the one entry point for Fraction scalars."""
     if isinstance(x, RatFunc):
@@ -719,21 +736,188 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly):
 
 
 # -- linear combinations -----------------------------------------------------
+#
+# A linear combination holds integer rows over one common denominator: the
+# coefficient of key k is rows[k] / den, rows[k] a nonzero integer Laurent
+# polynomial {exp: int} and den a LaurentPoly, in a canonical form:
+#
+#   * den is normalised as a RatFunc denominator is: no negative exponents,
+#     a nonzero constant term and a positive leading coefficient;
+#   * den shares no factor with all the rows at once, contents included.
+#
+# So den is the lcm of the reduced coefficient denominators, and equal
+# combinations have equal rows and den.
+
+_ONE = LaurentPoly.one()
+_MIX = random.Random(1989)  # multipliers of the row combination in _heu_divided
+
+
+def _packed(rows: Mapping[object, Mapping[int, int]]) -> tuple[dict, int, int]:
+    """(packed, off, bound) for rows {k: {exp: int}}: bound is the largest
+    |coefficient|, off the smallest exponent, and each row is packed at
+    offset off and width _width(bound)."""
+    bound = max((abs(c) for d in rows.values() for c in d.values()), default=0)
+    off = min((e for d in rows.values() for e in d), default=0)
+    b = _width(bound)
+    return {k: _pack(d, off, b) for k, d in rows.items()}, off, bound
+
+
+def _heu_divided(vec: dict, off: int, b: int, bound: int, g: list[int]):
+    """(g / h, {k: row / h}) for the primitive gcd h of g and every row,
+    found on the packed integers of _reduced at xi = 2^b; None when this
+    test is inconclusive.
+
+    GCDHEU (see _heu_gcd) on g and a random integer combination R of the
+    rows gives a candidate h, read off the balanced digits of gcd(g(xi),
+    R(xi)).  It must divide g, and each row's packed integer must divide
+    by h(xi).  An exact integer division is conclusive when ||h||_1
+    ||q||_inf < xi/2 for the quotient q read by balanced digits: then h q
+    and the row have the same balanced digits at xi, so h q is the row.
+    A candidate that divides g and every row divides R, so it is gcd(g, R)
+    (xi >= 2 ||g||_inf + 2), which every common divisor of g and the rows
+    divides."""
+    if 2 * max(map(abs, g)) + 2 > 1 << b:
+        return None
+    bits = _MIX.getrandbits
+    h = _primitive(_digits(math.gcd(_eval(g, b), sum((bits(16) | 1) * p for p in vec.values())), b))
+    if len(h) == 1:
+        return g, {k: _unpack(p, off, b, bound) for k, p in vec.items()}
+    try:
+        gq = _exact_quotient(g, h)
+    except ArithmeticError:
+        return None
+    hx = _eval(h, b)
+    qbound = ((1 << (b - 1)) - 1) // sum(map(abs, h))
+    rows = {}
+    for k, p in vec.items():
+        q, r = divmod(p, hx)
+        if r:
+            return None
+        try:
+            rows[k] = _unpack(q, off, b, qbound)
+        except OverflowError:
+            return None
+    return gq, rows
+
+
+def _reduced(vec: Mapping[object, int], off: int, bound: int, den: LaurentPoly) -> tuple[dict, LaurentPoly]:
+    """The canonical (rows, den) of sum_k vec[k] k / den: vec maps keys to
+    integer polynomials packed at offset off and width _width(bound), every
+    |coefficient| at most bound, and den is normalised.  Zero entries are
+    dropped.
+
+    The common factor c h is divided out of den and the rows: h, the
+    primitive gcd of den's primitive part g and every row, by _heu_divided,
+    or else by _poly_gcd row by row and _exact_quotient; c, the gcd of the
+    contents, by integer gcds."""
+    b = _width(bound)
+    vec = {k: p for k, p in vec.items() if p}
+    if den.is_one or not vec:
+        return {k: _unpack(p, off, b, bound) for k, p in vec.items()}, _ONE
+    cd, _, g = _split(den._terms)
+    found = _heu_divided(vec, off, b, bound, g)
+    if found is None:
+        rows = {k: _unpack(p, off, b, bound) for k, p in vec.items()}
+        h = g
+        for r in rows.values():
+            if len(h) == 1:
+                break
+            h = _poly_gcd(h, _split(r)[2])[0]
+        if len(h) > 1:
+            for k, r in rows.items():
+                c, e, f = _split(r)
+                rows[k] = {e + i: c * a for i, a in enumerate(_exact_quotient(f, h)) if a}
+            g = _exact_quotient(g, h)
+    else:
+        g, rows = found
+    c = cd
+    for r in rows.values():
+        if c == 1:
+            break
+        c = math.gcd(c, *r.values())
+    if c > 1:
+        rows = {k: {e: a // c for e, a in r.items()} for k, r in rows.items()}
+    return rows, _laurent(cd // c, 0, g)
+
+
+def _canonical(rows: Mapping[object, Mapping[int, int]], den: LaurentPoly) -> tuple[dict, LaurentPoly]:
+    """The canonical (rows, den) of sum_k rows[k] k / den for integer rows
+    {exp: int} and a normalised den."""
+    return _reduced(*_packed(rows), den)
+
+
+def _coefficients(rows: Mapping[object, Mapping[int, int]], den: LaurentPoly) -> dict:
+    """{k: rows[k] / den} as canonical RatFuncs, one gcd per coefficient.
+    den is split into its content and primitive part g once, and g is
+    evaluated once for the heuristic gcds."""
+    if den.is_one:
+        return {k: _ratfunc(_wrap(r), den) for k, r in rows.items()}
+    cd, _, g = _split(den._terms)
+    k = (2 * max(map(abs, g)) + 29).bit_length()  # as _heu_gcd takes it from g alone
+    g_at = k, _eval(g, k)
+    out = {}
+    for key, r in rows.items():
+        cn, kn, f = _split(r)
+        _, f, q = _poly_gcd(f, g, g_at)
+        t = math.gcd(cn, cd)
+        out[key] = _ratfunc(_laurent(cn // t, kn, f), _laurent(cd // t, 0, q))
+    return out
 
 
 class LinComb:
-    """A finite Q(v)-linear combination of basis elements: ``coeffs`` maps
-    a key to a nonzero RatFunc.  Immutable by convention.
+    """A finite Q(v)-linear combination of basis elements in the canonical
+    form above: ``rows`` maps a key to its integer row {exp: int}, ``den``
+    is the common denominator (both read-only), and ``coeffs``, the {key:
+    RatFunc} mapping, is built on first read and memoised.  Immutable by
+    convention.
 
     The element classes of the three algebras (``HeckeElt``, ``TLElt``,
-    ``GTLElt``) inherit the linear structure from here.  A subclass
-    defines three methods: ``_rebuild(coeffs)``, a new element of the
-    same algebra; ``_algebra()``, a value identifying the algebra (keys
-    of different algebras never mix); and ``_label(key)``, how a key
-    prints.  Keys must be orderable, for a deterministic ``repr``.
+    ``GTLElt``) inherit the linear structure from here.  A subclass keeps
+    what identifies its algebra in its own ``__slots__``, sets it and calls
+    ``LinComb.__init__(self, coeffs)``; it defines ``_algebra()``, a value
+    identifying the algebra (keys of different algebras never mix), and
+    ``_label(key)``, how a key prints.  Keys must be orderable, for a
+    deterministic ``repr``.  Kernels return ``_rebuild(rows, den)`` of
+    rows and den already in canonical form.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("rows", "den", "_coeffs")
+
+    def __init__(self, coeffs: Mapping[object, "RatFunc"]):
+        """From {key: RatFunc}: den is the lcm of the coefficient
+        denominators, taken once per distinct denominator.  Canonical
+        coefficients give the canonical form: a prime power dividing den
+        exactly divides the denominator of some coefficient, whose row it
+        then does not divide."""
+        coeffs = {k: c for k, c in coeffs.items() if not c.is_zero}
+        dens = dict.fromkeys(c.den for c in coeffs.values())
+        den = _ONE
+        for d in dens:
+            if not d.is_one:
+                den = d if den.is_one else poly_lcm(den, d)
+        for d in dens:
+            dens[d] = poly_exact_div(den, d)
+        self.rows = {
+            k: c.num._terms if dens[c.den].is_one else (c.num * dens[c.den])._terms
+            for k, c in coeffs.items()
+        }
+        self.den = den
+        self._coeffs = coeffs
+
+    def _rebuild(self, rows: dict, den: LaurentPoly) -> "LinComb":
+        """An element of self's algebra with rows and den in canonical form."""
+        out = object.__new__(type(self))
+        for name in type(self).__slots__:
+            setattr(out, name, getattr(self, name))
+        out.rows, out.den, out._coeffs = rows, den, None
+        return out
+
+    @property
+    def coeffs(self) -> dict:
+        """{key: RatFunc}, every coefficient nonzero and canonical (read-only)."""
+        if self._coeffs is None:
+            self._coeffs = _coefficients(self.rows, self.den)
+        return self._coeffs
 
     def _peer(self, other: object) -> bool:
         """True when other is an element of the same algebra, False when it
@@ -747,18 +931,22 @@ class LinComb:
             )
         return True
 
-    # -- linear structure ----------------------------------------------------
+    # -- linear structure: one lcm and one reduction per element ----------------
 
     def __add__(self, other: object) -> "LinComb":
         if not self._peer(other):
             return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, RatFunc.zero()) + c
-        return self._rebuild(out)
+        a, b = self.den, other.den
+        den = a if a == b else poly_lcm(a, b)
+        acc: dict = {}
+        for elt, f in ((self, poly_exact_div(den, a)), (other, poly_exact_div(den, b))):
+            for k, r in elt.rows.items():
+                p = _wrap(r) * f
+                acc[k] = acc[k] + p if k in acc else p
+        return self._rebuild(*_canonical({k: p._terms for k, p in acc.items()}, den))
 
     def __neg__(self) -> "LinComb":
-        return self._rebuild({k: -c for k, c in self.coeffs.items()})
+        return self._rebuild({k: {e: -c for e, c in r.items()} for k, r in self.rows.items()}, self.den)
 
     def __sub__(self, other: object) -> "LinComb":
         if not self._peer(other):
@@ -769,51 +957,27 @@ class LinComb:
         c = _as_rat(c)
         if c is NotImplemented:
             raise TypeError("a scalar is a RatFunc, LaurentPoly, int or Fraction")
-        return self._rebuild({k: ck * c for k, ck in self.coeffs.items()})
+        rows = {k: (_wrap(r) * c.num)._terms for k, r in self.rows.items()}
+        return self._rebuild(*_canonical(rows, self.den * c.den))
 
     def coefficient(self, key) -> RatFunc:
         return self.coeffs.get(key, RatFunc.zero())
-
-    def integral(self) -> tuple[dict, RatFunc]:
-        """(rows, scale) with self = scale * sum_k rows[k] key, every rows[k]
-        an integer Laurent polynomial {exp: int} (read-only) and scale =
-        1 / den, den the lcm of the coefficient denominators.  The lcm and
-        the cofactors den / d are taken once per distinct denominator d."""
-        dens = dict.fromkeys(c.den for c in self.coeffs.values())
-        den = LaurentPoly.one()
-        for d in dens:
-            if not d.is_one:
-                den = d if den.is_one else poly_lcm(den, d)
-        if den.is_one:
-            return {k: c.num._terms for k, c in self.coeffs.items()}, RatFunc.one()
-        for d in dens:
-            dens[d] = den if d.is_one else poly_exact_div(den, d)
-        return {k: (c.num * dens[c.den])._terms for k, c in self.coeffs.items()}, RatFunc(1, den)
 
     # -- comparisons, hashing, display ------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._algebra() == other._algebra() and self.coeffs == other.coeffs
+        return self._algebra() == other._algebra() and self.den == other.den and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self._algebra(), frozenset(self.coeffs.items())))
+        rows = frozenset((k, frozenset(r.items())) for k, r in self.rows.items())
+        return hash((self._algebra(), self.den, rows))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.rows:
             return "0"
         return " + ".join(f"({self.coeffs[k]!r})*{self._label(k)}" for k in sorted(self.coeffs))
-
-
-def _rationals(pairs, scale: RatFunc, keep=None) -> dict:
-    """{k: scale * c} over pairs (k, c) of a key and an integer Laurent
-    polynomial {exp: int}, for every k with keep[k] (all k when keep is
-    None): the inverse of LinComb.integral for what the integer kernels
-    return.  Each coefficient is canonicalised once, as
-    (c * scale.num) / scale.den."""
-    num, den = scale.num, scale.den
-    return {k: RatFunc(_wrap(c) * num, den) for k, c in pairs if keep is None or keep[k]}
 
 
 # -- quantum integers --------------------------------------------------------

@@ -50,17 +50,17 @@ where u_x^- is the monomial diagram reread inside TL_n^-.
 The product kernel.  Diagrams compose on bare partner tuples (_compose):
 composing two planar perfect matchings always gives one, so nothing is
 validated and a Diagram is built once per distinct composite, without
-re-checking it.  multiply_tl clears each factor by LinComb.integral to
-integer rows over one RatFunc scale and packs every row as one integer
+re-checking it.  multiply_tl packs every integer row of both factors
+(jwkit.qpoly.LinComb: rows over one common denominator) as one integer
 in the signed Kronecker packing of jwkit.qpoly.  A composite closing k
 loops carries (sign delta)^k; the kernel packs (sign delta)^k v^m =
 sign^k (1 + v^2)^k v^(m - k), m = floor(n/2), once per k and multiplies
 each right numerator by it up front.  Per left diagram the packed right
 numerators are summed per composite (one addition per diagram pair), and
-each sum is multiplied once by the left numerator.  Each output
-coefficient is decoded once (_unpacked) and rebuilt as a RatFunc once
-(_rationals).  The bound: a composition closes at most m loops (each
-uses two of the n glue points) and ||delta^k||_1 = 2^k, so every output
+each sum is multiplied once by the left numerator.  The output rows,
+over the product of the two denominators, are decoded and reduced once
+(jwkit.qpoly._reduced).  The bound: a composition closes at most m loops
+(each uses two of the n glue points) and ||delta^k||_1 = 2^k, so every output
 coefficient is at most (sum_d ||p_d||_1) (sum_d ||q_d||_1) 2^m, with p_d
 and q_d the integer numerators of the two factors and ||.||_1 the sum of
 |coefficients|; the digit width is _width of that bound, and a digit
@@ -76,7 +76,7 @@ from .coxeter import ElementId, GroupTable
 from .grank import grrk  # noqa: F401 (perfbench wraps the jwkit.tl.grrk alias)
 from .gtl import gen_jw_closed
 from .hecke import HeckeElt, KLTable, to_kl_basis
-from .qpoly import LaurentPoly, LinComb, RatFunc, _pack, _rationals, _unpacked, _width, quantum_int
+from .qpoly import LaurentPoly, LinComb, RatFunc, _pack, _reduced, _width, quantum_int
 
 _DELTA = LaurentPoly({1: 1, -1: 1})
 
@@ -200,9 +200,9 @@ def compose(a: Diagram, b: Diagram, sign: int = 1):
 
 class TLElt(LinComb):
     """An element of TL_n (sign +1) or TL_n^- (sign -1): a finite sum of
-    diagrams with RatFunc coefficients.
+    diagrams with coefficients in Q(v), built from {diagram: RatFunc}.
 
-    ``+``, ``-``, ``scale``, ``coefficient``, ``integral``,
+    ``+``, ``-``, ``scale``, ``coefficient``, ``coeffs``, ``rows``, ``den``,
     ``==``, ``hash`` and ``repr`` are inherited from LinComb; elements with
     different n or sign do not mix (ValueError)."""
 
@@ -213,13 +213,10 @@ class TLElt(LinComb):
             raise ValueError("sign must be +1 or -1")
         self.n = n
         self.sign = sign
-        self.coeffs = {d: c for d, c in coeffs.items() if not c.is_zero}
-        for d in self.coeffs:
+        LinComb.__init__(self, coeffs)
+        for d in self.rows:
             if d.n != n:
                 raise ValueError("mixed strand counts in one element")
-
-    def _rebuild(self, coeffs: dict[Diagram, RatFunc]) -> "TLElt":
-        return TLElt(self.n, coeffs, self.sign)
 
     def _algebra(self) -> tuple[int, int]:
         return (self.n, self.sign)
@@ -251,16 +248,16 @@ def multiply_tl(a: TLElt, b: TLElt) -> TLElt:
 
     The expansion runs on integers, in the signed Kronecker packing of
     jwkit.qpoly; see the module docstring for the bound that fixes the
-    digit width.  Each output coefficient is canonicalised once."""
+    digit width.  The product is reduced once against the product of the
+    two denominators."""
     if a.n != b.n:
         raise ValueError(f"strand counts differ: {a.n} vs {b.n}")
     if a.sign != b.sign:
         raise ValueError("loop-parameter signs differ")
     n, sign = a.n, a.sign
-    if not a.coeffs or not b.coeffs:
+    rows_a, rows_b = a.rows, b.rows
+    if not rows_a or not rows_b:
         return TLElt.zero(n, sign)
-    rows_a, scale_a = a.integral()
-    rows_b, scale_b = b.integral()
     m = n // 2  # the most loops one composition can close
     bound = sum(abs(c) for r in rows_a.values() for c in r.values())
     bound *= sum(abs(c) for r in rows_b.values() for c in r.values()) << m
@@ -288,8 +285,8 @@ def multiply_tl(a: TLElt, b: TLElt) -> TLElt:
             row[d] = get(d, 0) + qb[k]
         for d, s in row.items():
             acc[d] = acc.get(d, 0) + pa * s
-    prod = ((Diagram._trusted(n, d), c) for d, c in _unpacked(acc, off_a + off_b - m, bound))
-    return TLElt(n, _rationals(prod, scale_a * scale_b), sign)
+    rows, den = _reduced(acc, off_a + off_b - m, bound, a.den * b.den)
+    return a._rebuild({Diagram._trusted(n, d): r for d, r in rows.items()}, den)
 
 
 # -- the monomial basis ---------------------------------------------------------
@@ -333,7 +330,7 @@ def _include(elt: TLElt) -> TLElt:
     """TL_n -> TL_{n+1}, appending a through strand on the right."""
     n = elt.n
     out = {}
-    for d, c in elt.coeffs.items():
+    for d, r in elt.rows.items():
         p = [0] * (2 * n + 2)
         for i, j in enumerate(d.partner):
             ii = i if i < n else i + 1
@@ -341,8 +338,8 @@ def _include(elt: TLElt) -> TLElt:
             p[ii] = jj
         p[n] = 2 * n + 1
         p[2 * n + 1] = n
-        out[Diagram(n + 1, tuple(p))] = c
-    return TLElt(n + 1, out, elt.sign)
+        out[Diagram(n + 1, tuple(p))] = r
+    return TLElt.zero(n + 1, elt.sign)._rebuild(out, elt.den)
 
 
 def wenzl_jw(n: int) -> TLElt:
@@ -362,9 +359,11 @@ def wenzl_jw(n: int) -> TLElt:
     return j
 
 
-def _on_diagrams(g: GroupTable, coeffs: dict[ElementId, RatFunc], sign: int = 1) -> TLElt:
-    """sum_x coeffs[x] u_x in TL_n^sign, over fully commutative ids x of g = S_n."""
-    return TLElt(_require_type_a(g), {monomial(g, x): c for x, c in coeffs.items()}, sign)
+def _on_diagrams(g: GroupTable, rows: dict, den: LaurentPoly, sign: int = 1) -> TLElt:
+    """sum_x (rows[x] / den) u_x in TL_n^sign, over fully commutative ids x
+    of g = S_n, for rows and den in the canonical form of LinComb."""
+    out = {monomial(g, x): r for x, r in rows.items()}
+    return TLElt.zero(_require_type_a(g), sign)._rebuild(out, den)
 
 
 def closed_jw(n: int, g: GroupTable, cache: KLTable) -> TLElt:
@@ -372,7 +371,8 @@ def closed_jw(n: int, g: GroupTable, cache: KLTable) -> TLElt:
     of u_x is (-1)^length(x) grrk(x w0) / grrk(w0), summed over the
     fully commutative elements of the symmetric group S_n."""
     _require_type_a(g, n)
-    return _on_diagrams(g, gen_jw_closed(g, cache).coeffs)
+    j = gen_jw_closed(g, cache)
+    return _on_diagrams(g, j.rows, j.den)
 
 
 def project_pi(h: HeckeElt, cache: KLTable) -> TLElt:
@@ -380,7 +380,7 @@ def project_pi(h: HeckeElt, cache: KLTable) -> TLElt:
     expand in the KL basis and send b_x to u_x for fully commutative x
     and to 0 otherwise."""
     _require_type_a(h.group)  # before the expansion, the costly part
-    return _on_diagrams(h.group, to_kl_basis(h, cache, fc_only=True))
+    return _on_diagrams(h.group, *to_kl_basis(h, cache, fc_only=True))
 
 
 def jw_minus(n: int, g: GroupTable, cache: KLTable) -> TLElt:
@@ -389,5 +389,6 @@ def jw_minus(n: int, g: GroupTable, cache: KLTable) -> TLElt:
     closed-formula coefficients c_x of j_n give j_n^- = sum_x
     (-1)^length(x) c_x u_x^-."""
     _require_type_a(g, n)
-    coeffs = gen_jw_closed(g, cache).coeffs
-    return _on_diagrams(g, {x: -c if g.length[x] % 2 else c for x, c in coeffs.items()}, -1)
+    j = gen_jw_closed(g, cache)
+    rows = {x: {e: -c for e, c in r.items()} if g.length[x] % 2 else r for x, r in j.rows.items()}
+    return _on_diagrams(g, rows, j.den, -1)

@@ -18,6 +18,15 @@ def grp(family, rank=None, m=None, allow_large=False):
     return coxeter.build_group(coxeter.presentation(family, rank=rank, m=m), allow_large=allow_large)
 
 
+def kl_coefficients(h, table, fc_only=False):
+    """hecke.to_kl_basis as {x: RatFunc}, each coefficient canonicalised
+    by RatFunc from the returned rows and denominator."""
+    from jwkit.qpoly import LaurentPoly, RatFunc
+
+    rows, den = hecke.to_kl_basis(h, table, fc_only)
+    return {x: RatFunc(LaurentPoly(r), den) for x, r in rows.items()}
+
+
 def packed_entry(table, y, x):
     """h_{y,x} packed at offset 0 and width hecke._B, as the table's
     polynomial store holds it."""
@@ -213,23 +222,21 @@ def compose_components(p, q, n):
 
 
 def multiply_tl_dicts(a, b):
-    """a * b in TL_n or TL_n^- on cleared LaurentPoly numerators."""
+    """a * b in TL_n or TL_n^-, one RatFunc product per pair of terms:
+    no integer rows, no common denominator."""
     from jwkit.qpoly import RatFunc
     from jwkit.tl import Diagram, TLElt
 
     assert a.n == b.n and a.sign == b.sign
     n = a.n
     delta = LaurentPoly({1: a.sign, -1: a.sign})
-    na, sa = a.integral()
-    nb, sb = b.integral()
     acc = {}
-    for d1, pa in na.items():
-        for d2, pb in nb.items():
+    for d1, ca in a.coeffs.items():
+        for d2, cb in b.coeffs.items():
             partner, loops = compose_components(d1.partner, d2.partner, n)
             d = Diagram(n, partner)
-            acc[d] = acc.get(d, LaurentPoly.zero()) + LaurentPoly(pa) * LaurentPoly(pb) * delta**loops
-    rescale = sa * sb
-    return TLElt(n, {d: RatFunc(p) * rescale for d, p in acc.items()}, a.sign)
+            acc[d] = acc.get(d, RatFunc.zero()) + ca * cb * RatFunc(delta**loops)
+    return TLElt(n, acc, a.sign)
 
 
 def integer_scaled(terms):

@@ -401,6 +401,15 @@ def test_groups_as_large_as_f4_are_gated(capsys, argv, needs_kl):
         assert code == 2 and out == "" and "cache" in err
 
 
+@pytest.mark.parametrize("flags", [(), ("--allow-large",)])
+def test_rank_3000_is_refused_with_a_bounded_message(capsys, flags):
+    # 3001! has more than 9000 digits, past the limit of int-to-str conversion
+    code, out, err = _run(capsys, "grrk", "--family", "A", "--rank", "3000", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: A rank 3000 has more than") and len(err) < 200
+    assert str(coxeter.MAX_ORDER) in err
+
+
 def test_groups_below_f4_order_are_not_gated(capsys):
     for argv in [
         ("group", "--family", "A", "--rank", "5"),

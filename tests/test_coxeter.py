@@ -387,6 +387,26 @@ def test_large_guard():
         coxeter.build_group(presentation("A", 7))
 
 
+def test_orders_past_max_order_are_refused_before_any_matrix(monkeypatch):
+    """A huge rank is refused on (family, rank, m) alone: the rank x rank
+    Coxeter matrix is never built and the order never multiplied out."""
+    def no_matrix(rank, bonds):
+        raise AssertionError(f"built a {rank} x {rank} Coxeter matrix")
+
+    monkeypatch.setattr(coxeter, "_chain_matrix", no_matrix)
+    for args in (("A", 99999), ("B", 10**9), ("I2", None, 10**300)):
+        with pytest.raises(LargeComputationError, match=f"more than {coxeter.MAX_ORDER} elements"):
+            presentation(*args)
+    # the largest groups under the bound are still presented
+    monkeypatch.undo()
+    assert coxeter.classical_order(presentation("A", 9)) == 3628800 <= coxeter.MAX_ORDER
+    assert coxeter.classical_order(presentation("B", 7)) == 2**7 * 5040
+    assert coxeter.classical_order(presentation("I2", m=coxeter.MAX_ORDER // 2)) == coxeter.MAX_ORDER
+    for args in (("A", 10), ("B", 8), ("I2", None, coxeter.MAX_ORDER // 2 + 1)):  # 11!, 2^8 8!
+        with pytest.raises(LargeComputationError):
+            presentation(*args)
+
+
 @pytest.mark.large
 @pytest.mark.skipif(
     os.environ.get("JWKIT_LARGE") != "1",

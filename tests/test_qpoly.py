@@ -20,7 +20,8 @@ from jwkit.qpoly import (
     LaurentPoly,
     LinComb,
     RatFunc,
-    _rationals,
+    _canonical,
+    _coefficients,
     parity_class,
     poly_exact_div,
     poly_gcd,
@@ -441,7 +442,7 @@ def test_remainder_sequence_fallback_gives_the_same_canonical_form(a, b, c):
     f = RatFunc(num, den)
     heu = qpoly._heu_gcd
     try:
-        qpoly._heu_gcd = lambda f, g: None
+        qpoly._heu_gcd = lambda f, g, g_at=None: None
         g = RatFunc(num, den)
     finally:
         qpoly._heu_gcd = heu
@@ -487,12 +488,6 @@ def test_poly_lcm_carries_the_lcm_of_the_contents():
 class _Vec(LinComb):
     __slots__ = ()
 
-    def __init__(self, coeffs):
-        self.coeffs = {k: c for k, c in coeffs.items() if c}
-
-    def _rebuild(self, coeffs):
-        return _Vec(coeffs)
-
     def _algebra(self):
         return None
 
@@ -502,19 +497,22 @@ class _Vec(LinComb):
 
 @settings(max_examples=40)
 @given(st.lists(st.tuples(rational, nonzero_rational), max_size=6), nonzero_rational)
-def test_integral_matches_pairwise_lcm(pairs, c):
+def test_common_denominator_matches_pairwise_lcm(pairs, c):
     """Denominators share the planted factor c, so their product is not
-    their lcm; the lcm is taken in Z[v], contents included."""
+    their lcm; the lcm is taken in Z[v], contents included, and shares no
+    factor with all the rows at once."""
     vec = _Vec({k: RatFunc(*_planted(a, b, c)) for k, (a, b) in enumerate(pairs)})
-    rows, scale = vec.integral()
+    rows, den = vec.rows, vec.den
     expected = sympy.Integer(1)
     for f in vec.coeffs.values():
         expected = sympy.lcm(expected, to_sympy(f.den))
-    assert scale.num.is_one
-    assert sympy.expand(to_sympy(scale.den) - expected) == 0
+    assert sympy.expand(to_sympy(den) - expected) == 0
     assert set(rows) == set(vec.coeffs)
+    common = to_sympy(den)
     for k, f in vec.coeffs.items():
-        assert RatFunc(LaurentPoly(rows[k]), scale.den) == f
+        assert RatFunc(LaurentPoly(rows[k]), den) == f
+        common = sympy.gcd(common, to_sympy(LaurentPoly(rows[k])))
+    assert common in (1, -1)
 
 
 S3 = grp("A", 2)
@@ -535,22 +533,25 @@ DENOMINATORS = [1, 3, quantum_int(2), quantum_int(3), v + 2, (v + 2) * quantum_i
 )
 @example("hecke", [], [True] * 6)
 @example("tl", [((LaurentPoly.zero(), 1), 3)], [True] * 6)
-def test_integral_and_rationals_round_trip(algebra, entries, flags):
-    """scale * sum_k rows[k] k rebuilds the element, over Fraction
+def test_rows_and_coeffs_round_trip(algebra, entries, flags):
+    """(1 / den) sum_k rows[k] k rebuilds the element, over Fraction
     coefficients (integer numerators over integer-scaled denominators),
     several distinct denominators, negative exponents and the zero
-    element; _rationals rebuilds exactly the keys keep selects."""
+    element; coefficients built from the rows equal the given ones, and
+    the rows a kernel keeps (keep) reduce to the element of those
+    coefficients alone."""
     keys, build = BOUNDARY_KEYS[algebra]
     elt = build({keys[i]: RatFunc(p, d * m) for i, ((p, m), d) in enumerate(entries[: len(keys)])})
-    rows, scale = elt.integral()
+    rows, den = elt.rows, elt.den
     assert set(rows) == set(elt.coeffs)
     assert all(type(c) is int and c for r in rows.values() for c in r.values())
-    rebuilt = build({k: RatFunc(LaurentPoly(r)) for k, r in rows.items()}).scale(scale)
+    rebuilt = build({k: RatFunc(LaurentPoly(r)) for k, r in rows.items()}).scale(RatFunc(1, den))
     assert rebuilt == elt
-    assert _rationals(rows.items(), scale) == elt.coeffs
+    assert _coefficients(rows, den) == elt.coeffs
+    assert elt._rebuild(rows, den).coeffs == elt.coeffs
     keep = dict(zip(keys, flags))
-    kept = _rationals(rows.items(), scale, keep)
-    assert kept == {k: c for k, c in elt.coeffs.items() if keep[k]}
+    kept = build({k: c for k, c in elt.coeffs.items() if keep[k]})
+    assert _canonical({k: r for k, r in rows.items() if keep[k]}, den) == (kept.rows, kept.den)
 
 
 def test_doctests():
