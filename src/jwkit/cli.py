@@ -62,7 +62,7 @@ from .coxeter import (
     classical_order,
     presentation,
 )
-from .grank import grrk, grrk_w0, jw_coefficient
+from .grank import grrk, grrk_w0
 from .gtl import (
     GTLElt,
     IdealClosureError,

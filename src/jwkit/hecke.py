@@ -337,10 +337,13 @@ class KLTable:
             raise KLLawError("KL recursion lost unitriangularity")
         ids, intern = self._ids, self._intern
         out = {}
-        for y, p in acc.items():
-            if p:
-                i = ids.get(p)
-                out[y] = intern(p) if i is None else i
+        try:
+            for y, p in acc.items():
+                if p:
+                    i = ids.get(p)
+                    out[y] = intern(p) if i is None else i
+        except OverflowError:
+            raise KLLawError("KL recursion gave a negative coefficient or one of 2^31 or more") from None
         return out
 
 

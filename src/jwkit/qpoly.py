@@ -13,14 +13,10 @@ denominator:
     included.
 
 A monic integer denominator over an integer numerator is already in this
-form.  It is computed on integers: numerator and denominator are each
-split once into an integer content, a monomial and a primitive integer
-polynomial.  The gcd of the two primitive parts is the heuristic gcd of
-Char, Geddes and Gonnet: evaluate both at 2^k, take one integer gcd and
-read the candidate off its balanced digits, accepted only when integer
-trial division shows that it divides both.  After a few unlucky points it
-falls back to a primitive remainder sequence.  The trial divisions return
-the cofactors, and the two contents are divided by their gcd.
+form.  It is computed on integers, as the one-row case of the canonical
+form of a linear combination below: the monomial and the sign of the
+denominator move into the numerator, and one reduction divides out the
+common factor.
 
 Elements of the algebras built on top (Hecke, TL_n, TL_W) are LinComb
 subclasses: integer Laurent rows, one per basis key, over one common
@@ -30,11 +26,13 @@ is literal comparison of rows and D.  The product kernels (Hecke, TL_n
 diagrams, TL_W) take and return rows over D.  Inside a kernel a
 polynomial is one Python integer in the signed Kronecker packing (_pack,
 _unpack, _unpacked, _width below), and a sum or product of polynomials
-one big-integer operation; each result is reduced once (_reduced): one
-heuristic gcd on a random integer combination of the packed rows, and
-exact integer divisions whose quotients a bound makes conclusive.  A
+one big-integer operation; each result is reduced once (_reduced, through
+_divided): the heuristic gcd of Char, Geddes and Gonnet at one point 2^b,
+on a random integer combination of the packed rows, and exact integer
+divisions whose quotients a bound makes conclusive.  When that one test
+is inconclusive, a primitive remainder sequence finds the same gcd.  A
 coefficient becomes a RatFunc only when LinComb.coeffs is first read,
-canonicalised once there.
+each row reduced there as a one-row combination.
 
 The two ring involutions used throughout are bar (v -> v^-1) and the
 Koszul sign twist kappa (v -> -v^-1).  Quantum integers are balanced:
@@ -301,7 +299,7 @@ def _from_rows(rows) -> tuple[LaurentPoly, int]:
     return LaurentPoly({e: c.numerator * (m // c.denominator) for e, c in coeffs.items()}), m
 
 
-# -- integer polynomial kernel (helpers for RatFunc canonicalization) ---------
+# -- integer polynomial kernel (helpers of the reduction) ----------------------
 #
 # A polynomial here is a list of ints, constant term first.  A nonzero
 # Laurent polynomial p splits as p = c v^k f(v), with c its integer content
@@ -310,9 +308,6 @@ def _from_rows(rows) -> tuple[LaurentPoly, int]:
 # primitive divisor of an integer polynomial divides it over Z, so gcds and
 # exact quotients of primitive polynomials never leave the integers, and
 # c v^k f divides c' v^k' f' in Z[v, v^-1] exactly when c | c' and f | f'.
-
-_HEU_TRIES = 6  # heuristic gcd attempts before the remainder sequence
-
 
 def _split(terms: Mapping[int, int]) -> tuple[int, int, list[int]]:
     """(c, k, f) with sum_e terms[e] v^e = c v^k f(v) and f primitive.
@@ -334,15 +329,6 @@ def _primitive(f: list[int]) -> list[int]:
     if f[-1] < 0:
         c = -c
     return f if c == 1 else [a // c for a in f]
-
-
-def _mul(f: list[int], g: list[int]) -> list[int]:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g, i):
-                out[j] += a * b
-    return out
 
 
 def _exact_quotient(f: list[int], g: list[int]) -> list[int]:
@@ -386,30 +372,6 @@ def _digits(n: int, k: int) -> list[int]:
     return out
 
 
-def _heu_gcd(f: list[int], g: list[int], g_at: tuple[int, int] | None = None):
-    """(h, f / h, g / h) with h the primitive gcd of two primitive
-    polynomials of positive degree, or None when every attempt failed.
-
-    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 1989): evaluate
-    at xi = 2^k, take the integer gcd and read h off its balanced base-xi
-    digits.  With xi >= 2 min(|f|, |g|) + 2 (max norms), a candidate that
-    divides both f and g is their gcd; a candidate that does not means an
-    unlucky xi, and the next attempt takes a larger one.  g_at = (k,
-    g(2^k)), with 2^k at least what g alone requires, saves the first
-    evaluation of a g shared by many calls."""
-    if g_at is None:
-        k, m = (2 * min(max(map(abs, f)), max(map(abs, g))) + 29).bit_length(), None
-    else:
-        k, m = g_at
-    for _ in range(_HEU_TRIES):
-        h = _primitive(_digits(math.gcd(_eval(f, k), _eval(g, k) if m is None else m), k))
-        try:
-            return h, _exact_quotient(f, h), _exact_quotient(g, h)
-        except ArithmeticError:
-            k, m = k * 3 // 2 + 1, None
-    return None
-
-
 def _prs_gcd(f: list[int], g: list[int]) -> list[int]:
     """Primitive gcd of two primitive polynomials by the primitive
     remainder sequence: pseudo-divide, keep the primitive part, repeat."""
@@ -430,40 +392,22 @@ def _prs_gcd(f: list[int], g: list[int]) -> list[int]:
     return [1]
 
 
-def _poly_gcd(f: list[int], g: list[int], g_at=None) -> tuple[list[int], list[int], list[int]]:
-    """(h, f / h, g / h) with h the primitive gcd of primitive f and g;
-    g_at as for _heu_gcd."""
-    if len(f) == 1 or len(g) == 1:
-        return [1], f, g
-    if f == g:
-        return f, [1], [1]
-    out = _heu_gcd(f, g, g_at)
-    if out is None:
-        h = _prs_gcd(f, g)
-        out = h, _exact_quotient(f, h), _exact_quotient(g, h)
-    return out
-
-
 def _laurent(c: int, k: int, f: list[int]) -> LaurentPoly:
     """c v^k f(v)."""
     return _wrap({k + i: c * a for i, a in enumerate(f) if a})
 
 
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Primitive gcd of the polynomial parts (contents and monomial factors
-    dropped); zero when both are zero."""
-    fs = [_split(p._terms)[2] for p in (a, b) if p]  # primitive parts
-    if not fs:
-        return a
-    return _laurent(1, 0, fs[0] if len(fs) == 1 else _poly_gcd(*fs)[0])
-
-
 def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """lcm in Z[v, v^-1] of two nonzero Laurent polynomials, monomial
-    factors dropped: the lcm of the two contents times the primitive lcm."""
+    factors dropped: the lcm of the two contents times (f / h) g for the
+    primitive parts f, g and h = gcd(f, g), the cofactor f / h read off
+    the reduction of f over g."""
     ca, _, f = _split(a._terms)
     cb, _, g = _split(b._terms)
-    return _laurent(math.lcm(ca, cb), 0, _mul(_poly_gcd(f, g)[1], g))
+    bound = max(map(abs, f))
+    b = _width(bound)
+    rows, _ = _divided({0: _eval(f, b)}, 0, b, bound, 1, g, _eval(g, b))
+    return _wrap(rows[0]) * _laurent(math.lcm(ca, cb), 0, g)
 
 
 def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -722,17 +666,15 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly):
         return LaurentPoly.zero(), LaurentPoly.one()
     if den.is_one:
         return num, den
-    # num = cn v^kn f and den = cd v^kd g with f, g primitive; the monomial
-    # part of num never cancels against g, whose constant term is nonzero,
-    # so the cancellation is f/h over g/h for h = gcd(f, g), and the
-    # contents cancel by their gcd, signed to leave cd positive
-    cn, kn, f = _split(num._terms)
+    # den = cd v^kd g with g primitive: v^-kd and the sign of cd move into
+    # the one row (packed at offset off - kd, negated when cd < 0), which
+    # is then reduced over the normalised |cd| g
     cd, kd, g = _split(den._terms)
-    _, f, g = _poly_gcd(f, g)
-    t = math.gcd(cn, cd)
-    if cd < 0:
-        t = -t
-    return _laurent(cn // t, kn - kd, f), _laurent(cd // t, 0, g)
+    vec, off, bound = _packed({0: num._terms})
+    b = _width(bound)
+    p = vec[0] if cd > 0 else -vec[0]
+    rows, den = _divided({0: p}, off - kd, b, bound, abs(cd), g, _eval(g, b))
+    return _wrap(rows[0]), den
 
 
 # -- linear combinations -----------------------------------------------------
@@ -762,24 +704,28 @@ def _packed(rows: Mapping[object, Mapping[int, int]]) -> tuple[dict, int, int]:
     return {k: _pack(d, off, b) for k, d in rows.items()}, off, bound
 
 
-def _heu_divided(vec: dict, off: int, b: int, bound: int, g: list[int]):
+def _heu_divided(vec: dict, off: int, b: int, bound: int, g: list[int], gx: int):
     """(g / h, {k: row / h}) for the primitive gcd h of g and every row,
-    found on the packed integers of _reduced at xi = 2^b; None when this
-    test is inconclusive.
+    found on the packed integers of _divided at xi = 2^b, with gx = g(xi);
+    None when this test is inconclusive.
 
-    GCDHEU (see _heu_gcd) on g and a random integer combination R of the
-    rows gives a candidate h, read off the balanced digits of gcd(g(xi),
-    R(xi)).  It must divide g, and each row's packed integer must divide
-    by h(xi).  An exact integer division is conclusive when ||h||_1
-    ||q||_inf < xi/2 for the quotient q read by balanced digits: then h q
-    and the row have the same balanced digits at xi, so h q is the row.
-    A candidate that divides g and every row divides R, so it is gcd(g, R)
-    (xi >= 2 ||g||_inf + 2), which every common divisor of g and the rows
-    divides."""
+    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 1989) on g and R,
+    the one row or a random integer combination of the rows, gives a
+    candidate h, read off the balanced digits of gcd(g(xi), R(xi)).  It
+    must divide g, and each row's packed integer must divide by h(xi).  An
+    exact integer division is conclusive when ||h||_1 ||q||_inf < xi/2 for
+    the quotient q read by balanced digits: then h q and the row have the
+    same balanced digits at xi, so h q is the row.  A candidate that
+    divides g and every row divides R, so it is gcd(g, R) (xi >= 2
+    ||g||_inf + 2), which every common divisor of g and the rows divides."""
     if 2 * max(map(abs, g)) + 2 > 1 << b:
         return None
-    bits = _MIX.getrandbits
-    h = _primitive(_digits(math.gcd(_eval(g, b), sum((bits(16) | 1) * p for p in vec.values())), b))
+    if len(vec) == 1:
+        (r,) = vec.values()
+    else:
+        bits = _MIX.getrandbits
+        r = sum((bits(16) | 1) * p for p in vec.values())
+    h = _primitive(_digits(math.gcd(gx, r), b))
     if len(h) == 1:
         return g, {k: _unpack(p, off, b, bound) for k, p in vec.items()}
     try:
@@ -800,33 +746,28 @@ def _heu_divided(vec: dict, off: int, b: int, bound: int, g: list[int]):
     return gq, rows
 
 
-def _reduced(vec: Mapping[object, int], off: int, bound: int, den: LaurentPoly) -> tuple[dict, LaurentPoly]:
-    """The canonical (rows, den) of sum_k vec[k] k / den: vec maps keys to
-    integer polynomials packed at offset off and width _width(bound), every
-    |coefficient| at most bound, and den is normalised.  Zero entries are
-    dropped.
+def _divided(vec: Mapping[object, int], off: int, b: int, bound: int, cd: int, g: list[int], gx: int):
+    """The canonical (rows, den) of sum_k vec[k] k / (cd g): vec maps keys
+    to nonzero integer polynomials packed at offset off and width b =
+    _width(bound), every |coefficient| at most bound; cd > 0, g is
+    primitive and gx = g(2^b).
 
-    The common factor c h is divided out of den and the rows: h, the
-    primitive gcd of den's primitive part g and every row, by _heu_divided,
-    or else by _poly_gcd row by row and _exact_quotient; c, the gcd of the
-    contents, by integer gcds."""
-    b = _width(bound)
-    vec = {k: p for k, p in vec.items() if p}
-    if den.is_one or not vec:
-        return {k: _unpack(p, off, b, bound) for k, p in vec.items()}, _ONE
-    cd, _, g = _split(den._terms)
-    found = _heu_divided(vec, off, b, bound, g)
+    The common factor c h is divided out of cd g and the rows: h, the
+    primitive gcd of g and every row, by _heu_divided, or when that is
+    inconclusive by _prs_gcd row by row and _exact_quotient; c, the gcd
+    of cd and the contents, by integer gcds."""
+    found = _heu_divided(vec, off, b, bound, g, gx)
     if found is None:
         rows = {k: _unpack(p, off, b, bound) for k, p in vec.items()}
         h = g
         for r in rows.values():
             if len(h) == 1:
                 break
-            h = _poly_gcd(h, _split(r)[2])[0]
+            h = _prs_gcd(h, _split(r)[2])
         if len(h) > 1:
             for k, r in rows.items():
                 c, e, f = _split(r)
-                rows[k] = {e + i: c * a for i, a in enumerate(_exact_quotient(f, h)) if a}
+                rows[k] = _laurent(c, e, _exact_quotient(f, h))._terms
             g = _exact_quotient(g, h)
     else:
         g, rows = found
@@ -840,6 +781,19 @@ def _reduced(vec: Mapping[object, int], off: int, bound: int, den: LaurentPoly) 
     return rows, _laurent(cd // c, 0, g)
 
 
+def _reduced(vec: Mapping[object, int], off: int, bound: int, den: LaurentPoly) -> tuple[dict, LaurentPoly]:
+    """The canonical (rows, den) of sum_k vec[k] k / den: vec maps keys to
+    integer polynomials packed at offset off and width _width(bound), every
+    |coefficient| at most bound, and den is normalised.  Zero entries are
+    dropped, and _divided reduces the rest."""
+    b = _width(bound)
+    vec = {k: p for k, p in vec.items() if p}
+    if den.is_one or not vec:
+        return {k: _unpack(p, off, b, bound) for k, p in vec.items()}, _ONE
+    cd, _, g = _split(den._terms)
+    return _divided(vec, off, b, bound, cd, g, _eval(g, b))
+
+
 def _canonical(rows: Mapping[object, Mapping[int, int]], den: LaurentPoly) -> tuple[dict, LaurentPoly]:
     """The canonical (rows, den) of sum_k rows[k] k / den for integer rows
     {exp: int} and a normalised den."""
@@ -847,20 +801,27 @@ def _canonical(rows: Mapping[object, Mapping[int, int]], den: LaurentPoly) -> tu
 
 
 def _coefficients(rows: Mapping[object, Mapping[int, int]], den: LaurentPoly) -> dict:
-    """{k: rows[k] / den} as canonical RatFuncs, one gcd per coefficient.
-    den is split into its content and primitive part g once, and g is
-    evaluated once for the heuristic gcds."""
+    """{k: rows[k] / den} as canonical RatFuncs, each row reduced by
+    _divided as a one-row combination.  den is split into its content cd
+    and primitive part g once, and g is evaluated once, at the one width
+    every row is packed at.  A row c v^e needs no gcd: g has a nonzero
+    constant term, so only the contents cancel."""
     if den.is_one:
         return {k: _ratfunc(_wrap(r), den) for k, r in rows.items()}
     cd, _, g = _split(den._terms)
-    k = (2 * max(map(abs, g)) + 29).bit_length()  # as _heu_gcd takes it from g alone
-    g_at = k, _eval(g, k)
+    vec, off, bound = _packed(rows)
+    b = _width(bound)
+    gx = _eval(g, b)
     out = {}
-    for key, r in rows.items():
-        cn, kn, f = _split(r)
-        _, f, q = _poly_gcd(f, g, g_at)
-        t = math.gcd(cn, cd)
-        out[key] = _ratfunc(_laurent(cn // t, kn, f), _laurent(cd // t, 0, q))
+    for (k, r), p in zip(rows.items(), vec.values()):
+        if len(r) > 1:
+            reduced, d = _divided({0: p}, off, b, bound, cd, g, gx)
+            r = reduced[0]
+        else:
+            ((e, c),) = r.items()
+            t = math.gcd(c, cd)
+            r, d = {e: c // t}, _laurent(cd // t, 0, g)
+        out[k] = _ratfunc(_wrap(r), d)
     return out
 
 

@@ -12,7 +12,7 @@ from jwkit import cli, coxeter, hecke
 from jwkit.hecke import KLTable, load_kl_cache
 from jwkit.qpoly import LaurentPoly, RatFunc, quantum_factorial, quantum_int
 
-from oracles import grp, packed_entry, store_entry
+from oracles import grp, packed_entry, reseal, store_entry
 
 
 def _run(capsys, *argv):
@@ -554,6 +554,27 @@ def test_cache_edit_within_kl_laws_recovers(capsys, tmp_path, command):
         assert [r["display"] for r in rec] == ["v^3"]
     code, out, err = _run(capsys, *argv)
     assert code == 0 and out == cold and err == ""
+
+
+def test_resealed_cache_with_wrong_mu_is_a_kl_law_failure(capsys, tmp_path):
+    """Every mu coefficient (of v) in the polynomials of a partial B3 cache
+    multiplied by 7, the file resealed: each line passes its law checks
+    and the checksum, and kl then computes the missing columns from the
+    wrong mu.  The recursion meets a coefficient the table cannot hold:
+    exit 3, one error line and nothing on stdout, never a traceback."""
+    cache = ("--family", "B", "--rank", "3", "--cache-dir", str(tmp_path))
+    code, _, _ = _run(capsys, "jw", *cache)
+    assert code == 0
+    path = tmp_path / "kl-B-3.kltab"
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("h "):
+            terms = (t.split(":") for t in line.split()[1:])
+            lines[i] = "h " + " ".join(f"{e}:{int(c) * 7 if e == '1' else c}" for e, c in terms)
+    path.write_text(reseal(lines))
+    code, out, err = _run(capsys, "kl", *cache)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cache_of_format_1_is_recomputed(capsys, tmp_path):

@@ -14,6 +14,7 @@ sympy's gcd, which shares no code with ``jwkit.qpoly``.
 import hashlib
 import json
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,22 @@ coefficients = st.builds(
 )
 scalars = st.one_of(coefficients, st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]))
 
+# each algebra once as it runs, and once with the heuristic gcd forced
+# inconclusive, so that every reduction takes the remainder sequence (no
+# workload reaches it otherwise)
+REDUCTIONS = [pytest.param(a, False, id=a) for a in sorted(ALGEBRAS)] + [
+    pytest.param(a, True, id=f"{a}-prs") for a in sorted(ALGEBRAS)
+]
+
+
+@contextmanager
+def reduction(prs):
+    """A context in which _heu_divided always gives up when prs is set."""
+    with pytest.MonkeyPatch.context() as m:
+        if prs:
+            m.setattr(qpoly, "_heu_divided", lambda *args: None)
+        yield
+
 
 @st.composite
 def elements(draw, algebra):
@@ -169,35 +186,37 @@ def _results(algebra, a, b, c):
     return out
 
 
-@pytest.mark.parametrize("algebra", sorted(ALGEBRAS))
+@pytest.mark.parametrize("algebra, prs", REDUCTIONS)
 @settings(max_examples=30)
 @given(data=st.data())
-def test_kernel_results_sums_and_scales_are_canonical(algebra, data):
-    a, b = data.draw(elements(algebra)), data.draw(elements(algebra))
-    c = data.draw(scalars)
-    for name, (rows, den) in _results(algebra, a, b, c).items():
-        assert_canonical(rows, den, name)
-    for e in (a, b):
-        assert_canonical(e.rows, e.den)
+def test_kernel_results_sums_and_scales_are_canonical(algebra, prs, data):
+    with reduction(prs):
+        a, b = data.draw(elements(algebra)), data.draw(elements(algebra))
+        c = data.draw(scalars)
+        for name, (rows, den) in _results(algebra, a, b, c).items():
+            assert_canonical(rows, den, name)
+        for e in (a, b):
+            assert_canonical(e.rows, e.den)
 
 
-@pytest.mark.parametrize("algebra", sorted(ALGEBRAS))
+@pytest.mark.parametrize("algebra, prs", REDUCTIONS)
 @settings(max_examples=30)
 @given(data=st.data())
-def test_eq_and_hash_agree_with_the_coefficients(algebra, data):
+def test_eq_and_hash_agree_with_the_coefficients(algebra, prs, data):
     """Kernel results against elements built from their own coefficients,
     and pairs of elements compared coefficient by coefficient as RatFuncs."""
     keys, build, mul = ALGEBRAS[algebra]
-    a, b = data.draw(elements(algebra)), data.draw(elements(algebra))
-    for e in (mul(a, b), mul(b, a), a + b, a - b, a.scale(Fraction(1, 2))):
-        same = build(dict(e.coeffs))
-        assert e == same and hash(e) == hash(same)
-        assert (e.rows, e.den) == (same.rows, same.den)
-    for x, y in ((a, b), (a + b, b + a), ((a + b) - b, a), (mul(a, b), mul(b, a))):
-        equal = all(x.coefficient(k) == y.coefficient(k) for k in keys)
-        assert (x == y) == equal
-        if equal:
-            assert hash(x) == hash(y)
+    with reduction(prs):
+        a, b = data.draw(elements(algebra)), data.draw(elements(algebra))
+        for e in (mul(a, b), mul(b, a), a + b, a - b, a.scale(Fraction(1, 2))):
+            same = build(dict(e.coeffs))
+            assert e == same and hash(e) == hash(same)
+            assert (e.rows, e.den) == (same.rows, same.den)
+        for x, y in ((a, b), (a + b, b + a), ((a + b) - b, a), (mul(a, b), mul(b, a))):
+            equal = all(x.coefficient(k) == y.coefficient(k) for k in keys)
+            assert (x == y) == equal
+            if equal:
+                assert hash(x) == hash(y)
 
 
 def test_zero_cancellation_and_scalars():
@@ -250,7 +269,8 @@ def test_reduction_past_the_quotient_bound():
     den = (v - 1) * (v + 2)
     vec, off, bound = qpoly._packed({0: num})
     assert qpoly._width(bound) == 32
-    assert qpoly._heu_divided(vec, off, 32, bound, [-2, 1, 1]) is None
+    g = [-2, 1, 1]
+    assert qpoly._heu_divided(vec, off, 32, bound, g, qpoly._eval(g, 32)) is None
     assert qpoly._canonical({0: num}, den) == ({0: {2: 1 << 30, 1: 1 << 30, 0: 1 << 30}}, v + 2)
 
 
@@ -263,7 +283,22 @@ def test_packed_reduction_and_its_fallback_agree(algebra, data):
     a, b = data.draw(elements(algebra)), data.draw(elements(algebra))
     c = data.draw(scalars)
     fast = _results(algebra, a, b, c)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(qpoly, "_heu_divided", lambda *args: None)
+    with reduction(prs=True):
         slow = _results(algebra, a, b, c)
     assert fast == slow
+
+
+def test_monomial_rows_need_no_gcd(monkeypatch):
+    """Every row of the B4 sign idempotent is +-v^k over grrk(w0): reading
+    its 384 coefficients makes no heuristic gcd call, and each coefficient
+    is the canonical RatFunc of its row."""
+    g = grp("B", 4)
+    e = antisymmetriser(g, KLTable(g))
+    assert len(e.rows) == 384 and all(len(r) == 1 and abs(*r.values()) == 1 for r in e.rows.values())
+    calls = []
+    heu = qpoly._heu_divided
+    monkeypatch.setattr(qpoly, "_heu_divided", lambda *args: calls.append(args) or heu(*args))
+    coeffs = e.coeffs
+    assert calls == []
+    monkeypatch.undo()
+    assert coeffs == {x: RatFunc(LaurentPoly(r), e.den) for x, r in e.rows.items()}

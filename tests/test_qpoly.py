@@ -24,7 +24,6 @@ from jwkit.qpoly import (
     _coefficients,
     parity_class,
     poly_exact_div,
-    poly_gcd,
     poly_lcm,
     quantum_factorial,
     quantum_int,
@@ -322,7 +321,8 @@ def test_laurent_polynomials_hold_only_ints(a, b, k, c):
     if not b.is_zero:
         f = RatFunc(a, b) * Fraction(1, 3) + RatFunc(c, b.shift(k))
         out += [f.num, f.den, f.bar().num, f.bar().den, f.koszul().num, f.koszul().den]
-        out += [poly_gcd(a, b), poly_lcm(b, b.shift(k) * 3), poly_exact_div(a * b, b)]
+        r = RatFunc(a, b)
+        out += [r.num, r.den, poly_lcm(b, b.shift(k) * 3), poly_exact_div(a * b, b)]
     assert all_int(*out)
 
 
@@ -373,6 +373,20 @@ nonzero_rational = rational.filter(lambda pm: not pm[0].is_zero)
 int_polys = st.lists(st.integers(-40, 40), min_size=2, max_size=7).filter(lambda f: f[-1] != 0)
 
 
+def _times(f, g):
+    """The product of two integer polynomials, constant term first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _poly(f):
+    """The LaurentPoly of an integer polynomial, constant term first."""
+    return LaurentPoly(dict(enumerate(f)))
+
+
 def _sympy_primitive_gcd(f, g):
     h = sympy.gcd(sympy.Poly(list(reversed(f)), X), sympy.Poly(list(reversed(g)), X))
     return qpoly._primitive([int(c) for c in reversed(h.all_coeffs())])
@@ -413,40 +427,73 @@ def test_canonical_form_matches_sympy_cancel(a, b, c, k):
 
 @given(int_polys, int_polys, int_polys)
 def test_heuristic_gcd_prs_and_sympy_agree(a, b, c):
-    f, g = qpoly._primitive(qpoly._mul(a, c)), qpoly._primitive(qpoly._mul(b, c))
+    """sympy's gcd of f and g with a planted common factor against the
+    remainder sequence, the heuristic's cofactors, the reduction's
+    cofactors and the canonical form of the RatFunc f / g."""
+    f, g = qpoly._primitive(_times(a, c)), qpoly._primitive(_times(b, c))
     while not f[0]:
         f = f[1:]
     while not g[0]:
         g = g[1:]
     expected = _sympy_primitive_gcd(f, g)
     assert qpoly._prs_gcd(f, g) == expected
-    if len(f) > 1 and len(g) > 1:
-        h, fq, gq = qpoly._heu_gcd(f, g)
-        assert h == expected
-        assert qpoly._mul(h, fq) == f and qpoly._mul(h, gq) == g
+    bound = max(map(abs, f))
+    b = qpoly._width(bound)
+    vec, gx = {0: qpoly._eval(f, b)}, qpoly._eval(g, b)
+    gq, rows = qpoly._heu_divided(vec, 0, b, bound, g, gx)
+    h, fq = _poly(expected), LaurentPoly(rows[0])
+    assert h * fq == _poly(f) and h * _poly(gq) == _poly(g)
+    assert qpoly._divided(vec, 0, b, bound, 1, g, gx) == (rows, _poly(gq))
+    r = RatFunc(_poly(f), _poly(g))
+    assert (r.num, r.den) == (fq, _poly(gq))
 
 
-def test_heuristic_gcd_retries_after_an_unlucky_point(monkeypatch):
-    # at xi = 32, f(xi) = 31 divides g(xi) = 62, so the first candidate is
-    # v - 1, which does not divide v + 30; a larger xi finds gcd 1
-    f, g = [-1, 1], [30, 1]
-    assert qpoly._heu_gcd(f, g) == ([1], f, g)
-    monkeypatch.setattr(qpoly, "_HEU_TRIES", 1)
-    assert qpoly._heu_gcd(f, g) is None
-    assert qpoly._poly_gcd(f, g) == ([1], f, g)  # through the remainder sequence
+# at xi = 2^32, g(xi) is a multiple of f(xi) = xi + 1 (g(-1) = 2^32 + 1), so
+# the heuristic's candidate is v + 1, which does not divide g
+UNLUCKY_F, UNLUCKY_G = [1, 1], [3, -(2**31 - 1), 2**31 - 1]
+
+
+def test_an_unlucky_point_falls_through_to_the_remainder_sequence(monkeypatch):
+    """The heuristic is inconclusive at the one point it tries; the
+    remainder sequence finds gcd 1, so RatFunc, .coeffs and poly_lcm give
+    f / g and f g as they are."""
+    f, g = UNLUCKY_F, UNLUCKY_G
+    assert 2 * max(map(abs, g)) + 2 <= 1 << 32  # the heuristic applies at xi = 2^32
+    assert qpoly._heu_divided({0: qpoly._eval(f, 32)}, 0, 32, 1, g, qpoly._eval(g, 32)) is None
+    assert qpoly._prs_gcd(f, g) == [1] == _sympy_primitive_gcd(f, g)
+    calls = []
+    heu = qpoly._heu_divided
+    monkeypatch.setattr(qpoly, "_heu_divided", lambda *args: calls.append(heu(*args)) or calls[-1])
+    F, G = _poly(f), _poly(g)
+    r = RatFunc(F, G)
+    assert (r.num._terms, r.den._terms) == (F._terms, G._terms)
+    coeffs = _coefficients({0: F._terms, 1: F.shift(-2)._terms}, G)
+    assert [(q.num, q.den) for q in coeffs.values()] == [(F, G), (F.shift(-2), G)]
+    assert poly_lcm(F, G) == F * G
+    assert calls == [None] * 4
 
 
 @given(rational, nonzero_rational, nonzero_rational)
 def test_remainder_sequence_fallback_gives_the_same_canonical_form(a, b, c):
+    """With the heuristic forced inconclusive, RatFunc, .coeffs and
+    poly_lcm give the same canonical forms through the remainder sequence."""
     num, den = _planted(a, b, c)
-    f = RatFunc(num, den)
-    heu = qpoly._heu_gcd
-    try:
-        qpoly._heu_gcd = lambda f, g, g_at=None: None
-        g = RatFunc(num, den)
-    finally:
-        qpoly._heu_gcd = heu
-    assert (f.num._terms, f.den._terms) == (g.num._terms, g.den._terms)
+    dnorm = RatFunc(1, den).den
+
+    def forms():
+        f = RatFunc(num, den)
+        out = [f.num._terms, f.den._terms]
+        if not num.is_zero:
+            rows = {0: num._terms, 1: (num * v + den)._terms, 2: {3: -6}}
+            coeffs = _coefficients({k: r for k, r in rows.items() if r}, dnorm)
+            out += [(k, q.num._terms, q.den._terms) for k, q in coeffs.items()]
+            out += [poly_lcm(num, den)._terms, poly_lcm(den, num * den)._terms]
+        return out
+
+    fast = forms()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(qpoly, "_heu_divided", lambda *args: None)
+        assert forms() == fast
 
 
 @given(int_polys, int_polys, st.lists(st.integers(-9, 9), min_size=1, max_size=6))
@@ -454,7 +501,7 @@ def test_exact_quotient_raises_on_a_non_divisor(q, g, r):
     """f = q g + r with r nonzero and of lower degree than g: g does not
     divide f.  Nor does 1 + 2v divide 1 + v, nor 2 + v divide 1 + v."""
     r = r[: len(g) - 1]
-    f = qpoly._mul(q, g)
+    f = _times(q, g)
     assert qpoly._exact_quotient(f, g) == q
     if any(r):
         f = [x + (r[i] if i < len(r) else 0) for i, x in enumerate(f)]
@@ -469,12 +516,21 @@ def test_exact_quotient_raises_on_a_non_divisor(q, g, r):
     assert poly_exact_div(6 * v**2 + 6 * v, -2 * v - 2) == -3 * v
 
 
-def test_poly_gcd_with_a_zero_argument_is_primitive():
+def test_canonical_form_cancels_the_primitive_gcd():
+    """The primitive gcd cancels, contents and monomials aside: 2 v^-1 + 4 v
+    = 2 v^-1 (2 v^2 + 1), and 2 v + 2, 4 v^2 - 4 share v + 1."""
     p = 2 * v**-1 + 4 * v
-    assert poly_gcd(LaurentPoly.zero(), p) == 2 * v**2 + 1
-    assert poly_gcd(p, LaurentPoly.zero()) == 2 * v**2 + 1
-    assert poly_gcd(LaurentPoly.zero(), LaurentPoly.zero()).is_zero
-    assert poly_gcd(2 * v + 2, 4 * v**2 - 4) == v + 1
+    for num, den, expected in (
+        (p, 2 * v**2 + 1, (2 * v**-1, 1)),
+        (2 * v**2 + 1, p, (v, 2)),
+        (LaurentPoly.zero(), p, (0, 1)),
+        (p, p, (1, 1)),
+        (2 * v + 2, 4 * v**2 - 4, (1, 2 * v - 2)),
+        (4 * v**2 - 4, -2 * v - 2, (-2 * v + 2, 1)),
+    ):
+        r = RatFunc(num, den)
+        assert (r.num, r.den) == expected
+        assert all_int(r.num, r.den)
 
 
 def test_poly_lcm_carries_the_lcm_of_the_contents():
