@@ -49,7 +49,6 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -92,35 +91,6 @@ from .tl import (
     project_pi,
     wenzl_jw,
 )
-
-_SUITES = (
-    "parity",
-    "bar-invariance",
-    "bruhat-order",
-    "triple-agreement",
-    "idempotency",
-    "annihilation",
-    "mu-identity",
-    "ideal-closure",
-    "gen-agreement",
-)
-
-
-@dataclass
-class JobConfig:
-    """Validated run configuration for one subcommand invocation."""
-
-    command: str
-    family: str
-    rank: Optional[int]
-    m: Optional[int]
-    method: str
-    sign: str
-    output: str
-    cache_dir: Optional[str]
-    allow_large: bool
-    suites: tuple[str, ...]
-
 
 class UsageError(Exception):
     """Invalid input; maps to exit code 2."""
@@ -231,7 +201,7 @@ def _write_table(out, output: str, title: str, columns: list[str], rows) -> None
 # -- group construction and caching ---------------------------------------------------
 
 
-def _build(cfg: JobConfig, needs_kl: bool):
+def _build(cfg: argparse.Namespace, needs_kl: bool):
     """Build the group and, when needed, its KL table with cache attach."""
     cache_dir = cfg.cache_dir or os.environ.get("JWKIT_CACHE_DIR")
     pres = presentation(cfg.family, rank=cfg.rank, m=cfg.m)
@@ -266,7 +236,6 @@ def _save_cache(table: Optional[KLTable], cache_path: Optional[str]) -> None:
     if table is None or cache_path is None or not table.unsaved:
         return
     try:
-        os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
         write_kl_cache(cache_path, table)
     except OSError as exc:
         print(f"warning: could not write cache {cache_path}: {exc}", file=sys.stderr)
@@ -284,7 +253,7 @@ def _group_doc_header(g: GroupTable) -> dict:
 # -- subcommands -----------------------------------------------------------------------
 
 
-def _cmd_group(cfg: JobConfig):
+def _cmd_group(cfg: argparse.Namespace):
     g, _, _ = _build(cfg, needs_kl=False)
     doc = _group_doc_header(g)
     doc.update(
@@ -300,7 +269,7 @@ def _cmd_group(cfg: JobConfig):
     return ("Coxeter group summary", list(doc)), [row]
 
 
-def _cmd_kl(cfg: JobConfig):
+def _cmd_kl(cfg: argparse.Namespace):
     g, table, cache_path = _build(cfg, needs_kl=True)
     for x in g.representatives():  # every stored column, before any output
         table.column_packed(x)
@@ -333,7 +302,7 @@ def _cmd_kl(cfg: JobConfig):
     return ("Kazhdan-Lusztig polynomials h_{y,x}", ["x", "y", "word_x", "word_y", "h"]), rows
 
 
-def _cmd_grrk(cfg: JobConfig):
+def _cmd_grrk(cfg: argparse.Namespace):
     g, table, cache_path = _build(cfg, needs_kl=True)
     ranks = [(x, g.length[x], grrk(g, table, x).value) for x in range(g.size)]
     _save_cache(table, cache_path)
@@ -350,7 +319,7 @@ def _cmd_grrk(cfg: JobConfig):
     return ("graded ranks", ["index", "length", "polynomial"]), rows
 
 
-def _cmd_esign(cfg: JobConfig):
+def _cmd_esign(cfg: argparse.Namespace):
     g, table, cache_path = _build(cfg, needs_kl=True)
     e = antisymmetriser(g, table)
     den = grrk_w0(g, table).value
@@ -368,7 +337,7 @@ def _cmd_esign(cfg: JobConfig):
     return ("sign idempotent, standard basis coefficients", ["index", "word", "coefficient"]), rows
 
 
-def _jw_type_a(cfg: JobConfig):
+def _jw_type_a(cfg: argparse.Namespace):
     """The records of the type A jw document: (word, diagram partner
     array 1-based, coefficient)."""
     n = cfg.rank
@@ -378,7 +347,7 @@ def _jw_type_a(cfg: JobConfig):
         # TL_1 is trivial and has no Coxeter group behind it
         d = Diagram.identity(1)
         return [("e", [q + 1 for q in d.partner], RatFunc.one())]
-    cfg_a = JobConfig(**{**cfg.__dict__, "rank": n - 1})
+    cfg_a = argparse.Namespace(**{**vars(cfg), "rank": n - 1})
     if cfg.method == "wenzl":
         g, _, _ = _build(cfg_a, needs_kl=False)
         j = wenzl_jw(n)
@@ -400,7 +369,7 @@ def _jw_type_a(cfg: JobConfig):
     return records
 
 
-def _cmd_jw(cfg: JobConfig):
+def _cmd_jw(cfg: argparse.Namespace):
     fam = cfg.family
     if cfg.method == "wenzl" and fam != "A":
         raise UsageError("the Wenzl recursion is specific to family A")
@@ -597,20 +566,21 @@ _SUITE_RUNNERS = {
     "ideal-closure": _suite_ideal_closure,
     "gen-agreement": _suite_gen_agreement,
 }
+_SUITES = tuple(_SUITE_RUNNERS)
 
 
-def _cmd_verify(cfg: JobConfig):
+def _cmd_verify(cfg: argparse.Namespace):
     if cfg.output != "json":
         raise UsageError("verify prints a JSON report only; --output must be json")
-    if not cfg.suites:
+    if not cfg.suite:
         raise UsageError("verify requires --suite NAME; known suites: " + ", ".join(_SUITES))
-    for name in cfg.suites:
+    for name in cfg.suite:
         if name not in _SUITE_RUNNERS:
             raise UsageError(f"unknown suite {name!r}; known suites: " + ", ".join(_SUITES))
     g, table, cache_path = _build(cfg, needs_kl=True)
     docs = []
     failed = False
-    for name in cfg.suites:
+    for name in cfg.suite:
         checks, failures = _SUITE_RUNNERS[name](g, table)
         doc = _group_doc_header(g)
         doc.update({"suite": name, "checks": checks, "failures": failures})
@@ -642,41 +612,23 @@ def _build_parser() -> _Parser:
         ("verify", "run a verification suite"),
     ]:
         p = sub.add_parser(name, help=info)
-        p.add_argument("--family", required=True, help="A, B, C, F4, H3, H4, or I2")
-        p.add_argument("--rank", type=int, default=None)
-        p.add_argument("--m", type=int, default=None, help="dihedral parameter (I2 only)")
+        # every subcommand's namespace has method, sign and suite; only jw
+        # and verify take them as options
+        p.set_defaults(method="closed", sign="plus", suite=[])
+        p.add_argument(
+            "--family", required=True, type=lambda f: f.strip().upper(), help="A, B, C, F4, H3, H4, or I2"
+        )
+        p.add_argument("--rank", type=int)
+        p.add_argument("--m", type=int, help="dihedral parameter (I2 only)")
         p.add_argument("--output", choices=["json", "csv", "latex"], default="json")
-        p.add_argument("--cache-dir", default=None, help="KL cache directory (or JWKIT_CACHE_DIR)")
+        p.add_argument("--cache-dir", help="KL cache directory (or JWKIT_CACHE_DIR)")
         p.add_argument("--allow-large", action="store_true", help="opt in to large computations")
         if name == "jw":
-            p.add_argument("--method", choices=["closed", "wenzl", "projection"], default="closed")
-            p.add_argument("--sign", choices=["plus", "minus"], default="plus")
+            p.add_argument("--method", choices=["closed", "wenzl", "projection"])
+            p.add_argument("--sign", choices=["plus", "minus"])
         if name == "verify":
-            p.add_argument(
-                "--suite",
-                action="append",
-                default=None,
-                help="repeatable; " + ", ".join(_SUITES),
-            )
+            p.add_argument("--suite", action="append", help="repeatable; " + ", ".join(_SUITES))
     return parser
-
-
-def _to_config(args: argparse.Namespace) -> JobConfig:
-    family = args.family.strip().upper()
-    if args.m is not None and family != "I2":
-        raise UsageError("--m only applies to family I2")
-    return JobConfig(
-        command=args.command,
-        family=family,
-        rank=args.rank,
-        m=args.m,
-        method=getattr(args, "method", "closed"),
-        sign=getattr(args, "sign", "plus"),
-        output=args.output,
-        cache_dir=args.cache_dir,
-        allow_large=args.allow_large,
-        suites=tuple(getattr(args, "suite", None) or ()),
-    )
 
 
 def run(argv) -> int:
@@ -685,8 +637,9 @@ def run(argv) -> int:
     breaks a Kazhdan-Lusztig law)."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _to_config(args)
+        cfg = parser.parse_args(argv)
+        if cfg.m is not None and cfg.family != "I2":
+            raise UsageError("--m only applies to family I2")
         if cfg.command == "verify":
             head, items, code = _cmd_verify(cfg)
         else:

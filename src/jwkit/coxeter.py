@@ -163,12 +163,16 @@ def _order(family: str, rank: int, m: int | None = None) -> int:
     return order
 
 
+def _group_name(family: str, rank: int, m: int | None = None) -> str:
+    """The group as the refusals name it: ``I2(600)``, ``A rank 3000``."""
+    return f"I2({m})" if family == "I2" else f"{family} rank {rank}"
+
+
 def _refuse_beyond_max_order(family: str, rank: int, m: int | None = None) -> None:
     if _order(family, rank, m) > MAX_ORDER:
-        name = "I2(m)" if family == "I2" else f"{family} rank {rank}"
         raise LargeComputationError(
-            f"{name} has more than {MAX_ORDER} elements; no group that large is built, "
-            "with or without --allow-large"
+            f"{_group_name(family, rank, m)} has more than {MAX_ORDER} elements; "
+            "no group that large is built, with or without --allow-large"
         )
 
 
@@ -314,6 +318,10 @@ class GroupTable:
                 return s
         raise ValueError("identity has no descents")
 
+    def is_element_id(self, x: object) -> bool:
+        """True when x is an int (not a bool) in range(size)."""
+        return type(x) is int and 0 <= x < self.size
+
     def is_fully_commutative(self, x: ElementId) -> bool:
         return self.fc[x]
 
@@ -361,7 +369,7 @@ def build_group(pres: CoxeterPresentation, allow_large: bool = False) -> GroupTa
     order = classical_order(pres)
     if order >= LARGE_ORDER and not allow_large:
         raise LargeComputationError(
-            f"{pres.family} rank {pres.rank} has {order} elements; "
+            f"{_group_name(pres.family, pres.rank, pres.m_parameter)} has {order} elements; "
             "pass allow_large=True (CLI: --allow-large) to build it"
         )
 

@@ -86,9 +86,9 @@ class GTLElt(LinComb):
         self.group = group
         LinComb.__init__(self, coeffs)
         for x in self.rows:
-            if not group.is_fully_commutative(x):
+            if not (group.is_element_id(x) and group.is_fully_commutative(x)):
                 raise ValueError(
-                    f"element {x} is not fully commutative; beta_x is not defined"
+                    f"{x!r} is not a fully commutative element id; beta_x is not defined"
                 )
 
     def _algebra(self) -> int:

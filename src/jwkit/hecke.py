@@ -363,6 +363,9 @@ class HeckeElt(LinComb):
     def __init__(self, group: GroupTable, coeffs: dict[ElementId, RatFunc]):
         self.group = group
         LinComb.__init__(self, coeffs)
+        for x in self.rows:
+            if not group.is_element_id(x):
+                raise ValueError(f"{x!r} is not an element id of this group; delta_x is not defined")
 
     def _algebra(self) -> int:
         return id(self.group)

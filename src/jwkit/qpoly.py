@@ -34,10 +34,11 @@ is inconclusive, a primitive remainder sequence finds the same gcd.  A
 coefficient becomes a RatFunc only when LinComb.coeffs is first read,
 each row reduced there as a one-row combination.
 
-The two ring involutions used throughout are bar (v -> v^-1) and the
-Koszul sign twist kappa (v -> -v^-1).  Quantum integers are balanced:
-[n] = v^(n-1) + v^(n-3) + ... + v^(1-n), so [2] = v + v^-1 and
-[3] = v^2 + 1 + v^-2.
+The ring involution used throughout is bar (v -> v^-1).  The Koszul sign
+twist kappa (v -> -v^-1) is kept as an independent check: the tests
+compare the TL_n^- coefficients with the kappa-twisted TL_n ones.
+Quantum integers are balanced: [n] = v^(n-1) + v^(n-3) + ... + v^(1-n),
+so [2] = v + v^-1 and [3] = v^2 + 1 + v^-2.
 """
 
 from __future__ import annotations
@@ -64,10 +65,12 @@ class LaurentPoly:
         t: dict[int, int] = {}
         if terms:
             for e, c in terms.items():
-                if not isinstance(c, int):
+                if type(e) is not int:
+                    raise TypeError(f"LaurentPoly exponents are ints, not {type(e).__name__}")
+                if type(c) is not int:
                     raise TypeError(f"LaurentPoly coefficients are ints, not {type(c).__name__}")
                 if c:
-                    t[int(e)] = c
+                    t[e] = c
         self._terms = t
         self._hash: int | None = None
 

@@ -410,6 +410,16 @@ def test_rank_3000_is_refused_with_a_bounded_message(capsys, flags):
     assert str(coxeter.MAX_ORDER) in err
 
 
+def test_i2_refusals_name_the_group_by_its_m(capsys):
+    code, out, err = _run(capsys, "grrk", "--family", "I2", "--m", "600")
+    assert code == 2 and out == ""
+    assert err.startswith("error: I2(600) has 1200 elements") and "--allow-large" in err
+    m = coxeter.MAX_ORDER
+    code, out, err = _run(capsys, "grrk", "--family", "I2", "--m", str(m), "--allow-large")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: I2({m}) has more than {m} elements")
+
+
 def test_groups_below_f4_order_are_not_gated(capsys):
     for argv in [
         ("group", "--family", "A", "--rank", "5"),

@@ -41,6 +41,14 @@ def test_beta_requires_fc():
     GTLElt.beta(g, 1)
 
 
+def test_gtl_elt_rejects_keys_that_are_not_element_ids():
+    # in A1 an unchecked key -1 would print as beta[1] yet compare unequal to beta_s
+    g = grp("A", 1)
+    for x in (-1, g.size, 1.0, True):
+        with pytest.raises(ValueError):
+            GTLElt(g, {x: RatFunc.one()})
+
+
 def test_linear_structure():
     g = grp("B", 2)
     a = GTLElt.beta(g, 1) + GTLElt.beta(g, 2).scale(RatFunc(LaurentPoly.gen()))

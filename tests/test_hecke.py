@@ -268,6 +268,15 @@ def test_to_kl_of_delta_s():
     assert to_kl_basis(HeckeElt.std(g, s), t) == ({s: {0: 1}, 0: {1: -1}}, LaurentPoly.one())
 
 
+def test_hecke_elt_rejects_keys_that_are_not_element_ids():
+    # an unchecked key -1 would multiply as w0 and print as d[121], yet
+    # compare unequal to delta_w0 delta_s and break to_kl_basis
+    g = grp("A", 2)
+    for x in (-1, g.size, 1.0, True, "1", None):
+        with pytest.raises(ValueError):
+            HeckeElt(g, {x: RatFunc.one()})
+
+
 def test_kl_product_coeffs_matches_naive():
     for key in (("A", 3, None), ("B", 2, None), ("I2", None, 5)):
         g = grp(*key)

@@ -109,13 +109,20 @@ def test_ring_axioms_random():
 
 
 def test_laurent_poly_rejects_non_int_coefficients():
-    for c in (Fraction(3, 2), Fraction(4, 2), 0.1, 1.0, "1"):
+    for c in (Fraction(3, 2), Fraction(4, 2), 0.1, 1.0, "1", True, False):
         with pytest.raises(TypeError):
             LaurentPoly({1: c})
         with pytest.raises(TypeError):
             LaurentPoly.const(c)
     with pytest.raises(TypeError):
         v.scale(Fraction(1, 2))
+
+
+def test_laurent_poly_rejects_non_int_exponents():
+    # coercing with int(e) would turn {1.9: 1, 1: 1} into v and {"3": 2} into 2 v^3
+    for terms in ({1.9: 1, 1: 1}, {"3": 2}, {True: 1}, {Fraction(2): 1}):
+        with pytest.raises(TypeError):
+            LaurentPoly(terms)
 
 
 # -- involutions -------------------------------------------------------------
