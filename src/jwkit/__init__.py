@@ -8,7 +8,7 @@ Hecke-algebra antisymmetriser.
 """
 
 from jwkit.coxeter import GroupTable, build_group, presentation
-from jwkit.grank import GradedRank, grrk, jw_coefficient, poincare_interval
+from jwkit.grank import GradedRank, grrk, poincare_interval
 from jwkit.gtl import GTLElt, gen_jw_closed, gen_jw_projection, gtl_multiply
 from jwkit.hecke import HeckeElt, KLTable, antisymmetriser, kl_basis, to_kl_basis
 from jwkit.qpoly import LaurentPoly, RatFunc, parity_class, quantum_factorial, quantum_int
@@ -40,7 +40,6 @@ __all__ = [
     "GradedRank",
     "grrk",
     "poincare_interval",
-    "jw_coefficient",
     "Diagram",
     "TLElt",
     "multiply_tl",

@@ -28,8 +28,8 @@ the generalised Jones-Wenzl element is the ratio
 
     (-1)^(length(x)) grrk(x w0) / grrk(w0),
 
-a bar-invariant rational function.  In type A_{n-1} the denominator is the
-balanced quantum factorial [n]!.
+a bar-invariant rational function (:func:`jwkit.gtl.gen_jw_closed`).  In
+type A_{n-1} the denominator is the balanced quantum factorial [n]!.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .coxeter import ElementId, GroupTable
 from .hecke import KLLawError, KLTable
-from .qpoly import LaurentPoly, RatFunc, parity_class
+from .qpoly import LaurentPoly, parity_class
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,9 @@ def grrk(g: GroupTable, cache: KLTable, x: ElementId) -> GradedRank:
 
     The result is checked against the parity constraint, it must lie in
     v^(length(x)) Z[v^(-2)], and against bar symmetry; a violation of
-    either raises KLLawError.
+    either raises KLLawError.  A table of another group: ValueError.
     """
+    cache.check_group(g)
     total = LaurentPoly(cache.graded_sum(x))
     if not parity_class(total, g.length[x]):
         raise KLLawError(f"graded rank of element {x} violates the parity constraint")
@@ -106,17 +107,3 @@ def poincare_interval(g: GroupTable, x: ElementId) -> LaurentPoly:
         terms[e] = terms.get(e, 0) + 1
     return LaurentPoly(terms)
 
-
-def jw_coefficient(g: GroupTable, cache: KLTable, x: ElementId) -> RatFunc:
-    """Coefficient of the diagram-basis element indexed by x in the
-    Jones-Wenzl element: (-1)^(length(x)) grrk(x w0) / grrk(w0).
-
-    Defined for every x; only fully commutative x index basis elements,
-    but the ratio is occasionally useful diagnostically for other x.
-    """
-    xw0 = g.multiply(x, g.w0)
-    num = grrk(g, cache, xw0).value
-    den = grrk_w0(g, cache).value
-    if g.length[x] % 2:
-        num = -num
-    return RatFunc(num, den)

@@ -47,25 +47,15 @@ that must agree:
 
 from __future__ import annotations
 
-from .coxeter import ElementId, GroupTable, UnsupportedFamilyError
+from .coxeter import ElementId, GroupTable
 from .grank import grrk, grrk_w0
 from .hecke import KLTable, antisymmetriser, kl_multiply, kl_product_coeffs, to_kl_basis
 from .qpoly import LinComb, RatFunc, _canonical
-
-_SUPPORTED = {"A", "B", "F4", "H3", "H4", "I2"}
 
 
 class IdealClosureError(RuntimeError):
     """The non-FC span failed to be an ideal: some b_x b_s with x not
     fully commutative has a fully commutative component."""
-
-
-def _require_supported(g: GroupTable) -> None:
-    fam = g.presentation.family
-    if fam not in _SUPPORTED:
-        raise UnsupportedFamilyError(
-            f"generalised Temperley-Lieb algebras are not available for type {fam}"
-        )
 
 
 class GTLElt(LinComb):
@@ -82,7 +72,6 @@ class GTLElt(LinComb):
     __slots__ = ("group",)
 
     def __init__(self, group: GroupTable, coeffs: dict[ElementId, RatFunc]):
-        _require_supported(group)
         self.group = group
         LinComb.__init__(self, coeffs)
         for x in self.rows:
@@ -116,9 +105,11 @@ def gtl_multiply(a: GTLElt, b: GTLElt, cache: KLTable) -> GTLElt:
     generator at a time, from the mu values in the KL columns of FC
     elements.  It equals the Hecke product of the lifts, re-expanded in
     the KL basis with the components in the ideal J dropped, because J
-    is a two-sided ideal (:func:`check_ideal_closure`)."""
+    is a two-sided ideal (:func:`check_ideal_closure`).  Factors over
+    different groups, or a table of another group: ValueError."""
     if a.group is not b.group:
         raise ValueError("elements live over different groups")
+    cache.check_group(a.group)
     return a._rebuild(*kl_multiply(a, b, cache))
 
 
@@ -129,7 +120,6 @@ def check_ideal_closure(g: GroupTable, cache: KLTable) -> int:
     Returns the number of (x, s) pairs checked.  Raises
     IdealClosureError on the first violation.
     """
-    _require_supported(g)
     checked = 0
     for x in range(g.size):
         if g.is_fully_commutative(x):
@@ -153,7 +143,6 @@ def gen_jw_closed(g: GroupTable, cache: KLTable) -> GTLElt:
     sides are multiplied by v^length(w0), which normalises grrk(w0) (its
     lowest term is v^-length(w0)), and the rows are reduced once: they can
     share a factor with grrk(w0), [2] in type A_2."""
-    _require_supported(g)
     lw0 = g.length[g.w0]
     rows = {}
     for x in g.fc_elements():
@@ -165,5 +154,4 @@ def gen_jw_closed(g: GroupTable, cache: KLTable) -> GTLElt:
 def gen_jw_projection(g: GroupTable, cache: KLTable) -> GTLElt:
     """j_W as the image of the sign idempotent e_sign under the quotient
     map: expand e_sign in the KL basis and truncate to FC support."""
-    _require_supported(g)
     return GTLElt.zero(g)._rebuild(*to_kl_basis(antisymmetriser(g, cache), cache, fc_only=True))

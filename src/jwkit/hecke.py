@@ -78,7 +78,7 @@ import os
 import tempfile
 from bisect import bisect_left
 
-from jwkit.coxeter import ENUMERATION, ElementId, GroupTable
+from jwkit.coxeter import ENUMERATION, ElementId, GroupTable, _group_name
 from jwkit.qpoly import (
     _B,
     LaurentPoly,
@@ -154,6 +154,14 @@ class KLTable:
         terms = self.terms
         hs.extend(_pack(terms[i], 0, b) for i in range(len(hs), len(terms)))
         return hs
+
+    def check_group(self, g: GroupTable) -> None:
+        """ValueError unless g has the table's element ids: g is the table's
+        group or another build of its presentation."""
+        if not (self.group is g or self.group.presentation == g.presentation):
+            pres = (self.group.presentation, g.presentation)
+            table, other = (_group_name(p.family, p.rank, p.m_parameter) for p in pres)
+            raise ValueError(f"KL table of {table} used for {other}")
 
     # -- public views --------------------------------------------------------
 
@@ -390,23 +398,6 @@ class HeckeElt(LinComb):
 
     # -- multiplication -----------------------------------------------------------
 
-    def times_gen(self, s: int, side: str = "right") -> "HeckeElt":
-        """Multiply by delta_s on the given side.
-
-        delta_x delta_s = delta_{xs} if xs > x, else delta_{xs} +
-        (v^-1 - v) delta_x; mirrored for the left action.
-        """
-        g = self.group
-        table = g.right if side == "right" else g.left
-        vdiff = RatFunc(LaurentPoly({-1: 1, 1: -1}))
-        out: dict[int, RatFunc] = {}
-        for x, c in self.coeffs.items():
-            xs = table[x][s]
-            out[xs] = out.get(xs, RatFunc.zero()) + c
-            if g.length[xs] < g.length[x]:
-                out[x] = out.get(x, RatFunc.zero()) + c * vdiff
-        return HeckeElt(g, out)
-
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         if not self._peer(other):
             return NotImplemented
@@ -603,7 +594,8 @@ def to_kl_basis(h: HeckeElt, table: KLTable, fc_only: bool = False) -> tuple[dic
     """The coefficients of h in the KL basis as canonical (rows, den), as
     LinComb holds them, by back-substitution from the longest supported
     element down; with fc_only, only those of the fully commutative x (the
-    others are computed and dropped)."""
+    others are computed and dropped).  A table of another group: ValueError."""
+    table.check_group(h.group)
     fc = table.group.fc
     pairs = _back_substitute(*_packed(h.rows), table)
     return _canonical({x: c for x, c in pairs if fc[x] or not fc_only}, h.den)
@@ -756,8 +748,8 @@ def antisymmetriser(group: GroupTable, table: KLTable) -> HeckeElt:
 # -- whole-basis verification (integer kernel) -----------------------------------
 
 
-def verify_bar_invariance(group: GroupTable, table: KLTable, elements=None) -> int:
-    """Check bar(b_x) = b_x for every x (or the given ids), with bar(delta_y)
+def verify_bar_invariance(group: GroupTable, table: KLTable) -> int:
+    """Check bar(b_x) = b_x for every x, with bar(delta_y)
     from _bar_std, products of (delta_s + v - v^-1) along minimal words that
     share nothing with the KL recursion.  Returns the number of elements
     checked.
@@ -767,24 +759,21 @@ def verify_bar_invariance(group: GroupTable, table: KLTable, elements=None) -> i
     once by bar(h_{y,x}), packed at offset -length(w0).  The
     total, at offset -2 length(w0), is compared with the packed column as
     integers.  Bound: the largest sum_y 3^length(y) ||h_{y,x}||_1 over the
-    columns checked; it bounds every h_{y,x} too, so equal integers mean
-    equal polynomials."""
+    columns; it bounds every h_{y,x} too, so equal integers mean equal
+    polynomials."""
     g = group
-    todo = sorted(elements if elements is not None else range(g.size))
-    if not todo:
-        return 0
     length = g.length
     L = length[g.w0]
     pow3 = [3**k for k in range(L + 1)]
     # a column has the lengths and polynomial ids of its representative's
-    reps = [table.column_packed(r) for r in sorted({g.rep[x] for x in todo})]
+    reps = [table.column_packed(r) for r in g.representatives()]
     l1 = [sum(d.values()) for d in table.terms]  # ||h||_1 by id
     bound = max(sum(l1[i] * pow3[length[y]] for y, i in col.items()) for col in reps)
     b = _width(bound)
-    bars = _bar_std(g, max(length[x] for x in todo), b)
+    bars = _bar_std(g, L, b)
     hs = table.packed_at(b)
     bar_h = [_pack({-e: c for e, c in d.items()}, -L, b) for d in table.terms]  # at offset -L
-    for x in todo:
+    for x in range(g.size):
         col = table.column_packed(x)
         sums: dict[int, dict[int, int]] = {}  # id -> sum of bar(delta_y) over h_{y,x} with that id
         for y, i in col.items():
@@ -804,7 +793,7 @@ def verify_bar_invariance(group: GroupTable, table: KLTable, elements=None) -> i
         expect = {z: hs[i] << (2 * L * b) for z, i in col.items()}
         if {z: q for z, q in got.items() if q} != expect:
             raise KLLawError(f"b_{x} is not bar-invariant")
-    return len(todo)
+    return g.size
 
 
 # -- on-disk cache ------------------------------------------------------------------

@@ -34,9 +34,7 @@ is inconclusive, a primitive remainder sequence finds the same gcd.  A
 coefficient becomes a RatFunc only when LinComb.coeffs is first read,
 each row reduced there as a one-row combination.
 
-The ring involution used throughout is bar (v -> v^-1).  The Koszul sign
-twist kappa (v -> -v^-1) is kept as an independent check: the tests
-compare the TL_n^- coefficients with the kappa-twisted TL_n ones.
+The ring involution used throughout is bar (v -> v^-1).
 Quantum integers are balanced: [n] = v^(n-1) + v^(n-3) + ... + v^(1-n),
 so [2] = v + v^-1 and [3] = v^2 + 1 + v^-2.
 """
@@ -196,7 +194,7 @@ class LaurentPoly:
 
     def scale(self, c: int) -> "LaurentPoly":
         """Multiply by the integer c."""
-        if not isinstance(c, int):
+        if type(c) is not int:
             raise TypeError(f"LaurentPoly scales by ints, not {type(c).__name__}")
         return _wrap({e: x * c for e, x in self._terms.items()})
 
@@ -205,15 +203,6 @@ class LaurentPoly:
     def bar(self) -> "LaurentPoly":
         """The involution v -> v^-1."""
         return _wrap({-e: c for e, c in self._terms.items()})
-
-    def koszul(self) -> "LaurentPoly":
-        """The involution v -> -v^-1.
-
-        >>> two = quantum_int(2)
-        >>> two.koszul() == -two
-        True
-        """
-        return _wrap({-e: (c if e % 2 == 0 else -c) for e, c in self._terms.items()})
 
     # -- comparisons, hashing, display --------------------------------------
 
@@ -594,9 +583,6 @@ class RatFunc:
 
     def bar(self) -> "RatFunc":
         return RatFunc(self.num.bar(), self.den.bar())
-
-    def koszul(self) -> "RatFunc":
-        return RatFunc(self.num.koszul(), self.den.koszul())
 
     # -- comparisons, hashing, display ----------------------------------------
 

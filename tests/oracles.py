@@ -142,6 +142,21 @@ def kl_basis_bruteforce(g, x):
         c[ystar] = c.get(ystar, LaurentPoly.zero()) + fix
 
 
+# -- dihedral graded ranks without KL data --------------------------------------------
+
+
+def dihedral_grrk(length):
+    """grrk(x) for x of the given length in I2(m), for any m > length,
+    with no KL data: every y shorter than x lies below x in Bruhat order
+    and h_{y,x} = v^(l(x) - l(y)), so grrk(x) = v^l + 2 sum_{k=1}^{l-1}
+    v^(l-2k) + v^-l (and 1 at l = 0).  At l = m it is grrk(w0)."""
+    if length == 0:
+        return _ONE
+    terms = {length - 2 * k: 2 for k in range(1, length)}
+    terms[length] = terms[-length] = 1
+    return LaurentPoly(terms)
+
+
 # -- dict back-substitution --------------------------------------------------------
 #
 # The KL-basis expansion as it ran before the packed kernel: one {exp: int}
@@ -244,3 +259,34 @@ def integer_scaled(terms):
     lcm of the coefficient denominators and p = m times it, integral."""
     m = math.lcm(*(Fraction(c).denominator for c in terms.values()))
     return LaurentPoly({e: int(c * m) for e, c in terms.items()}), m
+
+
+# -- operations no route of the package needs ---------------------------------------
+
+
+def koszul(f):
+    """The Koszul sign twist v -> -v^-1 of a LaurentPoly or a RatFunc."""
+    from jwkit.qpoly import RatFunc
+
+    if isinstance(f, RatFunc):
+        return RatFunc(koszul(f.num), koszul(f.den))
+    return LaurentPoly({-e: (c if e % 2 == 0 else -c) for e, c in f.items()})
+
+
+def times_gen(h, s, side="right"):
+    """h delta_s (side "right") or delta_s h (side "left") for a HeckeElt h:
+    delta_x delta_s = delta_{xs} if xs > x, else delta_{xs} + (v^-1 - v)
+    delta_x; mirrored for the left action."""
+    from jwkit.hecke import HeckeElt
+    from jwkit.qpoly import RatFunc
+
+    g = h.group
+    table = g.right if side == "right" else g.left
+    vdiff = RatFunc(LaurentPoly({-1: 1, 1: -1}))
+    out = {}
+    for x, c in h.coeffs.items():
+        xs = table[x][s]
+        out[xs] = out.get(xs, RatFunc.zero()) + c
+        if g.length[xs] < g.length[x]:
+            out[x] = out.get(x, RatFunc.zero()) + c * vdiff
+    return HeckeElt(g, out)

@@ -1,13 +1,11 @@
 """Acceptance gate: ten exact criteria, one visible PASS/FAIL line each.
 
-Every assertion is at tolerance zero; all arithmetic is in Q(v).  One
-optional leg is gated by an environment variable because of its cost:
-JWKIT_LARGE=1 enables the F4 legs of criteria 8 and 9 (about five
-seconds, nearly all KL and generalised-TL work) plus the H4 group-order
-check of criterion 10 (about a second; the default run of
-test_coxeter.py enumerates H4 too).  The n = 7 leg of criterion 2 (the
-triple agreement on S_7, marked ``stretch``) runs by default, on a KL
-table that is freed when the test ends, and so does the n = 7 leg of
+Every assertion is at tolerance zero; all arithmetic is in Q(v).  The
+F4 legs of criteria 8 and 9 (about two seconds, nearly all KL and
+generalised-TL work) and the H4 group-order check of criterion 10 (a
+fraction of a second) run as tests of their own.  The n = 7 leg of
+criterion 2 (the triple agreement on S_7, marked ``stretch``) runs on a
+KL table that is freed when the test ends, and so does the n = 7 leg of
 criterion 3 (wenzl_jw(7) idempotent and annihilating, about 2 s).
 
 Full KL data for H4 (|W| = 14400) is a documented long-running option of
@@ -24,7 +22,6 @@ per-criterion line records this.
 """
 
 import json
-import os
 import time
 from functools import lru_cache
 
@@ -46,12 +43,7 @@ from jwkit.hecke import (
 from jwkit.qpoly import LaurentPoly, RatFunc, parity_class, quantum_factorial, quantum_int
 from jwkit.tl import TLElt, closed_jw, jw_minus, multiply_tl, project_pi, wenzl_jw
 
-from oracles import catalan, grp, kl_basis_bruteforce
-
-run_large = pytest.mark.skipif(
-    os.environ.get("JWKIT_LARGE") != "1",
-    reason="F4/H4 legs are opt-in: set JWKIT_LARGE=1",
-)
+from oracles import catalan, grp, kl_basis_bruteforce, times_gen
 
 # the group list shared by criteria 4, 5, 6: A_{<=4}, B2, B3, H3, I2(m <= 8)
 GROUPS = (
@@ -60,7 +52,7 @@ GROUPS = (
     + [("I2", 2, m) for m in (3, 4, 5, 6, 7, 8)]
 )
 
-# criterion 8/9 group list (F4 behind the large flag)
+# criterion 8/9 group list (F4 in a leg of its own)
 GEN_GROUPS = [("B", 2, None), ("B", 3, None), ("H3", 3, None)] + [
     ("I2", 2, m) for m in (3, 4, 5, 6, 7, 8)
 ]
@@ -179,7 +171,7 @@ def test_criterion_04_antisymmetriser_laws():
         e = antisymmetriser(g, t)
         ok = ok and e * e == e
         for s in range(g.rank):
-            ok = ok and e.times_gen(s, side="right") == e.scale(minus_v)
+            ok = ok and times_gen(e, s, side="right") == e.scale(minus_v)
             bs = kl_basis(g, g.right[0][s], t)
             ok = ok and not (e * bs).coeffs and not (bs * e).coeffs
         tw = t_w0_class(g)
@@ -279,7 +271,7 @@ def test_criterion_08_generalised_agreement():
     for args in GEN_GROUPS:
         ok = ok and _gen_laws(grp(*args), table(*args))
     report(8, ok, "gen_jw closed = projection, idempotent, annihilating on "
-           "B2, B3, H3, I2(3..8); F4 leg gated behind JWKIT_LARGE=1")
+           "B2, B3, H3, I2(3..8); F4 in leg 8+9")
 
 
 # -- criterion 9: ideal closure ----------------------------------------------------------------
@@ -296,8 +288,6 @@ def test_criterion_09_ideal_closure():
     report(9, ok, f"b_x b_s stays non-FC for all {checked} non-FC (x, s) pairs of criterion-8 groups")
 
 
-@run_large
-@pytest.mark.large
 def test_criteria_08_09_f4_leg():
     t0 = time.monotonic()
     g = grp("F4", 4, allow_large=True)
@@ -331,13 +321,11 @@ def test_criterion_10_counts():
         g = grp("A", n - 1, allow_large=True)
         t = table("A", n - 1) if n < 7 else KLTable(g)  # keeps no A6 table in table()
         ok = ok and grrk(g, t, g.w0).value == quantum_factorial(n)
-    report(10, ok, "|W| classical on 16 groups (H4 via optional leg); FC = Catalan(n) and "
+    report(10, ok, "|W| classical on 16 groups (H4 in leg 10+); FC = Catalan(n) and "
            "grrk(w0) = [n]! in S_n for n <= 7")
 
 
-@run_large
-@pytest.mark.large
 def test_criterion_10_h4_order():
     g = grp("H4", allow_large=True)
     ok = g.size == classical_order(presentation("H4", rank=4)) == 14400
-    report("10+", ok, "H4 order 14400 confirmed by enumeration (optional leg)")
+    report("10+", ok, "H4 order 14400 confirmed by enumeration")

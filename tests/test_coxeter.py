@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import json
-import os
 
 import pytest
 
@@ -407,11 +406,6 @@ def test_orders_past_max_order_are_refused_before_any_matrix(monkeypatch):
             presentation(*args)
 
 
-@pytest.mark.large
-@pytest.mark.skipif(
-    os.environ.get("JWKIT_LARGE") != "1",
-    reason="H4 enumeration is opt-in: set JWKIT_LARGE=1",
-)
 def test_h4_build():
     g = grp("H4", allow_large=True)
     assert g.size == 14400

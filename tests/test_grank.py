@@ -3,9 +3,10 @@
 import pytest
 
 from jwkit.coxeter import bruhat_leq_subword
-from jwkit import grank
-from jwkit.grank import GradedRank, grrk, grrk_w0, jw_coefficient, poincare_interval
+from jwkit import grank, gtl
+from jwkit.grank import GradedRank, grrk, grrk_w0, poincare_interval
 from jwkit import hecke
+from jwkit.gtl import gen_jw_closed
 from jwkit.hecke import KLLawError, KLTable
 from jwkit.qpoly import LaurentPoly, RatFunc, parity_class, quantum_factorial, quantum_int
 
@@ -145,34 +146,37 @@ def test_grrk_detects_nonsmooth_interval():
 
 
 # -- Jones-Wenzl coefficients --------------------------------------------------------
+#
+# The coefficient of beta_x in j_W for FC x, (-1)^length(x) grrk(x w0) / grrk(w0),
+# as gen_jw_closed builds it.
 
 
 def test_jw_coefficient_identity_is_one():
     for args in [("A", 2, None), ("B", 2, None), ("I2", 2, 5)]:
         g = grp(*args)
         t = _table(g)
-        assert jw_coefficient(g, t, 0) == RatFunc(ONE)
+        assert gen_jw_closed(g, t).coefficient(0) == RatFunc(ONE)
 
 
 def test_jw_coefficient_a2_table():
     g = grp("A", 2)
-    t = _table(g)
+    j = gen_jw_closed(g, _table(g))
     two, three = quantum_int(2), quantum_int(3)
     by_word = {g.word[x]: x for x in range(g.size)}
-    assert jw_coefficient(g, t, by_word[(0,)]) == RatFunc(-two, three)
-    assert jw_coefficient(g, t, by_word[(1,)]) == RatFunc(-two, three)
-    assert jw_coefficient(g, t, by_word[(0, 1)]) == RatFunc(ONE, three)
-    assert jw_coefficient(g, t, by_word[(1, 0)]) == RatFunc(ONE, three)
+    assert j.coefficient(by_word[(0,)]) == RatFunc(-two, three)
+    assert j.coefficient(by_word[(1,)]) == RatFunc(-two, three)
+    assert j.coefficient(by_word[(0, 1)]) == RatFunc(ONE, three)
+    assert j.coefficient(by_word[(1, 0)]) == RatFunc(ONE, three)
     # ratio form equals the [n]!-denominator form from the interval polynomial
     fact = quantum_factorial(3)
-    assert jw_coefficient(g, t, by_word[(0,)]) == RatFunc(-(two * two), fact)
+    assert j.coefficient(by_word[(0,)]) == RatFunc(-(two * two), fact)
 
 
 def test_jw_coefficient_bar_invariant():
     g = grp("B", 2)
-    t = _table(g)
-    for x in range(g.size):
-        c = jw_coefficient(g, t, x)
+    j = gen_jw_closed(g, _table(g))
+    for x in g.fc_elements():
+        c = j.coefficient(x)
         assert c.bar() == c
 
 
@@ -181,13 +185,13 @@ def test_jw_coefficient_sign_alternates_with_length():
     # so the overall sign of the coefficient is (-1)^length(x)
     g = grp("A", 3)
     t = _table(g)
+    j = gen_jw_closed(g, t)
     den = grrk(g, t, g.w0).value
-    for x in range(g.size):
-        got = jw_coefficient(g, t, x)
+    for x in g.fc_elements():
         num = grrk(g, t, g.multiply(x, g.w0)).value
         if g.length[x] % 2:
             num = -num
-        assert got == RatFunc(num, den)
+        assert j.coefficient(x) == RatFunc(num, den)
 
 
 def test_grrk_w0_computed_once_per_table(monkeypatch):
@@ -200,10 +204,11 @@ def test_grrk_w0_computed_once_per_table(monkeypatch):
         calls.append(x)
         return expected
 
+    # gtl imports grrk by name; grrk_w0 calls grank's
     monkeypatch.setattr(grank, "grrk", counting)
+    monkeypatch.setattr(gtl, "grrk", counting)
     fc = g.fc_elements()
-    for x in fc:
-        jw_coefficient(g, t, x)
+    gen_jw_closed(g, t)
     assert len(calls) == len(fc) + 1  # one numerator each, one normaliser
     assert grrk_w0(g, t) == expected
     assert grrk_w0(g, _table(g)) == expected

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jwkit import coxeter
+from jwkit.grank import grrk
 from jwkit.gtl import (
     GTLElt,
     check_ideal_closure,
@@ -16,11 +18,11 @@ from jwkit.gtl import (
     gen_jw_projection,
     gtl_multiply,
 )
-from jwkit.hecke import HeckeElt, KLTable, kl_basis, kl_multiply
+from jwkit.hecke import HeckeElt, KLTable, kl_basis, kl_multiply, to_kl_basis
 from jwkit.qpoly import LaurentPoly, RatFunc, quantum_int
 from jwkit.tl import TLElt, closed_jw, monomial
 
-from oracles import grp, integer_scaled, kl_coefficients
+from oracles import dihedral_grrk, grp, integer_scaled, kl_coefficients
 
 
 def _table(g):
@@ -204,6 +206,33 @@ def test_mixed_groups_rejected():
         gtl_multiply(GTLElt.one(g1), GTLElt.one(g2), _table(g1))
 
 
+def test_table_of_another_group_rejected():
+    """Over B3 with the KL table of A3, beta_1 beta_21 came out as beta_1
+    and other products ended in IndexError; every route now refuses the
+    table.  A second build of B3 has the same element ids, so its table
+    serves."""
+    b3 = grp("B", 3)
+    w = _by_word(b3)
+    a, b = GTLElt.beta(b3, w[(0,)]), GTLElt.beta(b3, w[(1, 0)])
+    want = a + GTLElt.beta(b3, w[(0, 1, 0)])
+    assert gtl_multiply(a, b, _table(b3)) == want
+    twin = KLTable(coxeter.build_group(b3.presentation))
+    assert gtl_multiply(a, b, twin) == want
+    assert gen_jw_closed(b3, twin) == gen_jw_closed(b3, _table(b3))
+    other = KLTable(grp("A", 3))
+    for route in (
+        lambda: gtl_multiply(a, b, other),
+        lambda: gen_jw_closed(b3, other),
+        lambda: gen_jw_projection(b3, other),
+        lambda: grrk(b3, other, 0),
+        lambda: to_kl_basis(HeckeElt.one(b3), other),
+    ):
+        with pytest.raises(ValueError, match="KL table of A rank 3 used for B rank 3"):
+            route()
+    with pytest.raises(ValueError, match=r"KL table of I2\(5\) used for I2\(7\)"):
+        grrk(grp("I2", 2, 7), KLTable(grp("I2", 2, 5)), 0)
+
+
 @pytest.mark.parametrize("op", ["+", "-", "*"])
 @pytest.mark.parametrize("kind", ["hecke", "tl", "gtl"])
 def test_cross_algebra_mixing_raises(kind, op):
@@ -278,6 +307,24 @@ def test_gen_jw_dihedral_full_support():
         j = gen_jw_closed(g, _table(g))
         assert set(j.coeffs) == set(g.fc_elements())
         assert len(j.coeffs) == g.size - 1
+
+
+@pytest.mark.parametrize("m", [97, 256])
+def test_dihedral_jw_matches_kl_free_oracle(m):
+    """In I2(m), grrk(x) depends on l(x) alone (oracles.dihedral_grrk, no
+    KL data), so the coefficient of beta_x in j_W is
+    (-1)^l(x) P(m - l(x)) / P(m) with P = dihedral_grrk.  Every grrk and
+    every coefficient is compared."""
+    g = grp("I2", 2, m)
+    t = _table(g)
+    for x in range(g.size):
+        assert grrk(g, t, x).value == dihedral_grrk(g.length[x])
+    pm = dihedral_grrk(m)
+    want = [RatFunc((-1) ** l * dihedral_grrk(m - l), pm) for l in range(m)]
+    j = gen_jw_closed(g, t)
+    assert sorted(j.coeffs) == g.fc_elements() and len(j.coeffs) == g.size - 1
+    for x, c in j.coeffs.items():
+        assert c == want[g.length[x]]
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from jwkit.qpoly import (
 )
 from jwkit.tl import TLElt, monomial
 
-from oracles import grp, integer_scaled
+from oracles import grp, integer_scaled, koszul
 
 v = LaurentPoly.gen()
 
@@ -114,8 +114,9 @@ def test_laurent_poly_rejects_non_int_coefficients():
             LaurentPoly({1: c})
         with pytest.raises(TypeError):
             LaurentPoly.const(c)
-    with pytest.raises(TypeError):
-        v.scale(Fraction(1, 2))
+        with pytest.raises(TypeError):
+            v.scale(c)
+    assert v.scale(2) == 2 * v and v.scale(0).is_zero
 
 
 def test_laurent_poly_rejects_non_int_exponents():
@@ -135,16 +136,16 @@ def test_bar():
 
 
 def test_koszul():
-    assert v.koszul() == -(v**-1)
-    assert quantum_int(2).koszul() == -quantum_int(2)
-    assert quantum_int(3).koszul() == quantum_int(3)
+    assert koszul(v) == -(v**-1)
+    assert koszul(quantum_int(2)) == -quantum_int(2)
+    assert koszul(quantum_int(3)) == quantum_int(3)
 
 
 def test_involutions_are_ring_maps_and_involutive():
     rng = random.Random(99)
     for _ in range(100):
         a, b = rand_poly(rng)[0], rand_poly(rng)[0]
-        for f in (LaurentPoly.bar, LaurentPoly.koszul):
+        for f in (LaurentPoly.bar, koszul):
             assert f(a + b) == f(a) + f(b)
             assert f(a * b) == f(a) * f(b)
             assert f(f(a)) == a
@@ -271,7 +272,7 @@ def test_field_axioms_random():
 def test_ratfunc_involutions():
     f = (v**2 + 1 + v**-2) / (v + v**-1)
     assert f.bar() == f  # both [3] and [2] are bar-symmetric
-    assert f.koszul() == -f  # [3] fixed, [2] negated
+    assert koszul(f) == -f  # [3] fixed, [2] negated
     assert f.bar().bar() == f
 
 
@@ -323,11 +324,11 @@ int_laurent = st.dictionaries(st.integers(-5, 5), ints, max_size=5).map(LaurentP
 def test_laurent_polynomials_hold_only_ints(a, b, k, c):
     """What ring operations, the involutions, shifts and the canonical
     form of RatFunc return holds int coefficients only."""
-    out = [a + b, a - b, -a, a * b, a**2, a.bar(), a.koszul(), a.shift(k), a.scale(c)]
+    out = [a + b, a - b, -a, a * b, a**2, a.bar(), koszul(a), a.shift(k), a.scale(c)]
     out += [v**-k, (-v) ** -3]
     if not b.is_zero:
         f = RatFunc(a, b) * Fraction(1, 3) + RatFunc(c, b.shift(k))
-        out += [f.num, f.den, f.bar().num, f.bar().den, f.koszul().num, f.koszul().den]
+        out += [f.num, f.den, f.bar().num, f.bar().den, koszul(f).num, koszul(f).den]
         r = RatFunc(a, b)
         out += [r.num, r.den, poly_lcm(b, b.shift(k) * 3), poly_exact_div(a * b, b)]
     assert all_int(*out)
