@@ -87,7 +87,8 @@ def grrk(g: GroupTable, cache: KLTable, x: ElementId) -> GradedRank:
 
 def grrk_w0(g: GroupTable, cache: KLTable) -> GradedRank:
     """grrk(w0), the Jones-Wenzl normaliser, computed through :func:`grrk`
-    once per KL table and memoised on it."""
+    once per KL table (of g's group, or ValueError) and memoised on it."""
+    cache.check_group(g)
     if cache.w0_rank is None:
         cache.w0_rank = grrk(g, cache, g.w0)
     return cache.w0_rank

@@ -117,9 +117,10 @@ def check_ideal_closure(g: GroupTable, cache: KLTable) -> int:
     """Exhaustively verify that span{b_x : x not FC} is closed under right
     multiplication by every b_s, which makes gtl_multiply well defined.
 
-    Returns the number of (x, s) pairs checked.  Raises
-    IdealClosureError on the first violation.
+    Returns the number of (x, s) pairs checked; raises IdealClosureError
+    on the first violation, and ValueError for a table of another group.
     """
+    cache.check_group(g)
     checked = 0
     for x in range(g.size):
         if g.is_fully_commutative(x):

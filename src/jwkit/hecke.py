@@ -41,7 +41,8 @@ products become single big-integer operations.  Each kernel states a
 bound on every coefficient it can produce, takes the digit width b =
 _width(bound) and checks each decoded digit against the bound
 (OverflowError).  With L = length(w0), ||c||_1 the sum of |coefficients|
-and peak(x) the largest coefficient in the column of x, the bounds are:
+and peak the largest coefficient the KL table stores (KLTable.peak, read
+after the columns a kernel uses are filled), the bounds are:
 
 * dense (_dense_product, a b in the standard basis): a step by delta_s at
   most triples the largest coefficient, so ||a||_inf sum_z 3^length(z)
@@ -53,8 +54,8 @@ and peak(x) the largest coefficient in the column of x, the bounds are:
   ||c_x||_1 B(x) over b's support bound everything on the way;
 * bar (_bar_std, bar(delta_y)): 3^length(y), by the same tripling;
 * back-substitution (_back_substitute, behind to_kl_basis and
-  kl_product_coeffs): a running bound, widening the digit before it could
-  reach 2^(b-1).
+  kl_product_coeffs): a running bound that grows by peak ||c_z||_1 per
+  column subtracted, widening the digit before it could reach 2^(b-1).
 
 The KL table stores each distinct polynomial once, at offset 0 with
 32-bit digits (its coefficients are nonnegative and below 2^31, its
@@ -111,19 +112,19 @@ class KLTable:
     column by column and shared by everything downstream.
 
     Each distinct polynomial is stored once under a small-int id (id 0 is
-    1): packed at offset 0 and width _B, as {exp: int} (``terms``), with its
-    largest coefficient and mu.  A column maps y to the id of h_{y,x}; only
-    the columns of orbit representatives are stored (``_cols``)."""
+    1): packed at offset 0 and width _B, as {exp: int} (``terms``), and
+    with its mu; ``peak``, the largest coefficient stored, bounds every
+    column.  A column maps y to the id of h_{y,x}; only the columns of
+    orbit representatives are stored (``_cols``)."""
 
     def __init__(self, group: GroupTable):
         self.group = group
         self._ids: dict[int, int] = {}  # packed at _B -> id
         self._packed: dict[int, list[int]] = {_B: []}  # digit width -> packed, by id
         self.terms: list[dict[int, int]] = []  # read-only
-        self._peak: list[int] = []
         self._mu: list[int] = []
+        self.peak = 0  # the largest stored coefficient; read-only
         self._cols: dict[int, dict[int, int]] = {0: {0: self._intern(1)}}
-        self._column_peaks: dict[int, int] = {}  # representative -> column_peak
         self._fc_graph = None  # (graph, growth), memoised by fc_w_graph
         self.w0_rank = None  # grrk(w0), memoised by jwkit.grank.grrk_w0
         # True while the table holds a column its cache file lacks
@@ -143,8 +144,8 @@ class KLTable:
             i = self._ids[p] = len(self.terms)
             self._packed[_B].append(p)
             self.terms.append(d)
-            self._peak.append(max(d.values()))
             self._mu.append(d.get(1, 0))
+            self.peak = max(self.peak, *d.values())
         return i
 
     def packed_at(self, b: int) -> list[int]:
@@ -202,15 +203,6 @@ class KLTable:
         g = self.group
         return self.column_packed(g.rep[x]), g.relabel[x]
 
-    def column_peak(self, x: ElementId) -> int:
-        """The largest coefficient of any h_{y,x}: the bound packed sums
-        start from; found once per representative."""
-        r = self.group.rep[x]
-        peak = self._column_peaks.get(r)
-        if peak is None:
-            peak = self._column_peaks[r] = max(map(self._peak.__getitem__, self.column_packed(r).values()))
-        return peak
-
     def graded_sum(self, x: ElementId) -> dict[int, int]:
         """sum_y v^(-length(y)) h_{y,x} over the column of x, the graded rank
         of x, as {exp: int}.  One packed sum over the stored column of the
@@ -218,11 +210,11 @@ class KLTable:
         added into one bucket per length l(y), bucket l is shifted by L - l
         digits (L = length(w0)), and the total is decoded once at offset -L.
         Bound: every coefficient sums at most one coefficient per column
-        entry, so (column size) x peak(x)."""
+        entry, so (column size) x peak."""
         length = self.group.length
         L = length[self.group.w0]
         col = self.column_packed(self.group.rep[x])
-        bound = len(col) * self.column_peak(x)
+        bound = len(col) * self.peak  # read after the fill, so it covers col
         b = _width(bound)
         hs = self.packed_at(b)
         buckets = [0] * (L + 1)
@@ -558,13 +550,13 @@ def _back_substitute(vec: dict[int, int], off: int, bound: int, table: KLTable):
     Descending ids: subtracting c_x b_x only touches y < x in Bruhat order,
     and those have strictly smaller ids in the enumeration.
 
-    Bound: subtracting c_z b_z moves a coefficient by at most peak(z)
-    ||c_z||_1, peak(z) being the largest coefficient of the column of z.
-    So G = ||vec||_inf + the sum of peak(z) ||c_z||_1 over the z popped so
-    far bounds every coefficient still in vec, c_x included, and each c_x
-    is decoded under G.  Before a subtraction lets G reach 2^(b-1), the
-    remaining vector is decoded under the old G and repacked at a wider
-    digit, and the columns are read from then on at that digit."""
+    Bound: subtracting c_z b_z moves a coefficient by at most peak
+    ||c_z||_1, peak read once the column of z is filled.  So G =
+    ||vec||_inf + the sum of those over the z popped so far bounds every
+    coefficient still in vec, c_x included, and each c_x is decoded under
+    G.  Before a subtraction lets G reach 2^(b-1), the remaining vector is
+    decoded under the old G and repacked at a wider digit, and the columns
+    are read from then on at that digit."""
     b = _width(bound)
     for x in range(max(vec, default=-1), -1, -1):
         p = vec.get(x)
@@ -572,7 +564,8 @@ def _back_substitute(vec: dict[int, int], off: int, bound: int, table: KLTable):
             continue
         c = _unpack(p, off, b, bound)
         yield x, c
-        grown = bound + table.column_peak(x) * sum(map(abs, c.values()))
+        col, phi = table.stored_column(x)  # filled before the peak is read
+        grown = bound + table.peak * sum(map(abs, c.values()))
         if grown >= 1 << (b - 1):
             wide = _width(grown)
             for y, q in vec.items():
@@ -582,7 +575,6 @@ def _back_substitute(vec: dict[int, int], off: int, bound: int, table: KLTable):
         bound = grown
         get = vec.get
         hs = table.packed_at(b)
-        col, phi = table.stored_column(x)
         for y, i in col.items():
             y = phi[y]
             vec[y] = get(y, 0) - p * hs[i]  # vec[x] becomes 0: h_{x,x} = 1
@@ -698,12 +690,12 @@ def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, L
     each of its coefficients sums at most two column coefficients."""
     g = table.group
     length, right = g.length, g.right
-    bound = 2 * table.column_peak(x)
+    col, phi = table.stored_column(x)  # filled before the peak is read
+    bound = 2 * table.peak
     b = _width(bound)
     hs = table.packed_at(b)
     acc: dict[int, int] = {}
     get = acc.get
-    col, phi = table.stored_column(x)
     for y, i in col.items():
         y = phi[y]
         p = hs[i]
@@ -760,7 +752,8 @@ def verify_bar_invariance(group: GroupTable, table: KLTable) -> int:
     total, at offset -2 length(w0), is compared with the packed column as
     integers.  Bound: the largest sum_y 3^length(y) ||h_{y,x}||_1 over the
     columns; it bounds every h_{y,x} too, so equal integers mean equal
-    polynomials."""
+    polynomials.  A table of another group: ValueError."""
+    table.check_group(group)
     g = group
     length = g.length
     L = length[g.w0]
@@ -853,37 +846,37 @@ def write_kl_cache(path: str, table: KLTable) -> int:
 
 
 def load_kl_cache(path: str, table: KLTable) -> int:
-    """Merge the columns of the format-4 file at ``path`` into the table.
-
-    The file is read one line at a time and hashed as it is read.  Each
-    polynomial line is checked once: exponents in [0, L], coefficients
-    positive and below 2^31, and polynomial 0 is 1.  Each column line is
-    parsed in bulk (every id is a canonical decimal, looked up in one
-    dict) and checked for y strictly ascending, x in range, not given
-    twice and an orbit representative, and unitriangularity: the last entry is y = x with polynomial
-    0, and no other y has the length of x.  Element ids are sorted by
-    length, so the other entries fall into one run per length l(y); the
-    law that h_{y,x} lies in v Z[v] and in v^d Z[v^-2], d = l(x) - l(y),
-    and the polynomial id range are checked once per (polynomial id, d)
-    pair.  The trailer's line count and checksum, and no polynomial
-    stored twice, come last; the checksum catches the edits the laws
-    miss.  Only a file that passes every check changes the table: its new
-    polynomials are stored, then the columns the table lacks are merged.
-    Raises CacheFormatError on any mismatch; returns the number of columns
-    added.  Afterwards ``table.unsaved`` tells whether the table holds a
-    column the file lacks."""
+    """Fill a fresh table, holding only the identity's column and polynomial
+    1 (any other: ValueError, before the file is opened), from the format-4
+    file at ``path``, whose polynomial ids become the table's.  The file is
+    read one line at a time and hashed as it is read.  Each polynomial line
+    is checked once: exponents in [0, L], coefficients positive and below
+    2^31, polynomial 0 is 1, and no polynomial is stored twice.  Each column
+    line is parsed in bulk (every id is a canonical decimal, looked up in
+    one dict) and checked for y strictly ascending, x in range, not given
+    twice and an orbit representative, and unitriangularity: the last entry
+    is y = x with polynomial 0, and no other y has the length of x.  Element
+    ids are sorted by length, so the other entries fall into one run per
+    length l(y); the law that h_{y,x} lies in v Z[v] and in v^d Z[v^-2], d =
+    l(x) - l(y), and the polynomial id range are checked once per
+    (polynomial id, d) pair.  The trailer's line count and checksum, and at
+    least one polynomial, come last; the checksum catches the edits the laws
+    miss.  Only a file that passes every check changes the table.  Raises
+    CacheFormatError on any mismatch; returns the number of columns added.
+    Afterwards ``table.unsaved`` tells whether the table holds a column the
+    file lacks."""
+    if len(table._cols) > 1 or len(table.terms) > 1:
+        raise ValueError("a KL cache fills a fresh table only")
     g = table.group
     length, size, rep = g.length, g.size, g.rep
     L = length[g.w0]
     starts = [bisect_left(length, l) for l in range(L + 2)]  # first id of each length
     header = _header(g).encode().split()
     names = {b"%d" % i: i for i in range(size)}  # decimal token -> id; polynomial ids join below
-    base = len(table.terms)
-    polys: list[dict[int, int]] = []  # by file id
-    ids: list[int] = []  # file id -> id in the table's store
-    fresh: dict[int, int] = {}  # packed -> id, for polynomials new to the store
-    lawful = [set() for _ in range(L + 1)]  # file ids checked, by length difference
-    cols: dict[int, dict[int, int]] = {}  # x -> {y: file id}
+    polys: list[dict[int, int]] = []  # by id
+    ids: dict[int, int] = {}  # packed at offset 0 and width _B -> id, in id order
+    lawful = [set() for _ in range(L + 1)]  # ids checked, by length difference
+    cols: dict[int, dict[int, int]] = {}  # x -> {y: id}
     digest = hashlib.sha256()
     count = 0
     trailer = None
@@ -914,8 +907,8 @@ def load_kl_cache(path: str, table: KLTable) -> int:
                     if not polys and terms != {0: 1}:
                         raise CacheFormatError(f"invalid term: polynomial 0 is not 1: {line!r}")
                     p = _pack(terms, 0, _B)
-                    i = table._ids.get(p)
-                    ids.append(fresh.setdefault(p, base + len(fresh)) if i is None else i)
+                    if ids.setdefault(p, len(polys)) != len(polys):
+                        raise CacheFormatError(f"a polynomial is stored twice: {line!r}")
                     names.setdefault(b"%d" % len(polys), len(polys))
                     polys.append(terms)
                 elif tag == b"c":
@@ -964,14 +957,12 @@ def load_kl_cache(path: str, table: KLTable) -> int:
         raise CacheFormatError(f"line count {count} != declared {int(trailer[1])}")
     if trailer[2] != digest.hexdigest().encode():
         raise CacheFormatError("checksum mismatch")
-    if len(set(ids)) != len(ids):
-        raise CacheFormatError("a polynomial is stored twice")
-    for p, i in fresh.items():  # in id order
-        if table._intern(p) != i:
-            raise AssertionError(f"store gave a loaded polynomial an id other than {i}")
-    if ids != list(range(len(ids))):  # the table numbers the file's polynomials otherwise
-        cols = {x: dict(zip(col, map(ids.__getitem__, col.values()))) for x, col in cols.items()}
-    added = {x: col for x, col in cols.items() if x not in table._cols}
-    table._cols.update(added)
+    if not polys:
+        raise CacheFormatError("no polynomial lines: polynomial 0 is not 1")
+    table.terms, table._packed, table._ids = polys, {_B: list(ids)}, ids
+    table._mu = [d.get(1, 0) for d in polys]
+    table.peak = max(max(d.values()) for d in polys)
+    added = len(cols.keys() - table._cols.keys())
+    table._cols.update(cols)
     table.unsaved = any(x not in cols for x in table._cols)
-    return len(added)
+    return added

@@ -398,7 +398,7 @@ def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     cb, _, g = _split(b._terms)
     bound = max(map(abs, f))
     b = _width(bound)
-    rows, _ = _divided({0: _eval(f, b)}, 0, b, bound, 1, g, _eval(g, b))
+    rows, _ = _divided({0: _eval(f, b)}, 0, b, bound, 1, g, _eval(g, b), {})
     return _wrap(rows[0]) * _laurent(math.lcm(ca, cb), 0, g)
 
 
@@ -662,7 +662,7 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly):
     vec, off, bound = _packed({0: num._terms})
     b = _width(bound)
     p = vec[0] if cd > 0 else -vec[0]
-    rows, den = _divided({0: p}, off - kd, b, bound, abs(cd), g, _eval(g, b))
+    rows, den = _divided({0: p}, off - kd, b, bound, abs(cd), g, _eval(g, b), {})
     return _wrap(rows[0]), den
 
 
@@ -693,10 +693,11 @@ def _packed(rows: Mapping[object, Mapping[int, int]]) -> tuple[dict, int, int]:
     return {k: _pack(d, off, b) for k, d in rows.items()}, off, bound
 
 
-def _heu_divided(vec: dict, off: int, b: int, bound: int, g: list[int], gx: int):
+def _heu_divided(vec: dict, off: int, b: int, bound: int, g: list[int], gx: int, quotients: dict):
     """(g / h, {k: row / h}) for the primitive gcd h of g and every row,
     found on the packed integers of _divided at xi = 2^b, with gx = g(xi);
-    None when this test is inconclusive.
+    None when this test is inconclusive.  quotients memoises g / h by h
+    for the caller, who keeps it while g stays the same.
 
     GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 1989) on g and R,
     the one row or a random integer combination of the rows, gives a
@@ -717,10 +718,12 @@ def _heu_divided(vec: dict, off: int, b: int, bound: int, g: list[int], gx: int)
     h = _primitive(_digits(math.gcd(gx, r), b))
     if len(h) == 1:
         return g, {k: _unpack(p, off, b, bound) for k, p in vec.items()}
-    try:
-        gq = _exact_quotient(g, h)
-    except ArithmeticError:
-        return None
+    gq = quotients.get(tuple(h))
+    if gq is None:
+        try:
+            gq = quotients[tuple(h)] = _exact_quotient(g, h)
+        except ArithmeticError:
+            return None
     hx = _eval(h, b)
     qbound = ((1 << (b - 1)) - 1) // sum(map(abs, h))
     rows = {}
@@ -735,17 +738,17 @@ def _heu_divided(vec: dict, off: int, b: int, bound: int, g: list[int], gx: int)
     return gq, rows
 
 
-def _divided(vec: Mapping[object, int], off: int, b: int, bound: int, cd: int, g: list[int], gx: int):
+def _divided(vec: Mapping[object, int], off: int, b: int, bound: int, cd: int, g: list[int], gx: int, quotients: dict):
     """The canonical (rows, den) of sum_k vec[k] k / (cd g): vec maps keys
     to nonzero integer polynomials packed at offset off and width b =
     _width(bound), every |coefficient| at most bound; cd > 0, g is
-    primitive and gx = g(2^b).
+    primitive, gx = g(2^b), and quotients is _heu_divided's memo of g / h.
 
     The common factor c h is divided out of cd g and the rows: h, the
     primitive gcd of g and every row, by _heu_divided, or when that is
     inconclusive by _prs_gcd row by row and _exact_quotient; c, the gcd
     of cd and the contents, by integer gcds."""
-    found = _heu_divided(vec, off, b, bound, g, gx)
+    found = _heu_divided(vec, off, b, bound, g, gx, quotients)
     if found is None:
         rows = {k: _unpack(p, off, b, bound) for k, p in vec.items()}
         h = g
@@ -780,7 +783,7 @@ def _reduced(vec: Mapping[object, int], off: int, bound: int, den: LaurentPoly) 
     if den.is_one or not vec:
         return {k: _unpack(p, off, b, bound) for k, p in vec.items()}, _ONE
     cd, _, g = _split(den._terms)
-    return _divided(vec, off, b, bound, cd, g, _eval(g, b))
+    return _divided(vec, off, b, bound, cd, g, _eval(g, b), {})
 
 
 def _canonical(rows: Mapping[object, Mapping[int, int]], den: LaurentPoly) -> tuple[dict, LaurentPoly]:
@@ -793,18 +796,19 @@ def _coefficients(rows: Mapping[object, Mapping[int, int]], den: LaurentPoly) ->
     """{k: rows[k] / den} as canonical RatFuncs, each row reduced by
     _divided as a one-row combination.  den is split into its content cd
     and primitive part g once, and g is evaluated once, at the one width
-    every row is packed at.  A row c v^e needs no gcd: g has a nonzero
-    constant term, so only the contents cancel."""
+    every row is packed at, and g / h is computed once per candidate gcd
+    h.  A row c v^e needs no gcd: g has a nonzero constant term, so only
+    the contents cancel."""
     if den.is_one:
         return {k: _ratfunc(_wrap(r), den) for k, r in rows.items()}
     cd, _, g = _split(den._terms)
     vec, off, bound = _packed(rows)
     b = _width(bound)
     gx = _eval(g, b)
-    out = {}
+    out, quotients = {}, {}
     for (k, r), p in zip(rows.items(), vec.values()):
         if len(r) > 1:
-            reduced, d = _divided({0: p}, off, b, bound, cd, g, gx)
+            reduced, d = _divided({0: p}, off, b, bound, cd, g, gx, quotients)
             r = reduced[0]
         else:
             ((e, c),) = r.items()

@@ -37,10 +37,9 @@ def store_entry(table, y, x, p):
     """Corrupt a table through its polynomial store: h_{y,x} becomes the
     polynomial packed as p at offset 0 and width hecke._B, in the stored
     column of the representative of x, so every column of its orbit changes;
-    the memoised column peak and W-graph are dropped."""
+    the memoised W-graph is dropped (storing p updates the table's peak)."""
     col, phi = table.stored_column(x)
     col[phi[y]] = table._intern(p)
-    table._column_peaks.pop(table.group.rep[x], None)
     table._fc_graph = None
 
 

@@ -495,6 +495,23 @@ def test_cache_corruption_recovers(capsys, tmp_path):
     assert code == 0 and out == cold and "warning" not in err
 
 
+def test_cache_without_polynomials_is_recomputed(capsys, tmp_path):
+    """A resealed file that holds only the identity's column passes the
+    checksum and every column check, but stores no polynomial 1: the CLI
+    warns, recomputes and rewrites it."""
+    argv = ("grrk", "--family", "A", "--rank", "2", "--cache-dir", str(tmp_path))
+    code, cold, _ = _run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "kl-A-2.kltab"
+    good = path.read_text()
+    lines = good.splitlines()
+    path.write_text(reseal([lines[0], "c 0 0 0", lines[-1]]))
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and out == cold
+    assert "warning: ignoring cache" in err and "no polynomial lines" in err
+    assert path.read_text() == good
+
+
 @pytest.mark.parametrize("spoil", ["undecodable-byte", "directory"])
 def test_unreadable_cache_is_recomputed(capsys, tmp_path, spoil):
     """A cache path holding bytes that are not text, or a directory, is

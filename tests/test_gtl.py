@@ -18,7 +18,7 @@ from jwkit.gtl import (
     gen_jw_projection,
     gtl_multiply,
 )
-from jwkit.hecke import HeckeElt, KLTable, kl_basis, kl_multiply, to_kl_basis
+from jwkit.hecke import HeckeElt, KLTable, kl_basis, kl_multiply
 from jwkit.qpoly import LaurentPoly, RatFunc, quantum_int
 from jwkit.tl import TLElt, closed_jw, monomial
 
@@ -207,10 +207,10 @@ def test_mixed_groups_rejected():
 
 
 def test_table_of_another_group_rejected():
-    """Over B3 with the KL table of A3, beta_1 beta_21 came out as beta_1
-    and other products ended in IndexError; every route now refuses the
-    table.  A second build of B3 has the same element ids, so its table
-    serves."""
+    """Over B3 with the KL table of A3, beta_1 beta_21 came out as beta_1;
+    every route now refuses the table (tests/test_guards.py checks each
+    public entry).  A second build of B3 has the same element ids, so its
+    table serves."""
     b3 = grp("B", 3)
     w = _by_word(b3)
     a, b = GTLElt.beta(b3, w[(0,)]), GTLElt.beta(b3, w[(1, 0)])
@@ -219,16 +219,8 @@ def test_table_of_another_group_rejected():
     twin = KLTable(coxeter.build_group(b3.presentation))
     assert gtl_multiply(a, b, twin) == want
     assert gen_jw_closed(b3, twin) == gen_jw_closed(b3, _table(b3))
-    other = KLTable(grp("A", 3))
-    for route in (
-        lambda: gtl_multiply(a, b, other),
-        lambda: gen_jw_closed(b3, other),
-        lambda: gen_jw_projection(b3, other),
-        lambda: grrk(b3, other, 0),
-        lambda: to_kl_basis(HeckeElt.one(b3), other),
-    ):
-        with pytest.raises(ValueError, match="KL table of A rank 3 used for B rank 3"):
-            route()
+    with pytest.raises(ValueError, match="KL table of A rank 3 used for B rank 3"):
+        gtl_multiply(a, b, KLTable(grp("A", 3)))
     with pytest.raises(ValueError, match=r"KL table of I2\(5\) used for I2\(7\)"):
         grrk(grp("I2", 2, 7), KLTable(grp("I2", 2, 5)), 0)
 

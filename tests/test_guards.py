@@ -1,14 +1,24 @@
 """Guards over the source tree and the README that no single module test
-covers: the suite names agree everywhere they are listed, and no
-invariant is an ``assert`` that ``python -O`` would strip."""
+covers: the suite names agree everywhere they are listed, no invariant is
+an ``assert`` that ``python -O`` would strip or an untyped
+``AssertionError``, and every public entry that takes a KL table refuses
+one of another group."""
 
 import argparse
 import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import jwkit
 from jwkit import cli
+from jwkit.grank import grrk, grrk_w0
+from jwkit.gtl import GTLElt, check_ideal_closure, gen_jw_closed, gen_jw_projection, gtl_multiply
+from jwkit.hecke import HeckeElt, KLTable, antisymmetriser, to_kl_basis, verify_bar_invariance
+from jwkit.tl import closed_jw, jw_minus, project_pi
+
+from oracles import grp
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,9 +36,53 @@ def test_suite_names_agree_in_readme_help_and_runners():
     assert in_readme == in_help == list(cli._SUITE_RUNNERS) == list(cli._SUITES)
 
 
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements_in_the_package():
+    """An invariant raises a typed error that the CLI maps to an exit code:
+    neither ``assert`` nor ``raise AssertionError``."""
     found = []
     for path in sorted(Path(jwkit.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        found += [
+            f"{path.name}:{n.lineno}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Assert) or _raises_assertion_error(n)
+        ]
     assert found == []
+
+
+# every public entry that takes a KL table, called on A3 with a table of
+# another group: B3, or A2 for the entries that take type A only
+_ENTRIES = {
+    "gtl_multiply": ("B", lambda g, t: gtl_multiply(GTLElt.beta(g, 1), GTLElt.beta(g, 2), t)),
+    "to_kl_basis": ("B", lambda g, t: to_kl_basis(HeckeElt.std(g, g.w0), t)),
+    "grrk": ("B", lambda g, t: grrk(g, t, g.w0)),
+    "grrk_w0": ("B", grrk_w0),
+    "antisymmetriser": ("B", antisymmetriser),
+    "check_ideal_closure": ("B", check_ideal_closure),
+    "verify_bar_invariance": ("B", verify_bar_invariance),
+    "gen_jw_closed": ("B", gen_jw_closed),
+    "gen_jw_projection": ("B", gen_jw_projection),
+    "closed_jw": ("A", lambda g, t: closed_jw(4, g, t)),
+    "project_pi": ("A", lambda g, t: project_pi(HeckeElt.std(g, g.w0), t)),
+    "jw_minus": ("A", lambda g, t: jw_minus(4, g, t)),
+}
+
+
+@pytest.mark.parametrize("memoised", [False, True], ids=["fresh", "memoised"])
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_every_entry_refuses_a_table_of_another_group(entry, memoised):
+    family, call = _ENTRIES[entry]
+    rank = 2 if family == "A" else 3
+    g, t = grp("A", 3), KLTable(grp(family, rank))
+    if memoised:
+        grrk_w0(t.group, t)
+        t.fc_w_graph()
+    with pytest.raises(ValueError, match=f"KL table of {family} rank {rank} used for A rank 3"):
+        call(g, t)

@@ -489,19 +489,17 @@ def test_fill_order_does_not_change_the_table(tmp_path, family, rank, m):
     for t in tables.values():
         for x in ids:
             assert t.column(x) == ref.column(x)
-            assert t.column_peak(x) == ref.column_peak(x)
             assert t.graded_sum(x) == ref.graded_sum(x)
+        assert t.peak == ref.peak
     for src, t in tables.items():
         path = tmp_path / f"{src}.txt"
         write_kl_cache(str(path), t)
-        for dst in (d for d in orders if d != src):
-            t2 = _filled(g, orders[dst][: g.size // 2])[0]
-            assert t2.terms != t.terms[: len(t2.terms)]  # numbered otherwise: the remapping path
-            before = len(t2.computed_columns())
-            assert load_kl_cache(str(path), t2) == len(g.representatives()) - before
-            assert t2.computed_columns() == g.representatives()
-            for x in ids:
-                assert t2.column(x) == ref.column(x)
+        t2 = KLTable(g)
+        assert load_kl_cache(str(path), t2) == len(g.representatives()) - 1
+        assert t2.computed_columns() == g.representatives()
+        assert t2.terms == t.terms and t2.peak == ref.peak
+        for x in ids:
+            assert t2.column(x) == ref.column(x)
 
 
 def test_recursion_rejects_a_column_that_is_not_a_bruhat_interval():
@@ -680,18 +678,40 @@ def test_cache_roundtrip(tmp_path):
     assert path.read_bytes() == before
 
 
-def test_cache_merges_into_a_table_that_numbers_polynomials_otherwise(tmp_path):
+@pytest.mark.parametrize("fill", ["column", "polynomial"])
+def test_cache_fills_only_a_fresh_table(tmp_path, fill):
+    """A table that holds a column past the identity's, or a polynomial
+    past 1, is refused before the file is read, and left unchanged."""
     g = grp("A", 3)
-    t = _full_table(g)
     path = tmp_path / "kl.txt"
-    write_kl_cache(str(path), t)
-    t2 = KLTable(g)
-    t2.column_packed(g.w0)  # filled from w0 down: the store numbers its polynomials otherwise
-    assert t2.terms != t.terms[: len(t2.terms)]
-    load_kl_cache(str(path), t2)
-    assert sorted(map(str, t2.terms)) == sorted(map(str, t.terms))
-    for x in range(g.size):
-        assert t2.column(x) == t.column(x)
+    write_kl_cache(str(path), _full_table(g))
+    t = KLTable(g)
+    if fill == "column":
+        t.column_packed(g.w0)
+    else:
+        t._intern(1 << hecke._B)  # v
+    cols, terms, peak = {x: dict(col) for x, col in t._cols.items()}, list(t.terms), t.peak
+    with pytest.raises(ValueError, match="fresh table only"):
+        load_kl_cache(str(tmp_path / "absent.txt"), t)
+    with pytest.raises(ValueError, match="fresh table only"):
+        load_kl_cache(str(path), t)
+    assert (t._cols, t.terms, t.peak, t.unsaved) == (cols, terms, peak, True)
+
+
+def test_cache_without_polynomials_is_refused(tmp_path):
+    """A file must store polynomial 1: with no h line, even one whose
+    body is the identity's column alone or empty, it is refused."""
+    g = grp("A", 2)
+    path = tmp_path / "kl.txt"
+    write_kl_cache(str(path), KLTable(g))
+    lines = path.read_text().splitlines()
+    assert lines[1:3] == ["h 0:1", "c 0 0 0"]
+    for body in (["c 0 0 0"], []):
+        path.write_text(reseal([lines[0], *body, lines[-1]]))
+        t = KLTable(g)
+        with pytest.raises(CacheFormatError, match="no polynomial lines"):
+            load_kl_cache(str(path), t)
+        assert t.terms == [{0: 1}] and t.peak == 1
 
 
 # sha256 of the full-table cache files, recorded from the format-4 writer
@@ -744,13 +764,11 @@ def test_failed_cache_load_leaves_table_unchanged(tmp_path):
     lines[lines.index(col5)] = col5.removesuffix(" 5 0")
     path.write_text(reseal(lines))
     t2 = KLTable(g)
-    t2.column_packed(1)
-    cols = {x: dict(col) for x, col in t2._cols.items()}
     with pytest.raises(CacheFormatError, match="column 5 is not unitriangular"):
         load_kl_cache(str(path), t2)
-    assert t2._cols == cols
-    assert t2.terms == [{0: 1}, {1: 1}]
-    assert t2.packed_at(hecke._B) == [1, 1 << hecke._B]
+    assert t2._cols == {0: {0: 0}}
+    assert t2.terms == [{0: 1}] and t2.peak == 1
+    assert t2.packed_at(hecke._B) == [1]
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -941,7 +959,6 @@ def test_cache_mutations_are_rejected_or_harmless(tmp_path):
         for text, resealed in (("\n".join(lines) + "\n", False), (reseal(lines), True)):
             path.write_text(text)
             t2 = KLTable(g)
-            t2.column_packed(1)
             cols, terms = {x: dict(col) for x, col in t2._cols.items()}, list(t2.terms)
             try:
                 load_kl_cache(str(path), t2)

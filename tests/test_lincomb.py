@@ -270,7 +270,7 @@ def test_reduction_past_the_quotient_bound():
     vec, off, bound = qpoly._packed({0: num})
     assert qpoly._width(bound) == 32
     g = [-2, 1, 1]
-    assert qpoly._heu_divided(vec, off, 32, bound, g, qpoly._eval(g, 32)) is None
+    assert qpoly._heu_divided(vec, off, 32, bound, g, qpoly._eval(g, 32), {}) is None
     assert qpoly._canonical({0: num}, den) == ({0: {2: 1 << 30, 1: 1 << 30, 0: 1 << 30}}, v + 2)
 
 

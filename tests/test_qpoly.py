@@ -448,10 +448,10 @@ def test_heuristic_gcd_prs_and_sympy_agree(a, b, c):
     bound = max(map(abs, f))
     b = qpoly._width(bound)
     vec, gx = {0: qpoly._eval(f, b)}, qpoly._eval(g, b)
-    gq, rows = qpoly._heu_divided(vec, 0, b, bound, g, gx)
+    gq, rows = qpoly._heu_divided(vec, 0, b, bound, g, gx, {})
     h, fq = _poly(expected), LaurentPoly(rows[0])
     assert h * fq == _poly(f) and h * _poly(gq) == _poly(g)
-    assert qpoly._divided(vec, 0, b, bound, 1, g, gx) == (rows, _poly(gq))
+    assert qpoly._divided(vec, 0, b, bound, 1, g, gx, {}) == (rows, _poly(gq))
     r = RatFunc(_poly(f), _poly(g))
     assert (r.num, r.den) == (fq, _poly(gq))
 
@@ -467,7 +467,7 @@ def test_an_unlucky_point_falls_through_to_the_remainder_sequence(monkeypatch):
     f / g and f g as they are."""
     f, g = UNLUCKY_F, UNLUCKY_G
     assert 2 * max(map(abs, g)) + 2 <= 1 << 32  # the heuristic applies at xi = 2^32
-    assert qpoly._heu_divided({0: qpoly._eval(f, 32)}, 0, 32, 1, g, qpoly._eval(g, 32)) is None
+    assert qpoly._heu_divided({0: qpoly._eval(f, 32)}, 0, 32, 1, g, qpoly._eval(g, 32), {}) is None
     assert qpoly._prs_gcd(f, g) == [1] == _sympy_primitive_gcd(f, g)
     calls = []
     heu = qpoly._heu_divided
