@@ -2,10 +2,12 @@
 
 Each group is enumerated once into a ``GroupTable``: a flat array of
 elements indexed 0..|W|-1, sorted by (length, ShortLex-minimal reduced
-word), together with multiplication-by-generator tables, inverses,
-lengths, minimal words, the longest element and fully-commutative flags.
-Index 0 is always the identity and the last index is the longest element
-w0.
+word), together with the table of right multiplication by generators,
+inverses, lengths, minimal words, the longest element and
+fully-commutative flags.  Index 0 is always the identity and the last
+index is the longest element w0.  Every walk here and downstream,
+the Bruhat order and the KL recursion included, multiplies on the
+right; the last letter of the word of x is a right descent of x.
 
 Elements are concretely modelled per family, which keeps the enumeration
 honest and the braid relations checkable.  Ids, words and every table
@@ -274,19 +276,15 @@ def _model_for(pres: CoxeterPresentation):
 
 
 class GroupTable:
-    """A fully enumerated finite Coxeter group.
+    """A fully enumerated finite Coxeter group; immutable after
+    construction."""
 
-    Immutable after construction except for the Bruhat-order memo, which
-    only ever gains entries and is deterministic.
-    """
-
-    def __init__(self, pres, size, length, word, right, left, inv, fc, rep, relabel):
+    def __init__(self, pres, size, length, word, right, inv, fc, rep, relabel):
         self.presentation = pres
         self.size = size
         self.length = length  # list[int]
         self.word = word  # list[tuple[int, ...]], ShortLex-minimal reduced words
         self.right = right  # right[x][s] = x * s
-        self.left = left  # left[x][s] = s * x
         self.inv = inv  # list[ElementId]
         self.fc = fc  # list[bool], fully commutative flags
         self.rep = rep  # list[ElementId], the least id in each element's orbit
@@ -294,7 +292,6 @@ class GroupTable:
         self.relabel = relabel  # list[list[ElementId]]
         self.w0 = size - 1
         self.rank = pres.rank
-        self._bruhat_memo: dict[tuple[int, int], bool] = {}
 
     # -- basic operations ----------------------------------------------------
 
@@ -306,17 +303,6 @@ class GroupTable:
     def word_str(self, x: ElementId) -> str:
         """The minimal word of x with 1-based generators; "e" for the identity."""
         return "".join(str(s + 1) for s in self.word[x]) or "e"
-
-    def right_descents(self, x: ElementId):
-        lx = self.length[x]
-        return [s for s in range(self.rank) if self.length[self.right[x][s]] < lx]
-
-    def first_left_descent(self, x: ElementId) -> int:
-        lx = self.length[x]
-        for s in range(self.rank):
-            if self.length[self.left[x][s]] < lx:
-                return s
-        raise ValueError("identity has no descents")
 
     def is_element_id(self, x: object) -> bool:
         """True when x is an int (not a bool) in range(size)."""
@@ -335,25 +321,19 @@ class GroupTable:
     # -- Bruhat order ----------------------------------------------------------
 
     def bruhat_leq(self, y: ElementId, x: ElementId) -> bool:
-        """y <= x in Bruhat order, by the descent recursion."""
-        if y == x or y == 0:
-            return True
-        if self.length[y] >= self.length[x]:
-            return False
-        key = (y, x)
-        memo = self._bruhat_memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        s = self.first_left_descent(x)
-        sx = self.left[x][s]
-        sy = self.left[y][s]
-        if self.length[sy] < self.length[y]:
-            result = self.bruhat_leq(sy, sx)
-        else:
-            result = self.bruhat_leq(y, sx)
-        memo[key] = result
-        return result
+        """y <= x in Bruhat order, by the lifting property: for a right
+        descent s of x, y <= x iff ys <= xs when ys < y, and iff y <= xs
+        otherwise.  s is the last letter of the word of x."""
+        length, right, word = self.length, self.right, self.word
+        while y != 0 and y != x:
+            if length[y] >= length[x]:
+                return False
+            s = word[x][-1]
+            x = right[x][s]
+            ys = right[y][s]
+            if length[ys] < length[y]:
+                y = ys
+        return True
 
     def bruhat_interval_below(self, x: ElementId) -> list[ElementId]:
         return [y for y in range(self.size) if self.bruhat_leq(y, x)]
@@ -426,11 +406,10 @@ def build_group(pres: CoxeterPresentation, allow_large: bool = False) -> GroupTa
         for s in reversed(word[x]):
             z = right[z][s]
         inv[x] = z
-    left = [[inv[right[inv[x]][s]] for s in range(rank)] for x in range(size)]
 
     fc = _fc_flags(pres.matrix, length, right)
     rep, relabel = _orbits(pres.matrix, word, right, inv)
-    return GroupTable(pres, size, length, word, right, left, inv, fc, rep, relabel)
+    return GroupTable(pres, size, length, word, right, inv, fc, rep, relabel)
 
 
 def _orbits(matrix, word, right, inv):

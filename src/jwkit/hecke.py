@@ -10,15 +10,15 @@ delta_{xy} whenever lengths add.  The KL basis element b_x = sum_y
 h_{y,x} delta_y is the unique bar-invariant element with h_{x,x} = 1 and
 h_{y,x} in v Z[v] for y < x; in particular b_s = delta_s + v.
 
-The KL polynomials are computed by the one-generator recursion.  For a
-left descent s of x and z = s x,
+The KL polynomials are computed by the one-generator recursion.  For
+the last letter s of the word of x, a right descent, and z = x s,
 
-    b_s b_z = b_x + sum over y < z with sy < y of mu(y, z) b_y,
+    b_z b_s = b_x + sum over y < z with ys < y of mu(y, z) b_y,
 
 where mu(y, z) is the coefficient of v in h_{y,z}, and
 
-    b_s delta_y = delta_{sy} + v delta_y        if sy > y,
-    b_s delta_y = delta_{sy} + v^-1 delta_y     if sy < y.
+    delta_y b_s = delta_{ys} + v delta_y        if ys > y,
+    delta_y b_s = delta_{ys} + v^-1 delta_y     if ys < y.
 
 The anti-automorphism delta_x -> delta_{x^-1} commutes with bar and
 keeps lengths and the Bruhat order, and so does every automorphism of
@@ -268,7 +268,7 @@ class KLTable:
         representative it rests on."""
         g = self.group
         cols, mus = self._cols, self._mu
-        length, left, rep, relabel = g.length, g.left, g.rep, g.relabel
+        length, right, word, rep, relabel = g.length, g.right, g.word, g.rep, g.relabel
         # x -> (s, z, its mu-corrections) while the corrections' columns fill;
         # the stack holds representatives, and everything stacked above x
         # is shorter than x, so when x is back on top they are all filled
@@ -282,8 +282,8 @@ class KLTable:
             if x in waiting:
                 s, z, corrections = waiting.pop(x)
             else:
-                s = g.first_left_descent(x)
-                z = left[x][s]
+                s = word[x][-1]
+                z = right[x][s]
                 cz = cols.get(rep[z])
                 if cz is None:
                     stack.append(rep[z])
@@ -293,7 +293,7 @@ class KLTable:
                 for y, i in cz.items():
                     if mus[i]:
                         y = phi[y]
-                        if length[left[y][s]] < length[y]:
+                        if length[right[y][s]] < length[y]:
                             corrections.append((y, mus[i]))
                 pending = [rep[y] for y, _ in corrections if rep[y] not in cols]
                 if pending:
@@ -305,23 +305,23 @@ class KLTable:
             stack.pop()
 
     def _combine(self, s: int, z: ElementId, corrections: list[tuple[int, int]]) -> dict[int, int]:
-        """Column of x = s z from the column of z and the mu-corrections
-        [(y, mu(y, z))] over y < z with sy < y, summed in one transient
+        """Column of x = z s from the column of z and the mu-corrections
+        [(y, mu(y, z))] over y < z with ys < y, summed in one transient
         packed accumulator and interned once; every column is read from
         its representative's through the symmetry.  Every y in the column
         of a mu-correction is <= x, so it is already in acc (w <= x gives
-        w <= z or sw <= z)."""
+        w <= z or ws <= z)."""
         g = self.group
-        length, left, rep, relabel = g.length, g.left, g.rep, g.relabel
+        length, right, rep, relabel = g.length, g.right, g.rep, g.relabel
         hs, cols = self._packed[_B], self._cols
         acc: dict[int, int] = {}
         phi = relabel[z]
         for y, i in cols[rep[z]].items():
             y = phi[y]
             p = hs[i]
-            sy = left[y][s]
-            acc[sy] = acc.get(sy, 0) + p
-            if length[sy] > length[y]:
+            ys = right[y][s]
+            acc[ys] = acc.get(ys, 0) + p
+            if length[ys] > length[y]:
                 acc[y] = acc.get(y, 0) + (p << _B)  # + v h_{y,z}
             else:
                 acc[y] = acc.get(y, 0) + (p >> _B)  # + v^-1 h_{y,z}; min exp >= 1 here
@@ -332,7 +332,7 @@ class KLTable:
                     acc[phi[w]] -= mu * hs[j]
         except KeyError:
             raise KLLawError("a KL column is not a Bruhat interval") from None
-        x = left[z][s]
+        x = right[z][s]
         if acc.get(x) != 1:
             raise KLLawError("KL recursion lost unitriangularity")
         ids, intern = self._ids, self._intern

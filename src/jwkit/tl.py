@@ -215,6 +215,8 @@ class TLElt(LinComb):
         self.sign = sign
         LinComb.__init__(self, coeffs)
         for d in self.rows:
+            if not isinstance(d, Diagram):
+                raise ValueError(f"{d!r} is not a diagram; TL_{n} has no basis element for it")
             if d.n != n:
                 raise ValueError("mixed strand counts in one element")
 

@@ -18,6 +18,13 @@ def grp(family, rank=None, m=None, allow_large=False):
     return coxeter.build_group(coxeter.presentation(family, rank=rank, m=m), allow_large=allow_large)
 
 
+def left_table(g):
+    """left[x][s] = s x, as (x^-1 s)^-1 from the group's inverses and its
+    right multiplication table; the package keeps no left table."""
+    inv, right = g.inv, g.right
+    return [[inv[right[inv[x]][s]] for s in range(g.rank)] for x in range(g.size)]
+
+
 def kl_coefficients(h, table, fc_only=False):
     """hecke.to_kl_basis as {x: RatFunc}, each coefficient canonicalised
     by RatFunc from the returned rows and denominator."""
@@ -280,7 +287,7 @@ def times_gen(h, s, side="right"):
     from jwkit.qpoly import RatFunc
 
     g = h.group
-    table = g.right if side == "right" else g.left
+    table = g.right if side == "right" else left_table(g)
     vdiff = RatFunc(LaurentPoly({-1: 1, 1: -1}))
     out = {}
     for x, c in h.coeffs.items():

@@ -337,7 +337,7 @@ def test_kl_law_breach_in_last_column_leaves_stdout_empty(capsys, monkeypatch, c
 
     def breach_at_w0(self, s, z, cz):
         g = self.group
-        if g.left[z][s] == g.w0:
+        if g.right[z][s] == g.w0:
             raise hecke.KLLawError("KL recursion lost unitriangularity")
         return combine(self, s, z, cz)
 

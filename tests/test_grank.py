@@ -10,7 +10,7 @@ from jwkit.gtl import gen_jw_closed
 from jwkit.hecke import KLLawError, KLTable
 from jwkit.qpoly import LaurentPoly, RatFunc, parity_class, quantum_factorial, quantum_int
 
-from oracles import grp, packed_entry, store_entry
+from oracles import grp, left_table, packed_entry, store_entry
 
 V = LaurentPoly.gen()
 ONE = LaurentPoly.one()
@@ -96,9 +96,11 @@ def test_poincare_a2_length_two():
             assert poincare_interval(g, x) == expect
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+# at m = 1200 each Bruhat test walks up to 1200 descents of w0, past the
+# recursion limit of a test that recursed once per descent
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 1200])
 def test_poincare_dihedral_longest(m):
-    g = grp("I2", 2, m)
+    g = grp("I2", 2, m, allow_large=True)
     poly = poincare_interval(g, g.w0)
     expect = {m: 1, -m: 1}
     for k in range(1, m):
@@ -274,17 +276,19 @@ def _wgraph_grrk(g, t, extra=0):
     """grrk of every element by the W-graph recursion: applying delta_s -> v^-1
     to b_s b_z = b_x + sum mu(y, z) b_y (y < z, sy < y) gives grrk(x) =
     [2] grrk(z) - sum mu(y, z) grrk(y), with z = s x for the first left
-    descent s of x.  Only KLTable.mu and LaurentPoly arithmetic; ``extra``
-    is added at every step, for the control."""
+    descent s of x: the side opposite to the package's recursion, on the
+    left table of tests/oracles.py.  Only KLTable.mu and LaurentPoly
+    arithmetic; ``extra`` is added at every step, for the control."""
     two = quantum_int(2)
+    left, length = left_table(g), g.length
     ranks = [LaurentPoly.one()]
     for x in range(1, g.size):
-        s = g.first_left_descent(x)
-        z = g.left[x][s]
+        s = next(s for s in range(g.rank) if length[left[x][s]] < length[x])
+        z = left[x][s]
         r = two * ranks[z] + LaurentPoly.const(extra)
         for y in range(z):  # ids are ordered by length, so y < z has a smaller id
             mu = t.mu(y, z)
-            if mu and g.length[g.left[y][s]] < g.length[y]:
+            if mu and length[left[y][s]] < length[y]:
                 r = r - ranks[y].scale(mu)
         ranks.append(r)
     return ranks

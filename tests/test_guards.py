@@ -1,11 +1,14 @@
 """Guards over the source tree and the README that no single module test
 covers: the suite names agree everywhere they are listed, no invariant is
 an ``assert`` that ``python -O`` would strip or an untyped
-``AssertionError``, and every public entry that takes a KL table refuses
-one of another group."""
+``AssertionError``, every public entry that takes a KL table refuses
+one of another group, and the README's counts of stored KL columns are
+those a run gives."""
 
 import argparse
 import ast
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -21,6 +24,15 @@ from jwkit.tl import closed_jw, jw_minus, project_pi
 from oracles import grp
 
 _ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_numbers(pattern: str) -> list[int]:
+    """The integers the README pattern captures, thousands separators
+    dropped; the pattern matches across line breaks."""
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(pattern.replace(" ", r"\s+"), readme)
+    assert match, pattern
+    return [int(n.replace(",", "")) for n in match.groups()]
 
 
 def _suite_help() -> str:
@@ -86,3 +98,30 @@ def test_every_entry_refuses_a_table_of_another_group(entry, memoised):
         t.fc_w_graph()
     with pytest.raises(ValueError, match=f"KL table of {family} rank {rank} used for A rank 3"):
         call(g, t)
+
+
+def test_readme_states_the_cold_f4_cache(tmp_path):
+    """README's "Caching" counts the stored columns, their entries and the
+    bytes of the file that a cold ``jw --family F4 --allow-large`` writes."""
+    columns, entries, size = _readme_numbers(
+        r"a cold `jw --family F4 --allow-large` stores ([\d,]+) columns \(([\d,]+) entries\) in ([\d,]+) B"
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["jw", "--family", "F4", "--allow-large", "--cache-dir", str(tmp_path)]) == 0
+    (path,) = tmp_path.iterdir()
+    stored = [line.split() for line in path.read_text().splitlines() if line.startswith("c ")]
+    assert [len(stored), sum(len(c) // 2 - 1 for c in stored), path.stat().st_size] == [columns, entries, size]
+
+
+def test_readme_states_the_fc_closures():
+    """README's TL_W product counts the columns that filling the columns
+    of the fully commutative elements stores, in F4 and H4."""
+    expected = _readme_numbers(r"filling them stores (\d+) columns in F4 and (\d+) in H4")
+    stored = []
+    for family in ("F4", "H4"):
+        g = grp(family, allow_large=True)
+        t = KLTable(g)
+        for x in g.fc_elements():
+            t.column_packed(x)
+        stored.append(len(t.computed_columns()))
+    assert stored == expected

@@ -137,6 +137,15 @@ def test_tl_minus_relations():
                 assert u * uj * u == u
 
 
+def test_tl_elt_rejects_keys_that_are_not_diagrams():
+    # keys are diagrams, as HeckeElt and GTLElt keys are element ids
+    for d in (5, None, (1, 0, 3, 2), "d"):
+        with pytest.raises(ValueError, match="is not a diagram"):
+            TLElt(2, {d: RatFunc.one()})
+    with pytest.raises(ValueError, match="mixed strand counts"):
+        TLElt(2, {Diagram.identity(3): RatFunc.one()})
+
+
 def test_tl_mixed_sign_rejected():
     with pytest.raises(ValueError):
         multiply_tl(TLElt.gen(3, 0), TLElt.gen(3, 0, sign=-1))
