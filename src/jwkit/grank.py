@@ -73,7 +73,8 @@ def grrk(g: GroupTable, cache: KLTable, x: ElementId) -> GradedRank:
 
     The result is checked against the parity constraint, it must lie in
     v^(length(x)) Z[v^(-2)], and against bar symmetry; a violation of
-    either raises KLLawError.  A table of another group: ValueError.
+    either raises KLLawError.  A table of another group, or an x that is
+    not an element id: ValueError.
     """
     cache.check_group(g)
     total = LaurentPoly(cache.graded_sum(x))

@@ -115,7 +115,8 @@ class KLTable:
     1): packed at offset 0 and width _B, as {exp: int} (``terms``), and
     with its mu; ``peak``, the largest coefficient stored, bounds every
     column.  A column maps y to the id of h_{y,x}; only the columns of
-    orbit representatives are stored (``_cols``)."""
+    orbit representatives are stored (``_cols``).  Every reader refuses an
+    id that is not an element id (ValueError)."""
 
     def __init__(self, group: GroupTable):
         self.group = group
@@ -168,12 +169,14 @@ class KLTable:
 
     def h(self, y: ElementId, x: ElementId) -> LaurentPoly:
         """The KL polynomial h_{y,x} (zero unless y <= x)."""
+        _check_id(self.group, y)
         col, phi = self.stored_column(x)
         i = col.get(phi[y])  # phi is an involution
         return LaurentPoly() if i is None else LaurentPoly(self.terms[i])
 
     def mu(self, y: ElementId, x: ElementId) -> int:
         """The coefficient of v in h_{y,x}."""
+        _check_id(self.group, y)
         col, phi = self.stored_column(x)
         i = col.get(phi[y])
         return 0 if i is None else self._mu[i]
@@ -187,6 +190,7 @@ class KLTable:
         """The column of x, {y: id of h_{y,x}}: the stored column of its
         representative, computed on first use, relabelled unless x is the
         representative.  Every fill starts here."""
+        _check_id(self.group, x)
         r = self.group.rep[x]
         col = self._cols.get(r)
         if col is None:
@@ -201,6 +205,7 @@ class KLTable:
         """(col, phi): the stored column of the representative of x and the
         symmetry carrying it to x, so h_{phi(y),x} has id col[y]."""
         g = self.group
+        _check_id(g, x)
         return self.column_packed(g.rep[x]), g.relabel[x]
 
     def graded_sum(self, x: ElementId) -> dict[int, int]:
@@ -213,7 +218,7 @@ class KLTable:
         entry, so (column size) x peak."""
         length = self.group.length
         L = length[self.group.w0]
-        col = self.column_packed(self.group.rep[x])
+        col = self.stored_column(x)[0]
         bound = len(col) * self.peak  # read after the fill, so it covers col
         b = _width(bound)
         hs = self.packed_at(b)
@@ -345,6 +350,11 @@ class KLTable:
         except OverflowError:
             raise KLLawError("KL recursion gave a negative coefficient or one of 2^31 or more") from None
         return out
+
+
+def _check_id(g: GroupTable, x: object) -> None:
+    if not g.is_element_id(x):
+        raise ValueError(f"{x!r} is not an element id of this group")
 
 
 # -- elements -----------------------------------------------------------------
@@ -537,7 +547,7 @@ def _bar_std(g: GroupTable, maxlen: int, b: int) -> list[dict[ElementId, int]]:
 
 
 def kl_basis(group: GroupTable, x: ElementId, table: KLTable) -> HeckeElt:
-    """b_x = sum_y h_{y,x} delta_y."""
+    """b_x = sum_y h_{y,x} delta_y; ValueError unless x is an element id."""
     return HeckeElt(group, {y: RatFunc(p) for y, p in table.column(x).items()})
 
 
@@ -687,8 +697,11 @@ def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, L
     """KL-basis coefficients of b_x b_s, via the standard basis and
     back-substitution.  b_x b_s = sum_y h_{y,x} (delta_{ys} + v^(+-1)
     delta_y) is packed straight from the column at exponent offset -1;
-    each of its coefficients sums at most two column coefficients."""
+    each of its coefficients sums at most two column coefficients.  ValueError
+    unless x is an element id and s in range(rank)."""
     g = table.group
+    if type(s) is not int or not 0 <= s < g.rank:
+        raise ValueError(f"{s!r} is not a generator of this group")
     length, right = g.length, g.right
     col, phi = table.stored_column(x)  # filled before the peak is read
     bound = 2 * table.peak
@@ -791,9 +804,9 @@ def verify_bar_invariance(group: GroupTable, table: KLTable) -> int:
 
 # -- on-disk cache ------------------------------------------------------------------
 #
-# Format 4, one file per group:
+# Format 5, one file per group:
 #
-#     kltable 4 <family> <m> <enumeration version>
+#     kltable 5 <family> <m> <enumeration version>
 #     h <e>:<c> <e>:<c> ...          one per stored polynomial, in id order
 #     c <x> <y> <id> <y> <id> ...    one per computed column, y ascending
 #     end <body lines> <sha256 of the body>
@@ -801,17 +814,18 @@ def verify_bar_invariance(group: GroupTable, table: KLTable) -> int:
 # The body is every line between the header and the trailer, newlines
 # included.  Element ids depend on the enumeration, hence its version.
 # Only the columns of orbit representatives are stored (format 3 held
-# every computed column).
+# every computed column).  Format 5 is format 4 under a new header, so
+# a format-4 file, perhaps from the recursion on left descents, is rewritten.
 
 
 def _header(group: GroupTable) -> str:
     pres = group.presentation
-    return f"kltable 4 {pres.family} {pres.m_parameter} {ENUMERATION}"
+    return f"kltable 5 {pres.family} {pres.m_parameter} {ENUMERATION}"
 
 
 def write_kl_cache(path: str, table: KLTable) -> int:
     """Write the stored polynomials and every stored column to ``path``
-    atomically in format 4, hashing the body as it streams out; a rewrite
+    atomically in format 5, hashing the body as it streams out; a rewrite
     of the same table state is byte-identical.  Returns the number of body
     lines."""
     d = os.path.dirname(os.path.abspath(path))
@@ -847,7 +861,7 @@ def write_kl_cache(path: str, table: KLTable) -> int:
 
 def load_kl_cache(path: str, table: KLTable) -> int:
     """Fill a fresh table, holding only the identity's column and polynomial
-    1 (any other: ValueError, before the file is opened), from the format-4
+    1 (any other: ValueError, before the file is opened), from the format-5
     file at ``path``, whose polynomial ids become the table's.  The file is
     read one line at a time and hashed as it is read.  Each polynomial line
     is checked once: exponents in [0, L], coefficients positive and below

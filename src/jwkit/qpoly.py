@@ -389,31 +389,6 @@ def _laurent(c: int, k: int, f: list[int]) -> LaurentPoly:
     return _wrap({k + i: c * a for i, a in enumerate(f) if a})
 
 
-def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """lcm in Z[v, v^-1] of two nonzero Laurent polynomials, monomial
-    factors dropped: the lcm of the two contents times (f / h) g for the
-    primitive parts f, g and h = gcd(f, g), the cofactor f / h read off
-    the reduction of f over g."""
-    ca, _, f = _split(a._terms)
-    cb, _, g = _split(b._terms)
-    bound = max(map(abs, f))
-    b = _width(bound)
-    rows, _ = _divided({0: _eval(f, b)}, 0, b, bound, 1, g, _eval(g, b), {})
-    return _wrap(rows[0]) * _laurent(math.lcm(ca, cb), 0, g)
-
-
-def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """a / b when b divides a in Z[v, v^-1]; ArithmeticError otherwise."""
-    if a.is_zero:
-        return a
-    ca, ka, f = _split(a._terms)
-    cb, kb, g = _split(b._terms)
-    c, r = divmod(ca, cb)
-    if r:
-        raise ArithmeticError("polynomial division by a non-divisor")
-    return _laurent(c, ka - kb, _exact_quotient(f, g))
-
-
 # -- signed Kronecker packing -------------------------------------------------
 #
 # One integer holds one integer Laurent polynomial: sum_e c_e v^e becomes
@@ -677,7 +652,9 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly):
 #   * den shares no factor with all the rows at once, contents included.
 #
 # So den is the lcm of the reduced coefficient denominators, and equal
-# combinations have equal rows and den.
+# combinations have equal rows and den.  One rule builds den: every
+# combination starts over the product of its distinct denominators and is
+# reduced once, on packed integers (_reduced).
 
 _ONE = LaurentPoly.one()
 _MIX = random.Random(1989)  # multipliers of the row combination in _heu_divided
@@ -792,6 +769,25 @@ def _canonical(rows: Mapping[object, Mapping[int, int]], den: LaurentPoly) -> tu
     return _reduced(*_packed(rows), den)
 
 
+def _combined(parts, den: LaurentPoly) -> tuple[dict, LaurentPoly]:
+    """The canonical (rows, den) of sum f rows / den over the (rows, f)
+    pairs in the sequence parts, for integer rows {k: {exp: int}}, integer
+    polynomials f {exp: int} and a normalised den: every row and f packed
+    at one width, under the bound sum ||f||_1 ||rows||_inf, multiplied and
+    summed as big integers, and reduced once."""
+    bound = sum(sum(map(abs, f.values())) * max((abs(c) for r in rows.values() for c in r.values()), default=0)
+                for rows, f in parts)
+    off_r = min((e for rows, _ in parts for r in rows.values() for e in r), default=0)
+    off_f = min((e for _, f in parts for e in f), default=0)
+    b = _width(bound)
+    acc: dict = {}
+    for rows, f in parts:
+        pf = _pack(f, off_f, b)
+        for k, r in rows.items():
+            acc[k] = acc.get(k, 0) + pf * _pack(r, off_r, b)
+    return _reduced(acc, off_r + off_f, bound, den)
+
+
 def _coefficients(rows: Mapping[object, Mapping[int, int]], den: LaurentPoly) -> dict:
     """{k: rows[k] / den} as canonical RatFuncs, each row reduced by
     _divided as a one-row combination.  den is split into its content cd
@@ -838,24 +834,18 @@ class LinComb:
     __slots__ = ("rows", "den", "_coeffs")
 
     def __init__(self, coeffs: Mapping[object, "RatFunc"]):
-        """From {key: RatFunc}: den is the lcm of the coefficient
-        denominators, taken once per distinct denominator.  Canonical
-        coefficients give the canonical form: a prime power dividing den
-        exactly divides the denominator of some coefficient, whose row it
-        then does not divide."""
+        """From {key: RatFunc}, grouped by denominator.  Canonical
+        coefficients over one denominator are in canonical form already;
+        over several, each group times the other denominators is summed
+        over their product and reduced once (_combined)."""
         coeffs = {k: c for k, c in coeffs.items() if not c.is_zero}
-        dens = dict.fromkeys(c.den for c in coeffs.values())
-        den = _ONE
-        for d in dens:
-            if not d.is_one:
-                den = d if den.is_one else poly_lcm(den, d)
-        for d in dens:
-            dens[d] = poly_exact_div(den, d)
-        self.rows = {
-            k: c.num._terms if dens[c.den].is_one else (c.num * dens[c.den])._terms
-            for k, c in coeffs.items()
-        }
-        self.den = den
+        groups: dict[LaurentPoly, dict] = {}
+        for k, c in coeffs.items():
+            groups.setdefault(c.den, {})[k] = c.num._terms
+        self.den, self.rows = next(iter(groups.items()), (_ONE, {}))  # the one group, or none
+        if len(groups) > 1:
+            parts = [(rows, math.prod((e for e in groups if e is not d), start=_ONE)._terms) for d, rows in groups.items()]
+            self.rows, self.den = _combined(parts, math.prod(groups, start=_ONE))
         self._coeffs = coeffs
 
     def _rebuild(self, rows: dict, den: LaurentPoly) -> "LinComb":
@@ -885,19 +875,14 @@ class LinComb:
             )
         return True
 
-    # -- linear structure: one lcm and one reduction per element ----------------
+    # -- linear structure: over the product of the denominators, one reduction each ------
 
     def __add__(self, other: object) -> "LinComb":
         if not self._peer(other):
             return NotImplemented
         a, b = self.den, other.den
-        den = a if a == b else poly_lcm(a, b)
-        acc: dict = {}
-        for elt, f in ((self, poly_exact_div(den, a)), (other, poly_exact_div(den, b))):
-            for k, r in elt.rows.items():
-                p = _wrap(r) * f
-                acc[k] = acc[k] + p if k in acc else p
-        return self._rebuild(*_canonical({k: p._terms for k, p in acc.items()}, den))
+        f, g, den = (_ONE, _ONE, a) if a == b else (b, a, a * b)
+        return self._rebuild(*_combined(((self.rows, f._terms), (other.rows, g._terms)), den))
 
     def __neg__(self) -> "LinComb":
         return self._rebuild({k: {e: -c for e, c in r.items()} for k, r in self.rows.items()}, self.den)
@@ -911,8 +896,7 @@ class LinComb:
         c = _as_rat(c)
         if c is NotImplemented:
             raise TypeError("a scalar is a RatFunc, LaurentPoly, int or Fraction")
-        rows = {k: (_wrap(r) * c.num)._terms for k, r in self.rows.items()}
-        return self._rebuild(*_canonical(rows, self.den * c.den))
+        return self._rebuild(*_combined(((self.rows, c.num._terms),), self.den * c.den))
 
     def coefficient(self, key) -> RatFunc:
         return self.coeffs.get(key, RatFunc.zero())

@@ -615,7 +615,7 @@ def test_cache_of_format_1_is_recomputed(capsys, tmp_path):
     code, out, err = _run(capsys, *argv)
     assert code == 0 and out == cold
     assert "warning" in err and "header mismatch" in err
-    assert path.read_text().startswith(f"kltable 4 B 2 {coxeter.ENUMERATION}\n")
+    assert path.read_text().startswith(f"kltable 5 B 2 {coxeter.ENUMERATION}\n")
 
 
 # the full A2 table as the format-2 writer wrote it: one line per entry
@@ -653,7 +653,7 @@ def test_cache_of_format_2_is_recomputed(capsys, tmp_path):
     code, out, err = _run(capsys, *argv, str(path.parent))
     assert code == 0 and out == cold
     assert "warning" in err and "header mismatch" in err
-    assert path.read_text().startswith("kltable 4 ")
+    assert path.read_text().startswith("kltable 5 ")
 
 
 # the full A2 table as the format-3 writer wrote it: every computed column,
@@ -673,18 +673,43 @@ end 10 0ee1459e6943ef22a97e62ad233da88347f450441ef75c0af919de262e203388
 """
 
 
-def test_cache_of_format_3_is_recomputed(capsys, tmp_path):
+# the full A2 table as the format-4 writer wrote it: the lines of format 5
+# under the old header
+A2_FORMAT_4 = """kltable 4 A 2 1
+h 0:1
+h 1:1
+h 2:1
+h 3:1
+c 0 0 0
+c 1 0 1 1 0
+c 3 0 2 1 1 2 1 3 0
+c 5 0 3 1 2 2 2 3 1 4 1 5 0
+end 8 d39f1f4fdf1ac4899ea40281e64c1a389f9b55dd530af4c20f4314c1dc61e101
+"""
+
+
+def _old_a2_cache_is_recomputed(capsys, tmp_path, text):
     argv = ("kl", "--family", "A", "--rank", "2", "--cache-dir")
     code, cold, _ = _run(capsys, *argv, str(tmp_path / "cold"))
     assert code == 0
     path = tmp_path / "old" / "kl-A-2.kltab"
     path.parent.mkdir()
-    path.write_text(A2_FORMAT_3)
+    path.write_text(text)
     code, out, err = _run(capsys, *argv, str(path.parent))
     assert code == 0 and out == cold
     assert "warning" in err and "header mismatch" in err
     assert path.read_text() == (tmp_path / "cold" / "kl-A-2.kltab").read_text()
-    assert path.read_text().startswith(f"kltable 4 A 2 {coxeter.ENUMERATION}\n")
+    assert path.read_text().startswith(f"kltable 5 A 2 {coxeter.ENUMERATION}\n")
+
+
+def test_cache_of_format_3_is_recomputed(capsys, tmp_path):
+    _old_a2_cache_is_recomputed(capsys, tmp_path, A2_FORMAT_3)
+
+
+def test_cache_of_format_4_is_recomputed(capsys, tmp_path):
+    """A format-4 file may hold the extra columns of the recursion on left
+    descents; it is rewritten once, like any older format."""
+    _old_a2_cache_is_recomputed(capsys, tmp_path, A2_FORMAT_4)
 
 
 def test_cache_of_another_enumeration_is_recomputed(capsys, tmp_path):
@@ -693,10 +718,10 @@ def test_cache_of_another_enumeration_is_recomputed(capsys, tmp_path):
     argv = ("grrk", "--family", "B", "--rank", "2", "--cache-dir", str(tmp_path))
     code, cold, _ = _run(capsys, *argv)
     path = tmp_path / "kl-B-2.kltab"
-    current = f"kltable 4 B 2 {coxeter.ENUMERATION}\n"
+    current = f"kltable 5 B 2 {coxeter.ENUMERATION}\n"
     text = path.read_text()
     assert text.startswith(current)
-    path.write_text(text.replace(current, f"kltable 4 B 2 {coxeter.ENUMERATION + 1}\n"))
+    path.write_text(text.replace(current, f"kltable 5 B 2 {coxeter.ENUMERATION + 1}\n"))
     code, out, err = _run(capsys, *argv)
     assert code == 0 and out == cold
     assert "warning" in err and "header mismatch" in err

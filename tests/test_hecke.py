@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jwkit import coxeter, hecke
+from jwkit.grank import grrk
 from jwkit.gtl import gen_jw_closed
 from jwkit.hecke import (
     CacheFormatError,
@@ -276,6 +277,32 @@ def test_hecke_elt_rejects_keys_that_are_not_element_ids():
     for x in (-1, g.size, 1.0, True, "1", None):
         with pytest.raises(ValueError):
             HeckeElt(g, {x: RatFunc.one()})
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_kl_readers_refuse_ids_that_are_not_element_ids(family):
+    # list indexing used to read -1 as w0, -2 as the element before it and
+    # True as 1, so grrk(-1) returned grrk(w0) and h(-1, -1) returned 1
+    g = grp(family, 3)
+    t = KLTable(g)
+    bad = (-1, -2, g.size, True, 1.0, "1", None)
+    readers = [
+        lambda x: grrk(g, t, x),
+        t.column,
+        t.column_packed,
+        t.stored_column,
+        lambda x: kl_basis(g, x, t),
+        lambda x: kl_product_coeffs(t, x, 0),
+    ]
+    readers += [lambda x, f=f: f(x, g.w0) for f in (t.h, t.mu)]
+    readers += [lambda x, f=f: f(0, x) for f in (t.h, t.mu)]
+    for read in readers:
+        for x in bad:
+            with pytest.raises(ValueError):
+                read(x)
+    for s in (-1, g.rank, True, 1.0, None):
+        with pytest.raises(ValueError):
+            kl_product_coeffs(t, 5, s)
 
 
 def test_kl_product_coeffs_matches_naive():
@@ -714,12 +741,12 @@ def test_cache_without_polynomials_is_refused(tmp_path):
         assert t.terms == [{0: 1}] and t.peak == 1
 
 
-# sha256 of the full-table cache files, recorded from the format-4 writer
+# sha256 of the full-table cache files, recorded from the format-5 writer
 CACHE_SHA256 = {
-    ("A", 3, None): "c417a62b1629e7df94a247396d995b3026de026bcd3264e05ef4fb2298f35e58",
-    ("B", 4, None): "d1825cc4808fc661d1075f0cf25496faa6aa39f2155bf2adda077fbed54c25ad",
-    ("H3", 3, None): "a2b181efe02a0950d81f0623c8ded78487f16d23dc69366f21aae0440c589917",
-    ("I2", None, 7): "bd32ba5fd3894dc07b280700a036fee8f6ecee07c6bccc656238168f0e9aeebd",
+    ("A", 3, None): "07a802368d04e6b435a6e2e57fe4109be23062239f80a3088fa67fb054992918",
+    ("B", 4, None): "235ab882fe099514ffd701cf43b8fc85b98259b3292a43d11f21416cf146f514",
+    ("H3", 3, None): "1a320a441bcf9cf57de64897b6272f8d05811654bf0f93a45805a07a0fe406dc",
+    ("I2", None, 7): "c103d87ad2975340ea2936fc71cf78d0cc94c5cce39beb0a1e349d094238b99c",
 }
 
 
@@ -793,11 +820,12 @@ def test_cache_rejects_corruption(tmp_path):
     expect_reject(good[:-1] + [f"end {count} {'0' * 64}"], match="checksum")  # wrong checksum
     expect_reject(good[:-1] + [f"end \u00b2 {digest}"], match="trailing record")  # int() rejects it
     expect_reject(good + [good[1]], match="after the trailing record")
-    expect_reject(["kltable 4 A 2 1"] + good[1:])  # wrong family
+    expect_reject(["kltable 5 A 2 1"] + good[1:])  # wrong family
     expect_reject(["kltable 1 B 2"] + good[1:-1] + [good[-1].rsplit(" ", 1)[0]])  # format 1
     expect_reject(["kltable 2 B 2"] + good[1:], match="header mismatch")  # format 2
     expect_reject([f"kltable 3 B 2 {coxeter.ENUMERATION}"] + good[1:], match="header mismatch")  # format 3
-    other = f"kltable 4 B 2 {coxeter.ENUMERATION + 1}"  # ids from another enumeration
+    expect_reject([f"kltable 4 B 2 {coxeter.ENUMERATION}"] + good[1:], match="header mismatch")  # format 4
+    other = f"kltable 5 B 2 {coxeter.ENUMERATION + 1}"  # ids from another enumeration
     expect_reject([other] + good[1:], match="header mismatch")
     bad = good.copy()
     bad[3] = bad[3].rsplit(" ", 1)[0] + " 2:x"
@@ -856,7 +884,7 @@ def test_cache_header_for_i2(tmp_path):
     t.column_packed(g.w0)
     path = tmp_path / "kl.txt"
     write_kl_cache(str(path), t)
-    assert path.read_text().splitlines()[0] == f"kltable 4 I2 7 {coxeter.ENUMERATION}"
+    assert path.read_text().splitlines()[0] == f"kltable 5 I2 7 {coxeter.ENUMERATION}"
 
 
 def test_cache_rejects_coefficients_past_31_bits(tmp_path):
@@ -969,8 +997,8 @@ def test_cache_mutations_are_rejected_or_harmless(tmp_path):
                 assert all(t2.column(x) == t.column(x) for x in range(g.size))
 
 
-# sha256 of the full F4 cache file, recorded from the format-4 writer
-F4_CACHE_SHA256 = "cce2ecf43281717dff560d32bbefa96a5e7f7ddabd68755a8489595015320877"
+# sha256 of the full F4 cache file, recorded from the format-5 writer
+F4_CACHE_SHA256 = "e97e2f43fd8a455b71bf4487a72a8f6ba0562591eddecbd888af0601d0f66629"
 
 
 def test_f4_cache_round_trip(tmp_path):

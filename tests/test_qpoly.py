@@ -23,8 +23,6 @@ from jwkit.qpoly import (
     _canonical,
     _coefficients,
     parity_class,
-    poly_exact_div,
-    poly_lcm,
     quantum_factorial,
     quantum_int,
 )
@@ -322,15 +320,19 @@ int_laurent = st.dictionaries(st.integers(-5, 5), ints, max_size=5).map(LaurentP
 
 @given(int_laurent, int_laurent, st.integers(-4, 4), ints)
 def test_laurent_polynomials_hold_only_ints(a, b, k, c):
-    """What ring operations, the involutions, shifts and the canonical
-    form of RatFunc return holds int coefficients only."""
+    """What ring operations, the involutions, shifts, the canonical form
+    of RatFunc and the rows and denominator of a sum and of a construction
+    over several denominators hold int coefficients only."""
     out = [a + b, a - b, -a, a * b, a**2, a.bar(), koszul(a), a.shift(k), a.scale(c)]
     out += [v**-k, (-v) ** -3]
     if not b.is_zero:
         f = RatFunc(a, b) * Fraction(1, 3) + RatFunc(c, b.shift(k))
         out += [f.num, f.den, f.bar().num, f.bar().den, koszul(f).num, koszul(f).den]
         r = RatFunc(a, b)
-        out += [r.num, r.den, poly_lcm(b, b.shift(k) * 3), poly_exact_div(a * b, b)]
+        out += [r.num, r.den]
+        s = _Vec({0: RatFunc(a, b)}) + _Vec({0: RatFunc(1, b.shift(k) * 3), 1: RatFunc(a * b, b)})
+        t = _Vec({0: RatFunc(a, b), 1: RatFunc(c, b.shift(k) * 3)})
+        out += [*s.rows.values(), s.den, *t.rows.values(), t.den]
     assert all_int(*out)
 
 
@@ -463,8 +465,9 @@ UNLUCKY_F, UNLUCKY_G = [1, 1], [3, -(2**31 - 1), 2**31 - 1]
 
 def test_an_unlucky_point_falls_through_to_the_remainder_sequence(monkeypatch):
     """The heuristic is inconclusive at the one point it tries; the
-    remainder sequence finds gcd 1, so RatFunc, .coeffs and poly_lcm give
-    f / g and f g as they are."""
+    remainder sequence finds gcd 1, so RatFunc, .coeffs and a sum over g
+    give f / g as it is.  A construction over f and g takes f g as its
+    denominator."""
     f, g = UNLUCKY_F, UNLUCKY_G
     assert 2 * max(map(abs, g)) + 2 <= 1 << 32  # the heuristic applies at xi = 2^32
     assert qpoly._heu_divided({0: qpoly._eval(f, 32)}, 0, 32, 1, g, qpoly._eval(g, 32), {}) is None
@@ -477,14 +480,17 @@ def test_an_unlucky_point_falls_through_to_the_remainder_sequence(monkeypatch):
     assert (r.num._terms, r.den._terms) == (F._terms, G._terms)
     coeffs = _coefficients({0: F._terms, 1: F.shift(-2)._terms}, G)
     assert [(q.num, q.den) for q in coeffs.values()] == [(F, G), (F.shift(-2), G)]
-    assert poly_lcm(F, G) == F * G
-    assert calls == [None] * 4
+    s = _Vec({0: r}) + _Vec({1: RatFunc(F.shift(-2), G)})  # packed at xi = 2^32 too
+    assert (s.rows, s.den) == ({0: F._terms, 1: F.shift(-2)._terms}, G)
+    assert calls == [None] * 5
+    assert _Vec({0: RatFunc(1, F), 1: RatFunc(1, G)}).den == F * G
 
 
 @given(rational, nonzero_rational, nonzero_rational)
 def test_remainder_sequence_fallback_gives_the_same_canonical_form(a, b, c):
-    """With the heuristic forced inconclusive, RatFunc, .coeffs and
-    poly_lcm give the same canonical forms through the remainder sequence."""
+    """With the heuristic forced inconclusive, RatFunc, .coeffs, a sum and
+    a construction over several denominators give the same canonical
+    forms through the remainder sequence."""
     num, den = _planted(a, b, c)
     dnorm = RatFunc(1, den).den
 
@@ -495,7 +501,9 @@ def test_remainder_sequence_fallback_gives_the_same_canonical_form(a, b, c):
             rows = {0: num._terms, 1: (num * v + den)._terms, 2: {3: -6}}
             coeffs = _coefficients({k: r for k, r in rows.items() if r}, dnorm)
             out += [(k, q.num._terms, q.den._terms) for k, q in coeffs.items()]
-            out += [poly_lcm(num, den)._terms, poly_lcm(den, num * den)._terms]
+            s = _Vec({0: RatFunc(1, num)}) + _Vec({1: RatFunc(1, den), 2: RatFunc(v, num * den)})
+            t = _Vec({0: RatFunc(1, num), 1: RatFunc(1, den), 2: RatFunc(v, num * den)})
+            out += [s.rows, s.den._terms, t.rows, t.den._terms]
         return out
 
     fast = forms()
@@ -517,11 +525,6 @@ def test_exact_quotient_raises_on_a_non_divisor(q, g, r):
             qpoly._exact_quotient(f, g)
     with pytest.raises(ArithmeticError):
         qpoly._exact_quotient([1, 1], [1, 2])
-    with pytest.raises(ArithmeticError):
-        poly_exact_div(v + 1, v + 2)
-    with pytest.raises(ArithmeticError):
-        poly_exact_div(v + 1, 2 * v + 2)  # exact over Q, not over Z
-    assert poly_exact_div(6 * v**2 + 6 * v, -2 * v - 2) == -3 * v
 
 
 def test_canonical_form_cancels_the_primitive_gcd():
@@ -541,12 +544,17 @@ def test_canonical_form_cancels_the_primitive_gcd():
         assert all_int(r.num, r.den)
 
 
-def test_poly_lcm_carries_the_lcm_of_the_contents():
-    for a, expected in ((2 * v + 2, 2 * v + 2), (v + v**-1, v**2 + 1)):
-        assert poly_lcm(a, a) == expected
-        assert poly_lcm(a, 2 * a) == 2 * expected
-    assert poly_lcm(v + 1, v - 1) == v**2 - 1
-    assert poly_lcm(6 * v + 6, -4 * v + 4) == 12 * v**2 - 12
+def test_common_denominator_carries_the_lcm_of_the_contents():
+    """The denominators 1/a and 1/b leave in a construction and in a sum:
+    the lcm of a and b in Z[v, v^-1], contents included."""
+    cases = [(a, a, expected) for a, expected in ((2 * v + 2, 2 * v + 2), (v + v**-1, v**2 + 1))]
+    cases += [(a, 2 * a, 2 * expected) for a, _, expected in cases]
+    cases += [(v + 1, v - 1, v**2 - 1), (6 * v + 6, -4 * v + 4, 12 * v**2 - 12)]
+    for a, b, expected in cases:
+        built = _Vec({0: RatFunc(1, a), 1: RatFunc(1, b)})
+        summed = _Vec({0: RatFunc(1, a)}) + _Vec({1: RatFunc(1, b)})
+        assert built.den == summed.den == expected
+        assert built == summed
 
 
 class _Vec(LinComb):
@@ -577,6 +585,28 @@ def test_common_denominator_matches_pairwise_lcm(pairs, c):
         assert RatFunc(LaurentPoly(rows[k]), den) == f
         common = sympy.gcd(common, to_sympy(LaurentPoly(rows[k])))
     assert common in (1, -1)
+
+
+wide = st.dictionaries(st.integers(-4, 4), ints, min_size=1, max_size=4).map(LaurentPoly).filter(bool)
+wide_ratfunc = st.builds(RatFunc, wide, wide)
+wide_coeffs = st.dictionaries(st.integers(0, 4), wide_ratfunc, max_size=4)
+
+
+@settings(max_examples=30)
+@given(wide_coeffs, wide_coeffs, wide_ratfunc)
+def test_wide_digits_in_sums_scalings_and_constructions(x, y, c):
+    """Coefficients up to 2^70 in the numerators, the denominators and the
+    scalar, and negative exponents in the scalar: a construction over
+    several denominators, a sum and a scaling have the coefficients that
+    RatFunc arithmetic gives, key by key."""
+    a, b = _Vec(x), _Vec(y)
+    zero = RatFunc.zero()
+    for elt, expected in (
+        (a, x),
+        (a + b, {k: x.get(k, zero) + y.get(k, zero) for k in {*x, *y}}),
+        (a.scale(c), {k: f * c for k, f in x.items()}),
+    ):
+        assert _coefficients(elt.rows, elt.den) == {k: f for k, f in expected.items() if f}
 
 
 S3 = grp("A", 2)
