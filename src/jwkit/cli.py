@@ -85,8 +85,8 @@ from .tl import (
     Diagram,
     TLElt,
     closed_jw,
+    fc_diagrams,
     jw_minus,
-    monomial,
     multiply_tl,
     project_pi,
     wenzl_jw,
@@ -273,31 +273,32 @@ def _cmd_kl(cfg: argparse.Namespace):
     for x in g.representatives():  # every stored column, before any output
         table.column_packed(x)
     _save_cache(table, cache_path)
-    if cfg.output == "json":
-        words = [_json(g.word_str(x)) for x in range(g.size)]
+    polys = [LaurentPoly(d) for d in table.terms]  # by polynomial id
 
-        def cell(h):
-            return _json(h.to_triples(), 3), _json(repr(h), 3)
-
-    else:
-        words = [g.word_str(x) for x in range(g.size)]
-        cell = repr if cfg.output == "csv" else (lambda h: "$" + _poly_latex(h) + "$")
-    cells = [cell(LaurentPoly(d)) for d in table.terms]  # by polynomial id
-
-    def entries():  # one relabelled column at a time
+    def columns():  # one relabelled column at a time, with its ys in order
         for x in range(g.size):
             col = table.column_packed(x)
-            for y in sorted(col):
-                yield x, y, col[y]
+            yield x, col, sorted(col)
 
     if cfg.output == "json":
+        # the emitter's layout for one record, cut at its six value slots
         keys = ("x", "y", "word_x", "word_y", "h", "display")
-        # the emitter's layout for one record, with %-slots for its values
-        record = _json_object(zip(keys, ("%d", "%d", "%s", "%s", "%s", "%s")), 2)
-        return _group_doc_header(g), (
-            record % (x, y, words[x], words[y], *cells[i]) for x, y, i in entries()
-        )
-    rows = ([str(x), str(y), words[x], words[y], cells[i]] for x, y, i in entries())
+        cut = _json_object(zip(keys, "\0" * 6), 2).split("\0")
+        ids = [str(x) for x in range(g.size)]
+        words = [_json(g.word_str(x)) for x in range(g.size)]
+        cells = [cut[4] + _json(h.to_triples(), 3) + cut[5] + _json(repr(h), 3) + cut[6] for h in polys]
+        join = "".join
+
+        def records():  # each joins x's id, y's id, x's word, y's word, then h's cell
+            for x, col, ys in columns():
+                head, mid = cut[0] + ids[x] + cut[1], cut[2] + words[x] + cut[3]
+                for y in ys:
+                    yield join((head, ids[y], mid, words[y], cells[col[y]]))
+
+        return _group_doc_header(g), records()
+    words = [g.word_str(x) for x in range(g.size)]
+    cells = [repr(h) if cfg.output == "csv" else "$" + _poly_latex(h) + "$" for h in polys]
+    rows = ([str(x), str(y), words[x], words[y], cells[col[y]]] for x, col, ys in columns() for y in ys)
     return ("Kazhdan-Lusztig polynomials h_{y,x}", ["x", "y", "word_x", "word_y", "h"]), rows
 
 
@@ -359,7 +360,7 @@ def _jw_type_a(cfg: argparse.Namespace):
             j = closed_jw(n, g, table)
         else:
             j = project_pi(antisymmetriser(g, table), table)
-    by_diagram = {monomial(g, x): x for x in g.fc_elements()}
+    by_diagram = {d: x for x, d in fc_diagrams(g).items()}
     records = []
     for d in sorted(j.coeffs, key=lambda d: by_diagram[d]):
         x = by_diagram[d]

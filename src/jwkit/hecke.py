@@ -547,7 +547,9 @@ def _bar_std(g: GroupTable, maxlen: int, b: int) -> list[dict[ElementId, int]]:
 
 
 def kl_basis(group: GroupTable, x: ElementId, table: KLTable) -> HeckeElt:
-    """b_x = sum_y h_{y,x} delta_y; ValueError unless x is an element id."""
+    """b_x = sum_y h_{y,x} delta_y; ValueError unless x is an element id
+    and the table is one of group's."""
+    table.check_group(group)
     return HeckeElt(group, {y: RatFunc(p) for y, p in table.column(x).items()})
 
 

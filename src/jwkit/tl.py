@@ -325,6 +325,25 @@ def monomial(g: GroupTable, x: ElementId) -> Diagram:
     return d
 
 
+def fc_diagrams(g: GroupTable) -> dict[ElementId, Diagram]:
+    """{x: monomial(g, x)} for every fully commutative x of g = S_n, in id
+    order.  Each diagram is its prefix's times one generator: for s the
+    last letter of x's word, the prefix x s is fully commutative and has a
+    smaller id, so its diagram is already built."""
+    n = _require_type_a(g)
+    gens = [Diagram.cupcap(n, s) for s in range(n - 1)]
+    ds: dict[ElementId, Diagram] = {}
+    for x in g.fc_elements():
+        if not g.word[x]:
+            ds[x] = Diagram.identity(n)
+            continue
+        s = g.word[x][-1]
+        ds[x], loops, _ = compose(ds[g.right[x][s]], gens[s])
+        if loops:
+            raise RuntimeError(f"a reduced word of fully commutative {x} closed a loop")
+    return ds
+
+
 # -- Jones-Wenzl constructions ----------------------------------------------------
 
 
@@ -364,7 +383,8 @@ def wenzl_jw(n: int) -> TLElt:
 def _on_diagrams(g: GroupTable, rows: dict, den: LaurentPoly, sign: int = 1) -> TLElt:
     """sum_x (rows[x] / den) u_x in TL_n^sign, over fully commutative ids x
     of g = S_n, for rows and den in the canonical form of LinComb."""
-    out = {monomial(g, x): r for x, r in rows.items()}
+    ds = fc_diagrams(g)
+    out = {ds[x]: r for x, r in rows.items()}
     return TLElt.zero(_require_type_a(g), sign)._rebuild(out, den)
 
 

@@ -108,6 +108,19 @@ _DIGESTS = {
     "kl I2(5) latex": "1c6253fb69c325aa579a85724b25a2cd58754a1ab4f13aa66cdc275628ff9523",
 }
 
+# the type A documents the benchmark renders, in JSON only; the digests are
+# those pinned in perfbench/expected.json
+_TYPE_A_CASES = {
+    "kl A5": (
+        ("kl", "--family", "A", "--rank", "5"),
+        "145aefc5674e49ac2866cfddbf753314990e0708c5ee6e412bb23dac338744a6",
+    ),
+    "jw A6 closed": (
+        ("jw", "--family", "A", "--rank", "6", "--method", "closed"),
+        "e82281c074319a45ff30b32f4028391c212de497c22397ac2c9d3dabf0c1d037",
+    ),
+}
+
 _VERIFY = ("verify", *_GROUPS["B3"], "--suite", "parity", "--suite", "gen-agreement")
 _VERIFY_DIGEST = "223728104496935e4f583e28494964a557797fe21ce409a8e8779d59efb550e0"
 
@@ -130,6 +143,12 @@ def _check(out, digest, output):
 def test_document_digest(capsys, case, output):
     out = _stdout(capsys, [*_CASES[case], "--output", output])
     _check(out, _DIGESTS[f"{case} {output}"], output)
+
+
+@pytest.mark.parametrize("case", sorted(_TYPE_A_CASES))
+def test_type_a_document_digest(capsys, case):
+    argv, digest = _TYPE_A_CASES[case]
+    _check(_stdout(capsys, argv), digest, "json")
 
 
 def test_verify_document_digest(capsys):

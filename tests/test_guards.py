@@ -18,7 +18,7 @@ import jwkit
 from jwkit import cli
 from jwkit.grank import grrk, grrk_w0
 from jwkit.gtl import GTLElt, check_ideal_closure, gen_jw_closed, gen_jw_projection, gtl_multiply
-from jwkit.hecke import HeckeElt, KLTable, antisymmetriser, to_kl_basis, verify_bar_invariance
+from jwkit.hecke import HeckeElt, KLTable, antisymmetriser, kl_basis, to_kl_basis, verify_bar_invariance
 from jwkit.tl import closed_jw, jw_minus, project_pi
 
 from oracles import grp
@@ -73,6 +73,7 @@ def test_no_assert_statements_in_the_package():
 # another group: B3, or A2 for the entries that take type A only
 _ENTRIES = {
     "gtl_multiply": ("B", lambda g, t: gtl_multiply(GTLElt.beta(g, 1), GTLElt.beta(g, 2), t)),
+    "kl_basis": ("B", lambda g, t: kl_basis(g, 5, t)),
     "to_kl_basis": ("B", lambda g, t: to_kl_basis(HeckeElt.std(g, g.w0), t)),
     "grrk": ("B", lambda g, t: grrk(g, t, g.w0)),
     "grrk_w0": ("B", grrk_w0),

@@ -15,6 +15,7 @@ from jwkit.tl import (
     TLElt,
     closed_jw,
     compose,
+    fc_diagrams,
     jw_minus,
     monomial,
     multiply_tl,
@@ -263,6 +264,19 @@ def test_monomial_word_independent():
                 d, loops, _ = compose(d, Diagram.cupcap(n, s))
                 assert loops == 0
             assert d == expect
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
+def test_fc_diagrams_are_the_monomials_in_id_order(rank):
+    g = grp("A", rank, allow_large=rank == 6)
+    ds = fc_diagrams(g)
+    assert list(ds) == g.fc_elements()
+    assert ds == {x: monomial(g, x) for x in g.fc_elements()}
+
+
+def test_fc_diagrams_reject_other_families():
+    with pytest.raises(ValueError, match="type A"):
+        fc_diagrams(grp("B", 3))
 
 
 # -- Wenzl recursion --------------------------------------------------------------------
