@@ -9,24 +9,27 @@ index is the longest element w0.  Every walk here and downstream,
 the Bruhat order and the KL recursion included, multiplies on the
 right; the last letter of the word of x is a right descent of x.
 
-Elements are concretely modelled per family, which keeps the enumeration
-honest and the braid relations checkable.  Ids, words and every table
-depend only on the group, not on the model:
+Every element is modelled the same way, which keeps the enumeration
+honest and the braid relations checkable: as a permutation of the finite
+root system (n(n+1) roots in A_n, 2n^2 in B_n, 48 in F4, 30 in H3, 120 in
+H4, 2m in I2(m)).  The roots are computed once per build, exactly, as the
+orbit of the simple roots under the simple reflections, and an element w
+is the tuple of root indices (w^-1(a_1), ..., w^-1(a_r)), so a generator
+step is one table lookup per entry (Casselman, "Machine calculations in
+Weyl groups", 1994).  Ids, words and every table depend only on the
+group, not on the model.  Roots are stored
 
-  * types A, B, F4, H3, H4: permutations of the finite root system
-    (n(n+1) roots in A_n, 2n^2 in B_n, 48 in F4, 30 in H3, 120 in H4).
-    The roots are computed once per build, exactly, as the orbit of the
-    simple roots under the reflections s_t(a_u) = a_u - c(u, t) a_t with
-    c(u, t) = -2 cos(pi / m(u, t)), over Z[sqrt 2] (A, B, F4) or
-    Z[(1 + sqrt 5)/2] (H3, H4).  The entry m = 4 gives -sqrt 2; it is
-    used by the bond between generators 0 and 1 of B_n and between
-    generators 1 and 2 of F4.  An element w is the tuple of root indices
-    (w^-1(a_1), ..., w^-1(a_r)), so a generator step is one table lookup
-    per entry (Casselman, "Machine calculations in Weyl groups", 1994);
-  * type I2(m): pairs (rotation, reflection) in the dihedral group of
-    order 2m, with s = (0, 1) and t = (m-1, 1) so that st = (1, 0).
-    2 cos(pi / m) lies in neither ring above for general m, so I2 keeps
-    this model of its own.
+  * for A, B, F4, H3, H4: in the basis of simple roots, with the
+    reflections s_t(a_u) = a_u - c(u, t) a_t and c(u, t) = -2 cos(pi /
+    m(u, t)), over Z[sqrt 2] (A, B, F4) or Z[(1 + sqrt 5)/2] (H3, H4).
+    The entry m = 4 gives -sqrt 2; it is used by the bond between
+    generators 0 and 1 of B_n and between generators 1 and 2 of F4;
+  * for I2(m), where 2 cos(pi / m) lies in neither ring for general m:
+    by angle, the root at angle k pi / m as k mod 2m, with a_1 = 0,
+    a_2 = m - 1 and s_t sending k to (2 a_t + m - k) mod 2m.
+
+The enumeration is one breadth-first pass in which an element takes the
+next id when first seen, and the first parent found gives its word.
 
 Type C is accepted as an alias of B.  Types D and E are rejected: the
 Temperley-Lieb truncation downstream is not compatible with the
@@ -183,40 +186,30 @@ def classical_order(pres: CoxeterPresentation) -> int:
     return _order(pres.family, pres.rank, pres.m_parameter)
 
 
-# -- concrete element models -------------------------------------------------
-
-
-class _DihedralModel:
-    """I2(m): pairs (rotation mod m, reflection bit)."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self._gens = ((0, 1), (m - 1, 1))
-
-    def identity(self):
-        return (0, 0)
-
-    def apply_gen(self, x, s: int):
-        a, e = x
-        b, f = self._gens[s]
-        return ((a + (b if e == 0 else -b)) % self.m, (e + f) % 2)
+# -- the element model ---------------------------------------------------------
 
 
 class _RootModel:
-    """A, B, F4, H3, H4: permutations of the finite root system.
+    """Every family as permutations of its finite root system.
 
-    Roots are vectors in the basis of simple roots with coefficients in
-    Z[theta], stored as integer pairs (a, b) for a + b theta, where
-    theta^2 = p theta + q: theta = sqrt 2 for A, B and F4 (p, q = 0, 2)
-    and theta = (1 + sqrt 5)/2 for the H types (p, q = 1, 1).  Type A
-    only needs the integer part; m = 4 (B and F4) needs -sqrt 2 and m = 5
-    (H3, H4) needs -theta.  The root system is the orbit of the simple
-    roots under the reflections s_t(a_u) = a_u - c(u, t) a_t, and
-    perm[t][i] is the index of s_t(root i).
+    For A, B, F4, H3 and H4 a root is a vector in the basis of simple roots
+    with coefficients in Z[theta], stored as integer pairs (a, b) for
+    a + b theta, where theta^2 = p theta + q: theta = sqrt 2 for A, B and
+    F4 (p, q = 0, 2) and theta = (1 + sqrt 5)/2 for the H types (p, q =
+    1, 1).  Type A only needs the integer part; m = 4 (B and F4) needs
+    -sqrt 2 and m = 5 (H3, H4) needs -theta.  s_t(a_u) = a_u - c(u, t) a_t.
 
-    An element w is the tuple (w^-1(a_1), ..., w^-1(a_r)) of root
-    indices; it determines w because the simple roots are a basis, and
-    right multiplication by s maps each entry i to perm[s][i].
+    For I2(m), whose 2 cos(pi / m) lies in neither ring for general m, every
+    root is a unit vector at an angle k pi / m, stored as k mod 2m: a_1 = 0
+    and a_2 = m - 1, so the simple roots meet at the angle pi - pi / m, and
+    s_t, the reflection in the line orthogonal to a_t, sends k to
+    (2 a_t + m - k) mod 2m.
+
+    The root system is the orbit of the simple roots under the reflections,
+    and perm[t][i] is the index of s_t(root i).  An element w is the tuple
+    (w^-1(a_1), ..., w^-1(a_r)) of root indices; it determines w because
+    the simple roots are a basis, and right multiplication by s maps each
+    entry i to perm[s][i].
     """
 
     _C = {
@@ -227,16 +220,22 @@ class _RootModel:
         5: (0, -1),  # -theta, theta = (1 + sqrt 5)/2 (H3 and H4)
     }
 
-    def __init__(self, matrix: tuple[tuple[int, ...], ...], p: int, q: int):
-        rank = len(matrix)
-        c = [[(2, 0) if u == t else self._C[matrix[u][t]] for u in range(rank)] for t in range(rank)]
-        roots = [tuple((1, 0) if u == i else (0, 0) for u in range(rank)) for i in range(rank)]
-        index = {root: i for i, root in enumerate(roots)}
-        perm: list[list[int]] = [[] for _ in range(rank)]
-        i = 0
-        while i < len(roots):  # roots grows until the orbit closes
-            beta = roots[i]
-            for t in range(rank):
+    def __init__(self, pres: CoxeterPresentation):
+        rank = pres.rank
+        if pres.family == "I2":
+            m = pres.m_parameter
+            simple = (0, m - 1)
+            roots = list(simple)
+
+            def reflect(k, t):
+                return (2 * simple[t] + m - k) % (2 * m)
+
+        else:
+            p, q = (1, 1) if pres.family in ("H3", "H4") else (0, 2)
+            c = [[(2, 0) if u == t else self._C[pres.matrix[u][t]] for u in range(rank)] for t in range(rank)]
+            roots = [tuple((1, 0) if u == i else (0, 0) for u in range(rank)) for i in range(rank)]
+
+            def reflect(beta, t):
                 # k = sum_u b_u c(u, t), then s_t(beta) = beta - k a_t
                 ka = kb = 0
                 for (a, b), (e, f) in zip(beta, c[t]):
@@ -244,32 +243,20 @@ class _RootModel:
                     kb += a * f + b * e + p * b * f
                 img = list(beta)
                 img[t] = (beta[t][0] - ka, beta[t][1] - kb)
-                img = tuple(img)
+                return tuple(img)
+
+        index = {root: i for i, root in enumerate(roots)}
+        perm: list[list[int]] = [[] for _ in range(rank)]
+        for beta in roots:  # roots grows until the orbit closes
+            for t in range(rank):
+                img = reflect(beta, t)
                 j = index.get(img)
                 if j is None:
                     j = index[img] = len(roots)
                     roots.append(img)
                 perm[t].append(j)
-            i += 1
         self.roots = roots
         self.perm = [tuple(row) for row in perm]
-
-    def identity(self):
-        return tuple(range(len(self.perm)))
-
-    def apply_gen(self, x, s: int):
-        p = self.perm[s]
-        return tuple([p[i] for i in x])
-
-
-def _model_for(pres: CoxeterPresentation):
-    if pres.family in ("A", "B", "F4"):
-        return _RootModel(pres.matrix, 0, 2)
-    if pres.family in ("H3", "H4"):
-        return _RootModel(pres.matrix, 1, 1)
-    if pres.family == "I2":
-        return _DihedralModel(pres.m_parameter)
-    raise UnsupportedFamilyError(pres.family)
 
 
 # -- the enumerated group ----------------------------------------------------
@@ -353,46 +340,36 @@ def build_group(pres: CoxeterPresentation, allow_large: bool = False) -> GroupTa
             "pass allow_large=True (CLI: --allow-large) to build it"
         )
 
-    model = _model_for(pres)
-    rank = pres.rank
-    ident = model.identity()
-    ids: dict[object, int] = {ident: 0}
+    perm = _RootModel(pres).perm
+    elts = [tuple(range(pres.rank))]  # the identity
+    ids = {elts[0]: 0}
     word: list[tuple[int, ...]] = [()]
     length = [0]
     right: list[list[int]] = []  # right[x][s] = x * s
 
-    # layered BFS; each new layer is sorted by its ShortLex-minimal word,
-    # computed from minimal words of the previous layer.  The frontier is
-    # the last numbered layer in id order, so its rows of right are
-    # appended in id order; x * s is computed once per (x, s), and an id
-    # in the next layer is filled in once that layer is numbered
-    frontier = [ident]
-    while frontier:
-        discovered: dict[object, tuple[int, ...]] = {}
-        up = []  # (row, s, x * s) with x * s in the next layer
-        for x, elt in enumerate(frontier, len(right)):
-            wx = word[x]
-            row = [0] * rank
-            for s in range(rank):
-                y = model.apply_gen(elt, s)
-                j = ids.get(y)
-                if j is not None:
-                    row[s] = j
-                    continue
-                up.append((row, s, y))
-                cand = wx + (s,)
-                best = discovered.get(y)
-                if best is None or cand < best:
-                    discovered[y] = cand
-            right.append(row)
-        frontier = []
-        for elt, w in sorted(discovered.items(), key=lambda kv: kv[1]):
-            ids[elt] = len(word)
-            word.append(w)
-            length.append(len(w))
-            frontier.append(elt)
-        for row, s, y in up:
-            row[s] = ids[y]
+    # One breadth-first pass over elts, which grows while it is read: x * s,
+    # when first seen, takes the next id, the word word[x] + (s,) and the
+    # length l(x) + 1 (elts is read in length order, so every element
+    # shorter than x * s is seen before it).  The ids of one length come
+    # out in ShortLex order, by induction on the length: a prefix of a
+    # ShortLex-minimal reduced word is ShortLex-minimal for its own
+    # element, so the word of y is the least word[x] + (s,) over x * s = y
+    # with l(x) = l(y) - 1; the ids of length l(x) are in ShortLex order,
+    # so the first (x, s) reached, least x and then least s, gives it, and
+    # the ids of length l(y) are handed out in the order of those words.
+    # No layer is sorted.
+    for x, elt in enumerate(elts):
+        row = []
+        for s, p in enumerate(perm):
+            y = tuple([p[i] for i in elt])
+            j = ids.get(y)
+            if j is None:
+                j = ids[y] = len(elts)
+                elts.append(y)
+                word.append(word[x] + (s,))
+                length.append(length[x] + 1)
+            row.append(j)
+        right.append(row)
 
     size = len(word)
     if size != order:

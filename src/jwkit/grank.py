@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import ElementId, GroupTable
-from .hecke import KLLawError, KLTable
+from .hecke import KLLawError, KLTable, _check_id
 from .qpoly import LaurentPoly, parity_class
 
 
@@ -102,6 +102,7 @@ def poincare_interval(g: GroupTable, x: ElementId) -> LaurentPoly:
     grrk(x).value exactly when every h_{y,x} is the single monomial
     v^(length(x) - length(y)); in dihedral groups this holds for all x.
     """
+    _check_id(g, x)
     lx = g.length[x]
     terms: dict[int, int] = {}
     for y in g.bruhat_interval_below(x):

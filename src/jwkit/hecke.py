@@ -274,37 +274,32 @@ class KLTable:
         g = self.group
         cols, mus = self._cols, self._mu
         length, right, word, rep, relabel = g.length, g.right, g.word, g.rep, g.relabel
-        # x -> (s, z, its mu-corrections) while the corrections' columns fill;
-        # the stack holds representatives, and everything stacked above x
-        # is shorter than x, so when x is back on top they are all filled
-        waiting: dict[int, tuple[int, int, list[tuple[int, int]]]] = {}
+        # the stack holds representatives, and everything stacked above x is
+        # shorter than x, so when x is back on top they are all filled and
+        # its corrections are read again from the column of z
         stack = [x0]
         while stack:
             x = stack[-1]
             if x in cols:
                 stack.pop()
                 continue
-            if x in waiting:
-                s, z, corrections = waiting.pop(x)
-            else:
-                s = word[x][-1]
-                z = right[x][s]
-                cz = cols.get(rep[z])
-                if cz is None:
-                    stack.append(rep[z])
-                    continue
-                phi = relabel[z]
-                corrections = []
-                for y, i in cz.items():
-                    if mus[i]:
-                        y = phi[y]
-                        if length[right[y][s]] < length[y]:
-                            corrections.append((y, mus[i]))
-                pending = [rep[y] for y, _ in corrections if rep[y] not in cols]
-                if pending:
-                    waiting[x] = s, z, corrections
-                    stack.extend(pending)
-                    continue
+            s = word[x][-1]
+            z = right[x][s]
+            cz = cols.get(rep[z])
+            if cz is None:
+                stack.append(rep[z])
+                continue
+            phi = relabel[z]
+            corrections = []
+            for y, i in cz.items():
+                if mus[i]:
+                    y = phi[y]
+                    if length[right[y][s]] < length[y]:
+                        corrections.append((y, mus[i]))
+            pending = [rep[y] for y, _ in corrections if rep[y] not in cols]
+            if pending:
+                stack.extend(pending)
+                continue
             cols[x] = self._combine(s, z, corrections)
             self.unsaved = True
             stack.pop()

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from .coxeter import ElementId, GroupTable
 from .grank import grrk  # noqa: F401 (perfbench wraps the jwkit.tl.grrk alias)
 from .gtl import gen_jw_closed
-from .hecke import HeckeElt, KLTable, to_kl_basis
+from .hecke import HeckeElt, KLTable, _check_id, to_kl_basis
 from .qpoly import LaurentPoly, LinComb, RatFunc, _pack, _reduced, _width, quantum_int
 
 _DELTA = LaurentPoly({1: 1, -1: 1})
@@ -315,6 +315,7 @@ def monomial(g: GroupTable, x: ElementId) -> Diagram:
     comes back.
     """
     n = _require_type_a(g)
+    _check_id(g, x)
     if not g.is_fully_commutative(x):
         raise ValueError(f"element {x} is not fully commutative")
     d = Diagram.identity(n)

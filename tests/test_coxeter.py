@@ -248,8 +248,8 @@ def _named_group(name):
 
 # sha256 of (length, word, right, left, inv, fc), recorded from the earlier
 # models of A (permutations of {0, ..., n}), B (signed permutations) and
-# I2(m) (dihedral pairs); the root permutation model must reproduce the A
-# and B tables exactly, and the I2 tables must not move
+# I2(m) (dihedral pairs); the root permutation model, I2(m) included, must
+# reproduce every table exactly
 # (bump coxeter.ENUMERATION whenever a digest here changes)
 PERMUTATION_MODEL_DIGESTS = {
     "A1": "cd7c67151c65edf8300038844b9cd2ac7fa7406bcb84d3de6ddca6030cf72eb7",
@@ -278,20 +278,43 @@ ROOT_COUNTS = (
     [("H3", 30), ("F4", 48), ("H4", 120)]
     + [(f"A{n}", n * (n + 1)) for n in range(1, 6)]
     + [(f"B{n}", 2 * n * n) for n in range(2, 6)]
+    + [(f"I2({m})", 2 * m) for m in (3, 5, 8, 97)]
 )
 
 
 @pytest.mark.parametrize("family,n_roots", ROOT_COUNTS)
 def test_root_system(family, n_roots):
     # rank * Coxeter number roots; each generator permutes them as an
-    # involution and sends its own simple root to its negative
-    model = coxeter._model_for(presentation(*_family_rank(family)))
+    # involution and sends its own simple root to its negative, which for
+    # I2(m) is the root at angle k pi / m + pi
+    fam, n = _family_rank(family)
+    if fam == "I2":
+        model = coxeter._RootModel(presentation("I2", m=n))
+        negative = lambda k: (k + n) % (2 * n)  # noqa: E731
+    else:
+        model = coxeter._RootModel(presentation(fam, n))
+        negative = lambda root: tuple((-a, -b) for a, b in root)  # noqa: E731
     roots = model.roots
     assert len(roots) == len(set(roots)) == n_roots
     for s, perm in enumerate(model.perm):
         assert sorted(perm) == list(range(n_roots))
         assert all(perm[perm[i]] == i for i in range(n_roots))
-        assert roots[perm[s]] == tuple((-a, -b) for a, b in roots[s])
+        assert roots[perm[s]] == negative(roots[s])
+
+
+@pytest.mark.parametrize(
+    "family,rank,m", SMALL + [("F4", None, None), ("H4", None, None), ("I2", None, 97)], ids=str
+)
+def test_ids_are_shortlex_and_each_word_extends_its_least_prefix(family, rank, m):
+    # the invariant the one-pass enumeration rests on: ids sorted by
+    # (length, word), and the word of x is the least word of x s followed
+    # by s over the right descents s of x
+    g = grp(family, allow_large=True) if family in ("F4", "H4") else grp(family, rank, m)
+    keys = [(g.length[x], g.word[x]) for x in range(g.size)]
+    assert keys == sorted(keys)
+    for x in range(1, g.size):
+        descents = [s for s, xs in enumerate(g.right[x]) if g.length[xs] < g.length[x]]
+        assert g.word[x] == min(g.word[g.right[x][s]] + (s,) for s in descents)
 
 
 def test_h4_enumerates_by_default():

@@ -2,8 +2,9 @@
 covers: the suite names agree everywhere they are listed, no invariant is
 an ``assert`` that ``python -O`` would strip or an untyped
 ``AssertionError``, every public entry that takes a KL table refuses
-one of another group, and the README's counts of stored KL columns are
-those a run gives."""
+one of another group, the entries that take an element id and no table
+refuse a value that is not one, and the README's counts of stored KL
+columns are those a run gives."""
 
 import argparse
 import ast
@@ -16,10 +17,10 @@ import pytest
 
 import jwkit
 from jwkit import cli
-from jwkit.grank import grrk, grrk_w0
+from jwkit.grank import grrk, grrk_w0, poincare_interval
 from jwkit.gtl import GTLElt, check_ideal_closure, gen_jw_closed, gen_jw_projection, gtl_multiply
 from jwkit.hecke import HeckeElt, KLTable, antisymmetriser, kl_basis, to_kl_basis, verify_bar_invariance
-from jwkit.tl import closed_jw, jw_minus, project_pi
+from jwkit.tl import closed_jw, jw_minus, monomial, project_pi
 
 from oracles import grp
 
@@ -99,6 +100,18 @@ def test_every_entry_refuses_a_table_of_another_group(entry, memoised):
         t.fc_w_graph()
     with pytest.raises(ValueError, match=f"KL table of {family} rank {rank} used for A rank 3"):
         call(g, t)
+
+
+@pytest.mark.parametrize("entry", [monomial, poincare_interval], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("rank", [1, 3])
+def test_entries_without_a_table_refuse_ids_that_are_not_element_ids(entry, rank):
+    # list indexing used to read -1 as w0 and True as 1: monomial(A1, -1)
+    # returned u_1's diagram, poincare_interval(A3, -1) w0's polynomial
+    # without its v^-6 term, and poincare_interval(A3, 24) an IndexError
+    g = grp("A", rank)
+    for x in (-1, -2, g.size, True, 1.0, "1", None):
+        with pytest.raises(ValueError, match="is not an element id of this group"):
+            entry(g, x)
 
 
 def test_readme_states_the_cold_f4_cache(tmp_path):
