@@ -54,8 +54,10 @@ after the columns a kernel uses are filled), the bounds are:
   ||c_x||_1 B(x) over b's support bound everything on the way;
 * bar (_bar_std, bar(delta_y)): 3^length(y), by the same tripling;
 * back-substitution (_back_substitute, behind to_kl_basis and
-  kl_product_coeffs): a running bound that grows by peak ||c_z||_1 per
-  column subtracted, widening the digit before it could reach 2^(b-1).
+  kl_product_coeffs, on a dense vector indexed by element id, with one
+  multiply per distinct polynomial of each column subtracted): a running
+  bound that grows by peak ||c_z||_1 per column subtracted, widening the
+  digit before it could reach 2^(b-1).
 
 The KL table stores each distinct polynomial once, at offset 0 with
 32-bit digits (its coefficients are nonnegative and below 2^31, its
@@ -116,7 +118,13 @@ class KLTable:
     with its mu; ``peak``, the largest coefficient stored, bounds every
     column.  A column maps y to the id of h_{y,x}; only the columns of
     orbit representatives are stored (``_cols``).  Every reader refuses an
-    id that is not an element id (ValueError)."""
+    id that is not an element id (ValueError).
+
+    The two back-substitution kernels read a derived view instead
+    (grouped_column, memoised in ``_groups``): the column's entries grouped
+    by polynomial id, built on the first such read after the fill.  Every
+    other reader, the recursion and the cache keep the dict, whose order
+    fixes the polynomial ids and so the cache bytes."""
 
     def __init__(self, group: GroupTable):
         self.group = group
@@ -126,6 +134,7 @@ class KLTable:
         self._mu: list[int] = []
         self.peak = 0  # the largest stored coefficient; read-only
         self._cols: dict[int, dict[int, int]] = {0: {0: self._intern(1)}}
+        self._groups: dict[int, list[tuple[int, list[int]]]] = {}  # memoised by grouped_column
         self._fc_graph = None  # (graph, growth), memoised by fc_w_graph
         self.w0_rank = None  # grrk(w0), memoised by jwkit.grank.grrk_w0
         # True while the table holds a column its cache file lacks
@@ -207,6 +216,23 @@ class KLTable:
         g = self.group
         _check_id(g, x)
         return self.column_packed(g.rep[x]), g.relabel[x]
+
+    def grouped_column(self, x: ElementId) -> tuple[list[tuple[int, list[ElementId]]], list[ElementId]]:
+        """(groups, phi): the stored column of the representative of x as
+        [(id, ys)], its entries grouped by polynomial id in the column's
+        order, and the symmetry carrying it to x, so h_{phi(y),x} has that
+        id for every y in ys.  Built on the first read after the fill and
+        kept: stored columns never change."""
+        g = self.group
+        _check_id(g, x)
+        r = g.rep[x]
+        groups = self._groups.get(r)
+        if groups is None:
+            by_id: dict[int, list[int]] = {}
+            for y, i in self.column_packed(r).items():
+                by_id.setdefault(i, []).append(y)
+            groups = self._groups[r] = list(by_id.items())
+        return groups, g.relabel[x]
 
     def graded_sum(self, x: ElementId) -> dict[int, int]:
         """sum_y v^(-length(y)) h_{y,x} over the column of x, the graded rank
@@ -548,14 +574,21 @@ def kl_basis(group: GroupTable, x: ElementId, table: KLTable) -> HeckeElt:
     return HeckeElt(group, {y: RatFunc(p) for y, p in table.column(x).items()})
 
 
-def _back_substitute(vec: dict[int, int], off: int, bound: int, table: KLTable):
+def _back_substitute(vec: dict[int, int] | list[int], off: int, bound: int, table: KLTable):
     """Yield the integer KL-basis coefficients (x, c_x), as {exp: int},
-    with sum_x c_x b_x = sum_y vec[y] delta_y, in descending id order;
-    consumes vec.  vec[y] is packed by _pack at exponent offset off and
-    width _width(bound), and bound is at least every |coefficient| in vec.
+    with sum_x c_x b_x = sum_y vec[y] delta_y, in descending id order.
+    vec is {y: packed} or a dense list of packed by element id, which is
+    consumed; vec[y] is packed by _pack at exponent offset off and width
+    _width(bound), and bound is at least every |coefficient| in vec.
 
     Descending ids: subtracting c_x b_x only touches y < x in Bruhat order,
     and those have strictly smaller ids in the enumeration.
+
+    Work: a dict is copied into a dense list, and each column is read
+    through KLTable.grouped_column, so c_x h is multiplied out once per
+    distinct polynomial h of the column and subtracted at every y it
+    stands at; a column holds about ten times fewer distinct polynomials
+    than entries.
 
     Bound: subtracting c_z b_z moves a coefficient by at most peak
     ||c_z||_1, peak read once the column of z is filled.  So G =
@@ -565,27 +598,30 @@ def _back_substitute(vec: dict[int, int], off: int, bound: int, table: KLTable):
     decoded under the old G and repacked at a wider digit, and the columns
     are read from then on at that digit."""
     b = _width(bound)
-    for x in range(max(vec, default=-1), -1, -1):
-        p = vec.get(x)
+    dense = vec
+    if isinstance(vec, dict):
+        dense = [0] * table.group.size
+        for y, p in vec.items():
+            dense[y] = p
+    for x in range(len(dense) - 1, -1, -1):
+        p = dense[x]
         if not p:
             continue
         c = _unpack(p, off, b, bound)
         yield x, c
-        col, phi = table.stored_column(x)  # filled before the peak is read
+        groups, phi = table.grouped_column(x)  # filled before the peak is read
         grown = bound + table.peak * sum(map(abs, c.values()))
         if grown >= 1 << (b - 1):
             wide = _width(grown)
-            for y, q in vec.items():
-                if q:
-                    vec[y] = _pack(_unpack(q, off, b, bound), off, wide)
-            b, p = wide, vec[x]
+            dense = [q and _pack(_unpack(q, off, b, bound), off, wide) for q in dense]
+            b, p = wide, dense[x]
         bound = grown
-        get = vec.get
         hs = table.packed_at(b)
-        for y, i in col.items():
-            y = phi[y]
-            vec[y] = get(y, 0) - p * hs[i]  # vec[x] becomes 0: h_{x,x} = 1
-    if any(vec.values()):
+        for i, ys in groups:
+            q = p * hs[i]
+            for y in ys:
+                dense[phi[y]] -= q  # dense[x] becomes 0: h_{x,x} = 1
+    if any(dense):
         raise ArithmeticError("back-substitution left a nonzero residue")
 
 
@@ -693,25 +729,28 @@ def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> tuple[dict, LaurentPo
 def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, LaurentPoly]:
     """KL-basis coefficients of b_x b_s, via the standard basis and
     back-substitution.  b_x b_s = sum_y h_{y,x} (delta_{ys} + v^(+-1)
-    delta_y) is packed straight from the column at exponent offset -1;
-    each of its coefficients sums at most two column coefficients.  ValueError
+    delta_y) is packed straight from the grouped column (KLTable.
+    grouped_column) into a dense vector at exponent offset -1, with the
+    shifted copies of each distinct h_{y,x} made once; each of its
+    coefficients sums at most two column coefficients.  ValueError
     unless x is an element id and s in range(rank)."""
     g = table.group
     if type(s) is not int or not 0 <= s < g.rank:
         raise ValueError(f"{s!r} is not a generator of this group")
     length, right = g.length, g.right
-    col, phi = table.stored_column(x)  # filled before the peak is read
+    groups, phi = table.grouped_column(x)  # filled before the peak is read
     bound = 2 * table.peak
     b = _width(bound)
     hs = table.packed_at(b)
-    acc: dict[int, int] = {}
-    get = acc.get
-    for y, i in col.items():
-        y = phi[y]
-        p = hs[i]
-        ys = right[y][s]
-        acc[ys] = get(ys, 0) + (p << b)
-        acc[y] = get(y, 0) + (p << 2 * b if length[ys] > length[y] else p)
+    acc = [0] * g.size
+    for i, ys in groups:
+        p = hs[i]  # v^-1 h_{y,x} at offset -1
+        h, vh = p << b, p << 2 * b
+        for y in ys:
+            y = phi[y]
+            t = right[y][s]
+            acc[t] += h
+            acc[y] += vh if length[t] > length[y] else p
     return {z: LaurentPoly(c) for z, c in _back_substitute(acc, -1, bound, table)}
 
 

@@ -44,10 +44,12 @@ def store_entry(table, y, x, p):
     """Corrupt a table through its polynomial store: h_{y,x} becomes the
     polynomial packed as p at offset 0 and width hecke._B, in the stored
     column of the representative of x, so every column of its orbit changes;
-    the memoised W-graph is dropped (storing p updates the table's peak)."""
+    the memoised W-graph and the grouped view of that column are dropped
+    (storing p updates the table's peak)."""
     col, phi = table.stored_column(x)
     col[phi[y]] = table._intern(p)
     table._fc_graph = None
+    table._groups.pop(table.group.rep[x], None)
 
 
 def reseal(lines):

@@ -98,6 +98,8 @@ def test_every_entry_refuses_a_table_of_another_group(entry, memoised):
     if memoised:
         grrk_w0(t.group, t)
         t.fc_w_graph()
+        for x in range(t.group.size):
+            t.grouped_column(x)
     with pytest.raises(ValueError, match=f"KL table of {family} rank {rank} used for A rank 3"):
         call(g, t)
 

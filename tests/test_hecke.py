@@ -306,7 +306,7 @@ def test_kl_readers_refuse_ids_that_are_not_element_ids(family):
 
 
 def test_kl_product_coeffs_matches_naive():
-    for key in (("A", 3, None), ("B", 2, None), ("I2", None, 5)):
+    for key in (("A", 3, None), ("B", 2, None), ("B", 3, None), ("H3", None, None), ("I2", None, 5)):
         g = grp(*key)
         t = KLTable(g)
         for x in range(g.size):
@@ -590,6 +590,34 @@ def test_back_substitute_widens_in_place():
     got = list(hecke._back_substitute(packed, off, bound, t))
     assert got == back_substitute_dicts(vec, t)
     assert dict(got)[0] == {6: 1 << 31}
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3)])
+def test_back_substitute_full_support_matches_dict_oracle(family, rank):
+    """[T_w0] has every element in its support and in its KL expansion, so
+    one run reads every stored column and every relabelled one."""
+    g = grp(family, rank)
+    t = KLTable(g)
+    rows = t_w0_class(g).rows
+    got = _packed_back_substitute(rows, t)
+    assert got == back_substitute_dicts(rows, t)
+    assert [x for x, _ in got] == list(range(g.size - 1, -1, -1))
+
+
+@pytest.mark.parametrize(
+    "read",
+    [lambda g, t: kl_product_coeffs(t, g.w0, 0), lambda g, t: to_kl_basis(HeckeElt.std(g, g.w0), t)],
+    ids=["kl_product_coeffs", "to_kl_basis"],
+)
+def test_a_column_corrupted_after_a_read_is_read_afresh(read):
+    """The grouped view of a column (KLTable.grouped_column) that a first
+    read memoises must not outlive a change to the column: the next read
+    sees h_{e,w0} = v^6 + v^2 in A3, not the memoised v^6."""
+    g = grp("A", 3)
+    t = KLTable(g)
+    first = read(g, t)
+    store_entry(t, 0, g.w0, packed_entry(t, 0, g.w0) + (1 << (2 * hecke._B)))
+    assert read(g, t) != first
 
 
 @pytest.mark.parametrize("digit", [1 << 31, (1 << 32) - 1])
