@@ -277,7 +277,7 @@ def _cmd_kl(cfg: argparse.Namespace):
 
     def columns():  # one relabelled column at a time, with its ys in order
         for x in range(g.size):
-            col = table.column_packed(x)
+            col = table.column_ids(x)
             yield x, col, sorted(col)
 
     if cfg.output == "json":

@@ -26,10 +26,10 @@ the Coxeter system; the graph flip s_i -> s_{r-1-i} is one when the
 Coxeter matrix is palindromic (A_n, B2, F4, I2(m)).  So h_{phi y, phi x}
 = h_{y,x} for every phi they generate, and the table stores one column
 per orbit, that of its least id (GroupTable.rep).  The recursion runs
-for representatives only, reading the column of z and of each
-mu-correction through phi (GroupTable.relabel) entry by entry; a public
-read of another column relabels its representative's, y -> phi(y), with
-the same polynomial ids.  A full table runs the recursion for 344 of the
+for representatives only, reading the stored column of z and of each
+mu-correction through phi (GroupTable.relabel); every reader of another
+column reads its representative's with each y taken to phi(y), under the
+same polynomial ids.  A full table runs the recursion for 344 of the
 1151 columns past the identity in F4, and for 1387 of 5039 in S7.
 
 Internal representation.  Every integer polynomial here is one Python
@@ -61,7 +61,8 @@ after the columns a kernel uses are filled), the bounds are:
 
 The KL table stores each distinct polynomial once, at offset 0 with
 32-bit digits (its coefficients are nonnegative and below 2^31, its
-exponents in [0, L]), and a column maps y to the id of h_{y,x}.  The
+exponents in [0, L]), and a column as its entries grouped by polynomial
+id, [(id, ys)]: h_{y,x} has that id for every y in ys.  The
 recursion's mu-corrections cannot borrow across digits, because the
 accumulator dominates, digit by digit, everything subtracted from it (the
 final h coefficients are nonnegative); storing rejects a digit of 2^31
@@ -80,6 +81,7 @@ import hashlib
 import os
 import tempfile
 from bisect import bisect_left
+from collections import defaultdict
 
 from jwkit.coxeter import ENUMERATION, ElementId, GroupTable, _group_name
 from jwkit.qpoly import (
@@ -116,15 +118,14 @@ class KLTable:
     Each distinct polynomial is stored once under a small-int id (id 0 is
     1): packed at offset 0 and width _B, as {exp: int} (``terms``), and
     with its mu; ``peak``, the largest coefficient stored, bounds every
-    column.  A column maps y to the id of h_{y,x}; only the columns of
-    orbit representatives are stored (``_cols``).  Every reader refuses an
-    id that is not an element id (ValueError).
-
-    The two back-substitution kernels read a derived view instead
-    (grouped_column, memoised in ``_groups``): the column's entries grouped
-    by polynomial id, built on the first such read after the fill.  Every
-    other reader, the recursion and the cache keep the dict, whose order
-    fixes the polynomial ids and so the cache bytes."""
+    column.  Only the columns of orbit representatives are stored
+    (``_cols``), each as [(id, ys)], its entries grouped by polynomial id:
+    distinct ids, no empty group, and ys that partition the Bruhat
+    interval below the representative.  Every reader goes through
+    column_packed, and every reader refuses an id that is not an element
+    id (ValueError).  The groups come in the order the recursion, or the
+    cache file, first met their ids; that order fixes the polynomial ids
+    and so the cache bytes."""
 
     def __init__(self, group: GroupTable):
         self.group = group
@@ -133,8 +134,7 @@ class KLTable:
         self.terms: list[dict[int, int]] = []  # read-only
         self._mu: list[int] = []
         self.peak = 0  # the largest stored coefficient; read-only
-        self._cols: dict[int, dict[int, int]] = {0: {0: self._intern(1)}}
-        self._groups: dict[int, list[tuple[int, list[int]]]] = {}  # memoised by grouped_column
+        self._cols: dict[int, list[tuple[int, list[int]]]] = {0: [(self._intern(1), [0])]}
         self._fc_graph = None  # (graph, growth), memoised by fc_w_graph
         self.w0_rank = None  # grrk(w0), memoised by jwkit.grank.grrk_w0
         # True while the table holds a column its cache file lacks
@@ -178,61 +178,45 @@ class KLTable:
 
     def h(self, y: ElementId, x: ElementId) -> LaurentPoly:
         """The KL polynomial h_{y,x} (zero unless y <= x)."""
-        _check_id(self.group, y)
-        col, phi = self.stored_column(x)
-        i = col.get(phi[y])  # phi is an involution
+        i = self._entry(y, x)
         return LaurentPoly() if i is None else LaurentPoly(self.terms[i])
 
     def mu(self, y: ElementId, x: ElementId) -> int:
         """The coefficient of v in h_{y,x}."""
-        _check_id(self.group, y)
-        col, phi = self.stored_column(x)
-        i = col.get(phi[y])
+        i = self._entry(y, x)
         return 0 if i is None else self._mu[i]
+
+    def _entry(self, y: ElementId, x: ElementId) -> int | None:
+        """The id of h_{y,x}, None unless y <= x, found without relabelling."""
+        _check_id(self.group, y)
+        groups, phi = self.column_packed(x)
+        y = phi[y]  # phi is an involution
+        return next((i for i, ys in groups if y in ys), None)
 
     def column(self, x: ElementId) -> dict[ElementId, LaurentPoly]:
         """All nonzero h_{y,x} as Laurent polynomials."""
         terms = self.terms
-        return {y: LaurentPoly(terms[i]) for y, i in self.column_packed(x).items()}
+        return {y: LaurentPoly(terms[i]) for y, i in self.column_ids(x).items()}
 
-    def column_packed(self, x: ElementId) -> dict[ElementId, int]:
-        """The column of x, {y: id of h_{y,x}}: the stored column of its
-        representative, computed on first use, relabelled unless x is the
-        representative.  Every fill starts here."""
-        _check_id(self.group, x)
-        r = self.group.rep[x]
-        col = self._cols.get(r)
-        if col is None:
-            self._fill_column(r)
-            col = self._cols[r]
-        if r == x:
-            return col
-        phi = self.group.relabel[x]
-        return {phi[y]: i for y, i in col.items()}
-
-    def stored_column(self, x: ElementId) -> tuple[dict[ElementId, int], list[ElementId]]:
-        """(col, phi): the stored column of the representative of x and the
-        symmetry carrying it to x, so h_{phi(y),x} has id col[y]."""
-        g = self.group
-        _check_id(g, x)
-        return self.column_packed(g.rep[x]), g.relabel[x]
-
-    def grouped_column(self, x: ElementId) -> tuple[list[tuple[int, list[ElementId]]], list[ElementId]]:
-        """(groups, phi): the stored column of the representative of x as
-        [(id, ys)], its entries grouped by polynomial id in the column's
-        order, and the symmetry carrying it to x, so h_{phi(y),x} has that
-        id for every y in ys.  Built on the first read after the fill and
-        kept: stored columns never change."""
+    def column_packed(self, x: ElementId) -> tuple[list[tuple[int, list[ElementId]]], list[ElementId]]:
+        """(groups, phi): the stored column of the representative of x,
+        [(id, ys)], computed on first use, and the symmetry carrying it to
+        x, so h_{phi(y),x} has that id for every y in ys.  Every fill
+        starts here."""
         g = self.group
         _check_id(g, x)
         r = g.rep[x]
-        groups = self._groups.get(r)
+        groups = self._cols.get(r)
         if groups is None:
-            by_id: dict[int, list[int]] = {}
-            for y, i in self.column_packed(r).items():
-                by_id.setdefault(i, []).append(y)
-            groups = self._groups[r] = list(by_id.items())
+            self._fill_column(r)
+            groups = self._cols[r]
         return groups, g.relabel[x]
+
+    def column_ids(self, x: ElementId) -> dict[ElementId, int]:
+        """The column of x as {y: id of h_{y,x}}, relabelled from
+        column_packed, for the readers that look entries up by y."""
+        groups, phi = self.column_packed(x)
+        return {phi[y]: i for i, ys in groups for y in ys}
 
     def graded_sum(self, x: ElementId) -> dict[int, int]:
         """sum_y v^(-length(y)) h_{y,x} over the column of x, the graded rank
@@ -244,13 +228,15 @@ class KLTable:
         entry, so (column size) x peak."""
         length = self.group.length
         L = length[self.group.w0]
-        col = self.stored_column(x)[0]
-        bound = len(col) * self.peak  # read after the fill, so it covers col
+        groups = self.column_packed(x)[0]
+        bound = sum(len(ys) for _, ys in groups) * self.peak  # read after the fill, so it covers groups
         b = _width(bound)
         hs = self.packed_at(b)
         buckets = [0] * (L + 1)
-        for y, i in col.items():
-            buckets[length[y]] += hs[i]
+        for i, ys in groups:
+            p = hs[i]
+            for y in ys:
+                buckets[length[y]] += p
         packed = 0
         for part in buckets:  # bucket l ends up shifted by L - l digits
             packed = (packed << b) + part
@@ -280,7 +266,8 @@ class KLTable:
             graph: list[dict[ElementId, tuple | None]] = [{} for _ in range(g.rank)]
             growth = [2] * g.rank
             for w in g.fc_elements():
-                edges = [(y, mus[i]) for y, i in self.column_packed(w).items() if mus[i] and fc[y]]
+                groups, phi = self.column_packed(w)
+                edges = [(y, mus[i]) for i, ys in groups if mus[i] for y in map(phi.__getitem__, ys) if fc[y]]
                 lw = length[w]
                 for s, ws in enumerate(right[w]):
                     if length[ws] < lw:
@@ -317,11 +304,13 @@ class KLTable:
                 continue
             phi = relabel[z]
             corrections = []
-            for y, i in cz.items():
-                if mus[i]:
-                    y = phi[y]
-                    if length[right[y][s]] < length[y]:
-                        corrections.append((y, mus[i]))
+            for i, ys in cz:
+                mu = mus[i]
+                if mu:
+                    for y in ys:
+                        y = phi[y]
+                        if length[right[y][s]] < length[y]:
+                            corrections.append((y, mu))
             pending = [rep[y] for y, _ in corrections if rep[y] not in cols]
             if pending:
                 stack.extend(pending)
@@ -330,47 +319,50 @@ class KLTable:
             self.unsaved = True
             stack.pop()
 
-    def _combine(self, s: int, z: ElementId, corrections: list[tuple[int, int]]) -> dict[int, int]:
-        """Column of x = z s from the column of z and the mu-corrections
-        [(y, mu(y, z))] over y < z with ys < y, summed in one transient
-        packed accumulator and interned once; every column is read from
-        its representative's through the symmetry.  Every y in the column
-        of a mu-correction is <= x, so it is already in acc (w <= x gives
-        w <= z or ws <= z)."""
+    def _combine(self, s: int, z: ElementId, corrections: list[tuple[int, int]]) -> list[tuple[int, list[int]]]:
+        """Column of x = z s, as [(id, ys)], from the column of z and the
+        mu-corrections [(y, mu(y, z))] over y < z with ys < y, summed in
+        one transient packed accumulator and interned once, each entry into
+        the group of its id; every column is read group by group from its
+        representative's through the symmetry, with one multiply per group
+        of a mu-correction.  Every y in the column of a mu-correction is
+        <= x, so it is already in acc (w <= x gives w <= z or ws <= z)."""
         g = self.group
         length, right, rep, relabel = g.length, g.right, g.rep, g.relabel
         hs, cols = self._packed[_B], self._cols
         acc: dict[int, int] = {}
+        get = acc.get
         phi = relabel[z]
-        for y, i in cols[rep[z]].items():
-            y = phi[y]
+        for i, ys in cols[rep[z]]:
             p = hs[i]
-            ys = right[y][s]
-            acc[ys] = acc.get(ys, 0) + p
-            if length[ys] > length[y]:
-                acc[y] = acc.get(y, 0) + (p << _B)  # + v h_{y,z}
-            else:
-                acc[y] = acc.get(y, 0) + (p >> _B)  # + v^-1 h_{y,z}; min exp >= 1 here
+            up, down = p << _B, p >> _B  # v h_{y,z}, and v^-1 h_{y,z} (min exp >= 1 where it is used)
+            for y in ys:
+                y = phi[y]
+                t = right[y][s]
+                acc[t] = get(t, 0) + p
+                acc[y] = get(y, 0) + (up if length[t] > length[y] else down)
         try:
             for y, mu in corrections:
                 phi = relabel[y]
-                for w, j in cols[rep[y]].items():
-                    acc[phi[w]] -= mu * hs[j]
+                for j, ws in cols[rep[y]]:
+                    q = mu * hs[j]
+                    for w in ws:
+                        acc[phi[w]] -= q
         except KeyError:
             raise KLLawError("a KL column is not a Bruhat interval") from None
         x = right[z][s]
         if acc.get(x) != 1:
             raise KLLawError("KL recursion lost unitriangularity")
         ids, intern = self._ids, self._intern
-        out = {}
+        out = defaultdict(list)  # id -> ys
         try:
             for y, p in acc.items():
                 if p:
                     i = ids.get(p)
-                    out[y] = intern(p) if i is None else i
+                    out[intern(p) if i is None else i].append(y)
         except OverflowError:
             raise KLLawError("KL recursion gave a negative coefficient or one of 2^31 or more") from None
-        return out
+        return list(out.items())
 
 
 def _check_id(g: GroupTable, x: object) -> None:
@@ -574,42 +566,36 @@ def kl_basis(group: GroupTable, x: ElementId, table: KLTable) -> HeckeElt:
     return HeckeElt(group, {y: RatFunc(p) for y, p in table.column(x).items()})
 
 
-def _back_substitute(vec: dict[int, int] | list[int], off: int, bound: int, table: KLTable):
+def _back_substitute(dense: list[int], off: int, bound: int, table: KLTable):
     """Yield the integer KL-basis coefficients (x, c_x), as {exp: int},
-    with sum_x c_x b_x = sum_y vec[y] delta_y, in descending id order.
-    vec is {y: packed} or a dense list of packed by element id, which is
-    consumed; vec[y] is packed by _pack at exponent offset off and width
-    _width(bound), and bound is at least every |coefficient| in vec.
+    with sum_x c_x b_x = sum_y dense[y] delta_y, in descending id order.
+    dense is a list of packed polynomials indexed by element id, and is
+    consumed; dense[y] is packed by _pack at exponent offset off and width
+    _width(bound), and bound is at least every |coefficient| in it.
 
     Descending ids: subtracting c_x b_x only touches y < x in Bruhat order,
     and those have strictly smaller ids in the enumeration.
 
-    Work: a dict is copied into a dense list, and each column is read
-    through KLTable.grouped_column, so c_x h is multiplied out once per
-    distinct polynomial h of the column and subtracted at every y it
-    stands at; a column holds about ten times fewer distinct polynomials
-    than entries.
+    Work: each column is read group by group (KLTable.column_packed), so
+    c_x h is multiplied out once per distinct polynomial h of the column
+    and subtracted at every y it stands at; a column holds about ten
+    times fewer distinct polynomials than entries.
 
     Bound: subtracting c_z b_z moves a coefficient by at most peak
     ||c_z||_1, peak read once the column of z is filled.  So G =
-    ||vec||_inf + the sum of those over the z popped so far bounds every
-    coefficient still in vec, c_x included, and each c_x is decoded under
+    ||dense||_inf + the sum of those over the z popped so far bounds every
+    coefficient still in dense, c_x included, and each c_x is decoded under
     G.  Before a subtraction lets G reach 2^(b-1), the remaining vector is
     decoded under the old G and repacked at a wider digit, and the columns
     are read from then on at that digit."""
     b = _width(bound)
-    dense = vec
-    if isinstance(vec, dict):
-        dense = [0] * table.group.size
-        for y, p in vec.items():
-            dense[y] = p
     for x in range(len(dense) - 1, -1, -1):
         p = dense[x]
         if not p:
             continue
         c = _unpack(p, off, b, bound)
         yield x, c
-        groups, phi = table.grouped_column(x)  # filled before the peak is read
+        groups, phi = table.column_packed(x)  # filled before the peak is read
         grown = bound + table.peak * sum(map(abs, c.values()))
         if grown >= 1 << (b - 1):
             wide = _width(grown)
@@ -631,8 +617,13 @@ def to_kl_basis(h: HeckeElt, table: KLTable, fc_only: bool = False) -> tuple[dic
     element down; with fc_only, only those of the fully commutative x (the
     others are computed and dropped).  A table of another group: ValueError."""
     table.check_group(h.group)
-    fc = table.group.fc
-    pairs = _back_substitute(*_packed(h.rows), table)
+    g = table.group
+    vec, off, bound = _packed(h.rows)
+    dense = [0] * g.size
+    for y, p in vec.items():
+        dense[y] = p
+    fc = g.fc
+    pairs = _back_substitute(dense, off, bound, table)
     return _canonical({x: c for x, c in pairs if fc[x] or not fc_only}, h.den)
 
 
@@ -730,7 +721,7 @@ def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, L
     """KL-basis coefficients of b_x b_s, via the standard basis and
     back-substitution.  b_x b_s = sum_y h_{y,x} (delta_{ys} + v^(+-1)
     delta_y) is packed straight from the grouped column (KLTable.
-    grouped_column) into a dense vector at exponent offset -1, with the
+    column_packed) into a dense vector at exponent offset -1, with the
     shifted copies of each distinct h_{y,x} made once; each of its
     coefficients sums at most two column coefficients.  ValueError
     unless x is an element id and s in range(rank)."""
@@ -738,7 +729,7 @@ def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, L
     if type(s) is not int or not 0 <= s < g.rank:
         raise ValueError(f"{s!r} is not a generator of this group")
     length, right = g.length, g.right
-    groups, phi = table.grouped_column(x)  # filled before the peak is read
+    groups, phi = table.column_packed(x)  # filled before the peak is read
     bound = 2 * table.peak
     b = _width(bound)
     hs = table.packed_at(b)
@@ -795,44 +786,44 @@ def verify_bar_invariance(group: GroupTable, table: KLTable) -> int:
     share nothing with the KL recursion.  Returns the number of elements
     checked.
 
-    bar(b_x) = sum_y bar(h_{y,x}) bar(delta_y) is summed per polynomial id:
-    the bar(delta_y) with the same h_{y,x} are added first and multiplied
-    once by bar(h_{y,x}), packed at offset -length(w0).  The
-    total, at offset -2 length(w0), is compared with the packed column as
-    integers.  Bound: the largest sum_y 3^length(y) ||h_{y,x}||_1 over the
-    columns; it bounds every h_{y,x} too, so equal integers mean equal
-    polynomials.  A table of another group: ValueError."""
+    bar(b_x) = sum_y bar(h_{y,x}) bar(delta_y) is summed group by group
+    of the column (KLTable.column_packed): the bar(delta_y) of a group are
+    added first and multiplied once by its bar(h_{y,x}), packed at offset
+    -length(w0).  The total, at offset -2 length(w0), is compared with the
+    packed column as integers.  Bound: the largest sum_y 3^length(y)
+    ||h_{y,x}||_1 over the columns; it bounds every h_{y,x} too, so equal
+    integers mean equal polynomials.  A table of another group:
+    ValueError."""
     table.check_group(group)
     g = group
     length = g.length
     L = length[g.w0]
     pow3 = [3**k for k in range(L + 1)]
     # a column has the lengths and polynomial ids of its representative's
-    reps = [table.column_packed(r) for r in g.representatives()]
+    reps = [table.column_packed(r)[0] for r in g.representatives()]
     l1 = [sum(d.values()) for d in table.terms]  # ||h||_1 by id
-    bound = max(sum(l1[i] * pow3[length[y]] for y, i in col.items()) for col in reps)
+    bound = max(sum(l1[i] * pow3[length[y]] for i, ys in groups for y in ys) for groups in reps)
     b = _width(bound)
     bars = _bar_std(g, L, b)
     hs = table.packed_at(b)
     bar_h = [_pack({-e: c for e, c in d.items()}, -L, b) for d in table.terms]  # at offset -L
     for x in range(g.size):
-        col = table.column_packed(x)
-        sums: dict[int, dict[int, int]] = {}  # id -> sum of bar(delta_y) over h_{y,x} with that id
-        for y, i in col.items():
-            acc = sums.get(i)
-            if acc is None:
-                sums[i] = dict(bars[y])
-                continue
-            get = acc.get
-            for z, q in bars[y].items():
-                acc[z] = get(z, 0) + q
+        groups, phi = table.column_packed(x)
         got: dict[int, int] = {}
-        get = got.get
-        for i, acc in sums.items():
+        expect: dict[int, int] = {}
+        for i, ys in groups:
+            acc: dict[int, int] = {}  # the sum of bar(delta_y) over the group
+            get = acc.get
+            for y in ys:
+                for z, q in bars[phi[y]].items():
+                    acc[z] = get(z, 0) + q
             hb = bar_h[i]
+            get = got.get
             for z, q in acc.items():
                 got[z] = get(z, 0) + hb * q
-        expect = {z: hs[i] << (2 * L * b) for z, i in col.items()}
+            h = hs[i] << (2 * L * b)
+            for y in ys:
+                expect[phi[y]] = h
         if {z: q for z, q in got.items() if q} != expect:
             raise KLLawError(f"b_{x} is not bar-invariant")
     return g.size
@@ -873,7 +864,7 @@ def write_kl_cache(path: str, table: KLTable) -> int:
         for h in table.terms:
             yield "h " + " ".join(f"{e}:{h[e]}" for e in sorted(h))
         for x in table.computed_columns():
-            col = table.column_packed(x)
+            col = table.column_ids(x)
             yield f"c {x} " + " ".join([f"{y} {col[y]}" for y in sorted(col)])
 
     count = 0
@@ -911,10 +902,11 @@ def load_kl_cache(path: str, table: KLTable) -> int:
     l(x) - l(y), and the polynomial id range are checked once per
     (polynomial id, d) pair.  The trailer's line count and checksum, and at
     least one polynomial, come last; the checksum catches the edits the laws
-    miss.  Only a file that passes every check changes the table.  Raises
-    CacheFormatError on any mismatch; returns the number of columns added.
-    Afterwards ``table.unsaved`` tells whether the table holds a column the
-    file lacks."""
+    miss.  Each column is stored grouped by polynomial id, its groups in
+    the order of their least y.  Only a file that passes every check
+    changes the table.  Raises CacheFormatError on any mismatch; returns
+    the number of columns added.  Afterwards ``table.unsaved`` tells
+    whether the table holds a column the file lacks."""
     if len(table._cols) > 1 or len(table.terms) > 1:
         raise ValueError("a KL cache fills a fresh table only")
     g = table.group
@@ -926,7 +918,7 @@ def load_kl_cache(path: str, table: KLTable) -> int:
     polys: list[dict[int, int]] = []  # by id
     ids: dict[int, int] = {}  # packed at offset 0 and width _B -> id, in id order
     lawful = [set() for _ in range(L + 1)]  # ids checked, by length difference
-    cols: dict[int, dict[int, int]] = {}  # x -> {y: id}
+    cols: dict[int, list[tuple[int, list[int]]]] = {}  # x -> [(id, ys)]
     digest = hashlib.sha256()
     count = 0
     trailer = None
@@ -966,8 +958,7 @@ def load_kl_cache(path: str, table: KLTable) -> int:
                     x, ys, ks = nums[0], nums[1::2], nums[2::2]
                     if len(ys) != len(ks):
                         raise CacheFormatError(f"odd token count in column {x}")
-                    col = dict(zip(ys, ks))
-                    if len(col) != len(ys) or ys != sorted(ys):
+                    if ys != sorted(set(ys)):
                         raise CacheFormatError(f"duplicate or unsorted y in column {x}")
                     if x >= size or x in cols:
                         raise CacheFormatError(f"column {x} out of range or given twice")
@@ -992,7 +983,10 @@ def load_kl_cache(path: str, table: KLTable) -> int:
                                 )
                         lawful[d].update(new)
                         lo = hi
-                    cols[x] = col
+                    groups = defaultdict(list)  # id -> ys
+                    for y, k in zip(ys, ks):
+                        groups[k].append(y)
+                    cols[x] = list(groups.items())
                 else:
                     raise CacheFormatError(f"unknown line tag: {line[:40]!r}")
         except CacheFormatError:

@@ -37,19 +37,28 @@ def kl_coefficients(h, table, fc_only=False):
 def packed_entry(table, y, x):
     """h_{y,x} packed at offset 0 and width hecke._B, as the table's
     polynomial store holds it."""
-    return table.packed_at(hecke._B)[table.column_packed(x)[y]]
+    return table.packed_at(hecke._B)[table.column_ids(x)[y]]
 
 
 def store_entry(table, y, x, p):
     """Corrupt a table through its polynomial store: h_{y,x} becomes the
     polynomial packed as p at offset 0 and width hecke._B, in the stored
-    column of the representative of x, so every column of its orbit changes;
-    the memoised W-graph and the grouped view of that column are dropped
-    (storing p updates the table's peak)."""
-    col, phi = table.stored_column(x)
-    col[phi[y]] = table._intern(p)
+    column of the representative of x, so every column of its orbit changes.
+    y moves from its group into the group of the new id, a group left
+    empty is dropped, and the memoised W-graph is dropped (storing p
+    updates the table's peak)."""
+    groups, phi = table.column_packed(x)
+    y, i = phi[y], table._intern(p)  # phi is an involution
+    for _, ys in groups:
+        if y in ys:
+            ys.remove(y)
+    groups[:] = [(k, ys) for k, ys in groups if ys]
+    target = next((ys for k, ys in groups if k == i), None)
+    if target is None:
+        groups.append((i, [y]))
+    else:
+        target.append(y)
     table._fc_graph = None
-    table._groups.pop(table.group.rep[x], None)
 
 
 def reseal(lines):

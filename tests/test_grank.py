@@ -245,7 +245,7 @@ def _scaled_w0_column(g, factor):
     """A table whose w0 column is factor times the true one: its graded rank
     is factor * grrk(w0), still bar symmetric and of the right parity."""
     t = _table(g)
-    for y in list(t.column_packed(g.w0)):
+    for y in list(t.column(g.w0)):
         store_entry(t, y, g.w0, factor * packed_entry(t, y, g.w0))
     return t
 
@@ -255,7 +255,7 @@ def test_packed_grrk_widens_past_31_bits():
     column, two entries meet in a digit of 2^31, past a 32-bit digit."""
     g = grp("A", 2)
     t = _scaled_w0_column(g, 1 << 30)
-    assert len(t.column_packed(g.w0)) * t.peak >= 1 << 31
+    assert len(t.column(g.w0)) * t.peak >= 1 << 31
     got = grrk(g, t, g.w0).value
     assert got == quantum_factorial(3).scale(1 << 30) == _grrk_by_laurent_sum(g, t, g.w0)
 

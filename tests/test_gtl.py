@@ -431,7 +431,7 @@ def test_h4_products_on_the_fc_w_graph():
                 assert got == GTLElt.beta(g, w).scale(two)
                 continue
             want = {ws: RatFunc.one()} if g.fc[ws] else {}
-            for y in t.column_packed(w):
+            for y in t.column(w):
                 if g.fc[y] and g.length[g.right[y][s]] < g.length[y] and t.mu(y, w):
                     want[y] = RatFunc(LaurentPoly.const(t.mu(y, w)))
             assert got == GTLElt(g, want)

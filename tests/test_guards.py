@@ -99,7 +99,7 @@ def test_every_entry_refuses_a_table_of_another_group(entry, memoised):
         grrk_w0(t.group, t)
         t.fc_w_graph()
         for x in range(t.group.size):
-            t.grouped_column(x)
+            t.column_packed(x)
     with pytest.raises(ValueError, match=f"KL table of {family} rank {rank} used for A rank 3"):
         call(g, t)
 

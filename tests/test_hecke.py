@@ -290,7 +290,7 @@ def test_kl_readers_refuse_ids_that_are_not_element_ids(family):
         lambda x: grrk(g, t, x),
         t.column,
         t.column_packed,
-        t.stored_column,
+        t.column_ids,
         lambda x: kl_basis(g, x, t),
         lambda x: kl_product_coeffs(t, x, 0),
     ]
@@ -356,7 +356,7 @@ def _filled(g, order):
 
 
 def _polys(t, x):
-    return {y: t.terms[i] for y, i in t.column_packed(x).items()}
+    return {y: t.terms[i] for y, i in t.column_ids(x).items()}
 
 
 def _by_words(g, letter, reverse=False):
@@ -535,13 +535,14 @@ def test_recursion_rejects_a_column_that_is_not_a_bruhat_interval():
     x = g.w0
     s = g.word[x][-1]
     z = g.right[x][s]
-    cz = t.column_packed(z)
+    cz = t.column_ids(z)
     y = next(y for y, i in cz.items() if g.length[g.right[y][s]] < g.length[y] and t._mu[i])
     # drop w and ws from the column of z, for a w that the mu-correction by y
     # subtracts: from the stored column that the column of z relabels
-    w = next(w for w in t.column_packed(y) if {w, g.right[w][s]}.isdisjoint({y, z}))
-    stored, phi = t.stored_column(z)
-    t._cols[g.rep[z]] = {k: i for k, i in stored.items() if phi[k] not in (w, g.right[w][s])}
+    w = next(w for w in t.column_ids(y) if {w, g.right[w][s]}.isdisjoint({y, z}))
+    groups, phi = t.column_packed(z)
+    kept = [(i, [k for k in ys if phi[k] not in (w, g.right[w][s])]) for i, ys in groups]
+    t._cols[g.rep[z]] = [(i, ys) for i, ys in kept if ys]
     with pytest.raises(hecke.KLLawError, match="Bruhat interval"):
         t._combine(s, z, [(y, t._mu[cz[y]])])
 
@@ -549,8 +550,18 @@ def test_recursion_rejects_a_column_that_is_not_a_bruhat_interval():
 # -- packed back-substitution against the dict oracle -------------------------------------
 
 
+def _dense(vec, g):
+    """(dense, off, bound) for _back_substitute: _packed's rows of vec in
+    a list indexed by element id."""
+    packed, off, bound = hecke._packed(vec)
+    dense = [0] * g.size
+    for y, p in packed.items():
+        dense[y] = p
+    return dense, off, bound
+
+
 def _packed_back_substitute(vec, t):
-    return list(hecke._back_substitute(*hecke._packed(vec), t))
+    return list(hecke._back_substitute(*_dense(vec, t.group), t))
 
 
 @pytest.mark.parametrize("family,rank,m", BACK_GROUPS, ids=str)
@@ -585,9 +596,9 @@ def test_back_substitute_widens_in_place():
     g = grp("A", 3)
     t = KLTable(g)
     vec = {g.w0: {0: 1 << 30}, 0: {6: 1 << 30}}
-    packed, off, bound = hecke._packed(vec)
+    dense, off, bound = _dense(vec, g)
     assert hecke._width(bound) == 32
-    got = list(hecke._back_substitute(packed, off, bound, t))
+    got = list(hecke._back_substitute(dense, off, bound, t))
     assert got == back_substitute_dicts(vec, t)
     assert dict(got)[0] == {6: 1 << 31}
 
@@ -610,9 +621,9 @@ def test_back_substitute_full_support_matches_dict_oracle(family, rank):
     ids=["kl_product_coeffs", "to_kl_basis"],
 )
 def test_a_column_corrupted_after_a_read_is_read_afresh(read):
-    """The grouped view of a column (KLTable.grouped_column) that a first
-    read memoises must not outlive a change to the column: the next read
-    sees h_{e,w0} = v^6 + v^2 in A3, not the memoised v^6."""
+    """A change to the stored column after a first read reaches the next
+    read, which goes through the same grouped column: it sees h_{e,w0} =
+    v^6 + v^2 in A3, not the v^6 of the first."""
     g = grp("A", 3)
     t = KLTable(g)
     first = read(g, t)
@@ -713,6 +724,11 @@ def _full_table(g):
     return t
 
 
+def _copied_columns(t):
+    """The stored columns of t, copied down to each group's ys."""
+    return {x: [(i, list(ys)) for i, ys in groups] for x, groups in t._cols.items()}
+
+
 def test_cache_roundtrip(tmp_path):
     g = grp("B", 2)
     t = KLTable(g)
@@ -745,7 +761,7 @@ def test_cache_fills_only_a_fresh_table(tmp_path, fill):
         t.column_packed(g.w0)
     else:
         t._intern(1 << hecke._B)  # v
-    cols, terms, peak = {x: dict(col) for x, col in t._cols.items()}, list(t.terms), t.peak
+    cols, terms, peak = _copied_columns(t), list(t.terms), t.peak
     with pytest.raises(ValueError, match="fresh table only"):
         load_kl_cache(str(tmp_path / "absent.txt"), t)
     with pytest.raises(ValueError, match="fresh table only"):
@@ -769,11 +785,32 @@ def test_cache_without_polynomials_is_refused(tmp_path):
         assert t.terms == [{0: 1}] and t.peak == 1
 
 
+def _content_sha256(t):
+    """sha256 of the full table rendered without polynomial ids: one line
+    "x y e:c e:c ..." per entry h_{y,x}, x and y ascending."""
+    g = t.group
+    digest = hashlib.sha256()
+    for x in range(g.size):
+        col = t.column(x)
+        for y in sorted(col):
+            digest.update((f"{x} {y} " + " ".join(f"{e}:{c}" for e, c in sorted(col[y].items())) + "\n").encode())
+    return digest.hexdigest()
+
+
+# sha256 of the full tables' id-free rendering (_content_sha256): the
+# polynomials themselves, whatever ids the fill gives them
+CONTENT_SHA256 = {
+    ("A", 3, None): "b54d4e710ca13001684b7bd62fc895c82f0d65a6213e37525d60bcb230ea1add",
+    ("B", 4, None): "063dfef98a1c78bc35179a87cd2f3eaa5b2f40b6bd7ca1b485f67e215f69a99a",
+    ("H3", 3, None): "875d7b7da95612bfdac778b73aa264cbad9b5e6efb27746c2ebcb51db3b79606",
+    ("I2", None, 7): "2ca3d5556f6315542d8aa44f8460d1ef3ba5a196e9548d5b43042f6eaec27e44",
+}
+
 # sha256 of the full-table cache files, recorded from the format-5 writer
 CACHE_SHA256 = {
     ("A", 3, None): "07a802368d04e6b435a6e2e57fe4109be23062239f80a3088fa67fb054992918",
-    ("B", 4, None): "235ab882fe099514ffd701cf43b8fc85b98259b3292a43d11f21416cf146f514",
-    ("H3", 3, None): "1a320a441bcf9cf57de64897b6272f8d05811654bf0f93a45805a07a0fe406dc",
+    ("B", 4, None): "c08afd2e042e3f47f2769ec2133317cac82d78c3aecccc028c0e6b29f09a2435",
+    ("H3", 3, None): "9bfd06fc225b16f4fa3876078b39dad1cc264118ac7d1198e9cb145b0af36f73",
     ("I2", None, 7): "c103d87ad2975340ea2936fc71cf78d0cc94c5cce39beb0a1e349d094238b99c",
 }
 
@@ -784,16 +821,31 @@ def test_cache_bytes_are_pinned(tmp_path, key):
     t = KLTable(g)
     for x in range(g.size):
         t.column_packed(x)
+    assert _content_sha256(t) == CONTENT_SHA256[key]
     path = tmp_path / "kl.txt"
     write_kl_cache(str(path), t)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA256[key]
     t2 = KLTable(g)
     load_kl_cache(str(path), t2)
+    assert _content_sha256(t2) == CONTENT_SHA256[key]
     write_kl_cache(str(path), t2)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA256[key]
 
 
-def test_store_holds_each_polynomial_once():
+def _check_column_form(t):
+    """Every stored column is [(id, ys)] with distinct ids, no empty group,
+    pairwise disjoint ys, and ys that together are the Bruhat interval
+    below its x."""
+    for x, groups in t._cols.items():
+        ids = [i for i, _ in groups]
+        assert len(set(ids)) == len(ids), f"column {x} repeats a polynomial id"
+        assert all(ys for _, ys in groups), f"column {x} has an empty group"
+        flat = [y for _, ys in groups for y in ys]
+        assert len(set(flat)) == len(flat), f"column {x} lists a y twice"
+        assert sorted(flat) == sorted(t.group.bruhat_interval_below(x)), f"column {x} is not its Bruhat interval"
+
+
+def test_store_holds_each_polynomial_once(tmp_path):
     g = grp("B", 3)
     t = KLTable(g)
     for x in range(g.size):
@@ -803,6 +855,12 @@ def test_store_holds_each_polynomial_once():
     wide = t.packed_at(64)
     assert [hecke._unpack(p, 0, 64, 1 << 31) for p in wide] == t.terms
     assert t.terms[0] == {0: 1}
+    path = tmp_path / "kl.txt"
+    write_kl_cache(str(path), t)
+    t2 = KLTable(g)
+    load_kl_cache(str(path), t2)
+    for table in (t, t2):
+        _check_column_form(table)
 
 
 def test_failed_cache_load_leaves_table_unchanged(tmp_path):
@@ -821,7 +879,7 @@ def test_failed_cache_load_leaves_table_unchanged(tmp_path):
     t2 = KLTable(g)
     with pytest.raises(CacheFormatError, match="column 5 is not unitriangular"):
         load_kl_cache(str(path), t2)
-    assert t2._cols == {0: {0: 0}}
+    assert t2._cols == {0: [(0, [0])]}
     assert t2.terms == [{0: 1}] and t2.peak == 1
     assert t2.packed_at(hecke._B) == [1]
 
@@ -1015,7 +1073,7 @@ def test_cache_mutations_are_rejected_or_harmless(tmp_path):
         for text, resealed in (("\n".join(lines) + "\n", False), (reseal(lines), True)):
             path.write_text(text)
             t2 = KLTable(g)
-            cols, terms = {x: dict(col) for x, col in t2._cols.items()}, list(t2.terms)
+            cols, terms = _copied_columns(t2), list(t2.terms)
             try:
                 load_kl_cache(str(path), t2)
             except CacheFormatError:
@@ -1025,13 +1083,16 @@ def test_cache_mutations_are_rejected_or_harmless(tmp_path):
                 assert all(t2.column(x) == t.column(x) for x in range(g.size))
 
 
+# sha256 of the full F4 table's id-free rendering (_content_sha256)
+F4_CONTENT_SHA256 = "344c7451260cc29810708e082af4cf3f5472ec19f4b856f404ec96d19f0b9d1d"
 # sha256 of the full F4 cache file, recorded from the format-5 writer
-F4_CACHE_SHA256 = "e97e2f43fd8a455b71bf4487a72a8f6ba0562591eddecbd888af0601d0f66629"
+F4_CACHE_SHA256 = "82f0f852cfdea41684310e06ab1fe8c4b6428b29d39f2e0a7b622f872ca23ba4"
 
 
 def test_f4_cache_round_trip(tmp_path):
     g = grp("F4", allow_large=True)
     t = _full_table(g)
+    assert _content_sha256(t) == F4_CONTENT_SHA256
     path = tmp_path / "kl.txt"
     write_kl_cache(str(path), t)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == F4_CACHE_SHA256
@@ -1039,8 +1100,7 @@ def test_f4_cache_round_trip(tmp_path):
     assert load_kl_cache(str(path), t2) == len(g.representatives()) - 1 == 344 and not t2.unsaved
     assert t2.computed_columns() == g.representatives()
     for x in range(g.size):
-        assert {y: t2.terms[i] for y, i in t2.column_packed(x).items()} == {
-            y: t.terms[i] for y, i in t.column_packed(x).items()
-        }
+        assert _polys(t2, x) == _polys(t, x)
+    assert _content_sha256(t2) == F4_CONTENT_SHA256
     write_kl_cache(str(path), t2)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == F4_CACHE_SHA256
