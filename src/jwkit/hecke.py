@@ -678,7 +678,7 @@ def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> tuple[dict, LaurentPo
             todo.extend(y for y, _ in corrections)
     order = sorted(steps)
 
-    l1 = {0: sum(abs(c) for d in avec.values() for c in d.values())}
+    l1 = {0: a.l1}
     for x in order:
         s, xp, corrections = steps[x]
         l1[x] = growth[s] * l1[xp] + sum(mu * l1[y] for y, mu in corrections)

@@ -818,8 +818,9 @@ class LinComb:
     """A finite Q(v)-linear combination of basis elements in the canonical
     form above: ``rows`` maps a key to its integer row {exp: int}, ``den``
     is the common denominator (both read-only), and ``coeffs``, the {key:
-    RatFunc} mapping, is built on first read and memoised.  Immutable by
-    convention.
+    RatFunc} mapping, and ``l1``, the sum of |coefficients| over the rows
+    that sizes the product kernels' digits, are built on first read and
+    memoised.  Immutable by convention.
 
     The element classes of the three algebras (``HeckeElt``, ``TLElt``,
     ``GTLElt``) inherit the linear structure from here.  A subclass keeps
@@ -831,7 +832,7 @@ class LinComb:
     rows and den already in canonical form.
     """
 
-    __slots__ = ("rows", "den", "_coeffs")
+    __slots__ = ("rows", "den", "_coeffs", "_l1")
 
     def __init__(self, coeffs: Mapping[object, "RatFunc"]):
         """From {key: RatFunc}, grouped by denominator.  Canonical
@@ -847,13 +848,14 @@ class LinComb:
             parts = [(rows, math.prod((e for e in groups if e is not d), start=_ONE)._terms) for d, rows in groups.items()]
             self.rows, self.den = _combined(parts, math.prod(groups, start=_ONE))
         self._coeffs = coeffs
+        self._l1 = None
 
     def _rebuild(self, rows: dict, den: LaurentPoly) -> "LinComb":
         """An element of self's algebra with rows and den in canonical form."""
         out = object.__new__(type(self))
         for name in type(self).__slots__:
             setattr(out, name, getattr(self, name))
-        out.rows, out.den, out._coeffs = rows, den, None
+        out.rows, out.den, out._coeffs, out._l1 = rows, den, None, None
         return out
 
     @property
@@ -862,6 +864,13 @@ class LinComb:
         if self._coeffs is None:
             self._coeffs = _coefficients(self.rows, self.den)
         return self._coeffs
+
+    @property
+    def l1(self) -> int:
+        """The sum of |c| over every integer c of every row (read-only)."""
+        if self._l1 is None:
+            self._l1 = sum(abs(c) for r in self.rows.values() for c in r.values())
+        return self._l1
 
     def _peer(self, other: object) -> bool:
         """True when other is an element of the same algebra, False when it

@@ -49,27 +49,48 @@ where u_x^- is the monomial diagram reread inside TL_n^-.
 
 The product kernel.  Diagrams compose on bare partner tuples (_compose):
 composing two planar perfect matchings always gives one, so nothing is
-validated and a Diagram is built once per distinct composite, without
-re-checking it.  multiply_tl packs every integer row of both factors
-(jwkit.qpoly.LinComb: rows over one common denominator) as one integer
-in the signed Kronecker packing of jwkit.qpoly.  A composite closing k
-loops carries (sign delta)^k; the kernel packs (sign delta)^k v^m =
-sign^k (1 + v^2)^k v^(m - k), m = floor(n/2), once per k and multiplies
-each right numerator by it up front.  Per left diagram the packed right
-numerators are summed per composite (one addition per diagram pair), and
-each sum is multiplied once by the left numerator.  The output rows,
-over the product of the two denominators, are decoded and reduced once
-(jwkit.qpoly._reduced).  The bound: a composition closes at most m loops
-(each uses two of the n glue points) and ||delta^k||_1 = 2^k, so every output
-coefficient is at most (sum_d ||p_d||_1) (sum_d ||q_d||_1) 2^m, with p_d
-and q_d the integer numerators of the two factors and ||.||_1 the sum of
-|coefficients|; the digit width is _width of that bound, and a digit
-above it raises OverflowError.
+validated.  Products do not compose diagram pairs: they run on one
+generator-action index per strand count (_actions), which numbers the
+diagrams breadth-first from the identity over u_0 ... u_{n-2}.  Each
+diagram gets an id, a parent (id, s) with itself = parent u_s, and a depth,
+its length as a fully commutative element x (it is u_x), and the index holds
+act[s][d] = (id of d u_s, loops).  By Fan and Green ("Monomials and
+Temperley-Lieb algebras", J. Algebra 1997), u_x u_s = delta u_x when s is
+a right descent of x, and one monomial otherwise, so a generator step
+closes at most one loop.
+
+The walk.  multiply_tl packs every integer row of both factors
+(jwkit.qpoly.LinComb: rows over one common denominator) as one integer in
+the signed Kronecker packing of jwkit.qpoly.  It walks the trie of the
+breadth-first words of b's support (the parent links), keeping v^t a u_z
+for each node z at depth t: a step by u_s relabels each row of diagram d
+to act[s][d], times v, or times sign (1 + v^2) = v (sign delta) where a
+loop closes.  Each support node z adds b_z (v^t a u_z), shifted by v^(K -
+t) so that all nodes share one offset (K the depth of the deepest node):
+one multiply per entry.  The output rows, over the product of the two
+denominators, are decoded and reduced once (jwkit.qpoly._reduced).
+
+The lazy fill.  The index fills one level at a time, until every diagram
+of both factors is in it and act rows exist through depth D_a + D_b - 1,
+with D_a and D_b the depths of the deepest diagrams of a and b.  No
+composite on the walk is deeper than D_a + D_b: the relations reduce any
+word of length m to delta^k u_z with length(z) <= m.  So a product of two
+generators on 16 strands indexes the 135 diagrams of depths 0-2, not all
+Catalan(16) of them.
+
+The bound.  A step by v changes no coefficient, and a prefix of a
+breadth-first word is one diagram, so every vector on the walk is a times
+one diagram, up to a power of v.  One composition closes at most m =
+floor(n/2) loops (each uses two of the n glue points) and ||delta^k||_1 =
+2^k, so every output coefficient is at most (sum_d ||p_d||_1) (sum_d
+||q_d||_1) 2^m, with p_d and q_d the integer numerators of the two factors
+and ||.||_1 the sum of |coefficients| (LinComb.l1); the digit width is
+_width of that bound, and a digit above it raises OverflowError.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 from .coxeter import ElementId, GroupTable
@@ -198,13 +219,68 @@ def compose(a: Diagram, b: Diagram, sign: int = 1):
     return Diagram._trusted(a.n, partner), loops, scalar
 
 
+class _Actions:
+    """The generator-action index of TL_n (see the module docstring),
+    filled breadth-first from the identity, one level at a time.  Diagram i
+    is diagrams[i] (ids maps its partner tuple back to i): diagram
+    parent[i][0] times u_s, s = parent[i][1] (parent[0] is None: id 0 is the
+    identity), depth[i] steps from the identity.  For each id i below
+    ``filled``, act[s][i] = (id of diagram i times u_s, loops), loops 1
+    exactly when the step closes a loop, which leaves diagram i unchanged."""
+
+    __slots__ = ("n", "ids", "diagrams", "parent", "depth", "act", "filled", "_gens")
+
+    def __init__(self, n: int):
+        e = Diagram.identity(n)
+        self.n = n
+        self.ids = {e.partner: 0}
+        self.diagrams = [e]
+        self.parent: list[tuple[int, int] | None] = [None]
+        self.depth = [0]
+        self.act: list[list[tuple[int, int]]] = [[] for _ in range(n - 1)]
+        self.filled = 0
+        self._gens = [Diagram.cupcap(n, s).partner for s in range(n - 1)]
+
+    def fill(self, depth: int) -> None:
+        """Fill the act rows of every diagram at most depth steps deep,
+        indexing the diagrams one step deeper as they appear."""
+        n, ids, diagrams, parent, depths, act = self.n, self.ids, self.diagrams, self.parent, self.depth, self.act
+        i = self.filled
+        while i < len(diagrams) and depths[i] <= depth:
+            p, t = diagrams[i].partner, depths[i] + 1
+            for s, g in enumerate(self._gens):
+                q, loops = _compose(p, g, n)
+                j = ids.get(q)
+                if j is None:
+                    j = ids[q] = len(diagrams)
+                    diagrams.append(Diagram._trusted(n, q))
+                    parent.append((i, s))
+                    depths.append(t)
+                act[s].append((j, loops))
+            i += 1
+        self.filled = i
+
+    def id(self, d: Diagram) -> int:
+        """The id of d, filling the index a level at a time until d is in it."""
+        ids = self.ids
+        while d.partner not in ids and self.filled < len(self.diagrams):
+            self.fill(self.depth[-1])
+        return ids[d.partner]
+
+
+@functools.cache
+def _actions(n: int) -> _Actions:
+    """The generator-action index of TL_n, one per strand count."""
+    return _Actions(n)
+
+
 class TLElt(LinComb):
     """An element of TL_n (sign +1) or TL_n^- (sign -1): a finite sum of
     diagrams with coefficients in Q(v), built from {diagram: RatFunc}.
 
     ``+``, ``-``, ``scale``, ``coefficient``, ``coeffs``, ``rows``, ``den``,
-    ``==``, ``hash`` and ``repr`` are inherited from LinComb; elements with
-    different n or sign do not mix (ValueError)."""
+    ``l1``, ``==``, ``hash`` and ``repr`` are inherited from LinComb;
+    elements with different n or sign do not mix (ValueError)."""
 
     __slots__ = ("n", "sign")
 
@@ -246,11 +322,9 @@ class TLElt(LinComb):
 
 def multiply_tl(a: TLElt, b: TLElt) -> TLElt:
     """Bilinear extension of diagram composition, with each erased loop
-    contributing the loop parameter of the common sign.
-
-    The expansion runs on integers, in the signed Kronecker packing of
-    jwkit.qpoly; see the module docstring for the bound that fixes the
-    digit width.  The product is reduced once against the product of the
+    contributing the loop parameter of the common sign: the walk of the
+    module docstring over the generator-action index, on packed integers
+    at the width its bound fixes, reduced once against the product of the
     two denominators."""
     if a.n != b.n:
         raise ValueError(f"strand counts differ: {a.n} vs {b.n}")
@@ -260,35 +334,55 @@ def multiply_tl(a: TLElt, b: TLElt) -> TLElt:
     rows_a, rows_b = a.rows, b.rows
     if not rows_a or not rows_b:
         return TLElt.zero(n, sign)
-    m = n // 2  # the most loops one composition can close
-    bound = sum(abs(c) for r in rows_a.values() for c in r.values())
-    bound *= sum(abs(c) for r in rows_b.values() for c in r.values()) << m
+    bound = a.l1 * b.l1 << n // 2
     w = _width(bound)
     off_a = min(min(r) for r in rows_a.values())
     off_b = min(min(r) for r in rows_b.values())
-    # (sign delta)^k v^m = sign^k (1 + v^2)^k v^(m - k), one per loop count k
-    loop = [
-        _pack({m - k + 2 * i: sign**k * math.comb(k, i) for i in range(k + 1)}, 0, w)
-        for k in range(m + 1)
-    ]
-    left = [(d.partner, _pack(r, off_a, w)) for d, r in rows_a.items()]
-    right = []
-    for d, r in rows_b.items():
-        q = _pack(r, off_b, w)
-        right.append((d.partner, [q * f for f in loop]))
-    # one left diagram reaches few distinct composites: sum the right
-    # numerators per composite, then multiply once by the left numerator
-    acc: dict[tuple[int, ...], int] = {}
-    for p, pa in left:
-        row: dict[tuple[int, ...], int] = {}
-        get = row.get
-        for q, qb in right:
-            d, k = _compose(p, q, n)
-            row[d] = get(d, 0) + qb[k]
-        for d, s in row.items():
-            acc[d] = acc.get(d, 0) + pa * s
-    rows, den = _reduced(acc, off_a + off_b - m, bound, a.den * b.den)
-    return a._rebuild({Diagram._trusted(n, d): r for d, r in rows.items()}, den)
+    index = _actions(n)
+    left = {index.id(d): _pack(r, off_a, w) for d, r in rows_a.items()}
+    right = {index.id(d): r for d, r in rows_b.items()}
+    depth, parent, act = index.depth, index.parent, index.act
+    top = max(depth[z] for z in right)  # K: every node is shifted up to v^K
+    index.fill(max(depth[x] for x in left) + top - 1)
+
+    # the trie of the breadth-first words of b's support
+    children: dict[int, list[tuple[int, int]]] = {}
+    linked = {0}
+    for z in right:
+        while z not in linked:
+            linked.add(z)
+            p, s = parent[z]
+            children.setdefault(p, []).append((z, s))
+            z = p
+    # depth first, each node's vector v^depth a u_z made from its parent's
+    # when the node is reached
+    acc: dict[int, int] = {}
+    w2 = 2 * w
+    todo: list[tuple[int, int | None, dict[int, int]]] = [(0, None, left)]
+    while todo:
+        z, s, vec = todo.pop()
+        if s is not None:
+            row, prev, vec = act[s], vec, {}
+            get = vec.get
+            for x, p in prev.items():
+                y, loops = row[x]
+                if not loops:
+                    p <<= w  # v
+                elif sign > 0:
+                    p += p << w2  # 1 + v^2 = v delta
+                else:
+                    p = -p - (p << w2)
+                vec[y] = get(y, 0) + p
+        q = right.get(z)
+        if q is not None:
+            f = _pack(q, off_b, w) << w * (top - depth[z])
+            get = acc.get
+            for y, p in vec.items():
+                acc[y] = get(y, 0) + f * p
+        todo.extend((c, t, vec) for c, t in children.get(z, ()))
+    rows, den = _reduced(acc, off_a + off_b - top, bound, a.den * b.den)
+    diagrams = index.diagrams
+    return a._rebuild({diagrams[y]: r for y, r in rows.items()}, den)
 
 
 # -- the monomial basis ---------------------------------------------------------

@@ -199,6 +199,23 @@ def test_kernel_results_sums_and_scales_are_canonical(algebra, prs, data):
             assert_canonical(e.rows, e.den)
 
 
+@pytest.mark.parametrize("algebra", sorted(ALGEBRAS))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_l1_is_the_norm_of_the_rows(algebra, data):
+    """Every constructor and result starts its memoised ||rows||_1 empty: a
+    norm read on an operand never carries over to a sum, scale or product."""
+    mul = ALGEBRAS[algebra][2]
+    a, b = data.draw(elements(algebra)), data.draw(elements(algebra))
+    c = data.draw(scalars)
+    assert a.l1 >= 0 and b.l1 >= 0
+    results = [a, b, a + b, a - b, a - a, a.scale(c), -a, mul(a, b), mul(b, a)]
+    if algebra == "hecke":
+        results.append(a.bar())
+    for e in results:
+        assert e.l1 == sum(abs(x) for r in e.rows.values() for x in r.values())
+
+
 @pytest.mark.parametrize("algebra, prs", REDUCTIONS)
 @settings(max_examples=30)
 @given(data=st.data())

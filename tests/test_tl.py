@@ -109,6 +109,76 @@ def test_compose_kernel_on_all_tl5_pairs():
             assert (partner, loops) == compose_components(a.partner, b.partner, 5)
 
 
+# -- the generator-action index --------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_action_index_matches_the_oracle(n):
+    """The whole index of TL_n: Catalan(n) diagrams, every act[s][d] the
+    component oracle's d u_s, a loop exactly where d has a top cap at s,
+    each breadth-first word composing to its diagram without a loop, and
+    each depth the length of the FC element whose monomial it is."""
+    index = tl._actions(n)
+    index.fill(n * n)
+    diagrams = [d.partner for d in index.diagrams]
+    assert len(diagrams) == catalan(n) == index.filled
+    assert {p: i for i, p in enumerate(diagrams)} == index.ids
+    gens = [Diagram.cupcap(n, s).partner for s in range(n - 1)]
+    for s, u in enumerate(gens):
+        assert len(index.act[s]) == len(diagrams)
+        for p, (i, loops) in zip(diagrams, index.act[s]):
+            assert (diagrams[i], loops) == compose_components(p, u, n)
+            assert loops == (p[n + s] == n + s + 1)
+    for i, p in enumerate(diagrams):
+        word = []
+        j = i
+        while index.parent[j] is not None:
+            j, s = index.parent[j]
+            word.append(s)
+        assert j == 0 and len(word) == index.depth[i]
+        d = Diagram.identity(n).partner
+        for s in reversed(word):
+            d, loops = compose_components(d, gens[s], n)
+            assert loops == 0
+        assert d == p
+    if n > 1:
+        g = grp("A", n - 1, allow_large=n == 7)
+        for x, d in fc_diagrams(g).items():
+            assert index.depth[index.ids[d.partner]] == g.length[x]
+
+
+def _sparse(n, terms):
+    """sum c u_{i1} ... u_{ik} over the (c, word) pairs in terms, in TL_n,
+    composed by the component oracle alone."""
+    out = {}
+    for c, word in terms:
+        d = Diagram.identity(n).partner
+        for s in word:
+            d, loops = compose_components(d, Diagram.cupcap(n, s).partner, n)
+            assert loops == 0
+        out[Diagram(n, d)] = RatFunc(c)
+    return TLElt(n, out)
+
+
+def test_action_index_fills_lazily():
+    """Products of generators on 16 strands index only the shallow levels
+    they read: an eager index would hold all Catalan(16) = 35,357,670."""
+    tl._actions.cache_clear()
+    one = LaurentPoly.one()
+    for a, b in (
+        (_sparse(16, [(one, (0,))]), _sparse(16, [(one, (14,))])),
+        (_sparse(16, [(one, (2,)), (V, (11,))]), _sparse(16, [(one, (7,))])),
+    ):
+        assert multiply_tl(a, b) == multiply_tl_dicts(a, b)
+        assert multiply_tl(b, a) == multiply_tl_dicts(b, a)
+    index = tl._actions(16)
+    assert len(index.diagrams) <= 1 + 15 + 119  # levels 0-2
+    a, b = _sparse(16, [(one, (3, 4))]), _sparse(16, [(one, (10, 9))])
+    assert multiply_tl(a, b) == multiply_tl_dicts(a, b)
+    assert max(index.depth[:index.filled]) == 3
+    assert len(index.diagrams) == 3501  # levels 0-4
+
+
 # -- algebra relations ---------------------------------------------------------------
 
 
@@ -306,7 +376,7 @@ def test_wenzl_j3_table():
     assert len(j.coeffs) == 5
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
 def test_wenzl_idempotent_and_annihilation(n):
     j = wenzl_jw(n)
     assert j * j == j
