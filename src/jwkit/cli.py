@@ -26,7 +26,10 @@ Conventions shared by every subcommand:
   header and an iterator of records or rows, which one writer renders to
   stdout as they come.  A run that fails writes nothing to stdout.  JSON
   is rendered by a fixed-schema emitter that matches the standard
-  library's encoder with ``indent=2``; ``verify`` prints JSON only;
+  library's encoder with ``indent=2``; ``verify`` prints JSON only.  A
+  records document fills one layout per record at its value slots
+  (_layout), and renders each distinct polynomial once
+  (_poly_texts, _ratfunc_cells), in a memo made for that document alone;
 * exit codes: 0 success, 1 verification failure, 2 invalid input or
   unsupported family, 3 KL data that breaks a Kazhdan-Lusztig law (for
   instance a cache file edited into a well-formed but wrong table),
@@ -123,12 +126,6 @@ def _rat_latex(r: RatFunc) -> str:
     return "\\frac{%s}{%s}" % (_poly_latex(r.num), _poly_latex(r.den))
 
 
-def _rat_doc(r: RatFunc) -> dict:
-    doc = r.to_triples()
-    doc["display"] = repr(r)
-    return doc
-
-
 def _json(obj, depth: int = 0) -> str:
     """``obj`` as the standard JSON encoder with ``indent=2`` (and its
     default ``ensure_ascii``) renders it at nesting level ``depth``.  The
@@ -165,6 +162,51 @@ def _json_block(opening: str, items: list[str], closing: str, depth: int) -> str
         return opening + closing
     inner = "\n" + "  " * (depth + 1)
     return opening + inner + ("," + inner).join(items) + "\n" + "  " * depth + closing
+
+
+def _layout(keys, depth: int) -> str:
+    """The emitter's layout of an object with these keys at nesting level
+    depth, with %s at each value slot: ``layout % texts`` is the object
+    whose values render as texts, so a record renders only its values."""
+    return _json_object(((k, "%s") for k in keys), depth)
+
+
+def _poly_texts(depth: int):
+    """The one renderer of polynomials in a JSON document: a function
+    p -> (p.to_triples() as the emitter renders it at depth, repr(p)).  A
+    document holds few distinct polynomials (its coefficients are ratios of
+    graded ranks), so each is rendered once, in a memo keyed by the
+    LaurentPoly.  Each document makes its own and drops it: no rendering
+    state outlives a cli.run call."""
+    memo: dict[LaurentPoly, tuple[str, str]] = {}
+
+    def texts(p: LaurentPoly) -> tuple[str, str]:
+        t = memo.get(p)
+        if t is None:
+            t = memo[p] = (_json(p.to_triples(), depth), repr(p))
+        return t
+
+    return texts
+
+
+def _ratfunc_cells(depth: int):
+    """A function r -> the text at depth of the coefficient cell
+    {"num": ..., "den": ..., "display": repr(r)}: num and den through one
+    _poly_texts memo, and the display joined from their reprs as
+    RatFunc.__repr__ writes it."""
+    texts = _poly_texts(depth + 1)
+    layout = _layout(("num", "den", "display"), depth)
+
+    def cell(r: RatFunc) -> str:
+        num, shown = texts(r.num)
+        den, below = texts(r.den)
+        if below != "1":  # the den is not 1
+            if len(r.num._terms) > 1:
+                shown = "(" + shown + ")"
+            shown += "/(" + below + ")"
+        return layout % (num, den, encode_basestring_ascii(shown))
+
+    return cell
 
 
 def _write_json(out, fields, records=None) -> None:
@@ -281,12 +323,11 @@ def _cmd_kl(cfg: argparse.Namespace):
             yield x, col, sorted(col)
 
     if cfg.output == "json":
-        # the emitter's layout for one record, cut at its six value slots
-        keys = ("x", "y", "word_x", "word_y", "h", "display")
-        cut = _json_object(zip(keys, "\0" * 6), 2).split("\0")
+        cut = _layout(("x", "y", "word_x", "word_y", "h", "display"), 2).split("%s")
         ids = [str(x) for x in range(g.size)]
-        words = [_json(g.word_str(x)) for x in range(g.size)]
-        cells = [cut[4] + _json(h.to_triples(), 3) + cut[5] + _json(repr(h), 3) + cut[6] for h in polys]
+        words = [encode_basestring_ascii(g.word_str(x)) for x in range(g.size)]
+        texts = map(_poly_texts(3), polys)  # the one renderer; polys are already distinct
+        cells = [cut[4] + h + cut[5] + encode_basestring_ascii(shown) + cut[6] for h, shown in texts]
         join = "".join
 
         def records():  # each joins x's id, y's id, x's word, y's word, then h's cell
@@ -307,13 +348,16 @@ def _cmd_grrk(cfg: argparse.Namespace):
     ranks = [(x, g.length[x], grrk(g, table, x).value) for x in range(g.size)]
     _save_cache(table, cache_path)
     if cfg.output == "json":
-        return _group_doc_header(g), (
-            _json(
-                {"index": x, "length": l, "word": g.word_str(x), "grrk": p.to_triples(), "display": repr(p)},
-                2,
-            )
-            for x, l, p in ranks
-        )
+        layout = _layout(("index", "length", "word", "grrk", "display"), 2)
+        texts = _poly_texts(3)
+
+        def records():
+            for x, l, p in ranks:
+                rank, shown = texts(p)
+                word, shown = encode_basestring_ascii(g.word_str(x)), encode_basestring_ascii(shown)
+                yield layout % (x, l, word, rank, shown)
+
+        return _group_doc_header(g), records()
     cell = repr if cfg.output == "csv" else (lambda p: "$" + _poly_latex(p) + "$")
     rows = ([str(x), str(l), cell(p)] for x, l, p in ranks)
     return ("graded ranks", ["index", "length", "polynomial"]), rows
@@ -328,10 +372,9 @@ def _cmd_esign(cfg: argparse.Namespace):
     if cfg.output == "json":
         doc = _group_doc_header(g)
         doc["normalizer"] = {"grrk_w0": den.to_triples(), "display": repr(den)}
-        return doc, (
-            _json({"index": x, "word": g.word_str(x), "coefficient": _rat_doc(c)}, 2)
-            for x, c in records
-        )
+        layout = _layout(("index", "word", "coefficient"), 2)
+        cell = _ratfunc_cells(3)
+        return doc, (layout % (x, encode_basestring_ascii(g.word_str(x)), cell(c)) for x, c in records)
     cell = repr if cfg.output == "csv" else (lambda c: "$" + _rat_latex(c) + "$")
     rows = ([str(x), g.word_str(x), cell(c)] for x, c in records)
     return ("sign idempotent, standard basis coefficients", ["index", "word", "coefficient"]), rows
@@ -387,8 +430,13 @@ def _cmd_jw(cfg: argparse.Namespace):
         _save_cache(table, cache_path)
     if cfg.output == "json":
         doc = {"family": fam, "rank": cfg.rank, "m": cfg.m, "sign": cfg.sign, "method": cfg.method}
+        cell = _ratfunc_cells(3)
+        if fam != "A":
+            layout = _layout(("word", "coefficient"), 2)
+            return doc, (layout % (encode_basestring_ascii(w), cell(c)) for w, _, c in records)
+        layout = _layout(("word", "diagram", "coefficient"), 2)
         return doc, (
-            _json({"word": w, **({"diagram": d} if fam == "A" else {}), "coefficient": _rat_doc(c)}, 2)
+            layout % (encode_basestring_ascii(w), _json_block("[", [*map(str, d)], "]", 3), cell(c))
             for w, d, c in records
         )
     if cfg.output == "csv":

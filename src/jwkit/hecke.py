@@ -125,7 +125,9 @@ class KLTable:
     column_packed, and every reader refuses an id that is not an element
     id (ValueError).  The groups come in the order the recursion, or the
     cache file, first met their ids; that order fixes the polynomial ids
-    and so the cache bytes."""
+    and so the cache bytes.  h and mu look one entry up in ``_at``, a
+    {y: id} index of a stored column, built on its first lookup and kept;
+    no fill or kernel builds one."""
 
     def __init__(self, group: GroupTable):
         self.group = group
@@ -136,6 +138,7 @@ class KLTable:
         self.peak = 0  # the largest stored coefficient; read-only
         self._cols: dict[int, list[tuple[int, list[int]]]] = {0: [(self._intern(1), [0])]}
         self._fc_graph = None  # (graph, growth), memoised by fc_w_graph
+        self._at: dict[int, dict[int, int]] = {}  # representative -> {y: id}, for h and mu
         self.w0_rank = None  # grrk(w0), memoised by jwkit.grank.grrk_w0
         # True while the table holds a column its cache file lacks
         self.unsaved = True
@@ -187,11 +190,15 @@ class KLTable:
         return 0 if i is None else self._mu[i]
 
     def _entry(self, y: ElementId, x: ElementId) -> int | None:
-        """The id of h_{y,x}, None unless y <= x, found without relabelling."""
+        """The id of h_{y,x}, None unless y <= x, found without relabelling:
+        one dict lookup in the index of the stored column."""
         _check_id(self.group, y)
         groups, phi = self.column_packed(x)
-        y = phi[y]  # phi is an involution
-        return next((i for i, ys in groups if y in ys), None)
+        r = self.group.rep[x]
+        at = self._at.get(r)
+        if at is None:
+            at = self._at[r] = {z: i for i, ys in groups for z in ys}
+        return at.get(phi[y])  # phi is an involution
 
     def column(self, x: ElementId) -> dict[ElementId, LaurentPoly]:
         """All nonzero h_{y,x} as Laurent polynomials."""
@@ -579,7 +586,8 @@ def _back_substitute(dense: list[int], off: int, bound: int, table: KLTable):
     Work: each column is read group by group (KLTable.column_packed), so
     c_x h is multiplied out once per distinct polynomial h of the column
     and subtracted at every y it stands at; a column holds about ten
-    times fewer distinct polynomials than entries.
+    times fewer distinct polynomials than entries.  The walk stops as soon
+    as the vector is empty (one C-level any() per popped x), not at id 0.
 
     Bound: subtracting c_z b_z moves a coefficient by at most peak
     ||c_z||_1, peak read once the column of z is filled.  So G =
@@ -607,6 +615,8 @@ def _back_substitute(dense: list[int], off: int, bound: int, table: KLTable):
             q = p * hs[i]
             for y in ys:
                 dense[phi[y]] -= q  # dense[x] becomes 0: h_{x,x} = 1
+        if not any(dense):  # nothing is left below x
+            return
     if any(dense):
         raise ArithmeticError("back-substitution left a nonzero residue")
 

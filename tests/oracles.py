@@ -45,8 +45,8 @@ def store_entry(table, y, x, p):
     polynomial packed as p at offset 0 and width hecke._B, in the stored
     column of the representative of x, so every column of its orbit changes.
     y moves from its group into the group of the new id, a group left
-    empty is dropped, and the memoised W-graph is dropped (storing p
-    updates the table's peak)."""
+    empty is dropped, and the memoised W-graph and entry index of that
+    column are dropped (storing p updates the table's peak)."""
     groups, phi = table.column_packed(x)
     y, i = phi[y], table._intern(p)  # phi is an involution
     for _, ys in groups:
@@ -59,6 +59,7 @@ def store_entry(table, y, x, p):
     else:
         target.append(y)
     table._fc_graph = None
+    table._at.pop(table.group.rep[x], None)
 
 
 def reseal(lines):

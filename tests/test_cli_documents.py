@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jwkit import cli
+from jwkit.qpoly import LaurentPoly, RatFunc
 
 _GROUPS = {
     "A3": ("--family", "A", "--rank", "3"),
@@ -121,6 +122,39 @@ _TYPE_A_CASES = {
     ),
 }
 
+# the other records documents the benchmark renders, in JSON only; the
+# digests are those pinned in perfbench/expected.json
+_BENCHMARK_CASES = {
+    "esign B4": (
+        ("esign", "--family", "B", "--rank", "4"),
+        "f894030bdfe0d51b1fda126d2ebb666f7b2c304acad8b36069652ce10ccc6814",
+    ),
+    "jw B4 closed": (
+        ("jw", "--family", "B", "--rank", "4", "--method", "closed"),
+        "73aedbcf433496d4ac57c43f8fc6c9807a6fdd6f45925af59ee44f0c8cb7f719",
+    ),
+    "jw B4 projection": (
+        ("jw", "--family", "B", "--rank", "4", "--method", "projection"),
+        "9015c19a5faeab098ca36a8f534404749754fedcb5e47a7978852b67839a808f",
+    ),
+    "jw H3 projection": (
+        ("jw", "--family", "H3", "--method", "projection"),
+        "b90e8c2acb06510c5d854648b7a6e21211d8f04402b8bdd1d8d056b8bf3dec21",
+    ),
+    "jw A6 wenzl": (
+        ("jw", "--family", "A", "--rank", "6", "--method", "wenzl"),
+        "0aab2b12234f87ffdf802d1be1b35804cec54faec4fc63041e25fcf012f0f9bf",
+    ),
+    "jw A6 projection": (
+        ("jw", "--family", "A", "--rank", "6", "--method", "projection"),
+        "600d10cbfd957d5ec312c45dce5d1d977b02ffab59fe4f1677ce45657a0590a0",
+    ),
+    "jw A6 minus": (
+        ("jw", "--family", "A", "--rank", "6", "--sign", "minus"),
+        "304274449cbab9060d61800ba1615c206970f8858a2afb04d7f71a00d049cf95",
+    ),
+}
+
 _VERIFY = ("verify", *_GROUPS["B3"], "--suite", "parity", "--suite", "gen-agreement")
 _VERIFY_DIGEST = "223728104496935e4f583e28494964a557797fe21ce409a8e8779d59efb550e0"
 
@@ -149,6 +183,26 @@ def test_document_digest(capsys, case, output):
 def test_type_a_document_digest(capsys, case):
     argv, digest = _TYPE_A_CASES[case]
     _check(_stdout(capsys, argv), digest, "json")
+
+
+@pytest.mark.parametrize("case", sorted(_BENCHMARK_CASES))
+def test_benchmark_document_digest(capsys, case):
+    argv, digest = _BENCHMARK_CASES[case]
+    _check(_stdout(capsys, argv), digest, "json")
+
+
+def test_no_rendering_state_outlives_a_document(capsys):
+    """Documents rendered one after another in one process, the first
+    repeated last, each match their pins: each renders its polynomials
+    afresh, whatever the documents before it held."""
+    runs = [
+        _BENCHMARK_CASES["esign B4"],
+        (_CASES["esign B3"], _DIGESTS["esign B3 json"]),
+        (_CASES["jw B3"], _DIGESTS["jw B3 json"]),
+        _BENCHMARK_CASES["esign B4"],
+    ]
+    for argv, digest in runs:
+        assert hashlib.sha256(_stdout(capsys, argv).encode()).hexdigest() == digest
 
 
 def test_verify_document_digest(capsys):
@@ -199,3 +253,24 @@ def test_streamed_document_matches_json_dumps(fields, records):
 def test_emitter_rejects_floats_and_non_str_keys(bad):
     with pytest.raises(TypeError):
         cli._json(bad)
+
+
+_POLY_TERMS = st.dictionaries(
+    st.integers(-8, 8), st.integers(-(10**12), 10**12).filter(bool), max_size=4
+)
+_DENOMINATORS = st.one_of(
+    st.just({0: 1}),
+    st.builds(lambda e, c: {e: c}, st.integers(-8, 8), st.integers(-5, 5).filter(bool)),
+    _POLY_TERMS.filter(bool),
+)
+_RATFUNCS = st.builds(lambda n, d: RatFunc(LaurentPoly(n), LaurentPoly(d)), _POLY_TERMS, _DENOMINATORS)
+
+
+@given(st.lists(_RATFUNCS, min_size=1, max_size=6))
+def test_coefficient_cell_matches_json_dumps(rs):
+    """Each cell, rendered twice through one memo (the second time from it),
+    is json.dumps of {"num", "den", "display"} with indent=2 at depth 3."""
+    cell = cli._ratfunc_cells(3)
+    for r in rs + rs:
+        doc = {**r.to_triples(), "display": repr(r)}
+        assert cell(r) == json.dumps(doc, indent=2).replace("\n", "\n" + "  " * 3)

@@ -230,6 +230,22 @@ def test_h_triangular_and_positive():
             assert all((e - (g.length[x] - g.length[y])) % 2 == 0 for e, _ in p.items())
 
 
+@pytest.mark.parametrize("family,rank,m", [("B", 3, None), ("H3", 3, None), ("I2", 2, 5)], ids=str)
+def test_h_and_mu_agree_with_the_columns(family, rank, m):
+    """KLTable.h and mu, read through the per-column index, give every
+    entry of column(x), for representative and relabelled x alike, and
+    zero for every y outside the Bruhat interval below x."""
+    g = grp(family, rank, m)
+    t = KLTable(g)
+    assert any(g.rep[x] != x for x in range(g.size))
+    for x in range(g.size):
+        col = t.column(x)
+        for y in range(g.size):
+            p = col.get(y, LaurentPoly.zero())
+            assert t.h(y, x) == p
+            assert t.mu(y, x) == p.coefficient(1)
+
+
 def test_mu_values_a2():
     g = grp("A", 2)
     t = KLTable(g)
@@ -613,6 +629,20 @@ def test_back_substitute_full_support_matches_dict_oracle(family, rank):
     got = _packed_back_substitute(rows, t)
     assert got == back_substitute_dicts(rows, t)
     assert [x for x, _ in got] == list(range(g.size - 1, -1, -1))
+
+
+@pytest.mark.parametrize("which", ["generator", "w0"])
+def test_a_column_without_its_diagonal_leaves_a_residue(which):
+    """A stored column that lacks its own entry h_{x,x} leaves delta_x in
+    the vector once c_x b_x is subtracted, so the walk never finds the
+    vector empty and to_kl_basis raises the residue error."""
+    g = grp("A", 3)
+    t = KLTable(g)
+    x = g.w0 if which == "w0" else next(x for x in range(g.size) if g.length[x] == 1)
+    groups, phi = t.column_packed(x)
+    groups[:] = [(i, ys) for i, ys in ((i, [y for y in ys if phi[y] != x]) for i, ys in groups) if ys]
+    with pytest.raises(ArithmeticError, match="residue"):
+        to_kl_basis(HeckeElt.std(g, x), t)
 
 
 @pytest.mark.parametrize(
