@@ -17,10 +17,9 @@ the first term only when ws is FC, the sum over FC y < w with ys < y.
 This is b_w b_s in the KL basis with the components in J dropped, and
 it is a product rule only because J is a two-sided ideal: the terms
 dropped at one step never feed back into FC terms later.  Products run on
-integers (:func:`jwkit.hecke.kl_multiply`): on the integer Laurent rows of
-the factors over the product of their common denominators, a beta_x is
-reached from a beta_{xs} by one step of the rule and the mu-corrections,
-and the resulting rows are reduced once against that denominator.
+integer rows, by this rule on the one product walk
+(:func:`jwkit.hecke.kl_multiply` on :func:`jwkit.qpoly._walk`), reduced
+once against the product of the two denominators.
 Only the KL columns of FC elements are read (and the columns their
 recursion rests on); no element outside the FC set is multiplied.
 

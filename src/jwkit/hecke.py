@@ -95,6 +95,7 @@ from jwkit.qpoly import (
     _reduced,
     _unpack,
     _unpacked,
+    _walk,
     _width,
 )
 
@@ -464,77 +465,58 @@ class HeckeElt(LinComb):
 # -- integer standard-basis kernel ---------------------------------------------
 
 
+def _word_steps(g: GroupTable, support, corrections) -> dict:
+    """The steps of jwkit.qpoly._walk for a product by an element supported
+    on support: x -> (s, xs, corrections(s, xs)) for s the last letter of
+    the word of x, over every x other than the identity that support
+    reaches through x -> xs and the ys of [(y, mu)] corrections."""
+    right, word = g.right, g.word
+    steps = {}
+    todo = list(support)
+    while todo:
+        x = todo.pop()
+        if x and x not in steps:
+            s = word[x][-1]
+            xp = right[x][s]
+            cs = corrections(s, xp)
+            steps[x] = s, xp, cs
+            todo.append(xp)
+            for y, _ in cs:
+                todo.append(y)
+    return steps
+
+
 def _dense_product(g: GroupTable, avec, bvec):
     """(sum_y avec[y] delta_y) (sum_z bvec[z] delta_z) over Z[v, v^-1] for
     {element: {exp: int}} vectors, as the (vec, off, bound) triple that
-    _unpacked takes.
-
-    Walks the trie of minimal words of b's support once, keeping a delta_z
-    packed for the current node z: a right step by delta_s adds each entry
-    to delta_{ys}, and (v^-1 - v) times it to delta_y when ys < y; a node z
-    in b's support adds (a delta_z) b_z, one multiply per entry.
-
-    Bound: a step at most triples the largest coefficient, so ||a||_inf
-    sum_z 3^length(z) ||b_z||_1 bounds the product and every a delta_z on
-    the way.  Offset: a's slots start length(w0) below its lowest exponent;
-    a path takes at most length(w0) steps, each lowering the lowest exponent
-    by at most one, so slot 0 is empty whenever a vector is shifted down
-    and p >> b is exact, for negative p too.
-    """
-    length, right, word = g.length, g.right, g.word
+    _unpacked takes: jwkit.qpoly._walk along the words of b's support,
+    where a right step by delta_s adds each entry to delta_{ys}, and
+    (v^-1 - v) times it to delta_y when ys < y.  Bound: the dense bound of
+    the module docstring.  a's slots start K below its lowest exponent, K
+    the longest length in b's support: a step lowers the lowest exponent by
+    at most one, so p >> b is exact, for negative p too."""
+    length, right = g.length, g.right
     bound = max(abs(c) for d in avec.values() for c in d.values()) * sum(
         3 ** length[z] * sum(map(abs, d.values())) for z, d in bvec.items()
     )
     b = _width(bound)
-    off_a = min(e for d in avec.values() for e in d) - length[g.w0]
+    off_a = min(e for d in avec.values() for e in d) - max(length[z] for z in bvec)
     off_b = min(e for d in bvec.values() for e in d)
-    packed_b = {z: _pack(d, off_b, b) for z, d in bvec.items()}
 
-    # trie of prefixes of b-support words
-    children: dict[int, list[tuple[int, int]]] = {0: []}
-    for z in bvec:
-        node = 0
-        for s in word[z]:
-            nxt = right[node][s]
-            kids = children.setdefault(node, [])
-            if all(k != nxt for _, k in kids):
-                kids.append((s, nxt))
-            children.setdefault(nxt, [])
-            node = nxt
-
-    root_vec = {y: _pack(d, off_a, b) for y, d in avec.items()}
-    acc: dict[int, int] = {}
-
-    def absorb(z, vec_z):
-        bp = packed_b[z]
-        get = acc.get
-        for y, p in vec_z.items():
-            acc[y] = get(y, 0) + bp * p
-
-    # iterative DFS carrying a * delta_(current path) on a parallel stack
-    stack = [iter(children[0])]
-    vecs = [root_vec]
-    if 0 in packed_b:
-        absorb(0, root_vec)
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            vecs.pop()
-            continue
-        s, child = step
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for y, p in vecs[-1].items():
+    def step(s, vec):
+        out: dict[int, int] = {}
+        get = out.get
+        for y, p in vec.items():
             ys = right[y][s]
-            nxt[ys] = get(ys, 0) + p
+            out[ys] = get(ys, 0) + p
             if length[ys] < length[y]:
-                nxt[y] = get(y, 0) + (p >> b) - (p << b)
-        vecs.append(nxt)
-        stack.append(iter(children[child]))
-        if child in packed_b:
-            absorb(child, nxt)
-    return acc, off_a + off_b, bound
+                out[y] = get(y, 0) + (p >> b) - (p << b)
+        return out
+
+    left = {y: _pack(d, off_a, b) for y, d in avec.items()}
+    packed_b = {z: _pack(d, off_b, b) for z, d in bvec.items()}
+    steps = _word_steps(g, bvec, lambda s, xp: ())
+    return _walk(left, packed_b, steps, step), off_a + off_b, bound
 
 
 def _bar_std(g: GroupTable, maxlen: int, b: int) -> list[dict[ElementId, int]]:
@@ -645,28 +627,15 @@ def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> tuple[dict, LaurentPo
     the span of the non-FC b_x, for linear combinations keyed by fully
     commutative element ids (a non-FC key: ValueError), as canonical
     (rows, den): the product in TL_W, computed on the FC part of the
-    W-graph (KLTable.fc_w_graph) alone.
-
-    On the integer rows of the operands, over the product of their
-    denominators: for each x in the closure of b's support, in id order,
-    with s the last letter of the word of x and x' = xs,
-
-        a beta_x = (a beta_{x'}) beta_s - sum_y mu(y, x') a beta_y
-
-    over the y of graph[s][x'], all shorter than x; the product is sum_x
-    c_x (a beta_x), reduced once.
-
-    Bound: a step by beta_s multiplies ||.||_1 by at most M_s = growth[s],
-    so B(e) = ||a||_1 and B(x) = M_s B(x') + sum_y mu(y, x') B(y) bound
-    ||a beta_x||_1 and every vector on its way, and sum_x ||c_x||_1 B(x)
-    bounds the product (each B on the way is at most some B(x), x in the
-    support).
-    Offset: a's slots start l below its lowest exponent, l the longest
-    length in b's support; a beta_x has no exponent below that of a minus
-    length(x), so slot 0 is empty whenever a vector is shifted down (the
-    v^-1 of [2]) and p >> b is exact, for negative p too."""
+    W-graph (KLTable.fc_w_graph) alone, reduced once.  It runs
+    jwkit.qpoly._walk along the words of b's support, with the step
+    beta_s and, for x = x's, the corrections mu(y, x') of graph[s][x'].
+    Bound: the W-graph bound of the module docstring.  a's slots start K
+    below its lowest exponent, K the longest length in b's support; a
+    beta_x has no exponent below that of a minus length(x), so p >> b is
+    exact in the v^-1 of [2]."""
     g = table.group
-    fc, length, right, word = g.fc, g.length, g.right, g.word
+    fc, length = g.fc, g.length
     avec, bvec = a.rows, b.rows
     for x in (*avec, *bvec):
         if not fc[x]:
@@ -674,22 +643,10 @@ def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> tuple[dict, LaurentPo
     if not avec or not bvec:
         return {}, LaurentPoly.one()
     graph, growth = table.fc_w_graph()
-
-    steps: dict[int, tuple] = {}  # x -> (s, x', the mu-corrections of (x', s))
-    todo = list(bvec)
-    while todo:
-        x = todo.pop()
-        if x and x not in steps:
-            s = word[x][-1]
-            xp = right[x][s]
-            corrections = graph[s][xp][1]
-            steps[x] = s, xp, corrections
-            todo.append(xp)
-            todo.extend(y for y, _ in corrections)
-    order = sorted(steps)
+    steps = _word_steps(g, bvec, lambda s, xp: graph[s][xp][1])
 
     l1 = {0: a.l1}
-    for x in order:
+    for x in sorted(steps):  # ids ascend with length: x' and every y come first
         s, xp, corrections = steps[x]
         l1[x] = growth[s] * l1[xp] + sum(mu * l1[y] for y, mu in corrections)
     bound = sum(sum(map(abs, d.values())) * l1[x] for x, d in bvec.items())
@@ -697,13 +654,11 @@ def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> tuple[dict, LaurentPo
     off_a = min(e for d in avec.values() for e in d) - max(length[x] for x in bvec)
     off_b = min(e for d in bvec.values() for e in d)
 
-    vecs = {0: {w: _pack(d, off_a, bw) for w, d in avec.items()}}  # x -> a beta_x
-    for x in order:
-        s, xp, corrections = steps[x]
+    def step(s, vec):
         row = graph[s]
         out: dict[int, int] = {}
         get = out.get
-        for w, p in vecs[xp].items():
+        for w, p in vec.items():
             e = row[w]
             if e is None:
                 out[w] = get(w, 0) + (p << bw) + (p >> bw)  # [2] p
@@ -713,18 +668,11 @@ def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> tuple[dict, LaurentPo
                     out[up] = get(up, 0) + p
                 for y, mu in down:
                     out[y] = get(y, 0) + mu * p
-        for y, mu in corrections:
-            for w, q in vecs[y].items():
-                out[w] = get(w, 0) - mu * q
-        vecs[x] = out
+        return out
 
-    acc: dict[int, int] = {}
-    get = acc.get
-    for x, d in bvec.items():
-        pc = _pack(d, off_b, bw)
-        for w, p in vecs[x].items():
-            acc[w] = get(w, 0) + pc * p
-    return _reduced(acc, off_a + off_b, bound, a.den * b.den)
+    left = {w: _pack(d, off_a, bw) for w, d in avec.items()}
+    packed_b = {x: _pack(d, off_b, bw) for x, d in bvec.items()}
+    return _reduced(_walk(left, packed_b, steps, step), off_a + off_b, bound, a.den * b.den)
 
 
 def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, LaurentPoly]:

@@ -23,7 +23,7 @@ subclasses: integer Laurent rows, one per basis key, over one common
 denominator polynomial D, in a canonical form (D normalised as a RatFunc
 denominator, and no factor common to D and every row), so that equality
 is literal comparison of rows and D.  The product kernels (Hecke, TL_n
-diagrams, TL_W) take and return rows over D.  Inside a kernel a
+diagrams, TL_W; _walk) take and return rows over D.  Inside a kernel a
 polynomial is one Python integer in the signed Kronecker packing (_pack,
 _unpack, _unpacked, _width below), and a sum or product of polynomials
 one big-integer operation; each result is reduced once (_reduced, through
@@ -448,6 +448,69 @@ def _unpacked(vec: Mapping[object, int], off: int, bound: int) -> list[tuple[obj
     return [(k, _unpack(p, off, b, bound)) for k, p in vec.items() if p]
 
 
+def _walk(left: dict, right: Mapping[object, int], steps: Mapping[object, tuple], step) -> dict:
+    """sum_x right[x] (a T_x) for a = left, as a packed vector {key: int}:
+    the one product kernel of the three algebras, whose basis T_x is built
+    from T_0 = 1 by the right action t_s of a generator (delta_s on the
+    Hecke standard basis, beta_s on the W-graph of TL_W, u_s on TL_n
+    diagrams).  steps maps each x != 0 that the walk reaches to (s, x',
+    corrections), with
+
+        a T_x = (a T_{x'}) t_s - sum over (y, mu) in corrections of mu (a T_y),
+
+    and step(s, vec) returns vec t_s as a new packed vector.  The x are
+    visited in depth-first preorder of the x -> x' links.  a T_x is built on
+    its first use (a correction can come before its user's visit), adds
+    right[x] (a T_x) into the sum when built, one multiply per entry, and is
+    dropped after its last use, by a child or a correction.  Nothing is
+    shifted here: the caller packs left low enough that every shift down in
+    step is exact, at one width that bounds every vector on the way."""
+    kids: dict = {}
+    uses: dict = {}
+    for x, (_, xp, corrections) in steps.items():
+        kids.setdefault(xp, []).append(x)
+        uses[xp] = uses.get(xp, 0) + 1
+        for y, _ in corrections:
+            uses[y] = uses.get(y, 0) + 1
+    vecs: dict = {}  # x -> a T_x while a use of it is left, None after
+    acc: dict = {}
+
+    def use(x):
+        vec = vecs.get(x)
+        if vec is None:  # not built yet: no use is left of a dropped vector
+            vec = build(x)
+        n = uses[x] = uses[x] - 1
+        if not n:
+            vecs[x] = None
+        return vec
+
+    def build(x):
+        if x:
+            s, xp, corrections = steps[x]
+            vec = step(s, use(xp))
+            get = vec.get
+            for y, mu in corrections:
+                for w, q in use(y).items():
+                    vec[w] = get(w, 0) - mu * q
+        else:
+            vec = left
+        c = right.get(x)
+        if c is not None:
+            get = acc.get
+            for w, p in vec.items():
+                acc[w] = get(w, 0) + c * p
+        vecs[x] = vec if x in uses else None
+        return vec
+
+    todo = [0]
+    while todo:
+        x = todo.pop()
+        if x not in vecs:
+            build(x)
+        todo += kids.get(x, ())
+    return acc
+
+
 class RatFunc:
     """A rational function in v over Q, kept in canonical form.
 
@@ -794,14 +857,15 @@ def _coefficients(rows: Mapping[object, Mapping[int, int]], den: LaurentPoly) ->
     and primitive part g once, and g is evaluated once, at the one width
     every row is packed at, and g / h is computed once per candidate gcd
     h.  A row c v^e needs no gcd: g has a nonzero constant term, so only
-    the contents cancel."""
+    the contents cancel, and its denominator is built once per distinct
+    gcd t of c and cd."""
     if den.is_one:
         return {k: _ratfunc(_wrap(r), den) for k, r in rows.items()}
     cd, _, g = _split(den._terms)
     vec, off, bound = _packed(rows)
     b = _width(bound)
     gx = _eval(g, b)
-    out, quotients = {}, {}
+    out, quotients, dens = {}, {}, {}
     for (k, r), p in zip(rows.items(), vec.values()):
         if len(r) > 1:
             reduced, d = _divided({0: p}, off, b, bound, cd, g, gx, quotients)
@@ -809,7 +873,10 @@ def _coefficients(rows: Mapping[object, Mapping[int, int]], den: LaurentPoly) ->
         else:
             ((e, c),) = r.items()
             t = math.gcd(c, cd)
-            r, d = {e: c // t}, _laurent(cd // t, 0, g)
+            d = dens.get(t)
+            if d is None:
+                d = dens[t] = _laurent(cd // t, 0, g)
+            r = {e: c // t}
         out[k] = _ratfunc(_wrap(r), d)
     return out
 

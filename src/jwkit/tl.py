@@ -59,16 +59,10 @@ Temperley-Lieb algebras", J. Algebra 1997), u_x u_s = delta u_x when s is
 a right descent of x, and one monomial otherwise, so a generator step
 closes at most one loop.
 
-The walk.  multiply_tl packs every integer row of both factors
-(jwkit.qpoly.LinComb: rows over one common denominator) as one integer in
-the signed Kronecker packing of jwkit.qpoly.  It walks the trie of the
-breadth-first words of b's support (the parent links), keeping v^t a u_z
-for each node z at depth t: a step by u_s relabels each row of diagram d
-to act[s][d], times v, or times sign (1 + v^2) = v (sign delta) where a
-loop closes.  Each support node z adds b_z (v^t a u_z), shifted by v^(K -
-t) so that all nodes share one offset (K the depth of the deepest node):
-one multiply per entry.  The output rows, over the product of the two
-denominators, are decoded and reduced once (jwkit.qpoly._reduced).
+The step.  multiply_tl runs jwkit.qpoly._walk on the packed integer rows
+of both factors (jwkit.qpoly.LinComb: rows over one common denominator),
+along the parent links of b's support: a step by u_s relabels each row of
+diagram d to act[s][d], times sign delta where a loop closes.
 
 The lazy fill.  The index fills one level at a time, until every diagram
 of both factors is in it and act rows exist through depth D_a + D_b - 1,
@@ -78,14 +72,14 @@ word of length m to delta^k u_z with length(z) <= m.  So a product of two
 generators on 16 strands indexes the 135 diagrams of depths 0-2, not all
 Catalan(16) of them.
 
-The bound.  A step by v changes no coefficient, and a prefix of a
-breadth-first word is one diagram, so every vector on the walk is a times
-one diagram, up to a power of v.  One composition closes at most m =
-floor(n/2) loops (each uses two of the n glue points) and ||delta^k||_1 =
-2^k, so every output coefficient is at most (sum_d ||p_d||_1) (sum_d
-||q_d||_1) 2^m, with p_d and q_d the integer numerators of the two factors
-and ||.||_1 the sum of |coefficients| (LinComb.l1); the digit width is
-_width of that bound, and a digit above it raises OverflowError.
+The bound.  A prefix of a breadth-first word is one diagram, so every
+vector on the walk is a times one diagram.  One composition closes at
+most m = floor(n/2) loops (each uses two of the n glue points) and
+||delta^k||_1 = 2^k, so every output coefficient is at most (sum_d
+||p_d||_1) (sum_d ||q_d||_1) 2^m, with p_d and q_d the integer numerators
+of the two factors and ||.||_1 the sum of |coefficients| (LinComb.l1); the
+digit width is _width of that bound, and a digit above it raises
+OverflowError.
 """
 
 from __future__ import annotations
@@ -97,7 +91,7 @@ from .coxeter import ElementId, GroupTable
 from .grank import grrk  # noqa: F401 (perfbench wraps the jwkit.tl.grrk alias)
 from .gtl import gen_jw_closed
 from .hecke import HeckeElt, KLTable, _check_id, to_kl_basis
-from .qpoly import LaurentPoly, LinComb, RatFunc, _pack, _reduced, _width, quantum_int
+from .qpoly import LaurentPoly, LinComb, RatFunc, _pack, _reduced, _walk, _width, quantum_int
 
 _DELTA = LaurentPoly({1: 1, -1: 1})
 
@@ -322,10 +316,13 @@ class TLElt(LinComb):
 
 def multiply_tl(a: TLElt, b: TLElt) -> TLElt:
     """Bilinear extension of diagram composition, with each erased loop
-    contributing the loop parameter of the common sign: the walk of the
-    module docstring over the generator-action index, on packed integers
-    at the width its bound fixes, reduced once against the product of the
-    two denominators."""
+    contributing the loop parameter of the common sign: the step of the
+    module docstring over the generator-action index, at the width its
+    bound fixes, reduced once against the product of the two denominators.
+    a's slots start min(K, floor(n/2)) below its lowest exponent, K the
+    depth of the deepest diagram of b: a closed loop lowers it by one, and
+    the steps to d u_z close as many loops in all as the one composition d
+    u_z (the bound of the module docstring), so p >> w is exact."""
     if a.n != b.n:
         raise ValueError(f"strand counts differ: {a.n} vs {b.n}")
     if a.sign != b.sign:
@@ -336,51 +333,34 @@ def multiply_tl(a: TLElt, b: TLElt) -> TLElt:
         return TLElt.zero(n, sign)
     bound = a.l1 * b.l1 << n // 2
     w = _width(bound)
-    off_a = min(min(r) for r in rows_a.values())
-    off_b = min(min(r) for r in rows_b.values())
     index = _actions(n)
-    left = {index.id(d): _pack(r, off_a, w) for d, r in rows_a.items()}
-    right = {index.id(d): r for d, r in rows_b.items()}
     depth, parent, act = index.depth, index.parent, index.act
-    top = max(depth[z] for z in right)  # K: every node is shifted up to v^K
+    right = {index.id(d): r for d, r in rows_b.items()}
+    top = max(depth[z] for z in right)  # K: every node is at most K steps deep
+    off_a = min(min(r) for r in rows_a.values()) - min(top, n // 2)
+    off_b = min(min(r) for r in rows_b.values())
+    left = {index.id(d): _pack(r, off_a, w) for d, r in rows_a.items()}
     index.fill(max(depth[x] for x in left) + top - 1)
 
-    # the trie of the breadth-first words of b's support
-    children: dict[int, list[tuple[int, int]]] = {}
-    linked = {0}
+    steps = {}  # the breadth-first words of b's support, by parent links
     for z in right:
-        while z not in linked:
-            linked.add(z)
+        while z and z not in steps:
             p, s = parent[z]
-            children.setdefault(p, []).append((z, s))
+            steps[z] = s, p, ()
             z = p
-    # depth first, each node's vector v^depth a u_z made from its parent's
-    # when the node is reached
-    acc: dict[int, int] = {}
-    w2 = 2 * w
-    todo: list[tuple[int, int | None, dict[int, int]]] = [(0, None, left)]
-    while todo:
-        z, s, vec = todo.pop()
-        if s is not None:
-            row, prev, vec = act[s], vec, {}
-            get = vec.get
-            for x, p in prev.items():
-                y, loops = row[x]
-                if not loops:
-                    p <<= w  # v
-                elif sign > 0:
-                    p += p << w2  # 1 + v^2 = v delta
-                else:
-                    p = -p - (p << w2)
-                vec[y] = get(y, 0) + p
-        q = right.get(z)
-        if q is not None:
-            f = _pack(q, off_b, w) << w * (top - depth[z])
-            get = acc.get
-            for y, p in vec.items():
-                acc[y] = get(y, 0) + f * p
-        todo.extend((c, t, vec) for c, t in children.get(z, ()))
-    rows, den = _reduced(acc, off_a + off_b - top, bound, a.den * b.den)
+
+    def step(s, vec):
+        row, out = act[s], {}
+        get = out.get
+        for x, p in vec.items():
+            y, loops = row[x]
+            if loops:  # times sign delta = sign (v + v^-1)
+                p = (p << w) + (p >> w) if sign > 0 else -(p << w) - (p >> w)
+            out[y] = get(y, 0) + p
+        return out
+
+    packed_b = {z: _pack(r, off_b, w) for z, r in right.items()}
+    rows, den = _reduced(_walk(left, packed_b, steps, step), off_a + off_b, bound, a.den * b.den)
     diagrams = index.diagrams
     return a._rebuild({diagrams[y]: r for y, r in rows.items()}, den)
 

@@ -414,7 +414,7 @@ def test_w_graph_is_built_once_per_table(monkeypatch):
 
 
 def test_h4_products_on_the_fc_w_graph():
-    # ungated: the FC closure of H4 is 177 of its 7486 orbit representatives
+    # ungated: the FC closure of H4 is 129 of its 7486 orbit representatives
     g = grp("H4", allow_large=True)
     t = KLTable(g)
     rng = random.Random(17)

@@ -648,6 +648,74 @@ def test_rows_and_coeffs_round_trip(algebra, entries, flags):
     assert _canonical({k: r for k, r in rows.items() if keep[k]}, den) == (kept.rows, kept.den)
 
 
+def test_monomial_rows_share_one_denominator_per_content_gcd():
+    """Monomial rows whose contents have the same gcd t with the content
+    of den get one denominator object, (den / t) with its monomial dropped."""
+    den = LaurentPoly({0: 6, 2: 6})  # 6 (1 + v^2)
+    coeffs = _coefficients({0: {1: 4}, 1: {-2: 2}, 2: {0: 3}, 3: {5: 9}, 4: {0: 1, 1: 1}}, den)
+    assert coeffs == {k: RatFunc(LaurentPoly(r), den) for k, r in
+                      {0: {1: 4}, 1: {-2: 2}, 2: {0: 3}, 3: {5: 9}, 4: {0: 1, 1: 1}}.items()}
+    assert coeffs[0].den is coeffs[1].den and coeffs[2].den is coeffs[3].den
+    assert coeffs[0].den == LaurentPoly({0: 3, 2: 3}) and coeffs[2].den == LaurentPoly({0: 2, 2: 2})
+
+
+def _walked(steps, right, left, matrices):
+    """qpoly._walk on the integer action vec t_s = vec matrices[s], with
+    the naive sum of right[x] (a T_x) from the recursion itself, and the
+    number of calls of step."""
+    calls = []
+
+    def step(s, vec):
+        calls.append(s)
+        out = {}
+        for k, p in vec.items():
+            for j, c in matrices[s][k]:
+                out[j] = out.get(j, 0) + c * p
+        return out
+
+    def naive(x):
+        if x == 0:
+            return dict(left)
+        s, xp, corrections = steps[x]
+        vec = step(s, naive(xp))
+        for y, mu in corrections:
+            for k, q in naive(y).items():
+                vec[k] = vec.get(k, 0) - mu * q
+        return vec
+
+    frozen = dict(left)
+    got = qpoly._walk(left, right, steps, step)
+    built = len(calls)
+    want = {}
+    for x, c in right.items():
+        for k, p in naive(x).items():
+            want[k] = want.get(k, 0) + c * p
+    assert left == frozen  # the root vector is read, never written
+    return {k: p for k, p in got.items() if p}, {k: p for k, p in want.items() if p}, built
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["A-first", "B-first"])
+def test_walk_builds_corrections_on_demand_and_keeps_shared_vectors(flip):
+    """Two branches under the root, 0 -> 1 -> 3 and 0 -> 2 -> 4, where 3
+    takes a correction from 4 and 4 one from 1.  Whichever branch the
+    preorder visits first, one correction names a vector its user reaches
+    before the walk does, so that vector is built on demand; 1 is used by
+    its child 3 and by the correction of 4, so it must outlive its first
+    use.  Every vector is built once: step runs once per x in steps."""
+    matrices = [
+        [[(0, 1), (1, 2)], [(1, -1), (2, 3)], [(0, 5), (2, 1)]],
+        [[(2, 1)], [(0, 2), (1, 1)], [(1, -4), (2, 2)]],
+    ]
+    steps = {1: (0, 0, ()), 3: (1, 1, ((4, 5),)), 2: (1, 0, ()), 4: (0, 2, ((1, 2),))}
+    if flip:
+        steps = dict(reversed(list(steps.items())))
+    left = {0: 3, 1: -1, 2: 2}
+    for right in ({0: 7, 3: 1, 4: -2}, {3: 1}, {4: 1}, {0: 1}, {1: 2, 2: 3, 3: 5, 4: 7}):
+        got, want, built = _walked(steps, right, left, matrices)
+        assert got == want and built == len(steps)
+    assert qpoly._walk(left, {0: 2}, {}, None) == {k: 2 * p for k, p in left.items()}
+
+
 def test_doctests():
     import doctest
 
