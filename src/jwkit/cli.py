@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -403,11 +404,10 @@ def _jw_type_a(cfg: argparse.Namespace):
             j = closed_jw(n, g, table)
         else:
             j = project_pi(antisymmetriser(g, table), table)
-    by_diagram = {d: x for x, d in fc_diagrams(g).items()}
-    records = []
-    for d in sorted(j.coeffs, key=lambda d: by_diagram[d]):
-        x = by_diagram[d]
-        records.append((g.word_str(x), [q + 1 for q in d.partner], j.coeffs[d]))
+    coeffs = j.coeffs
+    records = [
+        (g.word_str(x), [q + 1 for q in d.partner], coeffs[d]) for x, d in fc_diagrams(g).items() if d in coeffs
+    ]
     _save_cache(table, cache_path)
     return records
 
@@ -646,7 +646,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process: it holds no
+    state of a run (suite names are checked by _cmd_verify)."""
     parser = _Parser(prog="jwkit", description="Jones-Wenzl idempotent toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, info in [

@@ -18,7 +18,7 @@ This is b_w b_s in the KL basis with the components in J dropped, and
 it is a product rule only because J is a two-sided ideal: the terms
 dropped at one step never feed back into FC terms later.  Products run on
 integer rows, by this rule on the one product walk
-(:func:`jwkit.hecke.kl_multiply` on :func:`jwkit.qpoly._walk`), reduced
+(:func:`jwkit.hecke.kl_multiply` on :func:`jwkit.qpoly._product`), reduced
 once against the product of the two denominators.
 Only the KL columns of FC elements are read (and the columns their
 recursion rests on); no element outside the FC set is multiplied.

@@ -44,15 +44,19 @@ _width(bound) and checks each decoded digit against the bound
 and peak the largest coefficient the KL table stores (KLTable.peak, read
 after the columns a kernel uses are filled), the bounds are:
 
-* dense (_dense_product, a b in the standard basis): a step by delta_s at
-  most triples the largest coefficient, so ||a||_inf sum_z 3^length(z)
-  ||b_z||_1 bounds the product and every intermediate a delta_z;
+* dense (HeckeElt.__mul__, a b in the standard basis, stepping by
+  delta_s, _delta_step): a step at most triples the largest coefficient,
+  so ||a||_inf sum_z 3^length(z) ||b_z||_1 bounds the product and every
+  intermediate a delta_z;
 * W-graph (kl_multiply, a b in TL_W on the fully commutative basis): a
   step by beta_s at most multiplies ||.||_1 by M_s, the largest max(2, sum
   of the coefficients of beta_w beta_s) over fully commutative w, so
   B(e) = ||a||_1, B(x) = M_s B(xs) + sum_y mu(y, xs) B(y) and sum_x
   ||c_x||_1 B(x) over b's support bound everything on the way;
-* bar (_bar_std, bar(delta_y)): 3^length(y), by the same tripling;
+* bar (HeckeElt.bar, the product of 1 by sum_x bar(c_x) T_x, stepping by
+  delta_s^-1 = delta_s + v - v^-1 along the words of its support only):
+  sum_x 3^length(x) ||c_x||_1, by the same tripling; _bar_std, the table
+  of every bar(delta_y) that verify_bar_invariance reads, 3^length(y);
 * back-substitution (_back_substitute, behind to_kl_basis and
   kl_product_coeffs, on a dense vector indexed by element id, with one
   multiply per distinct polynomial of each column subtracted): a running
@@ -71,7 +75,8 @@ or more.  Wider digits are read from the store's repacking at that width.
 The four kernels on linear combinations (HeckeElt.__mul__, HeckeElt.bar,
 to_kl_basis and kl_multiply) read the integer rows and the common
 denominator D of their operands (jwkit.qpoly.LinComb) and return rows
-over D, reduced once by jwkit.qpoly._reduced.  No coefficient becomes a
+over D, reduced once by jwkit.qpoly._reduced (the two products and bar
+on the packed frame of jwkit.qpoly._product).  No coefficient becomes a
 RatFunc on the way.
 """
 
@@ -92,10 +97,8 @@ from jwkit.qpoly import (
     _canonical,
     _pack,
     _packed,
-    _reduced,
+    _product,
     _unpack,
-    _unpacked,
-    _walk,
     _width,
 )
 
@@ -426,8 +429,14 @@ class HeckeElt(LinComb):
             return NotImplemented
         if not self.rows or not other.rows:
             return HeckeElt.zero(self.group)
-        acc, off, bound = _dense_product(self.group, self.rows, other.rows)
-        return self._rebuild(*_reduced(acc, off, bound, self.den * other.den))
+        g, avec, bvec = self.group, self.rows, other.rows
+        length = g.length
+        bound = max(abs(c) for d in avec.values() for c in d.values()) * sum(
+            3 ** length[z] * sum(map(abs, d.values())) for z, d in bvec.items()
+        )
+        steps = _word_steps(g, bvec)
+        depth = max(length[z] for z in bvec)
+        return self._rebuild(*_product(avec, bvec, self.den * other.den, steps, _delta_step(g), depth, bound))
 
     # -- involutions ---------------------------------------------------------------
 
@@ -435,37 +444,32 @@ class HeckeElt(LinComb):
         """The bar involution: v -> v^-1, delta_x -> delta_{x^-1}^-1.
 
         For self = sum_x c_x delta_x / D with integer rows c_x, the result
-        is sum_x bar(c_x) bar(delta_x) / bar(D), with bar(delta_x) from
-        _bar_std; rows and denominator are multiplied by the unit +-v^d,
-        d = deg D, that normalises bar(D).  bar is a ring automorphism, so
-        the result is in canonical form without a gcd: a factor common to
-        bar(D) and every row would come back under bar as a factor common
-        to D and every row of self.  Bound: sum_x 3^length(x) ||c_x||_1.
+        is sum_x bar(c_x) bar(delta_x) / bar(D), with bar(delta_x) the
+        product of the delta_s^-1 = bar(delta_s) along the word of x: the
+        product of 1 by sum_x bar(c_x) T_x on the step of _delta_step(g,
+        True), along the words of self's support only.  Rows and
+        denominator are multiplied by the unit +-v^d, d = deg D, that
+        normalises bar(D).  Bound: sum_x 3^length(x) ||c_x||_1, as a step
+        at most triples the largest coefficient; depth: the longest length
+        in the support, as a step lowers the lowest exponent by at most one.
         """
         if not self.rows:
             return self
-        g = self.group
+        g, rows, den = self.group, self.rows, self.den._terms
         length = g.length
-        vec, den = self.rows, self.den._terms
-        bound = sum(3 ** length[x] * sum(map(abs, c.values())) for x, c in vec.items())
-        b = _width(bound)
-        hi = max(e for c in vec.values() for e in c)  # bar(c_x) packed at offset -hi
-        bars = _bar_std(g, max(length[x] for x in vec), b)
-        out: dict[int, int] = {}
-        get = out.get
-        for x, c in vec.items():
-            pc = _pack({-e: k for e, k in c.items()}, -hi, b)
-            for z, q in bars[x].items():
-                out[z] = get(z, 0) + pc * q
         d, sign = max(den), 1 if den[0] > 0 else -1
-        rows = dict(_unpacked({z: sign * p for z, p in out.items()}, d - hi - length[g.w0], bound))
-        return self._rebuild(rows, LaurentPoly({d - e: sign * c for e, c in den.items()}))
+        barred = {x: {d - e: sign * c for e, c in r.items()} for x, r in rows.items()}
+        bound = sum(3 ** length[x] * sum(map(abs, r.values())) for x, r in rows.items())
+        bar_den = LaurentPoly({d - e: sign * c for e, c in den.items()})
+        steps = _word_steps(g, rows)
+        depth = max(length[x] for x in rows)
+        return self._rebuild(*_product({0: {0: 1}}, barred, bar_den, steps, _delta_step(g, True), depth, bound))
 
 
 # -- integer standard-basis kernel ---------------------------------------------
 
 
-def _word_steps(g: GroupTable, support, corrections) -> dict:
+def _word_steps(g: GroupTable, support, corrections=lambda s, xp: ()) -> dict:
     """The steps of jwkit.qpoly._walk for a product by an element supported
     on support: x -> (s, xs, corrections(s, xs)) for s the last letter of
     the word of x, over every x other than the identity that support
@@ -486,62 +490,45 @@ def _word_steps(g: GroupTable, support, corrections) -> dict:
     return steps
 
 
-def _dense_product(g: GroupTable, avec, bvec):
-    """(sum_y avec[y] delta_y) (sum_z bvec[z] delta_z) over Z[v, v^-1] for
-    {element: {exp: int}} vectors, as the (vec, off, bound) triple that
-    _unpacked takes: jwkit.qpoly._walk along the words of b's support,
-    where a right step by delta_s adds each entry to delta_{ys}, and
-    (v^-1 - v) times it to delta_y when ys < y.  Bound: the dense bound of
-    the module docstring.  a's slots start K below its lowest exponent, K
-    the longest length in b's support: a step lowers the lowest exponent by
-    at most one, so p >> b is exact, for negative p too."""
-    length, right = g.length, g.right
-    bound = max(abs(c) for d in avec.values() for c in d.values()) * sum(
-        3 ** length[z] * sum(map(abs, d.values())) for z, d in bvec.items()
-    )
-    b = _width(bound)
-    off_a = min(e for d in avec.values() for e in d) - max(length[z] for z in bvec)
-    off_b = min(e for d in bvec.values() for e in d)
+def _delta_step(g: GroupTable, inverse: bool = False):
+    """The step of jwkit.qpoly._product for the right action of delta_s
+    on packed vectors {y: int}, or with inverse of delta_s^-1 = delta_s + v
+    - v^-1: delta_y delta_s is delta_{ys}, plus (v^-1 - v) delta_y when ys
+    < y; delta_y delta_s^-1 is delta_{ys}, plus (v - v^-1) delta_y when ys
+    > y.  Ids ascend with length, so ys < y is the descent test."""
+    right = g.right
 
-    def step(s, vec):
-        out: dict[int, int] = {}
-        get = out.get
-        for y, p in vec.items():
-            ys = right[y][s]
-            out[ys] = get(ys, 0) + p
-            if length[ys] < length[y]:
-                out[y] = get(y, 0) + (p >> b) - (p << b)
-        return out
+    def step(b):
+        def act(s, vec):
+            out: dict[int, int] = {}
+            get = out.get
+            for y, p in vec.items():
+                ys = right[y][s]
+                out[ys] = get(ys, 0) + p
+                if (ys < y) != inverse:
+                    q = (p >> b) - (p << b)  # (v^-1 - v) p
+                    out[y] = get(y, 0) - q if inverse else get(y, 0) + q
+            return out
 
-    left = {y: _pack(d, off_a, b) for y, d in avec.items()}
-    packed_b = {z: _pack(d, off_b, b) for z, d in bvec.items()}
-    steps = _word_steps(g, bvec, lambda s, xp: ())
-    return _walk(left, packed_b, steps, step), off_a + off_b, bound
+        return act
+
+    return step
 
 
-def _bar_std(g: GroupTable, maxlen: int, b: int) -> list[dict[ElementId, int]]:
-    """bar(delta_y) for every y with length(y) <= maxlen (ids are ordered by
-    length), as {z: int} packed at offset -length(w0) and width b, built
-    along the weak right order: bar(delta_y) = bar(delta_{ys}) (delta_s + v
-    - v^-1) for the last letter s of y's word.
+def _bar_std(g: GroupTable, b: int) -> list[dict[ElementId, int]]:
+    """bar(delta_y) for every y, by id, as {z: int} packed at offset
+    -length(w0) and width b: bar(delta_y) = bar(delta_{ys}) delta_s^-1 for
+    the last letter s of y's word, one step of _delta_step(g, True).
 
     Bound: 3^length(y), as each step at most triples the largest
     coefficient; b must fit it.  bar(delta_{ys}) has no exponent below
     1 - length(y) >= 1 - length(w0), so p >> b is exact."""
-    length, right, word = g.length, g.right, g.word
-    bars = [{0: 1 << (b * length[g.w0])}]
+    right, word = g.right, g.word
+    act = _delta_step(g, True)(b)
+    bars = [{0: 1 << (b * g.length[g.w0])}]
     for y in range(1, g.size):
-        if length[y] > maxlen:
-            break
         s = word[y][-1]
-        cur: dict[int, int] = {}
-        get = cur.get
-        for z, p in bars[right[y][s]].items():
-            zs = right[z][s]
-            cur[zs] = get(zs, 0) + p
-            if length[zs] > length[z]:  # + (v - v^-1) p; it cancels when zs < z
-                cur[z] = get(z, 0) + (p << b) - (p >> b)
-        bars.append({z: p for z, p in cur.items() if p})
+        bars.append({z: p for z, p in act(s, bars[right[y][s]]).items() if p})
     return bars
 
 
@@ -627,13 +614,11 @@ def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> tuple[dict, LaurentPo
     the span of the non-FC b_x, for linear combinations keyed by fully
     commutative element ids (a non-FC key: ValueError), as canonical
     (rows, den): the product in TL_W, computed on the FC part of the
-    W-graph (KLTable.fc_w_graph) alone, reduced once.  It runs
-    jwkit.qpoly._walk along the words of b's support, with the step
-    beta_s and, for x = x's, the corrections mu(y, x') of graph[s][x'].
-    Bound: the W-graph bound of the module docstring.  a's slots start K
-    below its lowest exponent, K the longest length in b's support; a
-    beta_x has no exponent below that of a minus length(x), so p >> b is
-    exact in the v^-1 of [2]."""
+    W-graph (KLTable.fc_w_graph) alone, by jwkit.qpoly._product along the
+    words of b's support, with the step beta_s and, for x = x's, the
+    corrections mu(y, x') of graph[s][x'].  Bound: the W-graph bound of the
+    module docstring.  Depth: the longest length in b's support, as a
+    beta_x has no exponent below that of a minus length(x)."""
     g = table.group
     fc, length = g.fc, g.length
     avec, bvec = a.rows, b.rows
@@ -650,29 +635,28 @@ def kl_multiply(a: LinComb, b: LinComb, table: KLTable) -> tuple[dict, LaurentPo
         s, xp, corrections = steps[x]
         l1[x] = growth[s] * l1[xp] + sum(mu * l1[y] for y, mu in corrections)
     bound = sum(sum(map(abs, d.values())) * l1[x] for x, d in bvec.items())
-    bw = _width(bound)
-    off_a = min(e for d in avec.values() for e in d) - max(length[x] for x in bvec)
-    off_b = min(e for d in bvec.values() for e in d)
 
-    def step(s, vec):
-        row = graph[s]
-        out: dict[int, int] = {}
-        get = out.get
-        for w, p in vec.items():
-            e = row[w]
-            if e is None:
-                out[w] = get(w, 0) + (p << bw) + (p >> bw)  # [2] p
-            else:
-                up, down = e
-                if up is not None:
-                    out[up] = get(up, 0) + p
-                for y, mu in down:
-                    out[y] = get(y, 0) + mu * p
-        return out
+    def step(bw):
+        def act(s, vec):
+            row = graph[s]
+            out: dict[int, int] = {}
+            get = out.get
+            for w, p in vec.items():
+                e = row[w]
+                if e is None:
+                    out[w] = get(w, 0) + (p << bw) + (p >> bw)  # [2] p
+                else:
+                    up, down = e
+                    if up is not None:
+                        out[up] = get(up, 0) + p
+                    for y, mu in down:
+                        out[y] = get(y, 0) + mu * p
+            return out
 
-    left = {w: _pack(d, off_a, bw) for w, d in avec.items()}
-    packed_b = {x: _pack(d, off_b, bw) for x, d in bvec.items()}
-    return _reduced(_walk(left, packed_b, steps, step), off_a + off_b, bound, a.den * b.den)
+        return act
+
+    depth = max(length[x] for x in bvec)
+    return _product(avec, bvec, a.den * b.den, steps, step, depth, bound)
 
 
 def kl_product_coeffs(table: KLTable, x: ElementId, s: int) -> dict[ElementId, LaurentPoly]:
@@ -762,7 +746,7 @@ def verify_bar_invariance(group: GroupTable, table: KLTable) -> int:
     l1 = [sum(d.values()) for d in table.terms]  # ||h||_1 by id
     bound = max(sum(l1[i] * pow3[length[y]] for i, ys in groups for y in ys) for groups in reps)
     b = _width(bound)
-    bars = _bar_std(g, L, b)
+    bars = _bar_std(g, b)
     hs = table.packed_at(b)
     bar_h = [_pack({-e: c for e, c in d.items()}, -L, b) for d in table.terms]  # at offset -L
     for x in range(g.size):

@@ -23,16 +23,17 @@ subclasses: integer Laurent rows, one per basis key, over one common
 denominator polynomial D, in a canonical form (D normalised as a RatFunc
 denominator, and no factor common to D and every row), so that equality
 is literal comparison of rows and D.  The product kernels (Hecke, TL_n
-diagrams, TL_W; _walk) take and return rows over D.  Inside a kernel a
-polynomial is one Python integer in the signed Kronecker packing (_pack,
-_unpack, _unpacked, _width below), and a sum or product of polynomials
-one big-integer operation; each result is reduced once (_reduced, through
-_divided): the heuristic gcd of Char, Geddes and Gonnet at one point 2^b,
-on a random integer combination of the packed rows, and exact integer
-divisions whose quotients a bound makes conclusive.  When that one test
-is inconclusive, a primitive remainder sequence finds the same gcd.  A
-coefficient becomes a RatFunc only when LinComb.coeffs is first read,
-each row reduced there as a one-row combination.
+diagrams, TL_W and the bar involution, on one frame, _product) take and
+return rows over D.  Inside a kernel a polynomial is one Python integer
+in the signed Kronecker packing (_pack, _unpack, _width below), and a sum
+or product of polynomials one big-integer operation; each result is
+reduced once (_reduced, through _divided): the heuristic gcd of Char,
+Geddes and Gonnet at one point 2^b, on a random integer combination of
+the packed rows, and exact integer divisions whose quotients a bound
+makes conclusive.  When that one test is inconclusive, a primitive
+remainder sequence finds the same gcd.  A coefficient becomes a RatFunc
+only when LinComb.coeffs is first read, each row reduced there as a
+one-row combination.
 
 The ring involution used throughout is bar (v -> v^-1).
 Quantum integers are balanced: [n] = v^(n-1) + v^(n-3) + ... + v^(1-n),
@@ -441,13 +442,6 @@ def _unpack(p: int, off: int, b: int, bound: int) -> dict[int, int]:
     return out
 
 
-def _unpacked(vec: Mapping[object, int], off: int, bound: int) -> list[tuple[object, dict]]:
-    """[(k, {exp: int})] for the nonzero entries of a vector of polynomials
-    packed at offset off and width _width(bound)."""
-    b = _width(bound)
-    return [(k, _unpack(p, off, b, bound)) for k, p in vec.items() if p]
-
-
 def _walk(left: dict, right: Mapping[object, int], steps: Mapping[object, tuple], step) -> dict:
     """sum_x right[x] (a T_x) for a = left, as a packed vector {key: int}:
     the one product kernel of the three algebras, whose basis T_x is built
@@ -463,8 +457,7 @@ def _walk(left: dict, right: Mapping[object, int], steps: Mapping[object, tuple]
     its first use (a correction can come before its user's visit), adds
     right[x] (a T_x) into the sum when built, one multiply per entry, and is
     dropped after its last use, by a child or a correction.  Nothing is
-    shifted here: the caller packs left low enough that every shift down in
-    step is exact, at one width that bounds every vector on the way."""
+    shifted here: _product packs the operands and picks the width."""
     kids: dict = {}
     uses: dict = {}
     for x, (_, xp, corrections) in steps.items():
@@ -509,6 +502,30 @@ def _walk(left: dict, right: Mapping[object, int], steps: Mapping[object, tuple]
             build(x)
         todo += kids.get(x, ())
     return acc
+
+
+def _product(a_rows: Mapping, b_rows: Mapping, den: LaurentPoly, steps: Mapping, step, depth: int, bound: int):
+    """The canonical (rows, den) of a (sum_x b_rows[x] T_x) / den, a =
+    sum_k a_rows[k] k, for integer rows {key: {exp: int}}: the one packed
+    frame of the product kernels, around _walk.  step(b) returns the step
+    of _walk at digit width b; the caller promises that bound is at least
+    every |coefficient| of every vector on the walk and of the sum, and that
+    no vector on the walk has an exponent more than depth below the lowest
+    exponent of a.
+
+    a is packed depth digits below its lowest exponent and b_rows at their
+    lowest exponent, both at width b = _width(bound).  Then every digit is
+    balanced and below 2^(b-1) in absolute value, and every vector on the
+    walk has zero digits below its packing offset, so a step's shift down
+    p >> b is exact, for negative p too (>> floors, and the digits it drops
+    are 0).  The sum is reduced once against den by _reduced, which checks
+    each decoded digit against bound (OverflowError)."""
+    b = _width(bound)
+    off_a = min(e for r in a_rows.values() for e in r) - depth
+    off_b = min(e for r in b_rows.values() for e in r)
+    left = {k: _pack(r, off_a, b) for k, r in a_rows.items()}
+    right = {k: _pack(r, off_b, b) for k, r in b_rows.items()}
+    return _reduced(_walk(left, right, steps, step(b)), off_a + off_b, bound, den)
 
 
 class RatFunc:

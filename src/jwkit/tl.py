@@ -59,10 +59,9 @@ Temperley-Lieb algebras", J. Algebra 1997), u_x u_s = delta u_x when s is
 a right descent of x, and one monomial otherwise, so a generator step
 closes at most one loop.
 
-The step.  multiply_tl runs jwkit.qpoly._walk on the packed integer rows
-of both factors (jwkit.qpoly.LinComb: rows over one common denominator),
-along the parent links of b's support: a step by u_s relabels each row of
-diagram d to act[s][d], times sign delta where a loop closes.
+The step.  multiply_tl walks the parent links of b's support: a step by
+u_s relabels each row of diagram d to act[s][d], times sign delta where a
+loop closes.
 
 The lazy fill.  The index fills one level at a time, until every diagram
 of both factors is in it and act rows exist through depth D_a + D_b - 1,
@@ -77,9 +76,7 @@ vector on the walk is a times one diagram.  One composition closes at
 most m = floor(n/2) loops (each uses two of the n glue points) and
 ||delta^k||_1 = 2^k, so every output coefficient is at most (sum_d
 ||p_d||_1) (sum_d ||q_d||_1) 2^m, with p_d and q_d the integer numerators
-of the two factors and ||.||_1 the sum of |coefficients| (LinComb.l1); the
-digit width is _width of that bound, and a digit above it raises
-OverflowError.
+of the two factors and ||.||_1 the sum of |coefficients| (LinComb.l1).
 """
 
 from __future__ import annotations
@@ -91,7 +88,7 @@ from .coxeter import ElementId, GroupTable
 from .grank import grrk  # noqa: F401 (perfbench wraps the jwkit.tl.grrk alias)
 from .gtl import gen_jw_closed
 from .hecke import HeckeElt, KLTable, _check_id, to_kl_basis
-from .qpoly import LaurentPoly, LinComb, RatFunc, _pack, _reduced, _walk, _width, quantum_int
+from .qpoly import LaurentPoly, LinComb, RatFunc, _product, quantum_int
 
 _DELTA = LaurentPoly({1: 1, -1: 1})
 
@@ -317,29 +314,24 @@ class TLElt(LinComb):
 def multiply_tl(a: TLElt, b: TLElt) -> TLElt:
     """Bilinear extension of diagram composition, with each erased loop
     contributing the loop parameter of the common sign: the step of the
-    module docstring over the generator-action index, at the width its
-    bound fixes, reduced once against the product of the two denominators.
-    a's slots start min(K, floor(n/2)) below its lowest exponent, K the
-    depth of the deepest diagram of b: a closed loop lowers it by one, and
-    the steps to d u_z close as many loops in all as the one composition d
-    u_z (the bound of the module docstring), so p >> w is exact."""
+    module docstring over the generator-action index, on the frame of
+    jwkit.qpoly._product, with the bound of the module docstring.  Depth:
+    min(K, floor(n/2)), K the depth of the deepest diagram of b, as a
+    closed loop lowers the lowest exponent by one, and the steps to d u_z
+    close as many loops in all as the one composition d u_z."""
     if a.n != b.n:
         raise ValueError(f"strand counts differ: {a.n} vs {b.n}")
     if a.sign != b.sign:
         raise ValueError("loop-parameter signs differ")
     n, sign = a.n, a.sign
-    rows_a, rows_b = a.rows, b.rows
-    if not rows_a or not rows_b:
+    if not a.rows or not b.rows:
         return TLElt.zero(n, sign)
     bound = a.l1 * b.l1 << n // 2
-    w = _width(bound)
     index = _actions(n)
     depth, parent, act = index.depth, index.parent, index.act
-    right = {index.id(d): r for d, r in rows_b.items()}
+    left = {index.id(d): r for d, r in a.rows.items()}
+    right = {index.id(d): r for d, r in b.rows.items()}
     top = max(depth[z] for z in right)  # K: every node is at most K steps deep
-    off_a = min(min(r) for r in rows_a.values()) - min(top, n // 2)
-    off_b = min(min(r) for r in rows_b.values())
-    left = {index.id(d): _pack(r, off_a, w) for d, r in rows_a.items()}
     index.fill(max(depth[x] for x in left) + top - 1)
 
     steps = {}  # the breadth-first words of b's support, by parent links
@@ -349,18 +341,20 @@ def multiply_tl(a: TLElt, b: TLElt) -> TLElt:
             steps[z] = s, p, ()
             z = p
 
-    def step(s, vec):
-        row, out = act[s], {}
-        get = out.get
-        for x, p in vec.items():
-            y, loops = row[x]
-            if loops:  # times sign delta = sign (v + v^-1)
-                p = (p << w) + (p >> w) if sign > 0 else -(p << w) - (p >> w)
-            out[y] = get(y, 0) + p
-        return out
+    def step(w):
+        def on(s, vec):
+            row, out = act[s], {}
+            get = out.get
+            for x, p in vec.items():
+                y, loops = row[x]
+                if loops:  # times sign delta = sign (v + v^-1)
+                    p = (p << w) + (p >> w) if sign > 0 else -(p << w) - (p >> w)
+                out[y] = get(y, 0) + p
+            return out
 
-    packed_b = {z: _pack(r, off_b, w) for z, r in right.items()}
-    rows, den = _reduced(_walk(left, packed_b, steps, step), off_a + off_b, bound, a.den * b.den)
+        return on
+
+    rows, den = _product(left, right, a.den * b.den, steps, step, min(top, n // 2), bound)
     diagrams = index.diagrams
     return a._rebuild({diagrams[y]: r for y, r in rows.items()}, den)
 

@@ -52,6 +52,18 @@ def rand_elt(g, rng, nterms=3):
     return HeckeElt(g, coeffs)
 
 
+def long_elt(g, rng, nterms=2):
+    """A sparse element on the longest elements of g: nterms terms among
+    w0 and the w0 s."""
+    tops = [g.w0, *g.right[g.w0]]
+    coeffs = {}
+    for x in rng.sample(tops, nterms):
+        num = LaurentPoly({rng.randint(-3, 3): rng.randint(-4, 4) or 1})
+        den = LaurentPoly({0: 1, 1: rng.randint(0, 1)})
+        coeffs[x] = RatFunc(num, den)
+    return HeckeElt(g, coeffs)
+
+
 def mult_naive(a, b):
     """Multiply via repeated generator multiplication, word by word."""
     g = a.group
@@ -135,12 +147,13 @@ def test_bar_of_generator():
     assert ds.bar() == ds + HeckeElt.one(g).scale(RatFunc(v - v**-1))
 
 
-@pytest.mark.parametrize("family,rank,m", [("A", 2, None), ("B", 2, None), ("I2", None, 4)], ids=str)
+@pytest.mark.parametrize("family,rank,m", [("A", 2, None), ("B", 2, None), ("I2", None, 4), ("H3", 3, None)], ids=str)
 def test_bar_is_involutive_ring_map(family, rank, m):
     g = grp(family, rank, m)
     rng = random.Random(13)
-    for _ in range(5):
-        a, b = rand_elt(g, rng), rand_elt(g, rng)
+    pairs = [(rand_elt(g, rng), rand_elt(g, rng)) for _ in range(5)]
+    pairs += [(long_elt(g, rng), long_elt(g, rng)) for _ in range(3)]
+    for a, b in pairs:
         assert a.bar().bar() == a
         assert (a * b).bar() == a.bar() * b.bar()
         assert (a + b).bar() == a.bar() + b.bar()
@@ -157,6 +170,25 @@ def test_bar_matches_oracle(family, rank, m, data):
     polys = {y: LaurentPoly(d) for y, d in data.draw(_signed_vectors(g, big)).items()}
     got = HeckeElt(g, {y: RatFunc(p) for y, p in polys.items()}).bar()
     assert got == HeckeElt(g, {z: RatFunc(q) for z, q in _bar_vec(g, polys).items()})
+
+
+@pytest.mark.parametrize("family,rank", [("H3", 3), ("B", 4)], ids=str)
+def test_bar_walks_only_its_support(monkeypatch, family, rank):
+    """bar of delta_w0 and of a 2-term element over a denominator, against
+    the oracle, with the table of every bar(delta_y) refused: bar walks the
+    words of its support only."""
+    g = grp(family, rank)
+
+    def refuse(*args):
+        raise AssertionError("bar built the table of every bar(delta_y)")
+
+    monkeypatch.setattr(hecke, "_bar_std", refuse)
+    w0 = g.w0
+    expect = _bar_vec(g, {w0: LaurentPoly.one()})
+    assert HeckeElt.std(g, w0).bar() == HeckeElt(g, {z: RatFunc(q) for z, q in expect.items()})
+    num, den = {w0: v**2 - 3, g.right[w0][0]: 2 * v**-1}, 3 - v**2
+    got = HeckeElt(g, {x: RatFunc(p, den) for x, p in num.items()}).bar()
+    assert got == HeckeElt(g, {z: RatFunc(q, den.bar()) for z, q in _bar_vec(g, num).items()})
 
 
 def test_bar_fixes_identity():
